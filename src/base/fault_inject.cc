@@ -5,13 +5,6 @@
 namespace hpmp
 {
 
-FaultInjector &
-FaultInjector::instance()
-{
-    static FaultInjector injector;
-    return injector;
-}
-
 void
 FaultInjector::enable(uint64_t seed)
 {

@@ -54,7 +54,16 @@ struct InjectedFault
 class FaultInjector
 {
   public:
-    static FaultInjector &instance();
+    /**
+     * The process-wide injector. Inline: the access hot path asks
+     * instance().enabled() on every reference.
+     */
+    static FaultInjector &
+    instance()
+    {
+        static FaultInjector injector;
+        return injector;
+    }
 
     /** Fast path: anything armed at all? Inlined into FAULT_POINT. */
     bool enabled() const { return enabled_ && suspend_ == 0; }

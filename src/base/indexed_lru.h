@@ -63,10 +63,12 @@ class LruIndex
         return kNone;
     }
 
-    /** Mark slot most-recently used. */
+    /** Mark slot most-recently used (a no-op when it already is). */
     void
     touch(uint32_t slot)
     {
+        if (slot == lruHead_)
+            return;
         lruUnlink(slot);
         lruPushMru(slot);
     }

@@ -14,6 +14,7 @@
 #ifndef HPMP_BASE_STATS_H
 #define HPMP_BASE_STATS_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -77,12 +78,7 @@ class Distribution
     static unsigned
     bucketOf(uint64_t v)
     {
-        unsigned width = 0;
-        while (v) {
-            ++width;
-            v >>= 1;
-        }
-        return width;
+        return unsigned(std::bit_width(v));
     }
 
     /** Inclusive value range [low, high] of bucket i. */

@@ -28,7 +28,21 @@ class CoreModel
     void addInstructions(uint64_t n) { instructions_ += n; }
 
     /** Account one memory access performed on the Machine. */
-    void addAccess(const AccessOutcome &outcome);
+    void
+    addAccess(const AccessOutcome &outcome)
+    {
+        ++memAccesses_;
+        // The L1-hit portion of the access is covered by the base CPI;
+        // anything beyond it is stall, scaled by how much of it the
+        // core can hide. Walk-induced stalls (TLB miss) are serially
+        // dependent and harder to hide than plain data misses.
+        const uint64_t stall = outcome.cycles > l1HitCycles_
+                                   ? outcome.cycles - l1HitCycles_
+                                   : 0;
+        const double overlap =
+            outcome.tlbHit ? timing_.memOverlap : timing_.walkOverlap;
+        exposedStall_ += stall * overlap;
+    }
 
     /** Account one guest access (virtualized runs). */
     void addStallCycles(uint64_t cycles, bool walk);

@@ -62,20 +62,6 @@ Machine::registerStats(StatRegistry &registry)
     registry.add(&pmptwStats_);
 }
 
-namespace
-{
-
-/** Classify a fault for the machine-level counters. */
-bool
-isAccessFault(Fault fault)
-{
-    return fault == Fault::LoadAccessFault ||
-           fault == Fault::StoreAccessFault ||
-           fault == Fault::FetchAccessFault;
-}
-
-} // namespace
-
 void
 Machine::setSatp(Addr root_pa, PagingMode mode)
 {
@@ -121,8 +107,22 @@ Machine::dataPoisonCheck(Addr pa, AccessOutcome &out)
     return consumePoison(pa, 8, RefOrigin::Data, out);
 }
 
+void
+Machine::countFault(Fault fault)
+{
+    if (fault == Fault::MachineCheck)
+        ++statMachineChecks_;
+    else if (fault == Fault::LoadAccessFault ||
+             fault == Fault::StoreAccessFault ||
+             fault == Fault::FetchAccessFault)
+        ++statAccessFaults_;
+    else
+        ++statPageFaults_;
+}
+
 Fault
-Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out)
+Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out,
+                   Perm *tlb_perm)
 {
     HpmpCheckResult check = hpmp_->check(pa, 8, type, priv_);
     // The walker emits its references root-first, so the first ref's
@@ -132,7 +132,7 @@ Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out)
         check.pmptRefs.empty() ? 0 : check.pmptRefs[0].level + 1;
     for (const PmptRef &ref : check.pmptRefs) {
         const uint64_t ref_cycles =
-            params_.pmptwStepCycles + hier_->access(ref.pa, false).cycles;
+            params_.pmptwStepCycles + hier_->access(ref.pa).cycles;
         out.cycles += ref_cycles;
         attr_.record(pmptOrigin(ref.level, levels), ref_cycles);
         ++out.pmptRefs;
@@ -148,6 +148,8 @@ Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out)
     }
     if (check.viaCache)
         ++out.cycles; // PMPTW-Cache lookup
+    if (tlb_perm && check.ok())
+        *tlb_perm = check.viaCache ? physPermProbe(pa) : check.perm;
     return check.fault;
 }
 
@@ -157,26 +159,6 @@ Machine::physPermProbe(Addr pa) const
     if (priv_ == PrivMode::Machine)
         return Perm::rwx();
     return hpmp_->probe(pa);
-}
-
-AccessOutcome
-Machine::access(Addr va, AccessType type)
-{
-    AccessOutcome out = accessInner(va, type);
-    ++statAccesses_;
-    if (!out.tlbHit && translationOn_) {
-        ++statWalks_;
-        statWalkCycles_.sample(out.cycles);
-    }
-    statPtRefs_ += out.ptRefs + out.adRefs;
-    statPmptRefs_ += out.pmptRefs;
-    if (out.fault == Fault::MachineCheck)
-        ++statMachineChecks_;
-    else if (isAccessFault(out.fault))
-        ++statAccessFaults_;
-    else if (out.fault != Fault::None)
-        ++statPageFaults_;
-    return out;
 }
 
 BatchOutcome
@@ -204,12 +186,7 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
             ++b.faults;
             if (b.firstFault == Fault::None)
                 b.firstFault = out.fault;
-            if (out.fault == Fault::MachineCheck)
-                ++statMachineChecks_;
-            else if (isAccessFault(out.fault))
-                ++statAccessFaults_;
-            else
-                ++statPageFaults_;
+            countFault(out.fault);
             if (stop_on_fault)
                 break;
         }
@@ -223,11 +200,9 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
 }
 
 AccessOutcome
-Machine::accessInner(Addr va, AccessType type)
+Machine::accessMiss(Addr va, AccessType type)
 {
     AccessOutcome out;
-    const bool is_store = type == AccessType::Store;
-    const bool is_fetch = type == AccessType::Fetch;
 
     if (!translationOn_) {
         // Bare mode: the physical check still applies (e.g. the host
@@ -237,41 +212,13 @@ Machine::accessInner(Addr va, AccessType type)
             out.fault = dataPoisonCheck(va, out);
         if (out.fault != Fault::None)
             return out;
-        const uint64_t data_cycles =
-            hier_->access(va, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
+        out.cycles += dataReference(*hier_, attr_, va, type);
         out.dataRefs = 1;
         return out;
     }
 
-    TlbHitLevel hit_level = TlbHitLevel::Miss;
-    if (auto entry = tlb_->lookup(va, &hit_level)) {
-        out.tlbHit = true;
-        if (hit_level == TlbHitLevel::L2)
-            out.cycles += kL2TlbPenalty;
-
-        // Privilege/permission checks from the cached entry; the
-        // inlined physical permission makes PMP/PMPT activity
-        // unnecessary on hits (TLB inlining, §7).
-        Pte shadow = Pte::leaf(0, entry->perm, entry->user, true, true);
-        out.fault = checkLeafPerms(shadow, type, priv_, true);
-        if (out.fault == Fault::None && !entry->physPerm.allows(type))
-            out.fault = accessFaultFor(type);
-        if (out.fault != Fault::None)
-            return out;
-
-        const Addr pa = entry->translate(va);
-        out.fault = dataPoisonCheck(pa, out);
-        if (out.fault != Fault::None)
-            return out;
-        const uint64_t data_cycles =
-            hier_->access(pa, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
-        out.dataRefs = 1;
-        return out;
-    }
+    if (const TlbEntry *entry = tlb_->lookupL2(va))
+        return tlbHit(*entry, va, type, kL2TlbPenalty);
 
     // TLB miss: functional walk first, then replay its references
     // through the PWC, the protection checker and the hierarchy.
@@ -303,7 +250,7 @@ Machine::accessInner(Addr va, AccessType type)
         if (out.fault != Fault::None)
             return out;
 
-        const uint64_t ref_cycles = hier_->access(ref.pa, ref.write).cycles;
+        const uint64_t ref_cycles = hier_->access(ref.pa).cycles;
         out.cycles += ref_cycles;
         if (ref.write) {
             attr_.record(RefOrigin::AdUpdate, ref_cycles);
@@ -322,16 +269,15 @@ Machine::accessInner(Addr va, AccessType type)
         return out;
     }
 
-    // Data reference with its own physical check.
-    out.fault = checkPhys(walk.pa, type, out);
+    // Data reference with its own physical check, which also yields
+    // the permission the TLB entry inlines.
+    Perm phys_perm;
+    out.fault = checkPhys(walk.pa, type, out, &phys_perm);
     if (out.fault == Fault::None)
         out.fault = dataPoisonCheck(walk.pa, out);
     if (out.fault != Fault::None)
         return out;
-    const uint64_t data_cycles =
-        hier_->access(walk.pa, is_store, is_fetch).cycles;
-    out.cycles += data_cycles;
-    attr_.record(RefOrigin::Data, data_cycles);
+    out.cycles += dataReference(*hier_, attr_, walk.pa, type);
     out.dataRefs = 1;
 
     DPRINTF(Walk, "va=%#lx pa=%#lx pt=%u ad=%u pmpt=%u cycles=%lu\n",
@@ -341,8 +287,8 @@ Machine::accessInner(Addr va, AccessType type)
                 walk.pa);
 
     const uint64_t span = pageSizeAtLevel(walk.leafLevel);
-    tlb_->fill(va, walk.pa - (va & (span - 1)), walk.perm,
-               physPermProbe(walk.pa), walk.user, walk.leafLevel);
+    tlb_->fill(va, walk.pa - (va & (span - 1)), walk.perm, phys_perm,
+               walk.user, walk.leafLevel);
     return out;
 }
 

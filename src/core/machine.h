@@ -26,6 +26,7 @@
 #include <string>
 
 #include "base/attribution.h"
+#include "base/fault_inject.h"
 #include "base/stats.h"
 #include "core/params.h"
 #include "core/pwc.h"
@@ -86,6 +87,38 @@ struct BatchOutcome
         return ptRefs + adRefs + pmptRefs + dataRefs;
     }
 };
+
+/**
+ * Permission verdict of a TLB hit (TLB inlining, §2.2/§7): the cached
+ * leaf's R/W/X and U rules (SUM set), then the G-stage leaf permission
+ * (rwx for single-stage entries, so a no-op for Machine), then the
+ * inlined physical permission. The one copy of the hit checks: every
+ * TLB hit of Machine and VirtMachine runs it.
+ */
+[[gnu::always_inline]] inline Fault
+tlbHitFault(const TlbEntry &entry, AccessType type, PrivMode priv)
+{
+    Fault fault = checkLeafPerms(entry.perm, entry.user, type, priv, true);
+    if (fault == Fault::None && !entry.gPerm.allows(type))
+        fault = guestPageFaultFor(type);
+    if (fault == Fault::None && !entry.physPerm.allows(type))
+        fault = accessFaultFor(type);
+    return fault;
+}
+
+/**
+ * The timed data reference of an access: one hierarchy access (L1I
+ * for fetches, L1D otherwise), attributed to RefOrigin::Data.
+ * @return its cycles.
+ */
+[[gnu::always_inline]] inline uint64_t
+dataReference(MemoryHierarchy &hier, RefAttribution &attr, Addr pa,
+              AccessType type)
+{
+    const uint64_t cycles = hier.access(pa, type == AccessType::Fetch).cycles;
+    attr.record(RefOrigin::Data, cycles);
+    return cycles;
+}
 
 class CoreModel;
 
@@ -148,7 +181,21 @@ class Machine
     PagingMode pagingMode() const { return mode_; }
 
     /** Perform one load/store/fetch at virtual address va. */
-    AccessOutcome access(Addr va, AccessType type);
+    [[gnu::always_inline]] AccessOutcome
+    access(Addr va, AccessType type)
+    {
+        AccessOutcome out = accessInner(va, type);
+        ++statAccesses_;
+        if (!out.tlbHit && translationOn_) {
+            ++statWalks_;
+            statWalkCycles_.sample(out.cycles);
+        }
+        statPtRefs_ += out.ptRefs + out.adRefs;
+        statPmptRefs_ += out.pmptRefs;
+        if (out.fault != Fault::None)
+            countFault(out.fault);
+        return out;
+    }
 
     /**
      * Replay a span of requests in one dispatch, updating the
@@ -170,15 +217,31 @@ class Machine
     /**
      * Check one physical reference against the programmed HPMP state,
      * charging pmpte references to `out`. Public so the virtualized
-     * machine can reuse it.
+     * machine can reuse it. When the check passes and `tlb_perm` is
+     * set, it receives the physical permission to inline into a TLB
+     * entry for pa: the one the check resolved, or a physPermProbe()
+     * when the PMPTW-Cache answered — one permission walk per fill.
      */
-    Fault checkPhys(Addr pa, AccessType type, AccessOutcome &out);
+    Fault checkPhys(Addr pa, AccessType type, AccessOutcome &out,
+                    Perm *tlb_perm = nullptr);
 
     /**
      * Functional probe of the physical permission triple for a page
      * (used for TLB inlining; costs nothing).
      */
     Perm physPermProbe(Addr pa) const;
+
+    /**
+     * Whether a TLB hit may skip its data poison consumption: no
+     * granule of physical memory is poisoned and the fault injector is
+     * off, so neither the poison check nor its ras.poison_on_fill site
+     * could fire.
+     */
+    bool
+    fastHitOk() const
+    {
+        return mem_->poisonFree() && !FaultInjector::instance().enabled();
+    }
 
     /** Aggregate counters ("machine.*"): accesses, walks, faults... */
     StatGroup &stats() { return stats_; }
@@ -214,8 +277,57 @@ class Machine
     unsigned hartId_ = 0;
     SatpFenceHook satpFenceHook_;
 
-    /** The access path proper (stats wrapper lives in access()). */
-    AccessOutcome accessInner(Addr va, AccessType type);
+    /**
+     * The access path proper (stats wrappers live in access() and
+     * accessBatch()): an L1-TLB hit inline, everything else out of
+     * line in accessMiss().
+     */
+    [[gnu::always_inline]] AccessOutcome
+    accessInner(Addr va, AccessType type)
+    {
+        if (translationOn_) {
+            if (const TlbEntry *entry = tlb_->lookupL1(va))
+                return tlbHit(*entry, va, type, 0);
+        }
+        return accessMiss(va, type);
+    }
+
+    /**
+     * A TLB hit, L1 or L2 (whose penalty arrives as `cycles`): the hit
+     * checks, the data poison consumption unless fastHitOk(), then the
+     * data reference. The inlined physical permission makes PMP/PMPT
+     * activity unnecessary on hits (TLB inlining, §7).
+     */
+    [[gnu::always_inline]] AccessOutcome
+    tlbHit(const TlbEntry &entry, Addr va, AccessType type, uint64_t cycles)
+    {
+        AccessOutcome out;
+        out.cycles = cycles;
+        out.tlbHit = true;
+        out.fault = tlbHitFault(entry, type, priv_);
+        if (out.fault != Fault::None)
+            return out;
+        const Addr pa = entry.translate(va);
+        if (!fastHitOk()) {
+            out.fault = dataPoisonCheck(pa, out);
+            if (out.fault != Fault::None)
+                return out;
+        }
+        out.cycles += dataReference(*hier_, attr_, pa, type);
+        out.dataRefs = 1;
+        return out;
+    }
+
+    /**
+     * The access path after an L1-TLB miss, or with translation off:
+     * an L2-TLB hit, else the walk with its physical checks, the data
+     * reference and the TLB fill; in bare mode the checked data
+     * reference alone.
+     */
+    AccessOutcome accessMiss(Addr va, AccessType type);
+
+    /** Count a faulting access in the machine-level counters. */
+    void countFault(Fault fault);
 
     /**
      * Consume poison on [pa, pa+len): returns MachineCheck (and tags

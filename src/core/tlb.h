@@ -84,8 +84,26 @@ class Tlb
     const TlbEntry *
     lookup(Addr va, TlbHitLevel *level = nullptr)
     {
-        const uint64_t vpn = pageNumber(va);
+        const TlbEntry *entry = lookupL1(va);
+        TlbHitLevel hit = TlbHitLevel::L1;
+        if (!entry) {
+            entry = lookupL2(va);
+            hit = entry ? TlbHitLevel::L2 : TlbHitLevel::Miss;
+        }
+        if (level)
+            *level = hit;
+        return entry;
+    }
 
+    /**
+     * First half of lookup(): probe the L1 only, counting a hit but
+     * not a miss. A caller that gets nullptr must continue with
+     * lookupL2(va) for the same access.
+     */
+    const TlbEntry *
+    lookupL1(Addr va)
+    {
+        const uint64_t vpn = pageNumber(va);
         for (uint32_t mask = levelMask_; mask; mask &= mask - 1) {
             const unsigned lvl = unsigned(std::countr_zero(mask));
             const uint32_t slot =
@@ -93,25 +111,29 @@ class Tlb
             if (slot != LruIndex::kNone) {
                 l1Index_.touch(slot);
                 ++l1Hits_;
-                if (level)
-                    *level = TlbHitLevel::L1;
                 return &l1_[slot];
             }
         }
+        return nullptr;
+    }
 
+    /**
+     * Second half of lookup(), after lookupL1(va) missed: probe the
+     * direct-mapped L2, promoting a hit into L1, else count a miss.
+     */
+    const TlbEntry *
+    lookupL2(Addr va)
+    {
+        const uint64_t vpn = pageNumber(va);
         TlbEntry &slot = l2_[l2SlotOf(vpn)];
         if (slot.valid && slot.level == 0 && slot.vpn == vpn) {
             ++l2Hits_;
-            if (level)
-                *level = TlbHitLevel::L2;
             // Promote into L1 (evicting the true-LRU entry if full).
             const TlbEntry *promoted = installL1(slot);
             return promoted ? promoted : &slot;
         }
 
         ++misses_;
-        if (level)
-            *level = TlbHitLevel::Miss;
         return nullptr;
     }
 

@@ -195,34 +195,25 @@ VirtAccessOutcome
 VirtMachine::accessInner(Addr gva, AccessType type)
 {
     VirtAccessOutcome out;
-    const bool is_store = type == AccessType::Store;
     const bool is_fetch = type == AccessType::Fetch;
 
     // Combined-TLB hit: inlined permissions, data reference only. The
     // entry carries the real VS-stage U bit / permissions, the real
     // G-stage leaf permission and the inlined physical permission, so
     // the same checks fire as on the full-walk path.
-    if (auto entry = combinedTlb_.lookup(gva)) {
+    if (const TlbEntry *entry = combinedTlb_.lookup(gva)) {
         out.tlbHit = true;
-        Pte shadow = Pte::leaf(0, entry->perm, entry->user, true, true);
-        out.fault = checkLeafPerms(shadow, type, guestPriv_, true);
-        if (out.fault == Fault::None && !entry->gPerm.allows(type))
-            out.fault = guestPageFaultFor(type);
-        if (out.fault == Fault::None && !entry->physPerm.allows(type))
-            out.fault = accessFaultFor(type);
+        out.fault = tlbHitFault(*entry, type, guestPriv_);
         if (out.fault != Fault::None)
             return out;
         const Addr spa = entry->translate(gva);
-        if (machine_.mem().isPoisoned(spa, 8)) {
+        if (!machine_.fastHitOk() && machine_.mem().isPoisoned(spa, 8)) {
             out.fault = Fault::MachineCheck;
             out.poisonAddr = spa;
             out.poisonOrigin = RefOrigin::Data;
             return out;
         }
-        const uint64_t data_cycles =
-            machine_.hier().access(spa, is_store, is_fetch).cycles;
-        out.cycles += data_cycles;
-        attr_.record(RefOrigin::Data, data_cycles);
+        out.cycles += dataReference(machine_.hier(), attr_, spa, type);
         out.dataRefs = 1;
         return out;
     }
@@ -237,12 +228,14 @@ VirtMachine::accessInner(Addr gva, AccessType type)
     // Replay the supervisor-physical references: protection check
     // first, then the memory reference itself.
     AccessOutcome check_out;
+    Perm phys_perm; // the data reference's, inlined by the TLB fill
     for (const VirtRef &ref : walk.refs) {
+        const bool is_data = ref.kind == VirtRefKind::Data;
         const AccessType ref_type =
-            ref.kind == VirtRefKind::Data
-                ? type
-                : (ref.write ? AccessType::Store : AccessType::Load);
-        out.fault = machine_.checkPhys(ref.spa, ref_type, check_out);
+            is_data ? type
+                    : (ref.write ? AccessType::Store : AccessType::Load);
+        out.fault = machine_.checkPhys(ref.spa, ref_type, check_out,
+                                       is_data ? &phys_perm : nullptr);
         out.cycles += check_out.cycles;
         out.pmptRefs += check_out.pmptRefs;
         if (out.fault == Fault::MachineCheck) {
@@ -275,9 +268,7 @@ VirtMachine::accessInner(Addr gva, AccessType type)
         }
 
         const uint64_t ref_cycles =
-            machine_.hier().access(ref.spa, ref.write,
-                                   ref.kind == VirtRefKind::Data &&
-                                       is_fetch).cycles;
+            machine_.hier().access(ref.spa, is_data && is_fetch).cycles;
         out.cycles += ref_cycles;
         switch (ref.kind) {
           case VirtRefKind::NptPage:
@@ -312,8 +303,7 @@ VirtMachine::accessInner(Addr gva, AccessType type)
     const unsigned level = walk.combinedLeafLevel();
     const uint64_t span = pageSizeAtLevel(level);
     combinedTlb_.fill(gva, walk.spa - (gva & (span - 1)), walk.perm,
-                      machine_.physPermProbe(walk.spa), walk.user,
-                      level, walk.gPerm);
+                      phys_perm, walk.user, level, walk.gPerm);
     return out;
 }
 

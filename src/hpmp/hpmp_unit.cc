@@ -161,8 +161,10 @@ HpmpUnit::check(Addr pa, uint64_t size, AccessType type, PrivMode priv)
 
     // The monitor itself (M-mode) is unconstrained: no lock bits are
     // used in this model, matching Penglai's deployment.
-    if (priv == PrivMode::Machine)
+    if (priv == PrivMode::Machine) {
+        result.perm = Perm::rwx();
         return result;
+    }
 
     ++checks_;
     const int idx = regs_.findMatch(pa, size);
@@ -188,7 +190,8 @@ HpmpUnit::check(Addr pa, uint64_t size, AccessType type, PrivMode priv)
 
     if (!table_mode) {
         ++segmentChecks_;
-        if (!cfg.perm().allows(type)) {
+        result.perm = cfg.perm();
+        if (!result.perm.allows(type)) {
             result.fault = accessFaultFor(type);
             ++denials_;
         }
@@ -221,6 +224,7 @@ HpmpUnit::check(Addr pa, uint64_t size, AccessType type, PrivMode priv)
             base_reg.tablePa(), offset, unsigned(walk.refs.size()),
             int(walk.valid));
     result.pmptRefs = walk.refs;
+    result.perm = walk.valid ? walk.perm : Perm::none();
     if (!walk.valid || !walk.perm.allows(type)) {
         result.fault = accessFaultFor(type);
         ++denials_;

@@ -65,6 +65,15 @@ struct HpmpCheckResult
     int entry = -1;        //!< matching entry, -1 = none
     bool viaTable = false; //!< resolved through a PMP Table walk
     bool viaCache = false; //!< resolved by the PMPTW-Cache
+    /**
+     * The permission the check resolved, meaningful when ok() and not
+     * viaCache: rwx for M-mode, the segment's cfg permission, or the
+     * fresh table walk's permission — exactly what probe() returns for
+     * the same address, so a TLB fill can inline it without a second
+     * walk. A PMPTW-Cache answer may come from a leaf that no longer
+     * matches memory, so callers probe() in that case.
+     */
+    Perm perm;
     SmallVec<PmptRef, 4> pmptRefs; //!< pmpte references performed
 
     bool ok() const { return fault == Fault::None; }

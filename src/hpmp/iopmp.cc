@@ -103,7 +103,7 @@ DmaEngine::transfer(Addr src, Addr dst, uint64_t bytes)
             iopmp_.check(id_, src + off, beat, AccessType::Load);
         result.pmptRefs += unsigned(read_check.pmptRefs.size());
         for (const PmptRef &ref : read_check.pmptRefs)
-            beatCycles += hier_.access(ref.pa, false).cycles;
+            beatCycles += hier_.access(ref.pa).cycles;
         if (!read_check.ok() || refsPoisoned(read_check)) {
             result.ok = false;
             result.machineCheck = read_check.ok();
@@ -116,7 +116,7 @@ DmaEngine::transfer(Addr src, Addr dst, uint64_t bytes)
                 iopmp_.check(id_, dst + off, beat, AccessType::Store);
             result.pmptRefs += unsigned(write_check.pmptRefs.size());
             for (const PmptRef &ref : write_check.pmptRefs)
-                beatCycles += hier_.access(ref.pa, false).cycles;
+                beatCycles += hier_.access(ref.pa).cycles;
             if (!write_check.ok() || refsPoisoned(write_check)) {
                 result.ok = false;
                 result.machineCheck = write_check.ok();
@@ -136,8 +136,8 @@ DmaEngine::transfer(Addr src, Addr dst, uint64_t bytes)
         }
 
         if (beatOk) {
-            beatCycles += hier_.access(src + off, false).cycles;
-            beatCycles += hier_.access(dst + off, true).cycles;
+            beatCycles += hier_.access(src + off).cycles;
+            beatCycles += hier_.access(dst + off).cycles;
         }
 
         // One bus transaction per beat: the IOPMP's table references

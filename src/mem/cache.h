@@ -4,8 +4,9 @@
  *
  * The data itself lives in PhysMem (functional state); this model only
  * tracks which lines are resident to attribute hit/miss latency, like
- * the timing side of gem5's classic caches. LRU replacement, write-back
- * write-allocate. Geometry follows Table 1 of the paper.
+ * the timing side of gem5's classic caches. LRU replacement,
+ * write-allocate; no level below reads dirtiness, so no dirty bit is
+ * kept. Geometry follows Table 1 of the paper.
  */
 
 #ifndef HPMP_MEM_CACHE_H
@@ -42,24 +43,24 @@ class Cache
      * @return true on hit.
      */
     bool
-    access(Addr pa, bool is_write)
+    access(Addr pa)
     {
-        const uint64_t set = setIndex(pa);
-        const uint64_t tag = tagOf(pa);
-        Line *base = &lines_[set * params_.assoc];
+        const uint64_t first = setIndex(pa) * params_.assoc;
+        const uint64_t want = tagWord(tagOf(pa));
 
-        // Hit scan first; victim selection only runs on a miss,
-        // keeping the (far more common) hit path tight.
+        // Hit scan first, over the set's contiguous tag words; victim
+        // selection only runs on a miss, keeping the (far more common)
+        // hit path tight.
+        const uint64_t *tags = &tags_[first];
         for (unsigned way = 0; way < params_.assoc; ++way) {
-            Line &line = base[way];
-            if (line.valid && line.tag == tag) {
-                line.lru = ++lruClock_;
-                line.dirty |= is_write;
+            if (tags[way] == want) {
+                stamp(first + way);
                 ++hits_;
                 return true;
             }
         }
-        fillVictim(base, tag, is_write);
+        ++misses_;
+        fillVictim(first, want);
         return false;
     }
 
@@ -97,19 +98,41 @@ class Cache
     void resetStats() { hits_.reset(); misses_.reset(); }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool locked = false; //!< never chosen as a victim
-        uint64_t lru = 0;    //!< larger = more recently used
-    };
+    /**
+     * The tag store keeps one word per way, `tag << 1 | valid`, with
+     * each set's ways contiguous so a hit scan reads one run of words.
+     * An invalid way is the word 0. Recency stamps and lock flags live
+     * in parallel arrays indexed the same way (set * assoc + way).
+     */
+    static uint64_t tagWord(uint64_t tag) { return tag << 1 | 1; }
+    static bool validWord(uint64_t word) { return word & 1; }
 
     uint64_t lineNumber(Addr pa) const { return pa >> lineShift_; }
 
-    /** Miss path of access(): pick a victim way and refill it. */
-    void fillVictim(Line *base, uint64_t tag, bool is_write);
+    /**
+     * Make way `i` the most recently used. A way already holding the
+     * newest stamp keeps it: only the relative order of stamps is
+     * ever read, and that order would not change. Valid ways thus hold
+     * distinct stamps >= 1; invalid ways hold 0.
+     */
+    void
+    stamp(uint64_t i)
+    {
+        if (stamps_[i] != lruClock_)
+            stamps_[i] = ++lruClock_;
+    }
+
+    /**
+     * Way of the set starting at `first` to evict: the last invalid
+     * unlocked way if any, else the lowest-stamp unlocked way.
+     */
+    uint64_t victimOf(uint64_t first) const;
+
+    /** Miss path of access()/touch(): refill the victim way. */
+    void fillVictim(uint64_t first, uint64_t word);
+
+    /** Index of the way of the set at `first` holding `word`, or -1. */
+    int64_t findWay(uint64_t first, uint64_t word) const;
 
     // Set/tag split avoids a hardware division per lookup when the
     // set count is a power of two (every Table 1 geometry is).
@@ -133,7 +156,9 @@ class Cache
     bool setsPow2_ = false;
     unsigned setShift_ = 0;
     uint64_t setMask_ = 0;
-    std::vector<Line> lines_; //!< numSets_ x assoc, row-major
+    std::vector<uint64_t> tags_;  //!< numSets_ x assoc tag words
+    std::vector<uint64_t> stamps_; //!< LRU stamps, larger = more recent
+    std::vector<uint8_t> locked_;  //!< pinned ways, never victims
     uint64_t lruClock_ = 0;
     uint64_t lockedLines_ = 0;
 

@@ -13,16 +13,15 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
 }
 
 MemAccessResult
-MemoryHierarchy::accessBelowL1(Addr pa, bool is_write,
-                               MemAccessResult result)
+MemoryHierarchy::accessBelowL1(Addr pa, MemAccessResult result)
 {
     result.cycles += l2_->latency();
-    if (l2_->access(pa, is_write)) {
+    if (l2_->access(pa)) {
         result.servicedBy = MemLevel::L2;
         return result;
     }
     result.cycles += llc_->latency();
-    if (llc_->access(pa, is_write)) {
+    if (llc_->access(pa)) {
         result.servicedBy = MemLevel::LLC;
         return result;
     }

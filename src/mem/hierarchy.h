@@ -47,17 +47,17 @@ class MemoryHierarchy
 
     /** Timing access: looks up each level in turn, fills on the way. */
     MemAccessResult
-    access(Addr pa, bool is_write, bool is_fetch = false)
+    access(Addr pa, bool is_fetch = false)
     {
         MemAccessResult result;
         Cache &l1 = is_fetch ? *l1i_ : *l1d_;
 
         result.cycles += l1.latency();
-        if (l1.access(pa, is_write)) {
+        if (l1.access(pa)) {
             result.servicedBy = MemLevel::L1;
             return result;
         }
-        return accessBelowL1(pa, is_write, result);
+        return accessBelowL1(pa, result);
     }
 
     /** Make the line containing pa resident down to `deepest`. */
@@ -80,8 +80,7 @@ class MemoryHierarchy
 
   private:
     /** L1-miss continuation of access(). */
-    MemAccessResult accessBelowL1(Addr pa, bool is_write,
-                                  MemAccessResult result);
+    MemAccessResult accessBelowL1(Addr pa, MemAccessResult result);
 
     std::unique_ptr<Cache> l1i_;
     std::unique_ptr<Cache> l1d_;

@@ -87,6 +87,13 @@ class PhysMem
     /** Number of pages carrying at least one poisoned granule. */
     size_t poisonedPages() const { return poison_.size(); }
 
+    /**
+     * True when no granule anywhere is poisoned, so isPoisoned() is
+     * false for every range. Inline: the TLB-hit fast path asks this
+     * instead of probing the poison map per access.
+     */
+    bool poisonFree() const { return poison_.empty(); }
+
   private:
     using Page = std::array<uint8_t, kPageSize>;
 

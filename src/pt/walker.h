@@ -61,25 +61,33 @@ WalkResult walkPageTable(PhysMem &mem, Addr root_pa, Addr va,
                          const WalkConfig &config);
 
 /**
- * Permission check of a leaf PTE against access type and privilege;
- * shared between the walker and the TLB hit path (where it runs on
- * every hit, hence inline).
+ * Permission check of a leaf's R/W/X and U bits against access type
+ * and privilege; shared between the walker and the TLB hit path
+ * (where it runs on every hit, hence inline).
  */
 inline Fault
-checkLeafPerms(const Pte &pte, AccessType type, PrivMode priv,
+checkLeafPerms(Perm perm, bool user, AccessType type, PrivMode priv,
                bool sum_set)
 {
-    if (!pte.perm().allows(type))
+    if (!perm.allows(type))
         return pageFaultFor(type);
-    if (priv == PrivMode::User && !pte.u())
+    if (priv == PrivMode::User && !user)
         return pageFaultFor(type);
-    if (priv == PrivMode::Supervisor && pte.u()) {
+    if (priv == PrivMode::Supervisor && user) {
         // S-mode fetches from U pages always fault; loads/stores fault
         // unless SUM is set.
         if (type == AccessType::Fetch || !sum_set)
             return pageFaultFor(type);
     }
     return Fault::None;
+}
+
+/** checkLeafPerms on a leaf PTE's own bits. */
+inline Fault
+checkLeafPerms(const Pte &pte, AccessType type, PrivMode priv,
+               bool sum_set)
+{
+    return checkLeafPerms(pte.perm(), pte.u(), type, priv, sum_set);
 }
 
 } // namespace hpmp

@@ -13,48 +13,18 @@ Runner::Runner(Kernel &kernel, AddressSpace &as, CoreModel &model)
 }
 
 AccessOutcome
-Runner::accessChecked(Addr va, AccessType type)
+Runner::serviceFault(Addr va, AccessType type, const AccessOutcome &fault)
 {
-    if (trace_)
-        trace_->append(va, type);
-    Machine &m = kernel_.machine();
-    AccessOutcome out = m.access(va, type);
-    if (out.ok()) {
-        model_.addAccess(out);
-        return out;
-    }
-
-    // Page fault: let the OS model populate the page, charge the
-    // kernel path, retry once.
-    model_.addAccess(out); // cycles burned discovering the fault
     if (!as_->handleFault(va, type))
-        panic("unhandled fault (%s) at va %#lx", toString(out.fault), va);
+        panic("unhandled fault (%s) at va %#lx", toString(fault.fault), va);
     ++faults_;
     model_.addInstructions(kFaultKernelInstrs);
 
-    out = m.access(va, type);
+    const AccessOutcome out = kernel_.machine().access(va, type);
     panic_if(!out.ok(), "fault persists at va %#lx: %s", va,
              toString(out.fault));
     model_.addAccess(out);
     return out;
-}
-
-void
-Runner::load(Addr va)
-{
-    accessChecked(va, AccessType::Load);
-}
-
-void
-Runner::store(Addr va)
-{
-    accessChecked(va, AccessType::Store);
-}
-
-void
-Runner::fetch(Addr va)
-{
-    accessChecked(va, AccessType::Fetch);
 }
 
 uint64_t

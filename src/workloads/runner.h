@@ -32,9 +32,9 @@ class Runner
     Runner(Kernel &kernel, AddressSpace &as, CoreModel &model);
 
     /** Timed load/store/fetch; transparently services page faults. */
-    void load(Addr va);
-    void store(Addr va);
-    void fetch(Addr va);
+    void load(Addr va) { accessChecked(va, AccessType::Load); }
+    void store(Addr va) { accessChecked(va, AccessType::Store); }
+    void fetch(Addr va) { accessChecked(va, AccessType::Fetch); }
 
     /** Timed 64-bit load returning the value (for real algorithms). */
     uint64_t load64(Addr va);
@@ -70,7 +70,22 @@ class Runner
 
   private:
     /** One access with fault handling; returns the final outcome. */
-    AccessOutcome accessChecked(Addr va, AccessType type);
+    AccessOutcome
+    accessChecked(Addr va, AccessType type)
+    {
+        if (trace_)
+            trace_->append(va, type);
+        const AccessOutcome out = kernel_.machine().access(va, type);
+        model_.addAccess(out); // a fault's cycles were burned too
+        return out.ok() ? out : serviceFault(va, type, out);
+    }
+
+    /**
+     * Page fault on `va`: let the OS model populate the page, charge
+     * the kernel path, retry once. @return the retry's outcome.
+     */
+    AccessOutcome serviceFault(Addr va, AccessType type,
+                               const AccessOutcome &fault);
 
     Kernel &kernel_;
     AddressSpace *as_;

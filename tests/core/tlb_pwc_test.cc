@@ -142,6 +142,71 @@ TEST(Tlb, StatsCount)
     EXPECT_EQ(tlb.l1Hits(), 1u);
 }
 
+/** Translate va through a fresh lookup, or 0 on a miss. */
+Addr
+lookupPa(Tlb &tlb, Addr va, TlbHitLevel *level = nullptr)
+{
+    const TlbEntry *e = tlb.lookup(va, level);
+    return e ? e->translate(va) : 0;
+}
+
+TEST(Tlb, FourKFillReplacesCoveringSuperpage)
+{
+    Tlb tlb(4, 64);
+    tlb.fill(0x40000000, 0x80000000, Perm::rw(), Perm::rwx(), true,
+             /*level=*/1);
+    EXPECT_EQ(lookupPa(tlb, 0x40001234), 0x80001234u);
+    // The 4 KiB refill drops the covering superpage.
+    tlb.fill(0x40001000, 0x90001000, Perm::ro(), Perm::rwx(), true);
+    TlbHitLevel level;
+    EXPECT_EQ(lookupPa(tlb, 0x40001234, &level), 0x90001234u);
+    EXPECT_EQ(level, TlbHitLevel::L1);
+    EXPECT_EQ(tlb.lookup(0x40001234)->perm, Perm::ro());
+    EXPECT_EQ(lookupPa(tlb, 0x40005000), 0u); // rest of the 2 MiB gone
+}
+
+TEST(Tlb, RefillInPlace)
+{
+    Tlb tlb(4, 64);
+    tlb.fill(0x1000, 0x80001000, Perm::rw(), Perm::rwx(), true);
+    EXPECT_EQ(lookupPa(tlb, 0x1010), 0x80001010u);
+    tlb.fill(0x1000, 0x80007000, Perm::ro(), Perm::ro(), false);
+    const TlbEntry *e = tlb.lookup(0x1010);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->translate(0x1010), 0x80007010u);
+    EXPECT_EQ(e->perm, Perm::ro());
+    EXPECT_EQ(e->physPerm, Perm::ro());
+    EXPECT_FALSE(e->user);
+}
+
+TEST(Tlb, SmallerPageWinsOverSuperpage)
+{
+    // A superpage filled over a still-cached 4 KiB entry (the mapping
+    // changed without an sfence) leaves both in the L1; the lookup
+    // picks the 4 KiB entry for its page and the superpage elsewhere.
+    Tlb tlb(4, 64);
+    tlb.fill(0x40001000, 0x90001000, Perm::ro(), Perm::rwx(), true);
+    tlb.fill(0x40002000, 0x80000000, Perm::rw(), Perm::rwx(), true,
+             /*level=*/1);
+    EXPECT_EQ(lookupPa(tlb, 0x40002010), 0x80002010u);
+    EXPECT_EQ(lookupPa(tlb, 0x40001010), 0x90001010u);
+    EXPECT_EQ(lookupPa(tlb, 0x40002010), 0x80002010u);
+    EXPECT_EQ(lookupPa(tlb, 0x40001010), 0x90001010u);
+}
+
+TEST(Tlb, SplitLookupCountsEachAccessOnce)
+{
+    Tlb tlb(4, 64);
+    tlb.fill(0x1000, 0x80001000, Perm::rw(), Perm::rwx(), true);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_NE(tlb.lookupL1(0x1000 + 8 * i), nullptr);
+    EXPECT_EQ(tlb.lookupL1(0x2000), nullptr);
+    EXPECT_EQ(tlb.lookupL2(0x2000), nullptr);
+    EXPECT_EQ(tlb.l1Hits(), 5u);
+    EXPECT_EQ(tlb.l2Hits(), 0u);
+    EXPECT_EQ(tlb.misses(), 1u);
+}
+
 TEST(Pwc, FillLookupByLevel)
 {
     Pwc pwc(8);

@@ -210,6 +210,60 @@ TEST_F(HpmpUnitTest, DynamicModeSwitching)
                            PrivMode::User).ok());
 }
 
+TEST_F(HpmpUnitTest, CheckPermMatchesProbe)
+{
+    // A TLB fill inlines HpmpCheckResult::perm in place of a second
+    // walk through probe(): for every passing check not answered by
+    // the PMPTW-Cache, the two must agree (M-mode: rwx, as
+    // Machine::physPermProbe returns).
+    table.setPerm(2_GiB, 64_KiB, Perm::rw());
+    table.setPerm(2_GiB + 64_KiB, 64_KiB, Perm::rx());
+    table.setPerm(2_GiB + 128_KiB, kPageSize, Perm::xo());
+    table.setPerm(4_GiB, 32_MiB, Perm::ro(), /*allow_huge=*/true);
+    HpmpUnit cached(mem, 16, 8);
+    for (HpmpUnit *u : {&unit, &cached}) {
+        u->programSegment(0, 1_GiB, 16_MiB, Perm::rw());
+        u->programSegment(1, 3_GiB, 1_MiB, Perm::rx());
+        u->programTable(2, 0, 16_GiB, table.rootPa());
+    }
+
+    const Addr addrs[] = {
+        1_GiB, 1_GiB + 8_MiB,               // segment rw
+        3_GiB + 4_KiB,                      // segment rx
+        2_GiB, 2_GiB + 60_KiB,              // leaf pmpte rw
+        2_GiB + 64_KiB, 2_GiB + 100_KiB,    // leaf pmpte rx
+        2_GiB + 128_KiB,                    // leaf pmpte xo
+        4_GiB, 4_GiB + 31_MiB,              // huge pmpte ro
+        6_GiB,                              // no permission
+    };
+    unsigned compared = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (HpmpUnit *u : {&unit, &cached}) {
+            for (Addr pa : addrs) {
+                for (AccessType type : {AccessType::Load, AccessType::Store,
+                                        AccessType::Fetch}) {
+                    for (PrivMode priv : {PrivMode::User,
+                                          PrivMode::Supervisor,
+                                          PrivMode::Machine}) {
+                        const HpmpCheckResult r = u->check(pa, 8, type, priv);
+                        if (!r.ok() || r.viaCache)
+                            continue;
+                        const Perm want = priv == PrivMode::Machine
+                                              ? Perm::rwx()
+                                              : u->probe(pa);
+                        EXPECT_EQ(r.perm, want)
+                            << "pa " << pa << " type " << int(type)
+                            << " priv " << int(priv);
+                        ++compared;
+                    }
+                }
+            }
+        }
+    }
+    // Every passing class above was compared at least once.
+    EXPECT_GT(compared, 100u);
+}
+
 TEST_F(HpmpUnitTest, CsrWriteAccounting)
 {
     unit.resetCsrWrites();

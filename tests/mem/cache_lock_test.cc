@@ -26,7 +26,7 @@ TEST(CacheLock, LockedLineSurvivesPressure)
     ASSERT_TRUE(c.lockLine(0x0));
     // Thrash the same set with many conflicting lines.
     for (int i = 1; i < 20; ++i)
-        c.access(Addr(i) * 4 * 64, false);
+        c.access(Addr(i) * 4 * 64);
     EXPECT_TRUE(c.probe(0x0));
     EXPECT_EQ(c.lockedLines(), 1u);
 }
@@ -64,7 +64,7 @@ TEST(CacheLock, UnlockRestoresEvictability)
     EXPECT_EQ(c2.lockedLines(), 0u);
     // Now it can be evicted by pressure.
     for (int i = 1; i < 8; ++i)
-        c2.access(Addr(i) * 4 * 64, false);
+        c2.access(Addr(i) * 4 * 64);
     EXPECT_FALSE(c2.probe(0x0));
 }
 
@@ -73,10 +73,10 @@ TEST(CacheLock, MissesStillServedAroundLockedWays)
     Cache c(tiny(2));
     ASSERT_TRUE(c.lockLine(0x0));
     // Conflicting lines keep replacing the single unlocked way.
-    EXPECT_FALSE(c.access(4 * 64, false));
-    EXPECT_TRUE(c.access(4 * 64, false));
-    EXPECT_FALSE(c.access(8 * 64, false));
-    EXPECT_TRUE(c.access(8 * 64, false));
+    EXPECT_FALSE(c.access(4 * 64));
+    EXPECT_TRUE(c.access(4 * 64));
+    EXPECT_FALSE(c.access(8 * 64));
+    EXPECT_TRUE(c.access(8 * 64));
     EXPECT_FALSE(c.probe(4 * 64)); // evicted by the 0x200 fill
     EXPECT_TRUE(c.probe(0x0));
 }

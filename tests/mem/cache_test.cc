@@ -22,10 +22,10 @@ smallCache(unsigned assoc)
 TEST(Cache, MissThenHit)
 {
     Cache c(smallCache(2));
-    EXPECT_FALSE(c.access(0x1000, false));
-    EXPECT_TRUE(c.access(0x1000, false));
-    EXPECT_TRUE(c.access(0x1038, false)); // same line
-    EXPECT_FALSE(c.access(0x1040, false)); // next line
+    EXPECT_FALSE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x1038)); // same line
+    EXPECT_FALSE(c.access(0x1040)); // next line
     EXPECT_EQ(c.hits(), 2u);
     EXPECT_EQ(c.misses(), 2u);
 }
@@ -35,10 +35,10 @@ TEST(Cache, LruEvictsOldest)
     Cache c(smallCache(2)); // 8 sets, 2 ways
     // Three lines mapping to the same set (stride = sets * line).
     const Addr a = 0, b = 8 * 64, d = 16 * 64;
-    c.access(a, false);
-    c.access(b, false);
-    c.access(a, false);        // a most recent
-    c.access(d, false);        // evicts b
+    c.access(a);
+    c.access(b);
+    c.access(a);        // a most recent
+    c.access(d);        // evicts b
     EXPECT_TRUE(c.probe(a));
     EXPECT_FALSE(c.probe(b));
     EXPECT_TRUE(c.probe(d));
@@ -49,7 +49,7 @@ TEST(Cache, TouchWarmsWithoutCountingMiss)
     Cache c(smallCache(4));
     c.touch(0x5000);
     EXPECT_EQ(c.misses(), 0u);
-    EXPECT_TRUE(c.access(0x5000, false));
+    EXPECT_TRUE(c.access(0x5000));
     EXPECT_EQ(c.hits(), 1u);
 }
 
@@ -68,9 +68,9 @@ TEST(Cache, FlushAllAndLine)
 TEST(Cache, DistinctTagsSameIndex)
 {
     Cache c(smallCache(1)); // direct mapped, 8 sets
-    c.access(0x0, false);
-    EXPECT_FALSE(c.access(8 * 64, false)); // same set, different tag
-    EXPECT_FALSE(c.access(0x0, false));    // evicted
+    c.access(0x0);
+    EXPECT_FALSE(c.access(8 * 64)); // same set, different tag
+    EXPECT_FALSE(c.access(0x0));    // evicted
 }
 
 /** Associativity sweep: a working set within assoc lines never misses
@@ -85,11 +85,11 @@ TEST_P(CacheAssoc, WorkingSetWithinWaysStays)
     Cache c(smallCache(assoc));
     const unsigned sets = 8;
     for (unsigned w = 0; w < assoc; ++w)
-        c.access(Addr(w) * sets * 64, false);
+        c.access(Addr(w) * sets * 64);
     c.resetStats();
     for (int round = 0; round < 4; ++round) {
         for (unsigned w = 0; w < assoc; ++w)
-            c.access(Addr(w) * sets * 64, false);
+            c.access(Addr(w) * sets * 64);
     }
     EXPECT_EQ(c.misses(), 0u);
 }

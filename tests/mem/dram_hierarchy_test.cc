@@ -51,9 +51,9 @@ TEST(Hierarchy, LatencyOrdering)
     MachineParams mp = rocketParams();
     MemoryHierarchy h(mp.hier);
 
-    const auto cold = h.access(0x100000, false);
+    const auto cold = h.access(0x100000);
     EXPECT_EQ(cold.servicedBy, MemLevel::Dram);
-    const auto warm = h.access(0x100000, false);
+    const auto warm = h.access(0x100000);
     EXPECT_EQ(warm.servicedBy, MemLevel::L1);
     EXPECT_GT(cold.cycles, warm.cycles);
 }
@@ -64,35 +64,35 @@ TEST(Hierarchy, WarmLineDepthControlsHitLevel)
     MemoryHierarchy h(mp.hier);
 
     h.warmLine(0x200000, MemLevel::LLC);
-    EXPECT_EQ(h.access(0x200000, false).servicedBy, MemLevel::LLC);
+    EXPECT_EQ(h.access(0x200000).servicedBy, MemLevel::LLC);
 
     h.flushAll();
     h.warmLine(0x200000, MemLevel::L2);
-    EXPECT_EQ(h.access(0x200000, false).servicedBy, MemLevel::L2);
+    EXPECT_EQ(h.access(0x200000).servicedBy, MemLevel::L2);
 
     h.flushAll();
     h.warmLine(0x200000, MemLevel::L1);
-    EXPECT_EQ(h.access(0x200000, false).servicedBy, MemLevel::L1);
+    EXPECT_EQ(h.access(0x200000).servicedBy, MemLevel::L1);
 }
 
 TEST(Hierarchy, FetchUsesICache)
 {
     MachineParams mp = rocketParams();
     MemoryHierarchy h(mp.hier);
-    h.access(0x300000, false, true); // fetch fill
+    h.access(0x300000, true); // fetch fill
     EXPECT_TRUE(h.l1i().probe(0x300000));
     EXPECT_FALSE(h.l1d().probe(0x300000));
     // Data-side access to the same line misses L1D but hits L2.
-    EXPECT_EQ(h.access(0x300000, false, false).servicedBy, MemLevel::L2);
+    EXPECT_EQ(h.access(0x300000).servicedBy, MemLevel::L2);
 }
 
 TEST(Hierarchy, FlushLineEvictsEverywhere)
 {
     MachineParams mp = rocketParams();
     MemoryHierarchy h(mp.hier);
-    h.access(0x400000, false);
+    h.access(0x400000);
     h.flushLine(0x400000);
-    EXPECT_EQ(h.access(0x400000, false).servicedBy, MemLevel::Dram);
+    EXPECT_EQ(h.access(0x400000).servicedBy, MemLevel::Dram);
 }
 
 TEST(Hierarchy, BoomDramCostsMoreCyclesThanRocket)
