@@ -50,9 +50,8 @@ struct Slot
 ChaosStats
 runMigrateChaos(const ChaosConfig &config)
 {
-    panic_if(!config.migrateLayer, "runMigrateChaos without migrateLayer");
-    panic_if(config.osLayer || config.virtLayer || config.fleetLayer,
-             "--migrate is mutually exclusive with the other layers");
+    panic_if(config.layer != ChaosLayer::Migrate,
+             "runMigrateChaos without the migrate layer");
 
     ChaosStats stats;
     stats.harts = config.harts;

@@ -29,8 +29,7 @@ namespace hpmp
 
 /**
  * Run one migration chaos campaign. Deterministic in (config.seed,
- * config.harts); requires config.migrateLayer and none of the other
- * layer flags.
+ * config.harts); requires config.layer == ChaosLayer::Migrate.
  */
 ChaosStats runMigrateChaos(const ChaosConfig &config);
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "base/fault_inject.h"
@@ -91,9 +92,9 @@ randomNapotSize(Rng &rng)
 }
 
 /**
- * Multi-hart campaign geometry: each hart's kernel (OS layer) owns a
- * NAPOT region far above the chaos windows, so domain-lifecycle chaos
- * and OS traffic collide only where the ops make them collide.
+ * OS-layer geometry: each hart's kernel owns a NAPOT region far above
+ * the chaos windows, so domain-lifecycle chaos and OS traffic collide
+ * only where the ops make them collide.
  */
 constexpr Addr kKernelMemBase = 2_GiB;
 constexpr uint64_t kKernelMemBytes = 32_MiB;
@@ -146,1493 +147,1370 @@ struct HartGuest
     unsigned currentNptIndex() const { return usingB ? 1 : 0; }
 };
 
-/**
- * Interleave hook of the multi-hart campaign: runs the stale checker
- * at every IPI step and, from inside the shootdown window, fires
- * nested monitor calls from victim harts — every one of them must
- * bounce off the global monitor lock with LockContended and zero state
- * change.
- */
-class ChaosIpiHook : public InterleaveHook
+MonitorConfig
+chaosMonitorConfig(const ChaosConfig &config)
 {
-  public:
-    ChaosIpiHook(SmpSystem &smp, SecureMonitor &monitor,
-                 StaleChecker &checker, Rng &rng)
-        : smp_(smp), monitor_(monitor), checker_(checker), rng_(rng)
-    {
-    }
-
-    void
-    onIpiStep(const IpiEvent &event) override
-    {
-        checker_.onIpiStep(event);
-        if (failed_)
-            return;
-        // Posted/Delivered steps always run inside a monitor
-        // transaction (the satp fence path does not take the lock, so
-        // its SatpFence steps are not probed).
-        if (event.phase != IpiPhase::Posted &&
-            event.phase != IpiPhase::Delivered) {
-            return;
-        }
-        if (!rng_.chance(0.12))
-            return;
-        const unsigned saved = smp_.currentHart();
-        smp_.setCurrentHart(event.dstHart);
-        const MonitorResult r =
-            monitor_.switchTo(monitor_.currentDomain());
-        smp_.setCurrentHart(saved);
-        if (r.ok || r.code != MonitorError::LockContended) {
-            failed_ = true;
-            why_ = "nested monitor call from hart " +
-                   std::to_string(event.dstHart) +
-                   " inside the shootdown window did not bounce with "
-                   "lock-contended (got " +
-                   std::string(r.ok ? "ok" : toString(r.code)) + ")";
-            return;
-        }
-        ++contended_;
-    }
-
-    bool failed() const { return failed_; }
-    const std::string &failure() const { return why_; }
-    uint64_t contended() const { return contended_; }
-
-  private:
-    SmpSystem &smp_;
-    SecureMonitor &monitor_;
-    StaleChecker &checker_;
-    Rng &rng_;
-    uint64_t contended_ = 0;
-    bool failed_ = false;
-    std::string why_;
-};
-
-ChaosStats runChaosSmp(const ChaosConfig &config);
-
-} // namespace
-
-ChaosStats
-runChaos(const ChaosConfig &config)
-{
-    panic_if(config.migrateLayer,
-             "--migrate campaigns run through runMigrateChaos "
-             "(migrate/migrate_chaos.h), not runChaos");
-    // RAS campaigns always run the SMP engine (it hosts the scrubber,
-    // the DMA masters and the blast-radius audits), even single-hart.
-    if (config.harts > 1 || config.rasLayer)
-        return runChaosSmp(config);
-
-    ChaosStats stats;
-    Rng rng(config.seed);
-
-    auto machine = std::make_unique<Machine>(chaosMachineParams());
     MonitorConfig mc;
     mc.scheme = config.scheme;
-    SecureMonitor monitor(*machine, mc);
-    machine->setPriv(PrivMode::Supervisor);
-
-    FaultInjector &injector = FaultInjector::instance();
-    injector.enable(config.seed);
-
-    const char *op_name = "?";
-    auto fail = [&](unsigned index, const std::string &why) {
-        std::ostringstream os;
-        os << "seed " << config.seed << " op #" << index << " ("
-           << op_name << "): " << why;
-        stats.failed = true;
-        stats.failure = os.str();
-    };
-
-    // Helpers over the current population -----------------------------
-    auto live = [&]() { return monitor.domainIds(); };
-    auto pick_domain = [&](bool allow_bogus) -> DomainId {
-        if (allow_bogus && rng.chance(0.08))
-            return kBogusDomain;
-        const auto ids = live();
-        return ids[rng.below(ids.size())];
-    };
-    auto pick_gms_base = [&](DomainId id) -> Addr {
-        if (!monitor.domainExists(id))
-            return windowOf(id);
-        const auto &list = monitor.gmsOf(id);
-        if (list.empty() || rng.chance(0.1)) {
-            // A base that (usually) names no GMS.
-            return windowOf(id) + rng.below(16) * kPageSize;
-        }
-        return list[rng.below(list.size())].base;
-    };
-    auto random_gms = [&](DomainId id) -> Gms {
-        Gms gms;
-        gms.size = randomNapotSize(rng);
-        const Addr window = windowOf(id);
-        gms.base = window + rng.below(kWindowSize / gms.size) * gms.size;
-        gms.perm = randomPerm(rng);
-        gms.label = rng.chance(0.7) ? GmsLabel::Fast : GmsLabel::Slow;
-        // A taste of hostile input: misaligned bases, zero sizes and
-        // regions reaching into the monitor-private area. All must be
-        // rejected with a typed error and zero state change.
-        if (rng.chance(0.05))
-            gms.base += 0x100;
-        if (rng.chance(0.03))
-            gms.size = 0;
-        if (rng.chance(0.04))
-            gms.base = monitor.config().monitorBase +
-                       rng.below(monitor.config().monitorSize / kPageSize) *
-                           kPageSize;
-        return gms;
-    };
-
-    // Windowed telemetry: the campaign clock is the monitor's own
-    // call_cycles sum, which advances exactly with simulated work.
-    StatRegistry seriesRegistry;
-    std::unique_ptr<StatSampler> sampler;
-    auto campaign_cycles = [&]() -> uint64_t {
-        const Distribution *d = monitor.stats().getDist("call_cycles");
-        return d ? d->sum() : 0;
-    };
-    if (config.statsSeriesOut) {
-        monitor.registerStats(seriesRegistry);
-        machine->registerStats(seriesRegistry);
-        sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                config.statsSeriesInterval);
-    }
-
-    for (unsigned i = 0; i < config.ops && !stats.failed; ++i) {
-        if (sampler)
-            sampler->advanceTo(campaign_cycles());
-        // Arm a fault for this op with the configured probability: the
-        // Nth upcoming site hit, whatever site that turns out to be.
-        const bool armed = rng.chance(config.faultProb);
-        const bool digest_checked = armed || i % 8 == 0;
-        uint64_t pre_digest = 0;
-        if (digest_checked)
-            pre_digest = monitor.stateDigest(config.fullDigest);
-        if (armed)
-            injector.armAnyNth(1 + rng.below(8));
-
-        // ---- run one random operation -------------------------------
-        MonitorResult result;
-        const unsigned roll = unsigned(rng.below(100));
-        if (roll < 8) {
-            op_name = "createDomain";
-            if (live().size() < kMaxDomains)
-                monitor.createDomain();
-        } else if (roll < 14) {
-            op_name = "destroyDomain";
-            result = monitor.destroyDomain(pick_domain(true));
-        } else if (roll < 34) {
-            op_name = "addGms";
-            const DomainId id = pick_domain(true);
-            if (!monitor.domainExists(id) ||
-                monitor.gmsOf(id).size() < kMaxGmsPerDomain) {
-                result = monitor.addGms(id, random_gms(id));
-            }
-        } else if (roll < 42) {
-            op_name = "removeGms";
-            const DomainId id = pick_domain(true);
-            result = monitor.removeGms(id, pick_gms_base(id));
-        } else if (roll < 50) {
-            op_name = "setLabel";
-            const DomainId id = pick_domain(true);
-            result = monitor.setLabel(id, pick_gms_base(id),
-                                      rng.chance(0.5) ? GmsLabel::Fast
-                                                      : GmsLabel::Slow);
-        } else if (roll < 56) {
-            op_name = "setPerm";
-            const DomainId id = pick_domain(true);
-            result =
-                monitor.setPerm(id, pick_gms_base(id), randomPerm(rng));
-        } else if (roll < 62) {
-            op_name = "shareGms";
-            const DomainId owner = pick_domain(false);
-            const DomainId peer = pick_domain(true);
-            result = monitor.shareGms(owner, pick_gms_base(owner), peer,
-                                      randomPerm(rng));
-        } else if (roll < 72) {
-            op_name = "hintHotRegion";
-            const DomainId id = pick_domain(true);
-            Addr base = pick_gms_base(id);
-            uint64_t size = randomNapotSize(rng);
-            if (monitor.domainExists(id) && !monitor.gmsOf(id).empty() &&
-                rng.chance(0.8)) {
-                // A NAPOT subrange of an existing GMS (usually valid).
-                const auto &list = monitor.gmsOf(id);
-                const Gms &gms = list[rng.below(list.size())];
-                size = std::max<uint64_t>(gms.size >> rng.below(3),
-                                          kPageSize);
-                if (isPowerOf2(gms.size) && size <= gms.size) {
-                    base = gms.base +
-                           rng.below(gms.size / size) * size;
-                }
-            }
-            result = monitor.hintHotRegion(id, base, size);
-        } else if (roll < 86) {
-            op_name = "switchTo";
-            result = monitor.switchTo(pick_domain(true));
-        } else {
-            op_name = "attest";
-            const DomainId id = pick_domain(false);
-            const uint64_t nonce = rng.next();
-            const auto report = monitor.attestDomain(id, nonce);
-            if (report.ok) {
-                if (!monitor.attestor().verify(report.value, nonce)) {
-                    fail(i, "attestation report failed verification");
-                    break;
-                }
-            } else {
-                result = MonitorResult::fail(report.code, report.error);
-            }
-        }
-        injector.clearPlans(); // disarm anything that did not fire
-
-        // ---- audit the outcome --------------------------------------
-        ++stats.ops;
-        if (result.ok) {
-            ++stats.okOps;
-            if (result.degraded)
-                ++stats.degradedOps;
-        } else {
-            ++stats.failedOps;
-            if (result.code == MonitorError::InjectedFault)
-                ++stats.injectedFaults;
-            if (result.code == MonitorError::None) {
-                fail(i, "failed without an error code: " + result.error);
-                break;
-            }
-            if (digest_checked) {
-                ++stats.rollbackChecks;
-                const uint64_t post =
-                    monitor.stateDigest(config.fullDigest);
-                if (post != pre_digest) {
-                    fail(i, std::string("state changed across a failed "
-                                        "call (") +
-                                toString(result.code) + ": " +
-                                result.error + ")");
-                    break;
-                }
-            }
-        }
-
-        ++stats.invariantChecks;
-        const std::string violation = checkIsolationInvariants(monitor);
-        if (!violation.empty()) {
-            fail(i, "invariant violated: " + violation);
-            break;
-        }
-    }
-
-    injector.disable();
-
-    if (sampler) {
-        sampler->sample(campaign_cycles());
-        *config.statsSeriesOut = sampler->dumpJson();
-    }
-    if (config.statsJsonOut) {
-        StatRegistry registry;
-        monitor.registerStats(registry);
-        machine->registerStats(registry);
-        *config.statsJsonOut = registry.dumpJson();
-    }
-    return stats;
+    return mc;
 }
 
-namespace
-{
-
 /**
- * The multi-hart campaign. Same domain-lifecycle op mix as the
- * single-hart fuzzer, plus: every op initiates from a random hart,
- * IPI shootdowns run with the stale-translation checker and
- * nested-call lock probes interleaved into every protocol step,
- * rollback is verified per hart, hart register files are checked for
- * convergence outside windows, and (with osLayer) per-hart kernels
- * drive mmap/munmap/touch/demand-fault and DMA traffic under the same
- * injection plans.
+ * One campaign: the system with its layer, the op generator and the
+ * audit battery. Every random draw comes from rng_ in a fixed order
+ * (the interleave hook draws from it too), so a campaign is a pure
+ * function of its config.
  */
-ChaosStats
-runChaosSmp(const ChaosConfig &config)
+class Campaign : public InterleaveHook
 {
-    ChaosStats stats;
-    stats.harts = config.harts;
-    Rng rng(config.seed);
-    panic_if(config.virtLayer && config.osLayer,
-             "--virt and --os-layer are mutually exclusive");
-    panic_if(config.fleetLayer && (config.osLayer || config.virtLayer),
-             "--fleet is mutually exclusive with --os-layer and --virt");
-    panic_if(config.rasLayer &&
-                 (config.osLayer || config.virtLayer || config.fleetLayer),
-             "--ras is mutually exclusive with --os-layer, --virt and "
-             "--fleet");
+  public:
+    explicit Campaign(const ChaosConfig &config);
+    Campaign(const Campaign &) = delete; // the SmpSystem holds `this`
+    Campaign &operator=(const Campaign &) = delete;
+    ChaosStats run();
+    void onIpiStep(const IpiEvent &event) override;
 
-    SmpParams sp;
-    sp.harts = config.harts;
-    sp.schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts;
-    SmpSystem smp(chaosMachineParams(), sp);
-    MonitorConfig mc;
-    mc.scheme = config.scheme;
-    SecureMonitor monitor(smp, mc);
+  private:
+    bool is(ChaosLayer layer) const { return config_.layer == layer; }
+
+    // ---- setup -----------------------------------------------------
+    void setupOs();
+    void setupWatches();
+    void setupVirt();
+    void registerStats(StatRegistry &registry, bool with_bus);
+
+    // ---- helpers over the current population -----------------------
+    void fail(const std::string &why);
+    std::vector<DomainId> live() const { return monitor_.domainIds(); }
+    DomainId pickDomain(bool allow_bogus);
+    Addr pickGmsBase(DomainId id);
+    Gms randomGms(DomainId id);
+    uint64_t campaignCycles();
+    void snapshotDigests();
+    bool isWatchPage(Addr page) const;
+    Addr pickPoisonPage(DomainId id);
+    std::optional<DomainId> ownerOf(Addr page) const;
+    bool auditBlast(const std::vector<DomainId> &before,
+                    DomainId allowed_victim);
+    MonitorResult reportScrubHit(Addr hit);
+    MonitorResult report(Addr pa, RasOutcome expected);
+
+    // ---- op families -----------------------------------------------
+    MonitorResult runOp();
+    MonitorResult lifecycleOp(unsigned roll);
+    MonitorResult osOp();
+    MonitorResult virtOp();
+    MonitorResult fleetOp();
+    MonitorResult rasOp();
+    MonitorResult rasData();
+    MonitorResult rasPmpte();
+    MonitorResult rasFree();
+    MonitorResult rasScrub();
+    MonitorResult rasMonitor();
+    MonitorResult rasSuspended();
+    MonitorResult dmaOp();
+    MonitorResult rootRewriteOp();
+
+    // ---- audits ----------------------------------------------------
+    bool audit(const MonitorResult &result);
+    void patrol();
+    void collectStats();
+
+    const ChaosConfig &config_;
+    ChaosStats stats_;
+    Rng rng_;
+    SmpSystem smp_;
+    SecureMonitor monitor_;
+    FaultInjector &injector_ = FaultInjector::instance();
+
+    // OS layer: one kernel + address space per hart, and the
+    // [base, len) regions each hart has mmapped (touch targets).
+    std::vector<DomainId> kernelDomain_;
+    std::vector<std::unique_ptr<Kernel>> kernels_;
+    std::vector<std::unique_ptr<AddressSpace>> spaces_;
+    std::vector<std::vector<std::pair<Addr, uint64_t>>> mapped_;
+
+    StaleChecker checker_;
+    std::vector<Addr> watchPas_;
+    std::vector<HartGuest> guests_;
+    uint64_t lockContended_ = 0;
+
+    // DMA masters behind a two-master IOPMP on one shared bus.
+    IopmpUnit iopmp_;
+    SharedBus dmaBus_;
+    DmaEngine dma0_, dma1_;
+
+    std::unique_ptr<Scrubber> scrub_;
+    bool rasFatalExpected_ = false;
+    // Fleet campaigns: every destroyed tenant's id is remembered so
+    // stale-handle probes can keep asserting the recycling contract —
+    // a retired DomainId stays a typed denial forever, even after its
+    // registry slot is handed to a new tenant under a new generation.
+    std::vector<DomainId> retired_;
+
+    StatRegistry seriesRegistry_;
+    std::unique_ptr<StatSampler> sampler_;
+
+    // Per-op state.
+    unsigned index_ = 0;
+    unsigned initiator_ = 0;
+    const char *opName_ = "?";
+    bool digestChecked_ = false;
+    std::vector<uint64_t> pre_;
+};
+
+Campaign::Campaign(const ChaosConfig &config)
+    : config_(config),
+      rng_(config.seed),
+      // The interleaving derives from both the seed and the hart count.
+      smp_(chaosMachineParams(),
+           {.harts = config.harts,
+            .schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts}),
+      monitor_(smp_, chaosMonitorConfig(config)),
+      mapped_(config.harts),
+      checker_(smp_, monitor_),
+      iopmp_(smp_.mem(), 2),
+      dmaBus_(2),
+      dma0_(iopmp_, smp_.hart(0).hier(), 0),
+      // Master 1 sits on hart 1's hierarchy when there is one.
+      dma1_(iopmp_, smp_.hart(config.harts > 1 ? 1 : 0).hier(), 1),
+      pre_(config.harts, 0)
+{
+    panic_if(is(ChaosLayer::Migrate),
+             "migration campaigns run through runMigrateChaos "
+             "(migrate/migrate_chaos.h), not runChaos");
+    stats_.harts = config.harts;
     for (unsigned h = 0; h < config.harts; ++h)
-        smp.hart(h).setPriv(PrivMode::Supervisor);
+        smp_.hart(h).setPriv(PrivMode::Supervisor);
+    if (is(ChaosLayer::Os))
+        setupOs();
+    setupWatches();
+    // Point every hart's MMU at its own address space. Runs through
+    // Machine::setSatp, i.e. the remote-fence accounting path.
+    for (unsigned h = 0; h < unsigned(spaces_.size()); ++h) {
+        smp_.setCurrentHart(h);
+        smp_.hart(h).setSatp(spaces_[h]->rootPa(),
+                             kernels_[h]->config().pagingMode);
+    }
+    smp_.setCurrentHart(0);
+    if (is(ChaosLayer::Virt))
+        setupVirt();
+    // Installed after the layer setup: the boot-time satp/hgatp
+    // fences are not part of the campaign.
+    smp_.setInterleaveHook(this);
 
-    // ---- OS layer: one kernel + address space per hart -------------
-    std::vector<DomainId> kernelDomain(config.harts, 0);
-    std::vector<std::unique_ptr<Kernel>> kernels;
-    std::vector<std::unique_ptr<AddressSpace>> spaces;
-    // Per-hart [base, len) regions currently mmapped (touch targets).
-    std::vector<std::vector<std::pair<Addr, uint64_t>>> mapped(
-        config.harts);
-    if (config.osLayer) {
-        for (unsigned h = 0; h < config.harts; ++h) {
-            kernelDomain[h] = monitor.createDomain();
-            KernelConfig kc;
-            kernels.push_back(std::make_unique<Kernel>(
-                monitor, kernelDomain[h],
-                kKernelMemBase + h * kKernelMemStride, kKernelMemBytes,
-                kc));
-            spaces.push_back(kernels.back()->createAddressSpace());
-        }
+    // Both masters contend for one shared channel, so a master's
+    // transfer cycles — including its IOPMP table-reference latency —
+    // inflate under the other's load.
+    iopmp_.master(0).programSegment(0, windowOf(0), kWindowSize,
+                                    Perm::rw());
+    iopmp_.master(1).programSegment(0, windowOf(1), kWindowSize,
+                                    Perm::rw());
+    dma0_.attachBus(&dmaBus_);
+    dma1_.attachBus(&dmaBus_);
+
+    // RAS: the background patrol covers exactly the chaos windows, so
+    // poison landing under the patrol head (ras.poison_scrub) hits
+    // enclave, host or free frames — the classes whose containment is
+    // bounded. Monitor-region poison is planted deliberately (and
+    // rarely) by the ras.monitor sub-op instead, so a whole-host
+    // degrade is always an *expected* event the audits account for.
+    if (is(ChaosLayer::Ras)) {
+        scrub_ = std::make_unique<Scrubber>(
+            smp_.mem(), kWindowBase, kWindows * kWindowSize, 32);
+        scrub_->setSkip(
+            [this](Addr page) { return monitor_.pageQuarantined(page); });
     }
 
-    // ---- stale-translation watches ---------------------------------
-    // Two watched accesses per hart: a chaos-window page (permission
-    // churns with GMS registration and domain switches) and either the
-    // hart's kernel data page (flips on switches to/from its domain)
-    // or a second window page in bare mode.
-    StaleChecker checker(smp, monitor);
-    std::vector<Addr> watchPas;
+    injector_.enable(config.seed);
+
+    // Windowed telemetry over the full SMP registry, clocked by the
+    // monitor's simulated call_cycles sum (see ChaosConfig).
+    if (config.statsSeriesOut) {
+        registerStats(seriesRegistry_, true);
+        sampler_ = std::make_unique<StatSampler>(seriesRegistry_,
+                                                 config.statsSeriesInterval);
+    }
+}
+
+void
+Campaign::setupOs()
+{
+    kernelDomain_.resize(config_.harts);
+    for (unsigned h = 0; h < config_.harts; ++h) {
+        kernelDomain_[h] = monitor_.createDomain();
+        kernels_.push_back(std::make_unique<Kernel>(
+            monitor_, kernelDomain_[h],
+            kKernelMemBase + h * kKernelMemStride, kKernelMemBytes,
+            KernelConfig{}));
+        spaces_.push_back(kernels_.back()->createAddressSpace());
+    }
+}
+
+/**
+ * Two watched accesses per hart: a chaos-window page (permission
+ * churns with GMS registration and domain switches) and either the
+ * hart's kernel data page (flips on switches to/from its domain) or a
+ * second window page in bare mode.
+ */
+void
+Campaign::setupWatches()
+{
     unsigned wi = 0;
-    for (unsigned h = 0; h < config.harts; ++h) {
+    for (unsigned h = 0; h < config_.harts; ++h) {
         for (unsigned k = 0; k < 2; ++k) {
             StaleWatch w;
             w.hart = h;
             w.type = (wi % 2) ? AccessType::Store : AccessType::Load;
             if (k == 0) {
                 w.pa = windowOf(h % kWindows) + (1 + h) * kPageSize;
-            } else if (config.osLayer) {
+            } else if (!kernels_.empty()) {
                 w.pa = kKernelMemBase + h * kKernelMemStride +
-                       kernels[h]->config().ptPoolBytes;
+                       kernels_[h]->config().ptPoolBytes;
             } else {
                 w.pa = windowOf((h + 3) % kWindows) + (2 + h) * kPageSize;
             }
-            if (config.osLayer) {
+            if (!spaces_.empty()) {
                 w.va = kWatchVaBase + wi * kPageSize;
                 const bool mapped_ok =
-                    spaces[h]->mapFrameAt(w.va, w.pa, Perm::rwx(), false);
+                    spaces_[h]->mapFrameAt(w.va, w.pa, Perm::rwx(), false);
                 panic_if(!mapped_ok, "watch mapping failed");
             } else {
                 w.va = w.pa; // bare harts access physically
             }
-            checker.addWatch(w);
-            watchPas.push_back(w.pa & ~Addr(kPageSize - 1));
+            checker_.addWatch(w);
+            watchPas_.push_back(w.pa & ~Addr(kPageSize - 1));
             ++wi;
         }
     }
+}
 
-    // Point every hart's MMU at its own address space. Runs through
-    // Machine::setSatp, i.e. the remote-fence accounting path.
-    if (config.osLayer) {
-        for (unsigned h = 0; h < config.harts; ++h) {
-            smp.setCurrentHart(h);
-            smp.hart(h).setSatp(spaces[h]->rootPa(),
-                                kernels[h]->config().pagingMode);
-        }
-        smp.setCurrentHart(0);
-    }
+void
+Campaign::setupVirt()
+{
+    smp_.enableVirt();
+    // One slow NAPOT GMS of the host domain covers every guest arena:
+    // the guests only reach memory while the host domain is current,
+    // and every domain switch flips their physical stage.
+    const MonitorResult ar = monitor_.addGms(
+        monitor_.currentDomain(),
+        {kVirtArenaBase, kVirtArenaSpan, Perm::rwx(), GmsLabel::Slow});
+    panic_if(!ar.ok, "virt arena GMS rejected: %s", ar.error.c_str());
 
-    // ---- virt layer: one guest per hart ----------------------------
-    std::vector<HartGuest> guests;
-    if (config.virtLayer) {
-        smp.enableVirt();
-        // One slow NAPOT GMS of the host domain covers every guest
-        // arena: the guests only reach memory while the host domain is
-        // current, and every domain switch flips their physical stage.
-        Gms arena;
-        arena.base = kVirtArenaBase;
-        arena.size = kVirtArenaSpan;
-        arena.perm = Perm::rwx();
-        arena.label = GmsLabel::Slow;
-        const MonitorResult ar = monitor.addGms(monitor.currentDomain(),
-                                                arena);
-        panic_if(!ar.ok, "virt arena GMS rejected: %s", ar.error.c_str());
+    guests_.resize(config_.harts);
+    for (unsigned h = 0; h < config_.harts; ++h) {
+        HartGuest &hg = guests_[h];
+        const Addr base = kVirtArenaBase + h * kVirtArenaStride;
+        hg.nptA = std::make_unique<PageTable>(
+            smp_.mem(), bumpAllocator(base + kVirtNptAOff),
+            PagingMode::Sv39, 2);
+        hg.nptB = std::make_unique<PageTable>(
+            smp_.mem(), bumpAllocator(base + kVirtNptBOff),
+            PagingMode::Sv39, 2);
+        hg.gpt = std::make_unique<PageTable>(
+            smp_.mem(), bumpAllocator(base + kVirtGptOff),
+            PagingMode::Sv39, 0);
+        hg.dataBase = base + kVirtDataOff;
 
-        guests.resize(config.harts);
-        for (unsigned h = 0; h < config.harts; ++h) {
-            HartGuest &hg = guests[h];
-            const Addr base = kVirtArenaBase + h * kVirtArenaStride;
-            hg.nptA = std::make_unique<PageTable>(
-                smp.mem(), bumpAllocator(base + kVirtNptAOff),
-                PagingMode::Sv39, 2);
-            hg.nptB = std::make_unique<PageTable>(
-                smp.mem(), bumpAllocator(base + kVirtNptBOff),
-                PagingMode::Sv39, 2);
-            hg.gpt = std::make_unique<PageTable>(
-                smp.mem(), bumpAllocator(base + kVirtGptOff),
-                PagingMode::Sv39, 0);
-            hg.dataBase = base + kVirtDataOff;
-
-            for (PageTable *npt : {hg.nptA.get(), hg.nptB.get()}) {
-                // G-stage identity superpages over the GPT pool: the
-                // two-stage walk translates every guest-PT frame.
-                for (Addr off = 0; off < kVirtGptPoolBytes; off += 2_MiB) {
-                    const Addr gpa = base + kVirtGptOff + off;
-                    panic_if(!npt->map(gpa, gpa, Perm::rw(), true, 1),
-                             "G-stage identity map failed");
-                }
-            }
-            for (unsigned p = 0; p < kGuestPages; ++p) {
-                const Addr gva = kChaosGuestVaBase + p * kPageSize;
-                const Addr gpa = hg.dataBase + p * kPageSize;
-                // Page 1 boots as an execute-only, supervisor-only
-                // leaf (S-mode fetches from U pages always fault) so
-                // the fetch watch below hunts stale X grants from the
-                // start.
-                hg.gptPerm[p] = p == 1 ? Perm::xo() : Perm::rwx();
-                panic_if(!hg.gpt->map(gva, gpa, hg.gptPerm[p], p != 1),
-                         "GPT map failed");
-                // The B table boots with alternating narrower perms so
-                // the very first hgatp switch changes the G-stage view.
-                hg.nptPerm[0][p] = Perm::rwx();
-                hg.nptPerm[1][p] = p % 2 ? Perm::rwx() : Perm::rw();
-                panic_if(!hg.nptA->map(gpa, gpa, hg.nptPerm[0][p], true),
-                         "NPT-A map failed");
-                panic_if(!hg.nptB->map(gpa, gpa, hg.nptPerm[1][p], true),
-                         "NPT-B map failed");
-            }
-
-            VirtMachine &vm = smp.virtHart(h);
-            vm.setHgatp(hg.nptA->rootPa());
-            vm.setVsatp(hg.gpt->rootPa());
-
-            // Watch page 0 of each guest through the two-stage oracle
-            // and commit the boot-time expectations for every page.
-            VirtStaleWatch vw;
-            vw.hart = h;
-            vw.gva = kChaosGuestVaBase;
-            vw.gpa = hg.dataBase;
-            vw.spa = hg.dataBase;
-            vw.type = h % 2 ? AccessType::Store : AccessType::Load;
-            checker.addVirtWatch(vw);
-            // A second watch fetches through the X-only page: stale
-            // executable grants are attributed separately from RW ones
-            // (an injectable-code window, not just a data leak).
-            VirtStaleWatch xw;
-            xw.hart = h;
-            xw.gva = kChaosGuestVaBase + kPageSize;
-            xw.gpa = hg.dataBase + kPageSize;
-            xw.spa = hg.dataBase + kPageSize;
-            xw.type = AccessType::Fetch;
-            checker.addVirtWatch(xw);
-            for (unsigned p = 0; p < kGuestPages; ++p) {
-                checker.setGuestPerm(h, kChaosGuestVaBase + p * kPageSize,
-                                     hg.gptPerm[p]);
-                checker.setGpaPerm(h, hg.dataBase + p * kPageSize,
-                                   hg.nptPerm[0][p]);
+        for (PageTable *npt : {hg.nptA.get(), hg.nptB.get()}) {
+            // G-stage identity superpages over the GPT pool: the
+            // two-stage walk translates every guest-PT frame.
+            for (Addr off = 0; off < kVirtGptPoolBytes; off += 2_MiB) {
+                const Addr gpa = base + kVirtGptOff + off;
+                panic_if(!npt->map(gpa, gpa, Perm::rw(), true, 1),
+                         "G-stage identity map failed");
             }
         }
-    }
-    // Rewrite one already-mapped guest leaf in place (PageTable has no
-    // protect(): campaigns remap by writing the PTE the walker reads).
-    auto rewriteLeaf = [&](PageTable &pt, Addr va, Addr pa, Perm perm,
-                           bool user = true) {
-        const auto slot = pt.leafPteAddr(va);
-        panic_if(!slot, "no guest leaf to rewrite");
-        smp.mem().write64(*slot,
-                          Pte::leaf(pa, perm, user, true, true).raw);
-    };
-
-    ChaosIpiHook hook(smp, monitor, checker, rng);
-    smp.setInterleaveHook(&hook);
-
-    // ---- DMA masters behind a two-master IOPMP ---------------------
-    // Each master sits on its own hart's cache hierarchy (master 1
-    // on hart 1 when the campaign has one) and both contend for one
-    // shared channel, so a master's transfer cycles — including its
-    // IOPMP table-reference latency — inflate under the other's load.
-    IopmpUnit iopmp(smp.mem(), 2);
-    iopmp.master(0).programSegment(0, windowOf(0), kWindowSize,
-                                   Perm::rw());
-    iopmp.master(1).programSegment(0, windowOf(1), kWindowSize,
-                                   Perm::rw());
-    SharedBus dmaBus(2);
-    DmaEngine dma0(iopmp, smp.hart(0).hier(), 0);
-    DmaEngine dma1(iopmp,
-                   smp.hart(config.harts > 1 ? 1 : 0).hier(), 1);
-    dma0.attachBus(&dmaBus);
-    dma1.attachBus(&dmaBus);
-
-    // ---- RAS layer: background patrol scrubber ---------------------
-    // The patrol covers exactly the chaos windows: poison landing
-    // under the patrol head (ras.poison_scrub) then hits enclave,
-    // host or free frames — the classes whose containment is bounded.
-    // Monitor-region poison is planted deliberately (and rarely) by
-    // the ras.monitor sub-op instead, so a whole-host degrade is
-    // always an *expected* event the audits can account for.
-    std::unique_ptr<Scrubber> scrub;
-    if (config.rasLayer) {
-        scrub = std::make_unique<Scrubber>(
-            smp.mem(), kWindowBase, kWindows * kWindowSize, 32);
-        scrub->setSkip(
-            [&](Addr page) { return monitor.pageQuarantined(page); });
-    }
-    bool rasFatalExpected = false;
-
-    FaultInjector &injector = FaultInjector::instance();
-    injector.enable(config.seed);
-
-    const char *op_name = "?";
-    auto fail = [&](unsigned index, const std::string &why) {
-        std::ostringstream os;
-        os << "seed " << config.seed << " harts " << config.harts
-           << " op #" << index << " (" << op_name << "): " << why;
-        stats.failed = true;
-        stats.failure = os.str();
-    };
-
-    // Helpers over the current population (same shapes as the
-    // single-hart campaign).
-    auto live = [&]() { return monitor.domainIds(); };
-    const size_t max_domains =
-        kMaxDomains + 1 + (config.osLayer ? config.harts : 0);
-    auto pick_domain = [&](bool allow_bogus) -> DomainId {
-        if (allow_bogus && rng.chance(0.08))
-            return kBogusDomain;
-        const auto ids = live();
-        return ids[rng.below(ids.size())];
-    };
-    auto pick_gms_base = [&](DomainId id) -> Addr {
-        if (!monitor.domainExists(id))
-            return windowOf(id);
-        const auto &list = monitor.gmsOf(id);
-        if (list.empty() || rng.chance(0.1))
-            return windowOf(id) + rng.below(16) * kPageSize;
-        return list[rng.below(list.size())].base;
-    };
-    auto random_gms = [&](DomainId id) -> Gms {
-        Gms gms;
-        gms.size = randomNapotSize(rng);
-        const Addr window = windowOf(id);
-        gms.base = window + rng.below(kWindowSize / gms.size) * gms.size;
-        gms.perm = randomPerm(rng);
-        gms.label = rng.chance(0.7) ? GmsLabel::Fast : GmsLabel::Slow;
-        if (rng.chance(0.05))
-            gms.base += 0x100;
-        if (rng.chance(0.03))
-            gms.size = 0;
-        if (rng.chance(0.04))
-            gms.base = monitor.config().monitorBase +
-                       rng.below(monitor.config().monitorSize / kPageSize) *
-                           kPageSize;
-        return gms;
-    };
-
-    // Fleet campaigns: every destroyed tenant's id is remembered so
-    // stale-handle probes can keep asserting the recycling contract —
-    // a retired DomainId stays a typed denial forever, even after its
-    // registry slot is handed to a new tenant under a new generation.
-    std::vector<DomainId> retired;
-
-    // ---- RAS helpers -----------------------------------------------
-    // Poison never lands on a stale-watch page: the watch probes are
-    // instrumentation, and a fail-closed machine-check denial there
-    // would read as a spurious stale-translation diagnosis.
-    auto isWatchPage = [&](Addr page) {
-        return std::find(watchPas.begin(), watchPas.end(), page) !=
-               watchPas.end();
-    };
-    // A poisonable page of one of `id`'s exclusive GMSs (0 = none):
-    // shared regions are excluded so the blast-radius contract —
-    // exactly one owner dies — stays well-defined.
-    auto pickPoisonPage = [&](DomainId id) -> Addr {
-        if (!monitor.domainExists(id))
-            return 0;
-        const auto &list = monitor.gmsOf(id);
-        for (unsigned attempt = 0; attempt < 8 && !list.empty();
-             ++attempt) {
-            const Gms &gms = list[rng.below(list.size())];
-            if (gms.shared || gms.size < kPageSize)
-                continue;
-            const Addr page =
-                gms.base + rng.below(gms.size / kPageSize) * kPageSize;
-            if (isWatchPage(page) || monitor.pageQuarantined(page))
-                continue;
-            return page;
+        for (unsigned p = 0; p < kGuestPages; ++p) {
+            const Addr gva = kChaosGuestVaBase + p * kPageSize;
+            const Addr gpa = hg.dataBase + p * kPageSize;
+            // Page 1 boots as an execute-only, supervisor-only leaf
+            // (S-mode fetches from U pages always fault) so the fetch
+            // watch below hunts stale X grants from the start.
+            hg.gptPerm[p] = p == 1 ? Perm::xo() : Perm::rwx();
+            panic_if(!hg.gpt->map(gva, gpa, hg.gptPerm[p], p != 1),
+                     "GPT map failed");
+            // The B table boots with alternating narrower perms so the
+            // very first hgatp switch changes the G-stage view.
+            hg.nptPerm[0][p] = Perm::rwx();
+            hg.nptPerm[1][p] = p % 2 ? Perm::rwx() : Perm::rw();
+            panic_if(!hg.nptA->map(gpa, gpa, hg.nptPerm[0][p], true),
+                     "NPT-A map failed");
+            panic_if(!hg.nptB->map(gpa, gpa, hg.nptPerm[1][p], true),
+                     "NPT-B map failed");
         }
+
+        VirtMachine &vm = smp_.virtHart(h);
+        vm.setHgatp(hg.nptA->rootPa());
+        vm.setVsatp(hg.gpt->rootPa());
+
+        // Watch page 0 of each guest through the two-stage oracle and
+        // commit the boot-time expectations for every page.
+        checker_.addVirtWatch(
+            {h, kChaosGuestVaBase, hg.dataBase, hg.dataBase,
+             h % 2 ? AccessType::Store : AccessType::Load});
+        // A second watch fetches through the X-only page: stale
+        // executable grants are attributed separately from RW ones (an
+        // injectable-code window, not just a data leak).
+        checker_.addVirtWatch({h, kChaosGuestVaBase + kPageSize,
+                               hg.dataBase + kPageSize,
+                               hg.dataBase + kPageSize, AccessType::Fetch});
+        for (unsigned p = 0; p < kGuestPages; ++p) {
+            checker_.setGuestPerm(h, kChaosGuestVaBase + p * kPageSize,
+                                  hg.gptPerm[p]);
+            checker_.setGpaPerm(h, hg.dataBase + p * kPageSize,
+                                hg.nptPerm[0][p]);
+        }
+    }
+}
+
+/** Every stat group of the campaign; the bus only in the series. */
+void
+Campaign::registerStats(StatRegistry &registry, bool with_bus)
+{
+    monitor_.registerStats(registry);
+    smp_.registerStats(registry);
+    checker_.registerStats(registry);
+    iopmp_.registerStats(registry);
+    if (with_bus)
+        registry.add(&dmaBus_.stats());
+    if (scrub_)
+        scrub_->registerStats(registry);
+    for (unsigned h = 0; h < unsigned(kernels_.size()); ++h) {
+        kernels_[h]->registerStats(
+            registry, h == 0 ? "os" : "hart" + std::to_string(h) + ".os");
+    }
+}
+
+/**
+ * The interleave hook: runs the stale checker at every IPI step and,
+ * from inside the shootdown window, fires nested monitor calls from
+ * victim harts — every one of them must bounce off the global monitor
+ * lock with LockContended and zero state change.
+ */
+void
+Campaign::onIpiStep(const IpiEvent &event)
+{
+    checker_.onIpiStep(event);
+    if (stats_.failed)
+        return;
+    // Posted/Delivered steps always run inside a monitor transaction
+    // (the satp fence path does not take the lock, so its SatpFence
+    // steps are not probed).
+    if (event.phase != IpiPhase::Posted &&
+        event.phase != IpiPhase::Delivered) {
+        return;
+    }
+    if (!rng_.chance(0.12))
+        return;
+    const unsigned saved = smp_.currentHart();
+    smp_.setCurrentHart(event.dstHart);
+    const MonitorResult r = monitor_.switchTo(monitor_.currentDomain());
+    smp_.setCurrentHart(saved);
+    if (r.ok || r.code != MonitorError::LockContended) {
+        fail("nested monitor call from hart " +
+             std::to_string(event.dstHart) +
+             " inside the shootdown window did not bounce with "
+             "lock-contended (got " +
+             std::string(r.ok ? "ok" : toString(r.code)) + ")");
+        return;
+    }
+    ++lockContended_;
+}
+
+// ---- helpers --------------------------------------------------------
+
+/** Record the first failure; later ones are consequences of it. */
+void
+Campaign::fail(const std::string &why)
+{
+    if (stats_.failed)
+        return;
+    std::ostringstream os;
+    os << "seed " << config_.seed << " harts " << config_.harts << " op #"
+       << index_ << " (" << opName_ << "): " << why;
+    stats_.failed = true;
+    stats_.failure = os.str();
+}
+
+DomainId
+Campaign::pickDomain(bool allow_bogus)
+{
+    if (allow_bogus && rng_.chance(0.08))
+        return kBogusDomain;
+    const auto ids = live();
+    return ids[rng_.below(ids.size())];
+}
+
+Addr
+Campaign::pickGmsBase(DomainId id)
+{
+    if (!monitor_.domainExists(id))
+        return windowOf(id);
+    const auto &list = monitor_.gmsOf(id);
+    if (list.empty() || rng_.chance(0.1)) {
+        // A base that (usually) names no GMS.
+        return windowOf(id) + rng_.below(16) * kPageSize;
+    }
+    return list[rng_.below(list.size())].base;
+}
+
+Gms
+Campaign::randomGms(DomainId id)
+{
+    Gms gms;
+    gms.size = randomNapotSize(rng_);
+    const Addr window = windowOf(id);
+    gms.base = window + rng_.below(kWindowSize / gms.size) * gms.size;
+    gms.perm = randomPerm(rng_);
+    gms.label = rng_.chance(0.7) ? GmsLabel::Fast : GmsLabel::Slow;
+    // A taste of hostile input: misaligned bases, zero sizes and
+    // regions reaching into the monitor-private area. All must be
+    // rejected with a typed error and zero state change.
+    if (rng_.chance(0.05))
+        gms.base += 0x100;
+    if (rng_.chance(0.03))
+        gms.size = 0;
+    if (rng_.chance(0.04))
+        gms.base = monitor_.config().monitorBase +
+                   rng_.below(monitor_.config().monitorSize / kPageSize) *
+                       kPageSize;
+    return gms;
+}
+
+/** The campaign clock: simulated monitor work, not host time. */
+uint64_t
+Campaign::campaignCycles()
+{
+    const Distribution *d = monitor_.stats().getDist("call_cycles");
+    return d ? d->sum() : 0;
+}
+
+/**
+ * Snapshot every hart's digest for the rollback oracle (when this op
+ * is digest-checked). Multi-call ops re-snapshot after each
+ * *successful* mutating call, so a later injected failure is judged
+ * against the state it actually aborted from, not the op's entry
+ * state.
+ */
+void
+Campaign::snapshotDigests()
+{
+    if (!digestChecked_)
+        return;
+    for (unsigned h = 0; h < config_.harts; ++h)
+        pre_[h] = monitor_.hartStateDigest(h, config_.fullDigest);
+}
+
+/**
+ * Poison never lands on a stale-watch page: the watch probes are
+ * instrumentation, and a fail-closed machine-check denial there would
+ * read as a spurious stale-translation diagnosis.
+ */
+bool
+Campaign::isWatchPage(Addr page) const
+{
+    return std::find(watchPas_.begin(), watchPas_.end(), page) !=
+           watchPas_.end();
+}
+
+/**
+ * A poisonable page of one of `id`'s exclusive GMSs (0 = none): shared
+ * regions are excluded so the blast-radius contract — exactly one
+ * owner dies — stays well-defined.
+ */
+Addr
+Campaign::pickPoisonPage(DomainId id)
+{
+    if (!monitor_.domainExists(id))
         return 0;
-    };
-    // The blast-radius contract: after any containment, every domain
-    // that existed before — except the one the poison belonged to —
-    // must still exist. Anything else is a cross-domain blast.
-    auto auditBlast = [&](unsigned index,
-                          const std::vector<DomainId> &before,
-                          DomainId allowed_victim) {
-        for (DomainId id : before) {
-            if (id == allowed_victim || monitor.domainExists(id))
-                continue;
-            ++stats.rasBlastViolations;
-            fail(index, "containment destroyed bystander domain " +
-                            std::to_string(id));
+    const auto &list = monitor_.gmsOf(id);
+    for (unsigned attempt = 0; attempt < 8 && !list.empty(); ++attempt) {
+        const Gms &gms = list[rng_.below(list.size())];
+        if (gms.shared || gms.size < kPageSize)
+            continue;
+        const Addr page =
+            gms.base + rng_.below(gms.size / kPageSize) * kPageSize;
+        if (isWatchPage(page) || monitor_.pageQuarantined(page))
+            continue;
+        return page;
+    }
+    return 0;
+}
+
+/** The live domain whose GMS covers `page` (the last one listed). */
+std::optional<DomainId>
+Campaign::ownerOf(Addr page) const
+{
+    std::optional<DomainId> owner;
+    for (DomainId id : live()) {
+        for (const Gms &gms : monitor_.gmsOf(id)) {
+            if (gms.base <= page && page < gms.base + gms.size)
+                owner = id;
+        }
+    }
+    return owner;
+}
+
+/**
+ * The blast-radius contract: after any containment, every domain that
+ * existed before — except the one the poison belonged to — must still
+ * exist. Anything else is a cross-domain blast.
+ */
+bool
+Campaign::auditBlast(const std::vector<DomainId> &before,
+                     DomainId allowed_victim)
+{
+    for (DomainId id : before) {
+        if (id == allowed_victim || monitor_.domainExists(id))
+            continue;
+        ++stats_.rasBlastViolations;
+        fail("containment destroyed bystander domain " + std::to_string(id));
+        return false;
+    }
+    return true;
+}
+
+/** Report a patrol-scrubber hit and audit the containment. */
+MonitorResult
+Campaign::reportScrubHit(Addr hit)
+{
+    const auto before = live();
+    const DomainId owner = ownerOf(hit).value_or(0);
+    ++stats_.rasReports;
+    const auto outcome = monitor_.handleMachineCheck(hit);
+    if (!outcome.ok)
+        return MonitorResult::fail(outcome.code, outcome.error);
+    auditBlast(before, owner);
+    return {};
+}
+
+/**
+ * Report planted poison at `pa`. A typed failure is returned for the
+ * rollback audit; a containment other than `expected` fails the
+ * campaign. The caller audits the blast radius.
+ */
+MonitorResult
+Campaign::report(Addr pa, RasOutcome expected)
+{
+    ++stats_.rasReports;
+    const auto outcome = monitor_.handleMachineCheck(pa);
+    if (!outcome.ok)
+        return MonitorResult::fail(outcome.code, outcome.error);
+    if (outcome.value != expected) {
+        fail(std::string("expected ") + toString(expected) + ", got " +
+             toString(outcome.value));
+    }
+    return {};
+}
+
+// ---- op families ----------------------------------------------------
+
+/**
+ * One random operation. 80 % domain lifecycle, 8 % the layer's own
+ * family (DMA without a layer), 6 % DMA, and the rest a translation-
+ * root rewrite where the layer has one.
+ */
+MonitorResult
+Campaign::runOp()
+{
+    const unsigned roll = unsigned(rng_.below(100));
+    if (roll < 80)
+        return lifecycleOp(roll);
+    if (roll < 88) {
+        switch (config_.layer) {
+          case ChaosLayer::Os: return osOp();
+          case ChaosLayer::Virt: return virtOp();
+          case ChaosLayer::Fleet: return fleetOp();
+          case ChaosLayer::Ras: return rasOp();
+          case ChaosLayer::None:
+          case ChaosLayer::Migrate: break;
+        }
+    }
+    if (roll < 94)
+        return dmaOp();
+    return rootRewriteOp();
+}
+
+MonitorResult
+Campaign::lifecycleOp(unsigned roll)
+{
+    if (roll < 6) {
+        opName_ = "createDomain";
+        if (live().size() < kMaxDomains + 1 + kernels_.size())
+            monitor_.createDomain();
+        return {};
+    }
+    if (roll < 12) {
+        opName_ = "destroyDomain";
+        const DomainId id = pickDomain(true);
+        // Destroy scrubs and releases the freed GMS pages, so a hart's
+        // kernel domain — whose arena backs live page tables the
+        // campaign keeps exercising — is never torn down mid-flight.
+        if (std::find(kernelDomain_.begin(), kernelDomain_.end(), id) !=
+            kernelDomain_.end()) {
+            return {};
+        }
+        return monitor_.destroyDomain(id);
+    }
+    if (roll < 28) {
+        opName_ = "addGms";
+        const DomainId id = pickDomain(true);
+        if (monitor_.domainExists(id) &&
+            monitor_.gmsOf(id).size() >= kMaxGmsPerDomain) {
+            return {};
+        }
+        return monitor_.addGms(id, randomGms(id));
+    }
+    if (roll < 35) {
+        opName_ = "removeGms";
+        const DomainId id = pickDomain(true);
+        return monitor_.removeGms(id, pickGmsBase(id));
+    }
+    if (roll < 41) {
+        opName_ = "setLabel";
+        const DomainId id = pickDomain(true);
+        return monitor_.setLabel(id, pickGmsBase(id),
+                                 rng_.chance(0.5) ? GmsLabel::Fast
+                                                  : GmsLabel::Slow);
+    }
+    if (roll < 47) {
+        opName_ = "setPerm";
+        const DomainId id = pickDomain(true);
+        return monitor_.setPerm(id, pickGmsBase(id), randomPerm(rng_));
+    }
+    if (roll < 52) {
+        opName_ = "shareGms";
+        const DomainId owner = pickDomain(false);
+        const DomainId peer = pickDomain(true);
+        return monitor_.shareGms(owner, pickGmsBase(owner), peer,
+                                 randomPerm(rng_));
+    }
+    if (roll < 60) {
+        opName_ = "hintHotRegion";
+        const DomainId id = pickDomain(true);
+        Addr base = pickGmsBase(id);
+        uint64_t size = randomNapotSize(rng_);
+        if (monitor_.domainExists(id) && !monitor_.gmsOf(id).empty() &&
+            rng_.chance(0.8)) {
+            // A NAPOT subrange of an existing GMS (usually valid).
+            const auto &list = monitor_.gmsOf(id);
+            const Gms &gms = list[rng_.below(list.size())];
+            size = std::max<uint64_t>(gms.size >> rng_.below(3), kPageSize);
+            if (isPowerOf2(gms.size) && size <= gms.size)
+                base = gms.base + rng_.below(gms.size / size) * size;
+        }
+        return monitor_.hintHotRegion(id, base, size);
+    }
+    if (roll < 74) {
+        opName_ = "switchTo";
+        return monitor_.switchTo(pickDomain(true));
+    }
+    opName_ = "attest";
+    const DomainId id = pickDomain(false);
+    const uint64_t nonce = rng_.next();
+    const auto report = monitor_.attestDomain(id, nonce);
+    if (!report.ok)
+        return MonitorResult::fail(report.code, report.error);
+    if (!monitor_.attestor().verify(report.value, nonce))
+        fail("attestation report failed verification");
+    return {};
+}
+
+MonitorResult
+Campaign::osOp()
+{
+    ++stats_.osOps;
+    AddressSpace &as = *spaces_[initiator_];
+    auto &regions = mapped_[initiator_];
+    switch (rng_.below(4)) {
+      case 0: {
+        opName_ = "os.mmap";
+        const uint64_t len = (1 + rng_.below(8)) * kPageSize;
+        const auto va = as.tryMmap(len, Perm::rw(), true, rng_.chance(0.7));
+        if (va)
+            regions.push_back({*va, len});
+        return {};
+      }
+      case 1: {
+        opName_ = "os.munmap";
+        if (!regions.empty()) {
+            const size_t idx = rng_.below(regions.size());
+            as.munmap(regions[idx].first, regions[idx].second);
+            // munmap fences through the canonical machine; fence the
+            // hart that actually ran it too.
+            smp_.hart(initiator_).sfenceVma();
+            regions.erase(regions.begin() + ptrdiff_t(idx));
+        }
+        return {};
+      }
+      default: {
+        opName_ = "os.touch";
+        MonitorResult result;
+        if (monitor_.currentDomain() != kernelDomain_[initiator_])
+            result = monitor_.switchTo(kernelDomain_[initiator_]);
+        if (!result.ok || regions.empty())
+            return result;
+        const auto &[base, len] = regions[rng_.below(regions.size())];
+        for (unsigned t = 0; t < 4; ++t) {
+            const Addr va = base + rng_.below(len / kPageSize) * kPageSize;
+            const AccessType type =
+                rng_.chance(0.5) ? AccessType::Load : AccessType::Store;
+            Machine &m = smp_.hart(initiator_);
+            const auto out = m.access(va, type);
+            if (out.fault == pageFaultFor(type) && as.handleFault(va, type))
+                m.access(va, type);
+        }
+        return result;
+      }
+    }
+}
+
+/**
+ * Rewrite one already-mapped guest leaf in place (PageTable has no
+ * protect(): campaigns remap by writing the PTE the walker reads).
+ */
+void
+rewriteLeaf(PhysMem &mem, PageTable &pt, Addr va, Addr pa, Perm perm,
+            bool user = true)
+{
+    const auto slot = pt.leafPteAddr(va);
+    panic_if(!slot, "no guest leaf to rewrite");
+    mem.write64(*slot, Pte::leaf(pa, perm, user, true, true).raw);
+}
+
+MonitorResult
+Campaign::virtOp()
+{
+    ++stats_.virtOps;
+    VirtMachine &vm = smp_.virtHart(initiator_);
+    HartGuest &hg = guests_[initiator_];
+    switch (rng_.below(4)) {
+      case 0: {
+        opName_ = "virt.touch";
+        for (unsigned t = 0; t < 4; ++t) {
+            const Addr gva =
+                kChaosGuestVaBase + rng_.below(kGuestPages) * kPageSize;
+            vm.access(gva, rng_.chance(0.5) ? AccessType::Load
+                                            : AccessType::Store);
+        }
+        break;
+      }
+      case 1: {
+        opName_ = "virt.hgatp";
+        // Switch nested tables. Commit the new G-stage view to the
+        // oracle first, then fence — the same commit-before-shootdown
+        // order the monitor uses.
+        hg.usingB = !hg.usingB;
+        const unsigned next = hg.currentNptIndex();
+        for (unsigned p = 0; p < kGuestPages; ++p) {
+            checker_.setGpaPerm(initiator_, hg.dataBase + p * kPageSize,
+                                hg.nptPerm[next][p]);
+        }
+        vm.setHgatp(hg.currentNpt().rootPa());
+        break;
+      }
+      case 2: {
+        opName_ = "virt.gpt_remap";
+        const unsigned p = unsigned(rng_.below(kGuestPages));
+        const Perm np = randomLeafPerm(rng_);
+        const Addr gva = kChaosGuestVaBase + p * kPageSize;
+        // Page 1 keeps U clear so its fetch watch stays live.
+        rewriteLeaf(smp_.mem(), *hg.gpt, gva, hg.dataBase + p * kPageSize,
+                    np, p != 1);
+        hg.gptPerm[p] = np;
+        checker_.setGuestPerm(initiator_, gva, np);
+        vm.setVsatp(hg.gpt->rootPa()); // hfence.vvma shootdown
+        break;
+      }
+      default: {
+        opName_ = "virt.npt_remap";
+        const unsigned p = unsigned(rng_.below(kGuestPages));
+        const Perm np = randomLeafPerm(rng_);
+        const Addr gpa = hg.dataBase + p * kPageSize;
+        rewriteLeaf(smp_.mem(), hg.currentNpt(), gpa, gpa, np);
+        hg.nptPerm[hg.currentNptIndex()][p] = np;
+        checker_.setGpaPerm(initiator_, gpa, np);
+        vm.setHgatp(hg.currentNpt().rootPa()); // hfence.gvma
+        break;
+      }
+    }
+    return {};
+}
+
+MonitorResult
+Campaign::fleetOp()
+{
+    ++stats_.fleetOps;
+    switch (rng_.below(4)) {
+      case 0: {
+        // Coalesced epoch: a batch of switches from rotating harts
+        // defers into one shared shootdown window; the flush runs the
+        // single IPI round (with the checker and nested-call probes
+        // interleaved into it).
+        opName_ = "fleet.epoch";
+        ++stats_.fleetEpochs;
+        monitor_.beginCoalescedWindow();
+        const unsigned batch = 2 + unsigned(rng_.below(4));
+        for (unsigned b = 0; b < batch; ++b) {
+            smp_.setCurrentHart(unsigned(rng_.below(config_.harts)));
+            const MonitorResult r = monitor_.switchTo(pickDomain(true));
+            if (!r.ok && r.code == MonitorError::InjectedFault)
+                ++stats_.injectedFaults;
+        }
+        monitor_.endCoalescedWindow();
+        smp_.setCurrentHart(initiator_);
+        return {};
+      }
+      case 1: {
+        // A retired id must stay a typed denial — honouring one would
+        // hand a stale tenant handle whatever domain recycled the slot.
+        opName_ = "fleet.stale";
+        if (retired_.empty())
+            return {};
+        const DomainId old = retired_[rng_.below(retired_.size())];
+        const MonitorResult r = monitor_.switchTo(old);
+        if (r.ok) {
+            fail("retired domain id " + std::to_string(old) +
+                 " was honoured");
+        } else if (r.code != MonitorError::StaleHandle &&
+                   r.code != MonitorError::NoSuchDomain &&
+                   r.code != MonitorError::InjectedFault) {
+            fail(std::string("retired id denied with the wrong error: ") +
+                 toString(r.code));
+        } else if (r.code != MonitorError::InjectedFault) {
+            ++stats_.fleetStaleProbes;
+        }
+        return r;
+      }
+      case 2: {
+        opName_ = "fleet.churn";
+        const DomainId id = pickDomain(false);
+        if (id == 0)
+            return {}; // never churn the host domain
+        const MonitorResult r = monitor_.destroyDomain(id);
+        if (r.ok) {
+            retired_.push_back(id);
+            ++stats_.fleetChurns;
+        }
+        return r;
+      }
+      default:
+        // Same-domain re-switch: the empty layout diff must elide the
+        // shootdown (monitor.ipi_elided), not fence every sibling for
+        // nothing.
+        opName_ = "fleet.reswitch";
+        return monitor_.switchTo(monitor_.currentDomain());
+    }
+}
+
+MonitorResult
+Campaign::rasOp()
+{
+    ++stats_.rasOps;
+    switch (rng_.below(6)) {
+      case 0: return rasData();
+      case 1: return rasPmpte();
+      case 2: return rasFree();
+      case 3: return rasScrub();
+      case 4: return rasMonitor();
+      default: return rasSuspended();
+    }
+}
+
+/**
+ * Poison a victim enclave's data page, consume it through a real load
+ * when the region is readable, and report: exactly the owning domain
+ * must die.
+ */
+MonitorResult
+Campaign::rasData()
+{
+    opName_ = "ras.data";
+    if (monitor_.rasFatal())
+        return {};
+    const DomainId victim = pickDomain(false);
+    if (victim == 0)
+        return {};
+    const Addr page = pickPoisonPage(victim);
+    if (!page)
+        return {};
+    const Addr line = page + rng_.below(64) * 64;
+    smp_.mem().poisonLine(line);
+    ++stats_.rasPoisons;
+    const auto before = live();
+    Perm perm;
+    for (const Gms &gms : monitor_.gmsOf(victim)) {
+        if (gms.base <= page && page < gms.base + gms.size)
+            perm = gms.perm;
+    }
+    if (perm.allows(AccessType::Load) && rng_.chance(0.6)) {
+        // Read it back the way a core would: switch to the owner and
+        // load — the fill must fail closed with a typed machine check,
+        // never a panic.
+        const MonitorResult sw = monitor_.switchTo(victim);
+        if (!sw.ok)
+            return sw;
+        snapshotDigests();
+        const auto out = smp_.hart(initiator_).access(line, AccessType::Load);
+        if (out.fault == Fault::MachineCheck) {
+            ++stats_.rasMachineChecks;
+            if ((out.poisonAddr & ~Addr(63)) != line) {
+                fail("machine check attributed to the wrong line");
+                return {};
+            }
+        }
+    }
+    const MonitorResult r = report(line, RasOutcome::ContainedDomain);
+    if (!r.ok || stats_.failed)
+        return r;
+    if (monitor_.domainExists(victim)) {
+        ++stats_.rasBlastViolations;
+        fail("poisoned domain survived containment");
+    } else if (!monitor_.pageQuarantined(page)) {
+        fail("contained page was not quarantined");
+    } else {
+        auditBlast(before, victim);
+    }
+    return {};
+}
+
+/**
+ * Poison a pmpte frame: the monitor must rebuild the table from its
+ * authoritative layout — same measurement, same grants, fresh frames,
+ * new root.
+ */
+MonitorResult
+Campaign::rasPmpte()
+{
+    opName_ = "ras.pmpte";
+    if (monitor_.rasFatal())
+        return {};
+    const DomainId victim = pickDomain(false);
+    const PmpTable *table = monitor_.tablePeek(victim);
+    if (!table || table->tablePages().empty())
+        return {};
+    const auto &frames = table->tablePages();
+    const Addr frame = frames[rng_.below(frames.size())];
+    const Addr oldRoot = table->rootPa();
+    smp_.mem().poisonLine(frame + rng_.below(64) * 64);
+    ++stats_.rasPoisons;
+    const auto before = live();
+    ++stats_.rasReports;
+    const auto outcome = monitor_.handleMachineCheck(frame);
+    // A typed heal failure (injected fault) must have restored the
+    // poisoned table bit-identically — the rollback audit verifies
+    // exactly that.
+    if (!outcome.ok)
+        return MonitorResult::fail(outcome.code, outcome.error);
+    if (outcome.value == RasOutcome::HostFatal) {
+        // Table-frame exhaustion mid-rebuild legitimately degrades the
+        // host late in a long campaign.
+        rasFatalExpected_ = true;
+        return {};
+    }
+    if (outcome.value != RasOutcome::HealedTable) {
+        fail(std::string("expected healed-table, got ") +
+             toString(outcome.value));
+        return {};
+    }
+    const PmpTable *healed = monitor_.tablePeek(victim);
+    if (!monitor_.domainExists(victim) || !healed) {
+        ++stats_.rasBlastViolations;
+        fail("self-heal lost the healed domain");
+        return {};
+    }
+    if (healed->rootPa() == oldRoot) {
+        fail("healed table still points at the old root");
+        return {};
+    }
+    if (!auditBlast(before, 0) || monitor_.domainMigrating(victim))
+        return {};
+    // Re-attest: the rebuilt table must produce the same verifiable
+    // report a fresh enrolment would.
+    const uint64_t nonce = rng_.next();
+    const auto attest = monitor_.attestDomain(victim, nonce);
+    if (attest.ok && !monitor_.attestor().verify(attest.value, nonce))
+        fail("post-heal attestation failed verification");
+    return {};
+}
+
+/** Poison a frame nobody owns: the quarantine must touch no domain. */
+MonitorResult
+Campaign::rasFree()
+{
+    opName_ = "ras.free";
+    if (monitor_.rasFatal())
+        return {};
+    const Addr page = windowOf(DomainId(rng_.below(kWindows))) +
+                      rng_.below(kWindowSize / kPageSize) * kPageSize;
+    if (ownerOf(page) || isWatchPage(page) || monitor_.pageQuarantined(page))
+        return {};
+    smp_.mem().poisonLine(page + rng_.below(64) * 64);
+    ++stats_.rasPoisons;
+    const auto before = live();
+    const MonitorResult r = report(page, RasOutcome::QuarantinedFree);
+    if (r.ok && !stats_.failed)
+        auditBlast(before, 0);
+    return r;
+}
+
+/**
+ * Poison lands under the patrol head mid-scan (ras.poison_scrub); the
+ * patrol itself must detect and report it within a few batches.
+ */
+MonitorResult
+Campaign::rasScrub()
+{
+    opName_ = "ras.scrub";
+    if (monitor_.rasFatal())
+        return {};
+    if (rng_.chance(0.5))
+        injector_.armNth("ras.poison_scrub", 1 + rng_.below(64));
+    for (unsigned b = 0; b < 4; ++b) {
+        const auto hit = scrub_->step();
+        if (!hit)
+            continue;
+        const MonitorResult r = reportScrubHit(*hit);
+        if (!r.ok || stats_.failed)
+            return r;
+        snapshotDigests();
+    }
+    return {};
+}
+
+/**
+ * Rare, late: poison the monitor's private state. The only sound
+ * containment is a whole-host degrade — every later mutating call
+ * must be a typed RasFatal denial while reads and audits stay up.
+ */
+MonitorResult
+Campaign::rasMonitor()
+{
+    opName_ = "ras.monitor";
+    if (monitor_.rasFatal() || index_ < config_.ops * 3 / 4 ||
+        !rng_.chance(0.1)) {
+        return {};
+    }
+    const MonitorConfig &mcfg = monitor_.config();
+    Addr page = 0;
+    for (unsigned attempt = 0; attempt < 8 && !page; ++attempt) {
+        const Addr cand = mcfg.monitorBase +
+                          rng_.below(mcfg.monitorSize / kPageSize) * kPageSize;
+        bool table_frame = false;
+        for (DomainId id : live()) {
+            const PmpTable *t = monitor_.tablePeek(id);
+            if (t && t->isTablePage(cand))
+                table_frame = true;
+        }
+        if (!table_frame && !monitor_.pageQuarantined(cand))
+            page = cand;
+    }
+    if (!page)
+        return {};
+    smp_.mem().poisonPage(page);
+    ++stats_.rasPoisons;
+    const auto before = live();
+    const MonitorResult r = report(page, RasOutcome::HostFatal);
+    if (!r.ok || stats_.failed)
+        return r;
+    rasFatalExpected_ = true;
+    if (!monitor_.rasFatal()) {
+        fail("host-fatal outcome did not latch rasFatal");
+        return {};
+    }
+    // Degrade, not crash: the registry is intact and every mutating
+    // call is now a typed denial.
+    if (!auditBlast(before, 0))
+        return {};
+    const MonitorResult denied = monitor_.switchTo(pickDomain(false));
+    if (denied.ok || denied.code != MonitorError::RasFatal) {
+        fail("mutating call after host degrade was not a typed "
+             "ras-fatal denial");
+    }
+    return {};
+}
+
+/**
+ * Poison inside a suspended (mid-migration) domain: containment must
+ * still work — the migration is dead either way, and only the owner
+ * may go.
+ */
+MonitorResult
+Campaign::rasSuspended()
+{
+    opName_ = "ras.suspended";
+    if (monitor_.rasFatal())
+        return {};
+    const DomainId victim = pickDomain(false);
+    if (victim == 0)
+        return {};
+    const Addr page = pickPoisonPage(victim);
+    if (!page)
+        return {};
+    const MonitorResult sus = monitor_.suspendDomain(victim);
+    if (!sus.ok)
+        return sus;
+    snapshotDigests();
+    smp_.mem().poisonLine(page);
+    ++stats_.rasPoisons;
+    const auto before = live();
+    // On a typed failure the domain stays suspended: the patrol
+    // scrubber will re-find the poison and finish containment.
+    const MonitorResult r = report(page, RasOutcome::ContainedDomain);
+    if (!r.ok || stats_.failed)
+        return r;
+    if (monitor_.domainExists(victim)) {
+        ++stats_.rasBlastViolations;
+        fail("suspended poisoned domain survived containment");
+        return {};
+    }
+    auditBlast(before, victim);
+    return {};
+}
+
+MonitorResult
+Campaign::dmaOp()
+{
+    opName_ = "dma";
+    ++stats_.dmaOps;
+    const unsigned master = unsigned(rng_.below(2));
+    const Addr window = windowOf(master);
+    const Addr src = window + rng_.below(64) * kPageSize;
+    const Addr dst = window + kWindowSize / 2 + rng_.below(64) * kPageSize;
+    DmaEngine &dma = master == 0 ? dma0_ : dma1_;
+    const auto xfer = dma.transfer(src, dst, 256 + rng_.below(4) * 256);
+    if (xfer.busWaitCycles != 0) {
+        ++stats_.dmaBusWaits;
+        stats_.dmaBusWaitCycles += xfer.busWaitCycles;
+    }
+    MonitorResult result;
+    if (xfer.machineCheck && is(ChaosLayer::Ras)) {
+        // A beat consumed poison: the engine failed closed; route the
+        // machine check to the monitor like the platform firmware
+        // would.
+        ++stats_.rasMachineChecks;
+        ++stats_.rasReports;
+        const auto outcome = monitor_.handleMachineCheck(xfer.faultAddr);
+        if (!outcome.ok)
+            result = MonitorResult::fail(outcome.code, outcome.error);
+    }
+    if (rng_.chance(0.25))
+        iopmp_.flushCaches();
+    return result;
+}
+
+/**
+ * A translation-root rewrite: the remote-fence path that is not a
+ * monitor call — satp under the OS layer, vsatp with an unchanged root
+ * (the hfence shootdown) under the virt layer, one more domain switch
+ * otherwise.
+ */
+MonitorResult
+Campaign::rootRewriteOp()
+{
+    if (is(ChaosLayer::Os)) {
+        opName_ = "os.satp";
+        ++stats_.osOps;
+        smp_.hart(initiator_).setSatp(
+            spaces_[initiator_]->rootPa(),
+            kernels_[initiator_]->config().pagingMode);
+        return {};
+    }
+    if (is(ChaosLayer::Virt)) {
+        opName_ = "virt.vsatp";
+        ++stats_.virtOps;
+        smp_.virtHart(initiator_).setVsatp(guests_[initiator_].gpt->rootPa());
+        return {};
+    }
+    opName_ = "switchTo";
+    return monitor_.switchTo(pickDomain(true));
+}
+
+// ---- audits ---------------------------------------------------------
+
+/**
+ * The check battery run after every op: typed failures, per-hart
+ * rollback digests, cross-hart convergence, the stale checker and the
+ * isolation invariants (onIpiStep fails the campaign itself when a
+ * nested call does not bounce). False once the campaign has failed.
+ */
+bool
+Campaign::audit(const MonitorResult &result)
+{
+    ++stats_.ops;
+    if (result.ok) {
+        ++stats_.okOps;
+        if (result.degraded)
+            ++stats_.degradedOps;
+    } else {
+        ++stats_.failedOps;
+        if (result.code == MonitorError::InjectedFault)
+            ++stats_.injectedFaults;
+        if (result.code == MonitorError::None) {
+            fail("failed without an error code: " + result.error);
             return false;
         }
-        return true;
-    };
-
-    // Windowed telemetry over the full SMP registry, clocked by the
-    // monitor's simulated call_cycles sum (see ChaosConfig).
-    StatRegistry seriesRegistry;
-    std::unique_ptr<StatSampler> sampler;
-    auto campaign_cycles = [&]() -> uint64_t {
-        const Distribution *d = monitor.stats().getDist("call_cycles");
-        return d ? d->sum() : 0;
-    };
-    if (config.statsSeriesOut) {
-        monitor.registerStats(seriesRegistry);
-        smp.registerStats(seriesRegistry);
-        checker.registerStats(seriesRegistry);
-        iopmp.registerStats(seriesRegistry);
-        seriesRegistry.add(&dmaBus.stats());
-        if (scrub)
-            scrub->registerStats(seriesRegistry);
-        for (unsigned h = 0; h < unsigned(kernels.size()); ++h) {
-            kernels[h]->registerStats(
-                seriesRegistry, h == 0 ? "os"
-                                       : "hart" + std::to_string(h) + ".os");
+        if (digestChecked_) {
+            ++stats_.rollbackChecks;
+            for (unsigned h = 0; h < config_.harts; ++h) {
+                if (monitor_.hartStateDigest(h, config_.fullDigest) !=
+                    pre_[h]) {
+                    fail("hart " + std::to_string(h) +
+                         " state changed across a failed call (" +
+                         toString(result.code) + ": " + result.error + ")");
+                    return false;
+                }
+            }
         }
-        sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                config.statsSeriesInterval);
     }
 
-    std::vector<uint64_t> pre(config.harts, 0);
-    for (unsigned i = 0; i < config.ops && !stats.failed; ++i) {
-        if (sampler)
-            sampler->advanceTo(campaign_cycles());
+    // Convergence: outside a shootdown window every hart's view — its
+    // own register file over the shared tables — must be identical,
+    // success or rollback.
+    if (index_ % 4 == 0) {
+        ++stats_.convergenceChecks;
+        // include_virt=false: per-hart guests legitimately run their
+        // own tables — only the host view must converge.
+        // include_csr_counter=false: coalesced windows fence siblings
+        // with one net diff, so write counters diverge legitimately;
+        // register *contents* must still agree.
+        const uint64_t d0 =
+            monitor_.hartStateDigest(0, config_.fullDigest, false, false);
+        for (unsigned h = 1; h < config_.harts; ++h) {
+            if (monitor_.hartStateDigest(h, config_.fullDigest, false,
+                                         false) != d0) {
+                fail("hart " + std::to_string(h) +
+                     " diverged from hart 0 outside a shootdown window");
+                return false;
+            }
+        }
+    }
+
+    // The stale checker may have tripped mid-window; either way a
+    // quiescent sweep must be clean after every op.
+    if (!checker_.failed())
+        checker_.checkQuiescent();
+    if (checker_.failed()) {
+        fail(checker_.failure());
+        return false;
+    }
+
+    ++stats_.invariantChecks;
+    const std::string violation = checkIsolationInvariants(monitor_);
+    if (!violation.empty()) {
+        fail("invariant violated: " + violation);
+        return false;
+    }
+    return true;
+}
+
+/**
+ * RAS campaigns: one patrol batch between every op — latent poison the
+ * consumers have not tripped over (failed reports, suspended victims)
+ * is found and contained within a lap. Runs after the audits: its
+ * containments belong to the *next* op's oracle snapshot.
+ */
+void
+Campaign::patrol()
+{
+    opName_ = "ras.patrol";
+    const auto hit = scrub_->step();
+    if (!hit)
+        return;
+    const MonitorResult r = reportScrubHit(*hit);
+    if (!r.ok && r.code != MonitorError::RasFatal)
+        fail("patrol report failed: " + r.error);
+}
+
+ChaosStats
+Campaign::run()
+{
+    for (; index_ < config_.ops && !stats_.failed; ++index_) {
+        if (sampler_)
+            sampler_->advanceTo(campaignCycles());
         // Every op initiates from a random hart: the monitor must
         // program the canonical unit and converge everyone else no
         // matter who trapped in.
-        const unsigned initiator = unsigned(rng.below(config.harts));
-        smp.setCurrentHart(initiator);
+        initiator_ = unsigned(rng_.below(config_.harts));
+        smp_.setCurrentHart(initiator_);
 
-        const bool armed = rng.chance(config.faultProb);
-        const bool digest_checked = armed || i % 8 == 0;
-        if (digest_checked) {
-            for (unsigned h = 0; h < config.harts; ++h)
-                pre[h] = monitor.hartStateDigest(h, config.fullDigest);
-        }
+        // Arm a fault for this op with the configured probability: the
+        // Nth upcoming site hit, whatever site that turns out to be.
+        const bool armed = rng_.chance(config_.faultProb);
+        digestChecked_ = armed || index_ % 8 == 0;
+        snapshotDigests();
         if (armed)
-            injector.armAnyNth(1 + rng.below(8));
+            injector_.armAnyNth(1 + rng_.below(8));
 
-        // ---- run one random operation -------------------------------
-        MonitorResult result;
-        const unsigned roll = unsigned(rng.below(100));
-        if (roll < 6) {
-            op_name = "createDomain";
-            if (live().size() < max_domains)
-                monitor.createDomain();
-        } else if (roll < 12) {
-            op_name = "destroyDomain";
-            const DomainId id = pick_domain(true);
-            // Destroy scrubs and releases the freed GMS pages, so a
-            // hart's kernel domain — whose arena backs live page
-            // tables the campaign keeps exercising — is never torn
-            // down mid-flight.
-            const bool backs_kernel = config.osLayer &&
-                std::find(kernelDomain.begin(), kernelDomain.end(),
-                          id) != kernelDomain.end();
-            if (!backs_kernel)
-                result = monitor.destroyDomain(id);
-        } else if (roll < 28) {
-            op_name = "addGms";
-            const DomainId id = pick_domain(true);
-            if (!monitor.domainExists(id) ||
-                monitor.gmsOf(id).size() < kMaxGmsPerDomain) {
-                result = monitor.addGms(id, random_gms(id));
-            }
-        } else if (roll < 35) {
-            op_name = "removeGms";
-            const DomainId id = pick_domain(true);
-            result = monitor.removeGms(id, pick_gms_base(id));
-        } else if (roll < 41) {
-            op_name = "setLabel";
-            const DomainId id = pick_domain(true);
-            result = monitor.setLabel(id, pick_gms_base(id),
-                                      rng.chance(0.5) ? GmsLabel::Fast
-                                                      : GmsLabel::Slow);
-        } else if (roll < 47) {
-            op_name = "setPerm";
-            const DomainId id = pick_domain(true);
-            result =
-                monitor.setPerm(id, pick_gms_base(id), randomPerm(rng));
-        } else if (roll < 52) {
-            op_name = "shareGms";
-            const DomainId owner = pick_domain(false);
-            const DomainId peer = pick_domain(true);
-            result = monitor.shareGms(owner, pick_gms_base(owner), peer,
-                                      randomPerm(rng));
-        } else if (roll < 60) {
-            op_name = "hintHotRegion";
-            const DomainId id = pick_domain(true);
-            Addr base = pick_gms_base(id);
-            uint64_t size = randomNapotSize(rng);
-            if (monitor.domainExists(id) && !monitor.gmsOf(id).empty() &&
-                rng.chance(0.8)) {
-                const auto &list = monitor.gmsOf(id);
-                const Gms &gms = list[rng.below(list.size())];
-                size = std::max<uint64_t>(gms.size >> rng.below(3),
-                                          kPageSize);
-                if (isPowerOf2(gms.size) && size <= gms.size)
-                    base = gms.base + rng.below(gms.size / size) * size;
-            }
-            result = monitor.hintHotRegion(id, base, size);
-        } else if (roll < 74) {
-            op_name = "switchTo";
-            result = monitor.switchTo(pick_domain(true));
-        } else if (roll < 80) {
-            op_name = "attest";
-            const DomainId id = pick_domain(false);
-            const uint64_t nonce = rng.next();
-            const auto report = monitor.attestDomain(id, nonce);
-            if (report.ok) {
-                if (!monitor.attestor().verify(report.value, nonce)) {
-                    fail(i, "attestation report failed verification");
-                    break;
-                }
-            } else {
-                result = MonitorResult::fail(report.code, report.error);
-            }
-        } else if (roll < 88 && config.osLayer) {
-            ++stats.osOps;
-            AddressSpace &as = *spaces[initiator];
-            auto &regions = mapped[initiator];
-            switch (rng.below(4)) {
-              case 0: {
-                op_name = "os.mmap";
-                const uint64_t len = (1 + rng.below(8)) * kPageSize;
-                const auto va = as.tryMmap(len, Perm::rw(), true,
-                                           rng.chance(0.7));
-                if (va)
-                    regions.push_back({*va, len});
-                break;
-              }
-              case 1: {
-                op_name = "os.munmap";
-                if (!regions.empty()) {
-                    const size_t idx = rng.below(regions.size());
-                    as.munmap(regions[idx].first, regions[idx].second);
-                    // munmap fences through the canonical machine;
-                    // fence the hart that actually ran it too.
-                    smp.hart(initiator).sfenceVma();
-                    regions.erase(regions.begin() + ptrdiff_t(idx));
-                }
-                break;
-              }
-              default: {
-                op_name = "os.touch";
-                if (monitor.currentDomain() != kernelDomain[initiator])
-                    result = monitor.switchTo(kernelDomain[initiator]);
-                if (result.ok && !regions.empty()) {
-                    const auto &[base, len] =
-                        regions[rng.below(regions.size())];
-                    for (unsigned t = 0; t < 4; ++t) {
-                        const Addr va =
-                            base + rng.below(len / kPageSize) * kPageSize;
-                        const AccessType type = rng.chance(0.5)
-                                                    ? AccessType::Load
-                                                    : AccessType::Store;
-                        Machine &m = smp.hart(initiator);
-                        const auto out = m.access(va, type);
-                        if (out.fault == pageFaultFor(type) &&
-                            as.handleFault(va, type)) {
-                            m.access(va, type);
-                        }
-                    }
-                }
-                break;
-              }
-            }
-        } else if (roll < 88 && config.virtLayer) {
-            ++stats.virtOps;
-            VirtMachine &vm = smp.virtHart(initiator);
-            HartGuest &hg = guests[initiator];
-            switch (rng.below(4)) {
-              case 0: {
-                op_name = "virt.touch";
-                for (unsigned t = 0; t < 4; ++t) {
-                    const Addr gva = kChaosGuestVaBase +
-                                     rng.below(kGuestPages) * kPageSize;
-                    vm.access(gva, rng.chance(0.5) ? AccessType::Load
-                                                   : AccessType::Store);
-                }
-                break;
-              }
-              case 1: {
-                op_name = "virt.hgatp";
-                // Switch nested tables. Commit the new G-stage view to
-                // the oracle first, then fence — the same
-                // commit-before-shootdown order the monitor uses.
-                hg.usingB = !hg.usingB;
-                const unsigned next = hg.currentNptIndex();
-                for (unsigned p = 0; p < kGuestPages; ++p) {
-                    checker.setGpaPerm(initiator,
-                                       hg.dataBase + p * kPageSize,
-                                       hg.nptPerm[next][p]);
-                }
-                vm.setHgatp(hg.currentNpt().rootPa());
-                break;
-              }
-              case 2: {
-                op_name = "virt.gpt_remap";
-                const unsigned p = unsigned(rng.below(kGuestPages));
-                const Perm np = randomLeafPerm(rng);
-                const Addr gva = kChaosGuestVaBase + p * kPageSize;
-                // Page 1 keeps U clear so its fetch watch stays live.
-                rewriteLeaf(*hg.gpt, gva, hg.dataBase + p * kPageSize,
-                            np, p != 1);
-                hg.gptPerm[p] = np;
-                checker.setGuestPerm(initiator, gva, np);
-                vm.setVsatp(hg.gpt->rootPa()); // hfence.vvma shootdown
-                break;
-              }
-              default: {
-                op_name = "virt.npt_remap";
-                const unsigned p = unsigned(rng.below(kGuestPages));
-                const Perm np = randomLeafPerm(rng);
-                const Addr gpa = hg.dataBase + p * kPageSize;
-                rewriteLeaf(hg.currentNpt(), gpa, gpa, np);
-                hg.nptPerm[hg.currentNptIndex()][p] = np;
-                checker.setGpaPerm(initiator, gpa, np);
-                vm.setHgatp(hg.currentNpt().rootPa()); // hfence.gvma
-                break;
-              }
-            }
-        } else if (roll < 88 && config.fleetLayer) {
-            ++stats.fleetOps;
-            switch (rng.below(4)) {
-              case 0: {
-                // Coalesced epoch: a batch of switches from rotating
-                // harts defers into one shared shootdown window; the
-                // flush runs the single IPI round (with the checker
-                // and nested-call probes interleaved into it).
-                op_name = "fleet.epoch";
-                ++stats.fleetEpochs;
-                monitor.beginCoalescedWindow();
-                const unsigned batch = 2 + unsigned(rng.below(4));
-                for (unsigned b = 0; b < batch; ++b) {
-                    smp.setCurrentHart(
-                        unsigned(rng.below(config.harts)));
-                    const MonitorResult r =
-                        monitor.switchTo(pick_domain(true));
-                    if (!r.ok &&
-                        r.code == MonitorError::InjectedFault) {
-                        ++stats.injectedFaults;
-                    }
-                }
-                monitor.endCoalescedWindow();
-                smp.setCurrentHart(initiator);
-                break;
-              }
-              case 1: {
-                // A retired id must stay a typed denial — honouring
-                // one would hand a stale tenant handle whatever domain
-                // recycled the slot.
-                op_name = "fleet.stale";
-                if (retired.empty())
-                    break;
-                const DomainId old =
-                    retired[rng.below(retired.size())];
-                const MonitorResult r = monitor.switchTo(old);
-                if (r.ok) {
-                    fail(i, "retired domain id " + std::to_string(old) +
-                                " was honoured");
-                    break;
-                }
-                if (r.code != MonitorError::StaleHandle &&
-                    r.code != MonitorError::NoSuchDomain &&
-                    r.code != MonitorError::InjectedFault) {
-                    fail(i, std::string("retired id denied with the "
-                                        "wrong error: ") +
-                                toString(r.code));
-                    break;
-                }
-                if (r.code != MonitorError::InjectedFault)
-                    ++stats.fleetStaleProbes;
-                result = r;
-                break;
-              }
-              case 2: {
-                op_name = "fleet.churn";
-                const DomainId id = pick_domain(false);
-                if (id == 0)
-                    break; // never churn the host domain
-                result = monitor.destroyDomain(id);
-                if (result.ok) {
-                    retired.push_back(id);
-                    ++stats.fleetChurns;
-                }
-                break;
-              }
-              default: {
-                // Same-domain re-switch: the empty layout diff must
-                // elide the shootdown (monitor.ipi_elided), not fence
-                // every sibling for nothing.
-                op_name = "fleet.reswitch";
-                result = monitor.switchTo(monitor.currentDomain());
-                break;
-              }
-            }
-        } else if (roll < 88 && config.rasLayer) {
-            ++stats.rasOps;
-            // Multi-call sub-ops re-snapshot the rollback oracle after
-            // each *successful* mutating call, so a later injected
-            // failure is judged against the state it actually aborted
-            // from, not the op's entry state.
-            auto resnap = [&]() {
-                if (!digest_checked)
-                    return;
-                for (unsigned h = 0; h < config.harts; ++h)
-                    pre[h] = monitor.hartStateDigest(h, config.fullDigest);
-            };
-            switch (rng.below(6)) {
-              case 0: {
-                // Poison a victim enclave's data page, consume it
-                // through a real load when the region is readable, and
-                // report: exactly the owning domain must die.
-                op_name = "ras.data";
-                if (monitor.rasFatal())
-                    break;
-                const DomainId victim = pick_domain(false);
-                if (victim == 0)
-                    break;
-                const Addr page = pickPoisonPage(victim);
-                if (!page)
-                    break;
-                const Addr line = page + rng.below(64) * 64;
-                smp.mem().poisonLine(line);
-                ++stats.rasPoisons;
-                const auto before = live();
-                Perm perm;
-                for (const Gms &gms : monitor.gmsOf(victim)) {
-                    if (gms.base <= page && page < gms.base + gms.size)
-                        perm = gms.perm;
-                }
-                if (perm.allows(AccessType::Load) && rng.chance(0.6)) {
-                    // Read it back the way a core would: switch to the
-                    // owner and load — the fill must fail closed with
-                    // a typed machine check, never a panic.
-                    const MonitorResult sw = monitor.switchTo(victim);
-                    if (!sw.ok) {
-                        result = sw;
-                        break;
-                    }
-                    resnap();
-                    const auto out = smp.hart(initiator).access(
-                        line, AccessType::Load);
-                    if (out.fault == Fault::MachineCheck) {
-                        ++stats.rasMachineChecks;
-                        if ((out.poisonAddr & ~Addr(63)) != line) {
-                            fail(i, "machine check attributed to the "
-                                    "wrong line");
-                            break;
-                        }
-                    }
-                }
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(line);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::ContainedDomain) {
-                    fail(i, std::string("expected contained-domain, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                if (monitor.domainExists(victim)) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "poisoned domain survived containment");
-                    break;
-                }
-                if (!monitor.pageQuarantined(page)) {
-                    fail(i, "contained page was not quarantined");
-                    break;
-                }
-                auditBlast(i, before, victim);
-                break;
-              }
-              case 1: {
-                // Poison a pmpte frame: the monitor must rebuild the
-                // table from its authoritative layout — same
-                // measurement, same grants, fresh frames, new root.
-                op_name = "ras.pmpte";
-                if (monitor.rasFatal())
-                    break;
-                const DomainId victim = pick_domain(false);
-                const PmpTable *table = monitor.tablePeek(victim);
-                if (!table || table->tablePages().empty())
-                    break;
-                const auto &frames = table->tablePages();
-                const Addr frame = frames[rng.below(frames.size())];
-                const Addr oldRoot = table->rootPa();
-                smp.mem().poisonLine(frame + rng.below(64) * 64);
-                ++stats.rasPoisons;
-                const auto before = live();
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(frame);
-                if (!mc.ok) {
-                    // Typed heal failure (injected fault): the
-                    // poisoned table must have been restored
-                    // bit-identically — the generic rollback audit
-                    // below verifies exactly that.
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value == RasOutcome::HostFatal) {
-                    // Table-frame exhaustion mid-rebuild legitimately
-                    // degrades the host late in a long campaign.
-                    rasFatalExpected = true;
-                    break;
-                }
-                if (mc.value != RasOutcome::HealedTable) {
-                    fail(i, std::string("expected healed-table, got ") +
-                                toString(mc.value));
-                    break;
-                }
-                const PmpTable *healed = monitor.tablePeek(victim);
-                if (!monitor.domainExists(victim) || !healed) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "self-heal lost the healed domain");
-                    break;
-                }
-                if (healed->rootPa() == oldRoot) {
-                    fail(i, "healed table still points at the old root");
-                    break;
-                }
-                if (!auditBlast(i, before, 0))
-                    break;
-                // Re-attest: the rebuilt table must produce the same
-                // verifiable report a fresh enrolment would.
-                if (!monitor.domainMigrating(victim)) {
-                    const uint64_t nonce = rng.next();
-                    const auto report =
-                        monitor.attestDomain(victim, nonce);
-                    if (report.ok &&
-                        !monitor.attestor().verify(report.value,
-                                                   nonce)) {
-                        fail(i, "post-heal attestation failed "
-                                "verification");
-                        break;
-                    }
-                }
-                break;
-              }
-              case 2: {
-                // Poison a frame nobody owns: the quarantine must
-                // touch no domain at all.
-                op_name = "ras.free";
-                if (monitor.rasFatal())
-                    break;
-                const Addr page =
-                    windowOf(DomainId(rng.below(kWindows))) +
-                    rng.below(kWindowSize / kPageSize) * kPageSize;
-                bool owned = false;
-                for (DomainId id : live()) {
-                    for (const Gms &gms : monitor.gmsOf(id)) {
-                        if (gms.base <= page &&
-                            page < gms.base + gms.size) {
-                            owned = true;
-                        }
-                    }
-                }
-                if (owned || isWatchPage(page) ||
-                    monitor.pageQuarantined(page)) {
-                    break;
-                }
-                smp.mem().poisonLine(page + rng.below(64) * 64);
-                ++stats.rasPoisons;
-                const auto before = live();
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::QuarantinedFree) {
-                    fail(i, std::string("expected quarantined-free, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                auditBlast(i, before, 0);
-                break;
-              }
-              case 3: {
-                // Poison lands under the patrol head mid-scan
-                // (ras.poison_scrub); the patrol itself must detect
-                // and report it within a few batches.
-                op_name = "ras.scrub";
-                if (monitor.rasFatal())
-                    break;
-                if (rng.chance(0.5)) {
-                    injector.armNth("ras.poison_scrub",
-                                    1 + rng.below(64));
-                }
-                for (unsigned b = 0; b < 4 && !stats.failed; ++b) {
-                    const auto hit = scrub->step();
-                    if (!hit)
-                        continue;
-                    const auto before = live();
-                    DomainId owner = 0;
-                    for (DomainId id : before) {
-                        for (const Gms &gms : monitor.gmsOf(id)) {
-                            if (gms.base <= *hit &&
-                                *hit < gms.base + gms.size) {
-                                owner = id;
-                            }
-                        }
-                    }
-                    ++stats.rasReports;
-                    const auto mc = monitor.handleMachineCheck(*hit);
-                    if (!mc.ok) {
-                        result = MonitorResult::fail(mc.code, mc.error);
-                        break;
-                    }
-                    if (!auditBlast(i, before, owner))
-                        break;
-                    resnap();
-                }
-                break;
-              }
-              case 4: {
-                // Rare, late: poison the monitor's private state. The
-                // only sound containment is a whole-host degrade —
-                // every later mutating call must be a typed RasFatal
-                // denial while reads and audits stay up.
-                op_name = "ras.monitor";
-                if (monitor.rasFatal() || i < config.ops * 3 / 4 ||
-                    !rng.chance(0.1)) {
-                    break;
-                }
-                const MonitorConfig &mcfg = monitor.config();
-                Addr page = 0;
-                for (unsigned attempt = 0; attempt < 8 && !page;
-                     ++attempt) {
-                    const Addr cand =
-                        mcfg.monitorBase +
-                        rng.below(mcfg.monitorSize / kPageSize) *
-                            kPageSize;
-                    bool table_frame = false;
-                    for (DomainId id : live()) {
-                        const PmpTable *t = monitor.tablePeek(id);
-                        if (t && t->isTablePage(cand))
-                            table_frame = true;
-                    }
-                    if (!table_frame && !monitor.pageQuarantined(cand))
-                        page = cand;
-                }
-                if (!page)
-                    break;
-                smp.mem().poisonPage(page);
-                ++stats.rasPoisons;
-                const auto before = live();
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::HostFatal) {
-                    fail(i, std::string("expected host-fatal, got ") +
-                                toString(mc.value));
-                    break;
-                }
-                rasFatalExpected = true;
-                if (!monitor.rasFatal()) {
-                    fail(i, "host-fatal outcome did not latch rasFatal");
-                    break;
-                }
-                // Degrade, not crash: the registry is intact and every
-                // mutating call is now a typed denial.
-                if (!auditBlast(i, before, 0))
-                    break;
-                const MonitorResult denied =
-                    monitor.switchTo(pick_domain(false));
-                if (denied.ok ||
-                    denied.code != MonitorError::RasFatal) {
-                    fail(i, "mutating call after host degrade was not "
-                            "a typed ras-fatal denial");
-                }
-                break;
-              }
-              default: {
-                // Poison inside a suspended (mid-migration) domain:
-                // containment must still work — the migration is dead
-                // either way, and only the owner may go.
-                op_name = "ras.suspended";
-                if (monitor.rasFatal())
-                    break;
-                const DomainId victim = pick_domain(false);
-                if (victim == 0)
-                    break;
-                const Addr page = pickPoisonPage(victim);
-                if (!page)
-                    break;
-                const MonitorResult sus = monitor.suspendDomain(victim);
-                if (!sus.ok) {
-                    result = sus;
-                    break;
-                }
-                resnap();
-                smp.mem().poisonLine(page);
-                ++stats.rasPoisons;
-                const auto before = live();
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(page);
-                if (!mc.ok) {
-                    // Leave the domain suspended: the patrol scrubber
-                    // will re-find the poison and finish containment.
-                    result = MonitorResult::fail(mc.code, mc.error);
-                    break;
-                }
-                if (mc.value != RasOutcome::ContainedDomain) {
-                    fail(i, std::string("expected contained-domain, "
-                                        "got ") +
-                                toString(mc.value));
-                    break;
-                }
-                if (monitor.domainExists(victim)) {
-                    ++stats.rasBlastViolations;
-                    fail(i, "suspended poisoned domain survived "
-                            "containment");
-                    break;
-                }
-                auditBlast(i, before, victim);
-                break;
-              }
-            }
-        } else if (roll < 94) {
-            op_name = "dma";
-            ++stats.dmaOps;
-            const unsigned master = unsigned(rng.below(2));
-            const Addr window = windowOf(master);
-            const Addr src = window + rng.below(64) * kPageSize;
-            const Addr dst =
-                window + kWindowSize / 2 + rng.below(64) * kPageSize;
-            DmaEngine &dma = master == 0 ? dma0 : dma1;
-            const auto xfer =
-                dma.transfer(src, dst, 256 + rng.below(4) * 256);
-            if (xfer.busWaitCycles != 0) {
-                ++stats.dmaBusWaits;
-                stats.dmaBusWaitCycles += xfer.busWaitCycles;
-            }
-            if (xfer.machineCheck && config.rasLayer) {
-                // A beat consumed poison: the engine failed closed;
-                // route the machine check to the monitor like the
-                // platform firmware would.
-                ++stats.rasMachineChecks;
-                ++stats.rasReports;
-                const auto mc =
-                    monitor.handleMachineCheck(xfer.faultAddr);
-                if (!mc.ok)
-                    result = MonitorResult::fail(mc.code, mc.error);
-            }
-            if (rng.chance(0.25))
-                iopmp.flushCaches();
-        } else if (config.osLayer) {
-            // satp rewrite: the remote-fence path that is not a
-            // monitor call (satellite of the shootdown protocol).
-            op_name = "os.satp";
-            ++stats.osOps;
-            smp.hart(initiator).setSatp(
-                spaces[initiator]->rootPa(),
-                kernels[initiator]->config().pagingMode);
-        } else if (config.virtLayer) {
-            // vsatp rewrite with an unchanged root: the guest twin of
-            // os.satp — drives the hfence shootdown outside any
-            // monitor call.
-            op_name = "virt.vsatp";
-            ++stats.virtOps;
-            smp.virtHart(initiator).setVsatp(
-                guests[initiator].gpt->rootPa());
-        } else {
-            op_name = "switchTo";
-            result = monitor.switchTo(pick_domain(true));
-        }
-        injector.clearPlans(); // disarm anything that did not fire
-
-        // ---- audit the outcome --------------------------------------
-        ++stats.ops;
-        if (result.ok) {
-            ++stats.okOps;
-            if (result.degraded)
-                ++stats.degradedOps;
-        } else {
-            ++stats.failedOps;
-            if (result.code == MonitorError::InjectedFault)
-                ++stats.injectedFaults;
-            if (result.code == MonitorError::None) {
-                fail(i, "failed without an error code: " + result.error);
-                break;
-            }
-            if (digest_checked) {
-                ++stats.rollbackChecks;
-                bool mismatched = false;
-                for (unsigned h = 0; h < config.harts && !mismatched;
-                     ++h) {
-                    const uint64_t post =
-                        monitor.hartStateDigest(h, config.fullDigest);
-                    if (post != pre[h]) {
-                        fail(i, std::string("hart ") +
-                                    std::to_string(h) +
-                                    " state changed across a failed "
-                                    "call (" +
-                                    toString(result.code) + ": " +
-                                    result.error + ")");
-                        mismatched = true;
-                    }
-                }
-                if (mismatched)
-                    break;
-            }
-        }
-
-        // Convergence: outside a shootdown window every hart's view —
-        // its own register file over the shared tables — must be
-        // identical, success or rollback.
-        if (i % 4 == 0) {
-            ++stats.convergenceChecks;
-            // include_virt=false: per-hart guests legitimately run
-            // their own tables — only the host view must converge.
-            // include_csr_counter=false: coalesced windows fence
-            // siblings with one net diff, so write counters diverge
-            // legitimately; register *contents* must still agree.
-            const uint64_t d0 = monitor.hartStateDigest(
-                0, config.fullDigest, false, false);
-            for (unsigned h = 1; h < config.harts; ++h) {
-                if (monitor.hartStateDigest(h, config.fullDigest, false,
-                                            false) != d0) {
-                    fail(i, std::string("hart ") + std::to_string(h) +
-                                " diverged from hart 0 outside a "
-                                "shootdown window");
-                    break;
-                }
-            }
-            if (stats.failed)
-                break;
-        }
-
-        // The stale checker may have tripped mid-window; either way a
-        // quiescent sweep must be clean after every op.
-        if (!checker.failed())
-            checker.checkQuiescent();
-        if (checker.failed()) {
-            fail(i, checker.failure());
+        const MonitorResult result = runOp();
+        injector_.clearPlans(); // disarm anything that did not fire
+        if (stats_.failed || !audit(result))
             break;
-        }
-        if (hook.failed()) {
-            fail(i, hook.failure());
-            break;
-        }
-
-        ++stats.invariantChecks;
-        const std::string violation = checkIsolationInvariants(monitor);
-        if (!violation.empty()) {
-            fail(i, "invariant violated: " + violation);
-            break;
-        }
-
-        // RAS campaigns: one patrol batch between every op — latent
-        // poison the consumers have not tripped over (failed reports,
-        // suspended victims) is found and contained within a lap. Runs
-        // after the audits: its containments belong to the *next* op's
-        // oracle snapshot.
-        if (config.rasLayer && !stats.failed) {
-            op_name = "ras.patrol";
-            if (const auto hit = scrub->step()) {
-                const auto before = live();
-                DomainId owner = 0;
-                for (DomainId id : before) {
-                    for (const Gms &gms : monitor.gmsOf(id)) {
-                        if (gms.base <= *hit &&
-                            *hit < gms.base + gms.size) {
-                            owner = id;
-                        }
-                    }
-                }
-                ++stats.rasReports;
-                const auto mc = monitor.handleMachineCheck(*hit);
-                if (mc.ok) {
-                    auditBlast(i, before, owner);
-                } else if (mc.code != MonitorError::RasFatal) {
-                    fail(i, "patrol report failed: " + mc.error);
-                }
-            }
-            if (stats.failed)
-                break;
-        }
+        if (is(ChaosLayer::Ras))
+            patrol();
     }
 
-    injector.disable();
-    smp.setInterleaveHook(nullptr);
+    injector_.disable();
+    smp_.setInterleaveHook(nullptr);
+    collectStats();
+    return stats_;
+}
 
-    stats.ipiShootdowns = monitor.stats().get("ipi_shootdowns");
-    stats.ipiLost = monitor.stats().get("ipi_lost");
-    stats.lockContended = hook.contended();
-    stats.staleProbes = checker.probesRun();
-    stats.preAckStaleHits = checker.preAckStaleHits();
-    stats.postAckViolations = checker.postAckViolations();
-    if (config.fleetLayer)
-        stats.coalescedWindows = monitor.stats().get("coalesced_windows");
-    if (config.virtLayer) {
+void
+Campaign::collectStats()
+{
+    StatGroup &ms = monitor_.stats();
+    stats_.ipiShootdowns = ms.get("ipi_shootdowns");
+    stats_.ipiLost = ms.get("ipi_lost");
+    stats_.lockContended = lockContended_;
+    stats_.staleProbes = checker_.probesRun();
+    stats_.preAckStaleHits = checker_.preAckStaleHits();
+    stats_.postAckViolations = checker_.postAckViolations();
+    if (is(ChaosLayer::Fleet))
+        stats_.coalescedWindows = ms.get("coalesced_windows");
+    if (is(ChaosLayer::Virt)) {
         // Monitor-call fences and direct vsatp/hgatp fences both count.
-        stats.hfenceShootdowns = monitor.stats().get("hfence_shootdowns") +
-                                 smp.stats().get("hfence_shootdowns");
-        stats.virtStaleProbes = checker.virtProbesRun();
-        stats.virtPreAckStaleHits = checker.virtPreAckStaleHits();
-        stats.staleExecGrants = checker.staleExecGrants();
-        stats.staleRwGrants = checker.staleRwGrants();
+        stats_.hfenceShootdowns = ms.get("hfence_shootdowns") +
+                                  smp_.stats().get("hfence_shootdowns");
+        stats_.virtStaleProbes = checker_.virtProbesRun();
+        stats_.virtPreAckStaleHits = checker_.virtPreAckStaleHits();
+        stats_.staleExecGrants = checker_.staleExecGrants();
+        stats_.staleRwGrants = checker_.staleRwGrants();
     }
-    if (config.rasLayer) {
-        stats.rasQuarantines = monitor.stats().get("ras.quarantines");
-        stats.rasContained =
-            monitor.stats().get("ras.contained_domains");
-        stats.rasHeals = monitor.stats().get("ras.heals");
-        stats.rasFatalEvents = monitor.stats().get("ras.fatal");
-        stats.scrubPagesScanned = scrub->pagesScanned();
-        stats.scrubDetections = scrub->detections();
+    if (is(ChaosLayer::Ras)) {
+        stats_.rasQuarantines = ms.get("ras.quarantines");
+        stats_.rasContained = ms.get("ras.contained_domains");
+        stats_.rasHeals = ms.get("ras.heals");
+        stats_.rasFatalEvents = ms.get("ras.fatal");
+        stats_.scrubPagesScanned = scrub_->pagesScanned();
+        stats_.scrubDetections = scrub_->detections();
         // A whole-host degrade is only legal when the campaign planted
         // monitor-region poison (or a rebuild ran out of frames) —
         // anything else means containment escalated past its class.
-        if (monitor.rasFatal() && !rasFatalExpected && !stats.failed) {
-            ++stats.rasBlastViolations;
-            stats.failed = true;
-            stats.failure =
-                "seed " + std::to_string(config.seed) +
-                ": host degraded without a monitor-region poison event";
+        if (monitor_.rasFatal() && !rasFatalExpected_ && !stats_.failed) {
+            ++stats_.rasBlastViolations;
+            fail("host degraded without a monitor-region poison event");
         }
     }
 
-    if (sampler) {
-        sampler->sample(campaign_cycles());
-        *config.statsSeriesOut = sampler->dumpJson();
+    if (sampler_) {
+        sampler_->sample(campaignCycles());
+        *config_.statsSeriesOut = sampler_->dumpJson();
     }
-    if (config.statsJsonOut) {
+    if (config_.statsJsonOut) {
         StatRegistry registry;
-        monitor.registerStats(registry);
-        smp.registerStats(registry);
-        checker.registerStats(registry);
-        iopmp.registerStats(registry);
-        if (scrub)
-            scrub->registerStats(registry);
-        for (unsigned h = 0; h < unsigned(kernels.size()); ++h) {
-            kernels[h]->registerStats(
-                registry, h == 0 ? "os"
-                                 : "hart" + std::to_string(h) + ".os");
-        }
-        *config.statsJsonOut = registry.dumpJson();
+        registerStats(registry, false);
+        *config_.statsJsonOut = registry.dumpJson();
     }
-    return stats;
 }
 
 } // namespace
+
+ChaosStats
+runChaos(const ChaosConfig &config)
+{
+    return Campaign(config).run();
+}
 
 } // namespace hpmp

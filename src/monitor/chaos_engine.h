@@ -1,16 +1,22 @@
 /**
  * @file
- * Randomized domain-lifecycle fuzzer for the secure monitor.
+ * Randomized chaos campaigns for the secure monitor.
  *
- * Drives thousands of random monitor calls — create/destroy domains,
- * register/remove/relabel/share GMSs, hot-region hints, domain
- * switches, attestation — through a monitor with fault injection
- * armed, and checks after every single operation that
+ * One engine runs every campaign. It drives thousands of random
+ * monitor calls — create/destroy domains, register/remove/relabel/
+ * share GMSs, hot-region hints, domain switches, attestation — from
+ * random harts of an SmpSystem, with fault injection armed, DMA
+ * through a two-master IOPMP, and the stale-translation checker and
+ * nested-call lock probes interleaved into every IPI protocol step.
+ * A campaign may add one layer of extra ops (ChaosLayer). After every
+ * operation one audit battery checks that
  *
- *  - the isolation invariants hold (monitor/invariants.h), and
  *  - every failed call (validation failure or injected fault) left
- *    the monitor + HPMP + PMP-table state bit-identical
- *    (SecureMonitor::stateDigest), and
+ *    each hart's monitor + HPMP + PMP-table state bit-identical
+ *    (SecureMonitor::hartStateDigest);
+ *  - outside a shootdown window every hart holds the same view;
+ *  - the stale checker and the nested-call probes saw no violation;
+ *  - the isolation invariants hold (monitor/invariants.h);
  *  - every success that degraded (Hpmp fast-GMS demotion) says so.
  *
  * Everything is derived from one 64-bit seed, so any failure the CI
@@ -28,6 +34,66 @@
 namespace hpmp
 {
 
+/**
+ * The extra op family a campaign adds to the base mix (domain
+ * lifecycle, DMA, audits). One layer per campaign: each layer takes
+ * sole charge of something the others would disturb — the harts'
+ * page tables, their guests, the domain population, or a second host.
+ */
+enum class ChaosLayer
+{
+    None,
+    /**
+     * A per-hart kernel (own domain, contiguous PT pool) with an
+     * address space per hart: random mmap/munmap/touch/demand-fault
+     * traffic and satp rewrites. Exercises the os.page_alloc /
+     * os.pt_pool_miss fault sites under the same injection plans as
+     * the monitor calls.
+     */
+    Os,
+    /**
+     * A VirtMachine guest on every hart. Guests run their own GPT/NPT
+     * pairs, switch hgatp between nested tables, remap GPT/NPT leaves,
+     * and route every vsatp/hgatp write through the hfence shootdown;
+     * the stale checker's two-stage oracle audits each protocol step.
+     */
+    Virt,
+    /**
+     * Fleet serving: coalesced epochs (several domain switches from
+     * rotating harts batched into one shootdown window), tenant churn
+     * with retired-id tracking, stale-handle probes (every retired
+     * DomainId must stay a typed denial after its slot is recycled),
+     * and same-domain re-switches exercising the empty-diff shootdown
+     * elision.
+     */
+    Fleet,
+    /**
+     * Memory poison across the blast-radius classes — a victim
+     * enclave's data pages, pmpte frames of a live PMP Table,
+     * free/host frames, and (rarely, late in the campaign) the
+     * monitor-private region — detected through real consumers (hart
+     * accesses, DMA beats, a background patrol scrubber) and routed
+     * into SecureMonitor::handleMachineCheck. After every containment
+     * the campaign audits the blast-radius contract: only the owning
+     * domain dies, self-heals leave the measurement bit-identical and
+     * the domain grantable, free-frame poison touches nobody, and
+     * monitor poison degrades exactly the whole host (every mutating
+     * call a typed RasFatal denial, reads still up).
+     */
+    Ras,
+    /**
+     * Two hosts — two SmpSystems with their own monitors — that
+     * ping-pong domains through the live-migration engine
+     * (src/migrate/) while faults hit the protocol's named sites.
+     * Aborts must leave the source digest bit-identical and the domain
+     * grantable; commits leave the domain on exactly one host with its
+     * memory intact; the cross-system oracle must see no dual-grant
+     * window. Run by runMigrateChaos (migrate/migrate_chaos.h), not
+     * runChaos.
+     */
+    Migrate,
+};
+
 /** One fuzz campaign's parameters. */
 struct ChaosConfig
 {
@@ -43,76 +109,13 @@ struct ChaosConfig
      */
     bool fullDigest = true;
     /**
-     * Harts in the system. 1 (the default) runs the classic
-     * single-machine campaign, byte-for-byte identical to before the
-     * SMP model existed. >1 runs the multi-hart campaign: monitor
-     * calls from random harts, IPI shootdowns with fault injection in
-     * delivery/ack, a stale-translation checker interleaved into every
-     * protocol step, nested-call lock-contention probes, and per-hart
-     * rollback digests.
+     * Harts in the system. Every op initiates from a random hart, so
+     * with more than one hart the IPI shootdowns (fault injection in
+     * delivery/ack), the per-hart rollback digests and the
+     * convergence checks all have siblings to work on.
      */
     unsigned harts = 1;
-    /**
-     * Multi-hart only: drive an OS layer too — a per-hart kernel
-     * (own domain, contiguous PT pool) with an address space per
-     * hart, random mmap/munmap/touch/demand-fault traffic, and DMA
-     * transfers checked by a two-master IOPMP. Exercises the
-     * os.page_alloc / os.pt_pool_miss fault sites under the same
-     * injection plans as the monitor calls.
-     */
-    bool osLayer = false;
-    /**
-     * Multi-hart only (and mutually exclusive with osLayer, whose
-     * kernels page the host harts): attach a VirtMachine guest to
-     * every hart. Guests run their own GPT/NPT pairs, switch hgatp
-     * between nested tables, remap GPT/NPT leaves, and route every
-     * vsatp/hgatp write through the hfence shootdown; the stale
-     * checker's two-stage oracle audits each protocol step.
-     */
-    bool virtLayer = false;
-    /**
-     * Multi-hart only (mutually exclusive with osLayer and virtLayer):
-     * fleet-serving chaos. Adds coalesced epochs (several domain
-     * switches from rotating harts batched into one shootdown window),
-     * tenant churn with retired-id tracking, stale-handle probes
-     * (every retired DomainId must stay a typed denial after its slot
-     * is recycled), and same-domain re-switches exercising the
-     * empty-diff shootdown elision — all under the same fault plans
-     * and stale-translation checker as the base campaign.
-     */
-    bool fleetLayer = false;
-    /**
-     * RAS chaos (mutually exclusive with osLayer/virtLayer/fleetLayer):
-     * plant memory poison across the three blast-radius classes — a
-     * victim enclave's data pages, pmpte frames of a live PMP Table,
-     * free/host frames, and (rarely, late in the campaign) the
-     * monitor-private region — then detect it through real consumers
-     * (bare accesses, DMA beats, a background patrol scrubber) and
-     * route every machine check into
-     * SecureMonitor::handleMachineCheck. After every containment the
-     * campaign audits the blast-radius contract: only the owning
-     * domain dies, self-heals leave the measurement bit-identical and
-     * the domain grantable, free-frame poison touches nobody, and
-     * monitor poison degrades exactly the whole host (every mutating
-     * call a typed RasFatal denial, reads still up). Runs the SMP
-     * campaign even with harts == 1.
-     */
-    bool rasLayer = false;
-    /**
-     * Migration chaos (mutually exclusive with every other layer):
-     * run *two* hosts — two SmpSystems with their own monitors — and
-     * ping-pong domains between them through the live-migration
-     * engine (src/migrate/) while faults hit the protocol's named
-     * sites (torn checkpoints, dropped/duplicated/corrupted frames,
-     * lost acks, destination attest failures, crashes during
-     * commit). After every migration the campaign audits: aborts
-     * leave the source digest bit-identical and the domain grantable
-     * again; commits leave the domain on exactly one host with its
-     * memory intact; the cross-system oracle saw no dual-grant
-     * window. Implemented by runMigrateChaos (migrate/migrate_chaos.h)
-     * — the chaos_fuzz tool dispatches on this flag.
-     */
-    bool migrateLayer = false;
+    ChaosLayer layer = ChaosLayer::None;
     /**
      * When set, receives the campaign's full stats-registry JSON
      * (monitor + machine observability counters) captured just before
@@ -144,20 +147,22 @@ struct ChaosStats
     unsigned rollbackChecks = 0; //!< digest-verified rollbacks
     unsigned invariantChecks = 0;
 
-    // Multi-hart campaigns only (zero in single-hart runs):
+    // Protocol, checker and DMA coverage (shootdown and lock counters
+    // need a sibling hart, so they stay zero with one hart):
     unsigned harts = 1;            //!< harts the campaign ran with
     uint64_t ipiShootdowns = 0;    //!< layout changes that IPI'd siblings
     uint64_t ipiLost = 0;          //!< injected IPI losses (failed closed)
     uint64_t lockContended = 0;    //!< nested calls bounced off the lock
     uint64_t staleProbes = 0;      //!< stale-checker accesses driven
     uint64_t preAckStaleHits = 0;  //!< stale grants inside the window
+    uint64_t postAckViolations = 0; //!< checker hard failures (must be 0)
     uint64_t convergenceChecks = 0; //!< all-hart digest comparisons
     uint64_t osOps = 0;            //!< OS-layer operations performed
     uint64_t dmaOps = 0;           //!< DMA transfers attempted
     uint64_t dmaBusWaits = 0;      //!< transfers stalled by the bus
     uint64_t dmaBusWaitCycles = 0; //!< total shared-bus stall cycles
 
-    // Virt campaigns only (--virt):
+    // ChaosLayer::Virt campaigns only:
     uint64_t virtOps = 0;           //!< guest ops (touch/switch/remap)
     uint64_t hfenceShootdowns = 0;  //!< guest fences riding monitor IPIs
     uint64_t virtStaleProbes = 0;   //!< two-stage oracle probes driven
@@ -165,15 +170,14 @@ struct ChaosStats
     uint64_t staleExecGrants = 0;   //!< stale grants on fetch watches
     uint64_t staleRwGrants = 0;     //!< stale grants on load/store watches
 
-    // Fleet campaigns only (--fleet):
+    // ChaosLayer::Fleet campaigns only:
     uint64_t fleetOps = 0;          //!< fleet sub-ops performed
     uint64_t fleetEpochs = 0;       //!< coalesced switch epochs run
     uint64_t fleetChurns = 0;       //!< tenants destroyed (ids retired)
     uint64_t fleetStaleProbes = 0;  //!< retired-id probes (all denied)
     uint64_t coalescedWindows = 0;  //!< windows the monitor flushed
-    uint64_t postAckViolations = 0; //!< checker hard failures (must be 0)
 
-    // RAS campaigns only (--ras):
+    // ChaosLayer::Ras campaigns only:
     uint64_t rasOps = 0;            //!< RAS sub-ops performed
     uint64_t rasPoisons = 0;        //!< poison events planted
     uint64_t rasMachineChecks = 0;  //!< poison consumed via access/DMA paths
@@ -186,7 +190,7 @@ struct ChaosStats
     uint64_t scrubDetections = 0;   //!< poisoned frames the patrol found
     uint64_t rasBlastViolations = 0; //!< containment crossed a boundary (must be 0)
 
-    // Migration campaigns only (--migrate):
+    // ChaosLayer::Migrate campaigns only:
     uint64_t migrations = 0;     //!< migration attempts started
     uint64_t migrateCommits = 0; //!< committed + activated on the dest
     uint64_t migrateAborts = 0;  //!< rolled back pre-commit
@@ -203,8 +207,9 @@ struct ChaosStats
 };
 
 /**
- * Run one campaign. Deterministic in config.seed (and, for multi-hart
- * configs, config.harts — the interleaving derives from both).
+ * Run one campaign of any layer but ChaosLayer::Migrate. Deterministic
+ * in config.seed and config.harts (the interleaving derives from
+ * both).
  */
 ChaosStats runChaos(const ChaosConfig &config);
 

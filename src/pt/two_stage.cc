@@ -162,28 +162,6 @@ walkTwoStage(PhysMem &mem, Addr vsatp_root, Addr hgatp_root, Addr gva,
     return result;
 }
 
-VirtFaultOrigin
-virtFaultOrigin(Fault fault)
-{
-    switch (fault) {
-      case Fault::None:
-        return VirtFaultOrigin::None;
-      case Fault::LoadPageFault:
-      case Fault::StorePageFault:
-      case Fault::FetchPageFault:
-        return VirtFaultOrigin::GuestStage;
-      case Fault::GuestLoadPageFault:
-      case Fault::GuestStorePageFault:
-      case Fault::GuestFetchPageFault:
-        return VirtFaultOrigin::GStage;
-      case Fault::LoadAccessFault:
-      case Fault::StoreAccessFault:
-      case Fault::FetchAccessFault:
-        return VirtFaultOrigin::Phys;
-    }
-    return VirtFaultOrigin::Phys;
-}
-
 const char *
 toString(VirtFaultOrigin origin)
 {

@@ -124,9 +124,6 @@ enum class VirtFaultOrigin : uint8_t
     Phys,       //!< physical access fault (PMP / pmpte / bounds)
 };
 
-/** Classify a fault code by the translation stage that raised it. */
-VirtFaultOrigin virtFaultOrigin(Fault fault);
-
 /** Human-readable origin name for diagnostics. */
 const char *toString(VirtFaultOrigin origin);
 

@@ -118,13 +118,50 @@ struct PathController
     }
 };
 
-/** RAII: the injector is process-global; never leak a controller. */
-struct InjectorGuard
-{
-    ~InjectorGuard() { FaultInjector::instance().disable(); }
-};
-
 const std::vector<unsigned> kBinaryAlts{0, 1};
+
+/**
+ * One path's decision state with the fault-branch tap installed. The
+ * controller replays `forced`; while the fault budget lasts, every
+ * hit of a branchable site (ModelConfig::effectiveSites) is a binary
+ * Fault decision. The injector is process-global, so destruction
+ * disables it: a path never leaks its controller.
+ */
+struct FaultBranching
+{
+    PathController ctl;
+    std::set<std::string> sites;
+    bool firedThisOp = false; //!< set by the tap; the scenario clears it
+
+    FaultBranching(const ModelConfig &cfg,
+                   const std::vector<Decision> *forced,
+                   unsigned inject_budget)
+    {
+        ctl.forced = forced;
+        ctl.depthLimit = cfg.depthLimit;
+        ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
+        ctl.injectBudget = inject_budget;
+        const std::vector<std::string> siteList = cfg.effectiveSites();
+        sites.insert(siteList.begin(), siteList.end());
+        FaultInjector &inj = FaultInjector::instance();
+        inj.enable(1);
+        inj.setDecisionController([this](const char *site) {
+            if (ctl.faultsFired >= ctl.faultBudget)
+                return false;
+            if (sites.find(site) == sites.end())
+                return false;
+            if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
+                return false;
+            ++ctl.faultsFired;
+            firedThisOp = true;
+            return true;
+        });
+    }
+
+    ~FaultBranching() { FaultInjector::instance().disable(); }
+    FaultBranching(const FaultBranching &) = delete;
+    FaultBranching &operator=(const FaultBranching &) = delete;
+};
 
 // ---- interleave hook: stale checker + nested-call injection -------
 
@@ -510,8 +547,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     }
 
     // ---- deterministic setup, outside the decision space ----------
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
+    FaultInjector::instance().disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
     for (unsigned i = 1; i <= cfg.domains; ++i) {
@@ -538,32 +574,10 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         }
     }
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = cfg.maxInjects;
-
+    FaultBranching branching(cfg, forced, cfg.maxInjects);
+    PathController &ctl = branching.ctl;
     VerifyHook hook(smp, monitor, checker, ctl);
     smp.setInterleaveHook(&hook);
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    bool faultFiredThisOp = false;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
-            return false;
-        if (branchSites.find(site) == branchSites.end())
-            return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        faultFiredThisOp = true;
-        return true;
-    });
 
     // ---- the interleaved script, driven through pickHart ----------
     const auto script = buildCoreScript(cfg);
@@ -624,7 +638,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         ++opIndex;
         ++out.opsExecuted;
         smp.setCurrentHart(hart);
-        faultFiredThisOp = false;
+        branching.firedThisOp = false;
 
         const bool monitorOp = op.kind != OpKind::Access;
         if (monitorOp) {
@@ -693,7 +707,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
                 break;
         }
         if (monitorOp && r.ok) {
-            if (faultFiredThisOp) {
+            if (branching.firedThisOp) {
                 violate("fault_swallowed",
                         "an injected fault fired but the call "
                         "committed ok after " +
@@ -771,8 +785,7 @@ runMigratePath(const ModelConfig &cfg,
         sys->hart(0).setBare();
     }
 
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
+    FaultInjector::instance().disable();
 
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     const DomainId d = src.createDomain();
@@ -791,27 +804,8 @@ runMigratePath(const ModelConfig &cfg,
     MigrationEngine engine(src, dst, mcfg, "migrate_verify");
     engine.setOracle(&oracle);
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = 0;
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
-            return false;
-        if (branchSites.find(site) == branchSites.end())
-            return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        return true;
-    });
+    FaultBranching branching(cfg, forced, 0);
+    PathController &ctl = branching.ctl;
 
     const MigrateResult res = engine.migrate(d, /*nonce=*/1);
     ++out.opsExecuted;
@@ -896,8 +890,7 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         smp.hart(h).setBare();
     }
 
-    FaultInjector &inj = FaultInjector::instance();
-    inj.disable();
+    FaultInjector::instance().disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
     for (unsigned i = 1; i <= cfg.domains; ++i) {
@@ -911,27 +904,8 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         panic_if(!r.ok, "ras setup addGms failed: %s", r.error.c_str());
     }
 
-    PathController ctl;
-    ctl.forced = forced;
-    ctl.depthLimit = cfg.depthLimit;
-    ctl.faultBudget = cfg.faultBranch ? cfg.maxFaults : 0;
-    ctl.injectBudget = 0;
-
-    const std::vector<std::string> siteList = cfg.effectiveSites();
-    const std::set<std::string> branchSites(siteList.begin(),
-                                            siteList.end());
-    InjectorGuard injectorGuard;
-    inj.enable(1);
-    inj.setDecisionController([&](const char *site) {
-        if (ctl.faultsFired >= ctl.faultBudget)
-            return false;
-        if (branchSites.find(site) == branchSites.end())
-            return false;
-        if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
-            return false;
-        ++ctl.faultsFired;
-        return true;
-    });
+    FaultBranching branching(cfg, forced, 0);
+    PathController &ctl = branching.ctl;
 
     auto stateKey = [&]() {
         uint64_t key = monitor.stateDigest(true);

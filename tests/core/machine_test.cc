@@ -142,10 +142,12 @@ TEST_P(MachineRefTest, PwcSkipsUpperLevelsForNeighborPage)
     EXPECT_FALSE(out.tlbHit);
     EXPECT_EQ(out.pwcSkips, 2u);
     EXPECT_EQ(out.ptRefs, 1u);
-    if (GetParam() == IsolationScheme::PmpTable)
+    if (GetParam() == IsolationScheme::PmpTable) {
         EXPECT_EQ(out.pmptRefs, 4u); // L0 PTE + data
-    if (GetParam() == IsolationScheme::Hpmp)
+    }
+    if (GetParam() == IsolationScheme::Hpmp) {
         EXPECT_EQ(out.pmptRefs, 2u); // data only
+    }
 }
 
 TEST_P(MachineRefTest, StoreWithCleanPageAddsAdUpdate)
@@ -174,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, MachineRefTest,
     ::testing::Values(IsolationScheme::None, IsolationScheme::Pmp,
                       IsolationScheme::PmpTable, IsolationScheme::Hpmp),
-    [](const ::testing::TestParamInfo<IsolationScheme> &info) {
-        switch (info.param) {
+    [](const ::testing::TestParamInfo<IsolationScheme> &param_info) {
+        switch (param_info.param) {
           case IsolationScheme::None: return "none";
           case IsolationScheme::Pmp: return "pmp";
           case IsolationScheme::PmpTable: return "pmpt";

@@ -60,8 +60,8 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, VirtRefTest,
     ::testing::Values(VirtScheme::Pmp, VirtScheme::Pmpt,
                       VirtScheme::Hpmp, VirtScheme::HpmpGpt),
-    [](const ::testing::TestParamInfo<VirtScheme> &info) {
-        switch (info.param) {
+    [](const ::testing::TestParamInfo<VirtScheme> &param_info) {
+        switch (param_info.param) {
           case VirtScheme::Pmp: return "pmp";
           case VirtScheme::Pmpt: return "pmpt";
           case VirtScheme::Hpmp: return "hpmp";

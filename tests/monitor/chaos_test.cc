@@ -27,6 +27,11 @@ runSeed(uint64_t seed, unsigned ops, IsolationScheme scheme)
     EXPECT_FALSE(stats.failed) << stats.failure;
     EXPECT_EQ(stats.ops, ops);
     EXPECT_EQ(stats.invariantChecks, ops);
+    // A default (one-hart) campaign runs the full audit battery too:
+    // the stale checker, DMA through the IOPMP and convergence checks.
+    EXPECT_GT(stats.staleProbes, 0u);
+    EXPECT_GT(stats.dmaOps, 0u);
+    EXPECT_GT(stats.convergenceChecks, 0u);
     return stats;
 }
 

@@ -269,7 +269,7 @@ TEST(FleetChaosMatrix, ZeroPostAckStaleAcrossSeedsAndHarts)
             config.seed = seed;
             config.ops = 250;
             config.harts = harts;
-            config.fleetLayer = true;
+            config.layer = ChaosLayer::Fleet;
             const ChaosStats stats = runChaos(config);
             EXPECT_FALSE(stats.failed)
                 << "seed " << seed << " harts " << harts << ": "

@@ -476,7 +476,7 @@ TEST(MigrateChaosTest, MatrixHasZeroDualGrantWindowsAndCleanAborts)
             config.ops = 40;
             config.faultProb = 0.3;
             config.harts = harts;
-            config.migrateLayer = true;
+            config.layer = ChaosLayer::Migrate;
             const ChaosStats stats = runMigrateChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             EXPECT_EQ(stats.dualGrantViolations, 0u)

@@ -122,8 +122,8 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, MonitorTest,
     ::testing::Values(IsolationScheme::Pmp, IsolationScheme::PmpTable,
                       IsolationScheme::Hpmp),
-    [](const ::testing::TestParamInfo<IsolationScheme> &info) {
-        return std::string(toString(info.param));
+    [](const ::testing::TestParamInfo<IsolationScheme> &param_info) {
+        return std::string(toString(param_info.param));
     });
 
 TEST(MonitorScalability, PmpRunsOutOfEntriesButHpmpDoesNot)

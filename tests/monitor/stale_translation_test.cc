@@ -156,7 +156,7 @@ TEST(StaleMatrix, OsLayerCampaignDrivesPagedWatches)
         config.ops = 60;
         config.scheme = IsolationScheme::Hpmp;
         config.harts = 4;
-        config.osLayer = true;
+        config.layer = ChaosLayer::Os;
         const ChaosStats stats = runChaos(config);
         ASSERT_FALSE(stats.failed) << "seed " << seed << ": "
                                    << stats.failure;

@@ -333,7 +333,7 @@ TEST_F(VirtStaleTest, VirtChaosMatrixHasZeroPostAckStaleGrants)
             config.ops = 120;
             config.faultProb = 0.25;
             config.harts = harts;
-            config.virtLayer = true;
+            config.layer = ChaosLayer::Virt;
             const ChaosStats stats = runChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             shootdowns += stats.hfenceShootdowns;

@@ -224,8 +224,9 @@ TEST_F(MalformedPmpteTest, InjectedBitFlipNeverPanics)
              off += kPageSize) {
             const PmptWalkResult r =
                 walkPmpTable(mem, t.rootPa(), t.levels(), off);
-            if (r.malformed)
+            if (r.malformed) {
                 EXPECT_FALSE(r.valid);
+            }
         }
     }
 }

@@ -158,8 +158,9 @@ TEST(ModelCheckTest, MinimizedTraceHasNoTrailingDefaults)
     const CheckResult result = checker.run(1);
     ASSERT_FALSE(result.counterexamples.empty());
     const DecisionTrace &ce = result.counterexamples.front();
-    if (!ce.decisions.empty())
+    if (!ce.decisions.empty()) {
         EXPECT_NE(ce.decisions.back().altIndex, 0u);
+    }
 }
 
 TEST(ModelCheckTest, MigrateScenarioIsCleanUnderFaultBranching)

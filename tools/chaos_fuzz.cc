@@ -13,11 +13,14 @@
  * (the failing seed and replay line are printed), 2 on bad usage.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/fault_inject.h"
@@ -29,6 +32,7 @@ namespace
 {
 
 using hpmp::ChaosConfig;
+using hpmp::ChaosLayer;
 using hpmp::ChaosStats;
 using hpmp::IsolationScheme;
 
@@ -38,12 +42,8 @@ struct Options
     unsigned ops = 1000;
     double faultProb = 0.25;
     bool fullDigest = true;
-    unsigned harts = 1;    //!< >1 runs the multi-hart campaign
-    bool osLayer = false;  //!< per-hart kernels + DMA (multi-hart only)
-    bool virtLayer = false; //!< per-hart guest VMs (multi-hart only)
-    bool fleetLayer = false; //!< fleet serving chaos (multi-hart only)
-    bool rasLayer = false;   //!< memory-poison / machine-check chaos
-    bool migrateLayer = false; //!< two-host live-migration chaos
+    unsigned harts = 1;
+    ChaosLayer layer = ChaosLayer::None; //!< at most one layer flag
     size_t traceRing = 8192; //!< event-ring capacity; 0 disables capture
     std::vector<IsolationScheme> schemes{IsolationScheme::Hpmp};
     std::string statsJson; //!< per-campaign stats JSON file; "" = off
@@ -53,6 +53,13 @@ struct Options
      *  unions these files across campaigns and asserts the union
      *  covers the full --list-fault-sites registry. */
     std::string siteCoverageOut;
+};
+
+/** One flag per campaign layer; the replay line prints it back. */
+constexpr std::pair<const char *, ChaosLayer> kLayerFlags[] = {
+    {"--os-layer", ChaosLayer::Os}, {"--virt", ChaosLayer::Virt},
+    {"--fleet", ChaosLayer::Fleet}, {"--ras", ChaosLayer::Ras},
+    {"--migrate", ChaosLayer::Migrate},
 };
 
 void
@@ -185,6 +192,9 @@ main(int argc, char **argv)
     Options opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const auto layer_flag = std::find_if(
+            std::begin(kLayerFlags), std::end(kLayerFlags),
+            [&](const auto &flag) { return arg == flag.first; });
         auto value = [&]() -> const char * {
             if (i + 1 >= argc) {
                 usage(argv[0]);
@@ -204,16 +214,15 @@ main(int argc, char **argv)
             opts.fullDigest = false;
         } else if (arg == "--harts") {
             opts.harts = unsigned(std::strtoul(value(), nullptr, 0));
-        } else if (arg == "--os-layer") {
-            opts.osLayer = true;
-        } else if (arg == "--virt") {
-            opts.virtLayer = true;
-        } else if (arg == "--fleet") {
-            opts.fleetLayer = true;
-        } else if (arg == "--ras") {
-            opts.rasLayer = true;
-        } else if (arg == "--migrate") {
-            opts.migrateLayer = true;
+        } else if (layer_flag != std::end(kLayerFlags)) {
+            if (opts.layer != ChaosLayer::None &&
+                opts.layer != layer_flag->second) {
+                std::fprintf(stderr,
+                             "at most one layer flag (--os-layer, --virt, "
+                             "--fleet, --ras, --migrate) per campaign\n");
+                return 2;
+            }
+            opts.layer = layer_flag->second;
         } else if (arg == "--site-coverage-out") {
             opts.siteCoverageOut = value();
         } else if (arg == "--list-fault-sites") {
@@ -247,51 +256,22 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    if (opts.osLayer && opts.harts < 2) {
+    if (opts.layer == ChaosLayer::Os && opts.harts < 2) {
         std::fprintf(stderr,
                      "--os-layer requires --harts >= 2 (the OS-layer "
                      "campaign is part of the multi-hart fuzzer)\n");
         return 2;
     }
-    if (opts.virtLayer && opts.harts < 2) {
+    if (opts.layer == ChaosLayer::Virt && opts.harts < 2) {
         std::fprintf(stderr,
                      "--virt requires --harts >= 2 (the guest campaign "
                      "is part of the multi-hart fuzzer)\n");
         return 2;
     }
-    if (opts.virtLayer && opts.osLayer) {
-        std::fprintf(stderr,
-                     "--virt and --os-layer are mutually exclusive (the "
-                     "kernels page the host harts the guests wrap)\n");
-        return 2;
-    }
-    if (opts.fleetLayer && opts.harts < 2) {
+    if (opts.layer == ChaosLayer::Fleet && opts.harts < 2) {
         std::fprintf(stderr,
                      "--fleet requires --harts >= 2 (coalesced shootdown "
                      "windows only exist with sibling harts to fence)\n");
-        return 2;
-    }
-    if (opts.fleetLayer && (opts.osLayer || opts.virtLayer)) {
-        std::fprintf(stderr,
-                     "--fleet is mutually exclusive with --os-layer and "
-                     "--virt (the fleet epochs drive their own domain "
-                     "traffic)\n");
-        return 2;
-    }
-    if (opts.rasLayer &&
-        (opts.osLayer || opts.virtLayer || opts.fleetLayer)) {
-        std::fprintf(stderr,
-                     "--ras is mutually exclusive with --os-layer, "
-                     "--virt and --fleet (poison containment audits "
-                     "need sole ownership of the domain population)\n");
-        return 2;
-    }
-    if (opts.migrateLayer &&
-        (opts.osLayer || opts.virtLayer || opts.fleetLayer ||
-         opts.rasLayer)) {
-        std::fprintf(stderr,
-                     "--migrate is mutually exclusive with the other "
-                     "layers (it runs its own two-host campaign)\n");
         return 2;
     }
 
@@ -330,11 +310,7 @@ main(int argc, char **argv)
             config.faultProb = opts.faultProb;
             config.fullDigest = opts.fullDigest;
             config.harts = opts.harts;
-            config.osLayer = opts.osLayer;
-            config.virtLayer = opts.virtLayer;
-            config.fleetLayer = opts.fleetLayer;
-            config.rasLayer = opts.rasLayer;
-            config.migrateLayer = opts.migrateLayer;
+            config.layer = opts.layer;
             std::string campaign_stats;
             if (!opts.statsJson.empty())
                 config.statsJsonOut = &campaign_stats;
@@ -345,7 +321,7 @@ main(int argc, char **argv)
             }
 
             capture.nextCampaign();
-            const ChaosStats stats = opts.migrateLayer
+            const ChaosStats stats = opts.layer == ChaosLayer::Migrate
                                          ? hpmp::runMigrateChaos(config)
                                          : hpmp::runChaos(config);
             if (!opts.statsJson.empty()) {
@@ -377,23 +353,20 @@ main(int argc, char **argv)
                 stats.okOps, stats.failedOps, stats.injectedFaults,
                 stats.degradedOps, stats.rollbackChecks,
                 stats.failed ? "FAIL" : "PASS");
-            if (opts.harts > 1) {
-                std::printf(
-                    "      harts=%u shootdowns=%llu ipi-lost=%llu "
-                    "lock-contended=%llu stale-probes=%llu "
-                    "pre-ack-stale=%llu convergence-checks=%llu "
-                    "os-ops=%llu dma-ops=%llu\n",
-                    stats.harts,
-                    (unsigned long long)stats.ipiShootdowns,
-                    (unsigned long long)stats.ipiLost,
-                    (unsigned long long)stats.lockContended,
-                    (unsigned long long)stats.staleProbes,
-                    (unsigned long long)stats.preAckStaleHits,
-                    (unsigned long long)stats.convergenceChecks,
-                    (unsigned long long)stats.osOps,
-                    (unsigned long long)stats.dmaOps);
-            }
-            if (opts.fleetLayer) {
+            std::printf("      harts=%u shootdowns=%llu ipi-lost=%llu "
+                        "lock-contended=%llu stale-probes=%llu "
+                        "pre-ack-stale=%llu convergence-checks=%llu "
+                        "os-ops=%llu dma-ops=%llu\n",
+                        stats.harts,
+                        (unsigned long long)stats.ipiShootdowns,
+                        (unsigned long long)stats.ipiLost,
+                        (unsigned long long)stats.lockContended,
+                        (unsigned long long)stats.staleProbes,
+                        (unsigned long long)stats.preAckStaleHits,
+                        (unsigned long long)stats.convergenceChecks,
+                        (unsigned long long)stats.osOps,
+                        (unsigned long long)stats.dmaOps);
+            if (opts.layer == ChaosLayer::Fleet) {
                 std::printf(
                     "      fleet-ops=%llu epochs=%llu churns=%llu "
                     "stale-probes=%llu coalesced-windows=%llu "
@@ -405,7 +378,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.coalescedWindows,
                     (unsigned long long)stats.postAckViolations);
             }
-            if (opts.virtLayer) {
+            if (opts.layer == ChaosLayer::Virt) {
                 std::printf(
                     "      virt-ops=%llu hfence-shootdowns=%llu "
                     "virt-stale-probes=%llu virt-pre-ack-stale=%llu "
@@ -417,7 +390,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.staleExecGrants,
                     (unsigned long long)stats.staleRwGrants);
             }
-            if (opts.rasLayer) {
+            if (opts.layer == ChaosLayer::Ras) {
                 std::printf(
                     "      ras-ops=%llu poisons=%llu machine-checks=%llu "
                     "reports=%llu quarantines=%llu contained=%llu "
@@ -435,7 +408,7 @@ main(int argc, char **argv)
                     (unsigned long long)stats.scrubDetections,
                     (unsigned long long)stats.rasBlastViolations);
             }
-            if (opts.migrateLayer) {
+            if (opts.layer == ChaosLayer::Migrate) {
                 std::printf(
                     "      migrations=%llu commits=%llu aborts=%llu "
                     "stranded=%llu retries=%llu bytes=%llu "
@@ -468,16 +441,10 @@ main(int argc, char **argv)
                 replay += " --harts " + std::to_string(opts.harts);
                 if (!opts.fullDigest)
                     replay += " --light-digest";
-                if (opts.osLayer)
-                    replay += " --os-layer";
-                if (opts.virtLayer)
-                    replay += " --virt";
-                if (opts.fleetLayer)
-                    replay += " --fleet";
-                if (opts.rasLayer)
-                    replay += " --ras";
-                if (opts.migrateLayer)
-                    replay += " --migrate";
+                for (const auto &[flag, layer] : kLayerFlags) {
+                    if (opts.layer == layer)
+                        replay += std::string(" ") + flag;
+                }
                 replay += " --trace-ring " + std::to_string(opts.traceRing);
                 std::printf("replay: %s\n", replay.c_str());
                 capture.dumpFor(seed);
