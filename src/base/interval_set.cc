@@ -98,6 +98,26 @@ IntervalSet::findFit(uint64_t size, uint64_t align) const
     return std::nullopt;
 }
 
+std::optional<Addr>
+IntervalSet::findLastFit(uint64_t size) const
+{
+    for (auto it = intervals_.end(); it != intervals_.begin();) {
+        --it;
+        if (it->second >= size)
+            return it->first + it->second - size;
+    }
+    return std::nullopt;
+}
+
+std::pair<Addr, uint64_t>
+IntervalSet::nth(size_t k) const
+{
+    panic_if(k >= intervals_.size(), "nth(%zu) of %zu intervals", k,
+             intervals_.size());
+    const auto it = intervals_.find_by_order(k);
+    return {it->first, it->second};
+}
+
 uint64_t
 IntervalSet::totalBytes() const
 {

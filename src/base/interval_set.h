@@ -11,15 +11,22 @@
 #define HPMP_BASE_INTERVAL_SET_H
 
 #include <cstdint>
-#include <map>
+#include <ext/pb_ds/assoc_container.hpp>
+#include <ext/pb_ds/tree_policy.hpp>
+#include <functional>
 #include <optional>
+#include <utility>
 
 #include "base/addr.h"
 
 namespace hpmp
 {
 
-/** Disjoint interval set with coalescing insert and splitting erase. */
+/**
+ * Disjoint interval set with coalescing insert and splitting erase.
+ * Intervals live in an order-statistic red-black tree, so point
+ * queries, updates and nth() are all O(log n) in the interval count.
+ */
 class IntervalSet
 {
   public:
@@ -49,17 +56,31 @@ class IntervalSet
      */
     std::optional<Addr> findFit(uint64_t size, uint64_t align = 1) const;
 
+    /**
+     * Find the highest interval of at least `size` bytes (last fit).
+     * @return the base of its top `size` bytes, or nullopt.
+     */
+    std::optional<Addr> findLastFit(uint64_t size) const;
+
+    /**
+     * The k-th interval in address order as (base, size), in
+     * O(log n). Requires k < intervalCount().
+     */
+    std::pair<Addr, uint64_t> nth(size_t k) const;
+
     /** Number of disjoint intervals (fragmentation proxy). */
     size_t intervalCount() const { return intervals_.size(); }
 
     /** Total bytes covered. */
     uint64_t totalBytes() const;
 
-    /** All intervals as (base, size) pairs in address order. */
-    const std::map<Addr, uint64_t> &intervals() const { return intervals_; }
-
   private:
-    std::map<Addr, uint64_t> intervals_; // base -> size
+    /** base -> size; each node also counts its subtree for nth(). */
+    using Tree = __gnu_pbds::tree<
+        Addr, uint64_t, std::less<Addr>, __gnu_pbds::rb_tree_tag,
+        __gnu_pbds::tree_order_statistics_node_update>;
+
+    Tree intervals_;
 };
 
 } // namespace hpmp

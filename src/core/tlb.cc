@@ -14,6 +14,7 @@ Tlb::Tlb(unsigned l1_entries, unsigned l2_entries)
       l1Index_(l1_entries),
       l2_(l2_entries)
 {
+    l2Filled_.reserve(l2_entries);
     if (isPowerOf2(l2_entries)) {
         l2Pow2_ = true;
         l2Mask_ = l2_entries - 1;
@@ -65,8 +66,12 @@ Tlb::fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm, bool user,
         installL1(entry);
 
     // The direct-mapped L2 only holds base pages.
-    if (level == 0)
-        l2_[l2SlotOf(pageNumber(va))] = entry;
+    if (level == 0) {
+        const uint64_t slot = l2SlotOf(pageNumber(va));
+        l2_[slot] = entry;
+        if (l2Filled_.size() < l2Entries_)
+            l2Filled_.push_back(uint32_t(slot));
+    }
 }
 
 void
@@ -79,8 +84,16 @@ Tlb::flushAll()
     for (unsigned lvl = 0; lvl < kMaxLeafLevels; ++lvl)
         levelCount_[lvl] = 0;
     levelMask_ = 0;
-    for (auto &entry : l2_)
-        entry.valid = false;
+    // Only slots filled since the last flush can be valid. A full
+    // record may have dropped slots, so it falls back to a sweep.
+    if (l2Filled_.size() < l2Entries_) {
+        for (const uint32_t slot : l2Filled_)
+            l2_[slot].valid = false;
+    } else {
+        for (auto &entry : l2_)
+            entry.valid = false;
+    }
+    l2Filled_.clear();
 }
 
 void

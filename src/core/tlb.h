@@ -144,7 +144,10 @@ class Tlb
     void fill(Addr va, Addr pa_base, Perm perm, Perm phys_perm,
               bool user, unsigned level = 0, Perm g_perm = Perm::rwx());
 
-    /** sfence.vma with rs1=x0: drop everything. */
+    /**
+     * sfence.vma with rs1=x0: drop everything. Clears the L1 and only
+     * the L2 slots filled since the previous flushAll.
+     */
     void flushAll();
 
     /** sfence.vma with a specific page. */
@@ -216,6 +219,12 @@ class Tlb
     bool l2Pow2_ = false;
     uint64_t l2Mask_ = 0;
     std::vector<TlbEntry> l2_; //!< direct mapped by vpn % l2Entries_
+    /**
+     * L2 slots filled since the last flushAll (repeats allowed), so a
+     * flush clears those instead of sweeping every slot. Recording
+     * stops at l2Entries_ entries; a full record means "sweep all".
+     */
+    std::vector<uint32_t> l2Filled_;
 
     Counter l1Hits_;
     Counter l2Hits_;

@@ -57,21 +57,16 @@ AddressSpace::mapAt(Addr va, uint64_t len, Perm perm, bool user,
         if (base < va + len && va < base + vma.len)
             return false;
     }
-    Vma vma{va, len, perm, user};
-    vmas_[va] = vma;
+    Vma &vma = vmas_[va];
+    vma = Vma{va, len, perm, user, std::vector<bool>(pageNumber(len))};
     if (populate) {
         for (Addr page = va; page < va + len; page += kPageSize) {
             if (populatePage(vma, page))
                 continue;
             // Out of memory mid-population: unwind the pages already
             // populated and the VMA so the call has no effect.
-            for (Addr undo = va; undo < page; undo += kPageSize) {
-                const auto pa = pt_.translate(undo);
-                panic_if(!pa, "populated page %#lx not mapped", undo);
-                pt_.unmap(undo);
-                kernel_.freeData(alignDown(*pa, kPageSize), 1);
-                present_.erase(pageNumber(undo));
-            }
+            for (Addr undo = va; undo < page; undo += kPageSize)
+                releasePage(vma, undo);
             vmas_.erase(va);
             ++kernel_.osStats().mmapUnwinds;
             return false;
@@ -84,7 +79,7 @@ AddressSpace::mapAt(Addr va, uint64_t len, Perm perm, bool user,
 }
 
 bool
-AddressSpace::populatePage(const Vma &vma, Addr page_va)
+AddressSpace::populatePage(Vma &vma, Addr page_va)
 {
     auto frame = kernel_.allocData(1);
     if (!frame)
@@ -92,15 +87,27 @@ AddressSpace::populatePage(const Vma &vma, Addr page_va)
     if (!pt_.map(page_va, *frame, vma.perm, vma.user)) {
         // map() fails either because a PT frame could not be
         // allocated (typed OOM — give the data frame back) or because
-        // a leaf already exists, which present_ tracking rules out.
+        // a leaf already exists, which the present bits rule out.
         panic_if(pt_.translate(page_va).has_value(),
                  "double map at %#lx", page_va);
         kernel_.freeData(*frame, 1);
         return false;
     }
-    present_.insert(pageNumber(page_va));
+    vma.present[pageNumber(page_va - vma.base)] = true;
+    ++populatedPages_;
     ++kernel_.osStats().pagesPopulated;
     return true;
+}
+
+void
+AddressSpace::releasePage(Vma &vma, Addr page_va)
+{
+    const auto pa = pt_.translate(page_va);
+    panic_if(!pa, "present page %#lx not mapped", page_va);
+    pt_.unmap(page_va);
+    kernel_.freeData(alignDown(*pa, kPageSize), 1);
+    vma.present[pageNumber(page_va - vma.base)] = false;
+    --populatedPages_;
 }
 
 bool
@@ -118,14 +125,10 @@ AddressSpace::munmap(Addr va, uint64_t len)
     if (it == vmas_.end() || it->second.len != alignUp(len, kPageSize))
         return false;
 
-    for (Addr page = va; page < va + it->second.len; page += kPageSize) {
-        if (!present_.count(pageNumber(page)))
-            continue;
-        const auto pa = pt_.translate(page);
-        panic_if(!pa, "present page %#lx not mapped", page);
-        pt_.unmap(page);
-        kernel_.freeData(alignDown(*pa, kPageSize), 1);
-        present_.erase(pageNumber(page));
+    Vma &vma = it->second;
+    for (uint64_t i = 0; i < vma.present.size(); ++i) {
+        if (vma.present[i])
+            releasePage(vma, vma.base + pageAddr(i));
     }
     vmas_.erase(it);
     kernel_.machine().sfenceVma();
@@ -141,11 +144,11 @@ AddressSpace::tryHandleFault(Addr va, AccessType type)
     if (it == vmas_.begin())
         return FaultHandleStatus::BadAddress;
     --it;
-    const Vma &vma = it->second;
+    Vma &vma = it->second;
     if (va >= vma.base + vma.len)
         return FaultHandleStatus::BadAddress;
     const Addr page = alignDown(va, kPageSize);
-    if (present_.count(pageNumber(page)))
+    if (vma.present[pageNumber(page - vma.base)])
         return FaultHandleStatus::BadAddress; // not demand paging
     if (!populatePage(vma, page))
         return FaultHandleStatus::OutOfMemory;
@@ -163,7 +166,12 @@ AddressSpace::handleFault(Addr va, AccessType type)
 bool
 AddressSpace::populated(Addr va) const
 {
-    return present_.count(pageNumber(va)) != 0;
+    auto it = vmas_.upper_bound(va);
+    if (it == vmas_.begin())
+        return false;
+    const Vma &vma = std::prev(it)->second;
+    return va < vma.base + vma.len &&
+           vma.present[pageNumber(va - vma.base)];
 }
 
 } // namespace hpmp

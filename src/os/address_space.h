@@ -11,7 +11,7 @@
 #define HPMP_OS_ADDRESS_SPACE_H
 
 #include <map>
-#include <unordered_set>
+#include <vector>
 
 #include "pt/page_table.h"
 
@@ -91,7 +91,7 @@ class AddressSpace
     bool populated(Addr va) const;
 
     uint64_t pageFaults() const { return faults_; }
-    uint64_t populatedPages() const { return present_.size(); }
+    uint64_t populatedPages() const { return populatedPages_; }
 
   private:
     struct Vma
@@ -100,6 +100,7 @@ class AddressSpace
         uint64_t len = 0;
         Perm perm;
         bool user = true;
+        std::vector<bool> present; //!< one bit per page: has a frame
     };
 
     /**
@@ -107,12 +108,15 @@ class AddressSpace
      * @return false on allocator exhaustion (data or PT frames), with
      *         any allocated frame returned to the pool.
      */
-    bool populatePage(const Vma &vma, Addr page_va);
+    bool populatePage(Vma &vma, Addr page_va);
+
+    /** Unmap one populated page of vma and free its frame. */
+    void releasePage(Vma &vma, Addr page_va);
 
     Kernel &kernel_;
     PageTable pt_;
     std::map<Addr, Vma> vmas_;
-    std::unordered_set<uint64_t> present_; //!< populated VPNs
+    uint64_t populatedPages_ = 0;
     Addr mmapNext_ = 0x40000000;
     uint64_t faults_ = 0;
 };

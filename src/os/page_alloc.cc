@@ -27,20 +27,16 @@ PageAllocator::alloc(unsigned npages, uint64_t align)
     const uint64_t bytes = uint64_t(npages) * kPageSize;
 
     if (scatter_ && npages == 1 && align <= kPageSize) {
-        // Pick a random free interval (weighted by trying a few times)
-        // and a random page inside it.
-        const auto &ivals = free_.intervals();
-        if (ivals.empty())
+        // A random free interval, then a random page inside it.
+        const size_t count = free_.intervalCount();
+        if (count == 0)
             return std::nullopt;
-        for (int attempt = 0; attempt < 8; ++attempt) {
-            auto it = ivals.begin();
-            std::advance(it, rng_.below(ivals.size()));
-            const uint64_t pages = it->second / kPageSize;
-            const Addr pick = it->first + pageAddr(rng_.below(pages));
-            if (free_.erase(pick, kPageSize))
-                return pick;
-        }
-        // Fall through to first-fit if the random picks raced away.
+        const auto [ival_base, ival_size] = free_.nth(rng_.below(count));
+        const Addr pick =
+            ival_base + pageAddr(rng_.below(ival_size / kPageSize));
+        const bool ok = free_.erase(pick, kPageSize);
+        panic_if(!ok, "scatter pick %#lx is not free", pick);
+        return pick;
     }
 
     const auto fit = free_.findFit(bytes, align);
@@ -58,16 +54,12 @@ PageAllocator::allocTop(unsigned npages)
         return std::nullopt;
 
     const uint64_t bytes = uint64_t(npages) * kPageSize;
-    const auto &ivals = free_.intervals();
-    for (auto it = ivals.rbegin(); it != ivals.rend(); ++it) {
-        if (it->second >= bytes) {
-            const Addr base = it->first + it->second - bytes;
-            const bool ok = free_.erase(base, bytes);
-            panic_if(!ok, "allocTop erase failed");
-            return base;
-        }
-    }
-    return std::nullopt;
+    const auto fit = free_.findLastFit(bytes);
+    if (!fit)
+        return std::nullopt;
+    const bool ok = free_.erase(*fit, bytes);
+    panic_if(!ok, "allocTop erase failed");
+    return *fit;
 }
 
 std::optional<Addr>

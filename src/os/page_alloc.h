@@ -46,9 +46,9 @@ class PageAllocator
     void free(Addr base, unsigned npages);
 
     /**
-     * Scatter mode: single-page allocations are placed at a random
-     * offset in the free space instead of first-fit, fragmenting the
-     * physical layout.
+     * Scatter mode: single-page allocations take a random page of a
+     * uniformly chosen free interval instead of first-fit,
+     * fragmenting the physical layout. Each pick is O(log fragments).
      */
     void setScatter(bool on, uint64_t seed = 1);
 

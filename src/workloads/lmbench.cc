@@ -206,9 +206,15 @@ void
 LmbenchSuite::doPageFault(Runner &r)
 {
     // Touch a never-populated page: trap + allocation + PTE install +
-    // zeroing, all through the Runner's fault path.
-    if (faultArena_ == 0 || faultCursor_ >= faultArena_ + 8_MiB) {
-        faultArena_ = as_->mmap(8_MiB, Perm::rw(), true, false);
+    // zeroing, all through the Runner's fault path. An exhausted arena
+    // is unmapped before the next is mapped, as lat_pagefault does,
+    // so a long run holds at most one arena of frames.
+    if (faultArena_ == 0 ||
+        faultCursor_ >= faultArena_ + kFaultArenaBytes) {
+        if (faultArena_ != 0)
+            as_->munmap(faultArena_, kFaultArenaBytes);
+        faultArena_ =
+            as_->mmap(kFaultArenaBytes, Perm::rw(), true, false);
         faultCursor_ = faultArena_;
     }
     r.store(faultCursor_);

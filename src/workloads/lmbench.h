@@ -85,6 +85,7 @@ class LmbenchSuite
     static constexpr uint64_t kKernelHeapBytes = 128_MiB;
     static constexpr uint64_t kPageCacheBytes = 8_MiB;
     static constexpr uint64_t kUserBytes = 1_MiB;
+    static constexpr uint64_t kFaultArenaBytes = 8_MiB;
 };
 
 } // namespace hpmp

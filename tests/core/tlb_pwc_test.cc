@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/pwc.h"
 #include "core/tlb.h"
 
@@ -69,6 +71,43 @@ TEST(Tlb, FlushPageIsSelective)
     EXPECT_NE(tlb.lookup(0x2000), nullptr);
     tlb.flushAll();
     EXPECT_EQ(tlb.lookup(0x2000), nullptr);
+}
+
+TEST(Tlb, FlushAllClearsEveryFilledSlot)
+{
+    // flushAll clears only the L2 slots filled since the previous
+    // flush; every path that fills or rewrites a slot must be covered,
+    // including a record that overflowed (more fills than L2 slots).
+    Tlb tlb(4, 16);
+    std::vector<Addr> filled;
+    auto fill = [&](Addr va, Addr pa, unsigned level = 0) {
+        tlb.fill(va, pa, Perm::rw(), Perm::rwx(), true, level);
+        filled.push_back(va);
+    };
+    auto expectAllMiss = [&] {
+        for (const Addr va : filled) {
+            EXPECT_EQ(tlb.lookupL1(va), nullptr) << std::hex << va;
+            EXPECT_EQ(tlb.lookupL2(va), nullptr) << std::hex << va;
+        }
+    };
+
+    for (unsigned round = 0; round < 3; ++round) {
+        filled.clear();
+        fill(0x1000, 0x80001000);
+        fill(0x2000, 0x80002000);
+        tlb.flushPage(0x2000);
+        fill(0x2000, 0x80009000);              // refill after flushPage
+        fill(0x1000, 0x80007000);              // refill in place
+        fill(pageAddr(1 + 16), 0x80003000);    // L2 conflict with 0x1000
+        fill(0x40000000, 0x90000000, 1);       // superpage (L1 only)
+        // Round 1 fills more pages than the L2 has slots.
+        const unsigned extra = round == 1 ? 40 : 3;
+        for (unsigned i = 0; i < extra; ++i)
+            fill(pageAddr(0x100 + i), pageAddr(0x90100 + i));
+        EXPECT_NE(tlb.lookup(filled.back()), nullptr);
+        tlb.flushAll();
+        expectAllMiss();
+    }
 }
 
 TEST(Tlb, SuperpageEntryCoversWholeRange)

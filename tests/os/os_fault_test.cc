@@ -105,6 +105,71 @@ TEST_F(OsFaultTest, PageAllocFaultSiteGivesTypedOom)
     EXPECT_TRUE(as->populated(va));
 }
 
+TEST_F(OsFaultTest, PopulatedBitsFollowEveryMappingPath)
+{
+    KernelConfig config;
+    Kernel kernel(*monitor, 0, 2_GiB, 1_GiB, config);
+    auto as = kernel.createAddressSpace();
+
+    // Populated mmap: every page present, nothing outside the VMA.
+    const Addr eager = as->mmap(8 * kPageSize, Perm::rw(), true, true);
+    EXPECT_EQ(as->populatedPages(), 8u);
+    for (unsigned i = 0; i < 8; ++i)
+        EXPECT_TRUE(as->populated(eager + pageAddr(i) + 0x123));
+    EXPECT_FALSE(as->populated(eager - 1));
+    EXPECT_FALSE(as->populated(eager + pageAddr(8)));
+
+    // Demand fault: exactly the faulted page turns present.
+    const Addr lazy = as->mmap(4 * kPageSize, Perm::rw(), true, false);
+    EXPECT_EQ(as->populatedPages(), 8u);
+    ASSERT_TRUE(as->handleFault(lazy + kPageSize + 8, AccessType::Store));
+    EXPECT_FALSE(as->populated(lazy));
+    EXPECT_TRUE(as->populated(lazy + kPageSize));
+    EXPECT_FALSE(as->populated(lazy + 2 * kPageSize));
+    EXPECT_EQ(as->populatedPages(), 9u);
+
+    // A mapFrameAt window is in the page table but owns no frame.
+    const Addr window = 0x70000000;
+    ASSERT_TRUE(as->mapFrameAt(window, kernel.allocPtFrames(1),
+                               Perm::rw(), false));
+    EXPECT_TRUE(as->pageTable().translate(window).has_value());
+    EXPECT_FALSE(as->populated(window));
+    EXPECT_EQ(as->populatedPages(), 9u);
+
+    // Injected OOM partway through a populating mapAt: the unwind
+    // clears every bit it set and returns every frame.
+    const Addr fixed = 0x60000000;
+    const uint64_t free_before = kernel.dataAllocator().freeBytes();
+    const uint64_t populated_before =
+        kernel.osStats().pagesPopulated.value();
+    FaultInjector &injector = FaultInjector::instance();
+    injector.enable(3);
+    injector.armNth("os.page_alloc", 6);
+    EXPECT_FALSE(as->mapAt(fixed, 16 * kPageSize, Perm::rw(), true,
+                           true));
+    injector.disable();
+    EXPECT_GT(kernel.osStats().pagesPopulated.value(), populated_before);
+    EXPECT_EQ(kernel.osStats().mmapUnwinds.value(), 1u);
+    EXPECT_EQ(as->populatedPages(), 9u);
+    EXPECT_EQ(kernel.dataAllocator().freeBytes(), free_before);
+    for (unsigned i = 0; i < 16; ++i)
+        EXPECT_FALSE(as->populated(fixed + pageAddr(i)));
+
+    // The range maps cleanly afterwards; munmap clears each VMA.
+    ASSERT_TRUE(as->mapAt(fixed, 16 * kPageSize, Perm::rw(), true, true));
+    EXPECT_EQ(as->populatedPages(), 25u);
+    ASSERT_TRUE(as->munmap(eager, 8 * kPageSize));
+    EXPECT_FALSE(as->populated(eager));
+    EXPECT_EQ(as->populatedPages(), 17u);
+    ASSERT_TRUE(as->munmap(lazy, 4 * kPageSize));
+    EXPECT_FALSE(as->populated(lazy + kPageSize));
+    EXPECT_EQ(as->populatedPages(), 16u);
+    ASSERT_TRUE(as->munmap(fixed, 16 * kPageSize));
+    EXPECT_EQ(as->populatedPages(), 0u);
+    EXPECT_EQ(kernel.dataAllocator().freeBytes(),
+              free_before + 9 * kPageSize);
+}
+
 TEST_F(OsFaultTest, PtPoolMissFallsBackToTableProtectedFrame)
 {
     KernelConfig config;

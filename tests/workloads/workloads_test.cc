@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "workloads/env.h"
 #include "workloads/gap.h"
 #include "workloads/lmbench.h"
@@ -148,6 +150,29 @@ TEST(Lmbench, SchemesOrderAsExpected)
     EXPECT_LT(us[0], us[2]);          // PMP < PMPT
     EXPECT_LE(us[1], us[2]);          // HPMP <= PMPT
     EXPECT_LT(us[1] - us[0], us[2] - us[0]); // HPMP recovers
+}
+
+TEST(Lmbench, PageFaultArenasDoNotLeakFrames)
+{
+    // Each pagefault round faults in a fresh page of an 8 MiB arena;
+    // an exhausted arena is unmapped before the next one is mapped,
+    // so across three arenas the data allocator stays within one
+    // arena of where the first left it. (PMPT takes its PT frames
+    // from the same allocator, so those count too.)
+    constexpr unsigned kArenaPages = 8_MiB / kPageSize;
+    TeeEnv env(cfg(IsolationScheme::PmpTable));
+    LmbenchSuite suite(env);
+    const PageAllocator &data = env.hostKernel().dataAllocator();
+
+    // run() adds one warm-up call, so each run fills exactly one arena.
+    suite.run("pagefault", kArenaPages - 1);
+    const uint64_t first = data.freeBytes();
+    for (int arena = 1; arena < 3; ++arena) {
+        suite.run("pagefault", kArenaPages - 1);
+        const uint64_t now = data.freeBytes();
+        EXPECT_LE(std::max(now, first) - std::min(now, first), 8_MiB)
+            << "arena " << arena;
+    }
 }
 
 TEST(Lmbench, AllSyscallsRun)
