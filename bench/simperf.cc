@@ -1,9 +1,9 @@
 /**
  * @file
  * Simulator-throughput regression benchmarks: host-side cost of one
- * simulated access per scheme and state, plus PMP-table update
- * throughput. These guard the engineering quality of the simulator
- * itself rather than reproducing a paper figure.
+ * simulated access per scheme and state, plus PMP-table update and
+ * domain-measurement throughput. These guard the engineering quality
+ * of the simulator itself rather than reproducing a paper figure.
  *
  * Two layers:
  *   - google-benchmark micros (BM_*), run with the usual flags;
@@ -24,6 +24,7 @@
 #include "base/rng.h"
 #include "base/stats.h"
 #include "bench/common.h"
+#include "monitor/attestation.h"
 #include "workloads/virt_env.h"
 
 namespace hpmp::bench
@@ -124,6 +125,41 @@ BM_ColdWalk(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ColdWalk);
+
+/**
+ * Measure a 64 MiB region in which only every 256th page holds data:
+ * the shape of a freshly granted domain. Cost should follow the few
+ * backed pages, not the region size.
+ */
+void
+BM_MeasureSparse(benchmark::State &state)
+{
+    PhysMem mem(16_GiB);
+    constexpr Addr kBase = 4_GiB;
+    constexpr uint64_t kSize = 64_MiB;
+    for (Addr page = kBase; page < kBase + kSize; page += 256 * kPageSize)
+        mem.write64(page + 64, page);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(Attestor::measure(mem, kBase, kSize));
+    state.SetBytesProcessed(state.iterations() * kSize);
+}
+BENCHMARK(BM_MeasureSparse)->Unit(benchmark::kMicrosecond);
+
+/** Measure 4 MiB of fully populated random pages: the dense worst case. */
+void
+BM_MeasurePopulated(benchmark::State &state)
+{
+    PhysMem mem(16_GiB);
+    constexpr Addr kBase = 4_GiB;
+    constexpr uint64_t kSize = 4_MiB;
+    Rng rng(5);
+    for (Addr a = kBase; a < kBase + kSize; a += 8)
+        mem.write64(a, rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(Attestor::measure(mem, kBase, kSize));
+    state.SetBytesProcessed(state.iterations() * kSize);
+}
+BENCHMARK(BM_MeasurePopulated)->Unit(benchmark::kMicrosecond);
 
 /** One scheme's throughput measurement for BENCH_simperf.json. */
 struct SimperfResult

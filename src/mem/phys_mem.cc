@@ -117,6 +117,14 @@ PhysMem::writeBytes(Addr addr, const void *buf, uint64_t len)
     }
 }
 
+const uint8_t *
+PhysMem::pageData(Addr addr) const
+{
+    checkRange(addr, 1);
+    const Page *page = pageForConst(addr);
+    return page ? page->data() : nullptr;
+}
+
 void
 PhysMem::zeroPage(Addr page_base)
 {

@@ -43,6 +43,14 @@ class PhysMem
     void readBytes(Addr addr, void *buf, uint64_t len) const;
     void writeBytes(Addr addr, const void *buf, uint64_t len);
 
+    /**
+     * Read-only view of the host bytes of the 4 KiB page containing
+     * addr, or nullptr when the page has no host backing (it reads as
+     * zeros). Valid until the page is released. Lets bulk readers such
+     * as the Merkle measurement hash a page in place.
+     */
+    const uint8_t *pageData(Addr addr) const;
+
     /** Zero an entire naturally aligned 4 KiB page. */
     void zeroPage(Addr page_base);
 

@@ -1,39 +1,17 @@
 #include "migrate/msg_channel.h"
 
 #include "base/fault_inject.h"
+#include "base/hash.h"
 
 namespace hpmp
 {
 
-namespace
-{
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t
-fnvFold(uint64_t h, uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-} // namespace
-
 uint64_t
 MsgChannel::checksumOf(const MsgFrame &frame)
 {
-    uint64_t h = kFnvOffset;
-    h = fnvFold(h, frame.seq);
-    h = fnvFold(h, frame.totalFrames);
-    for (uint8_t b : frame.payload) {
-        h ^= b;
-        h *= kFnvPrime;
-    }
-    return h;
+    const uint64_t header =
+        fnvFold(fnvFold(kFnvBasis, frame.seq), frame.totalFrames);
+    return fnvBytes(frame.payload.data(), frame.payload.size(), header);
 }
 
 bool

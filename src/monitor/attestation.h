@@ -13,6 +13,7 @@
 #ifndef HPMP_MONITOR_ATTESTATION_H
 #define HPMP_MONITOR_ATTESTATION_H
 
+#include "base/hash.h"
 #include "monitor/merkle.h"
 
 namespace hpmp
@@ -36,7 +37,7 @@ class Attestor
     static MerkleHash
     measure(const PhysMem &mem, Addr base, uint64_t size)
     {
-        return MerkleTree(mem, base, size).rootHash();
+        return merkleRoot(mem, base, size);
     }
 
     /** Fold two measurements (multi-region domains). */
@@ -44,7 +45,7 @@ class Attestor
     fold(MerkleHash a, MerkleHash b)
     {
         MerkleHash pair[2] = {a, b};
-        return merkleHashBytes(pair, sizeof(pair));
+        return fnvBytes(pair, sizeof(pair));
     }
 
     /** Produce a signed report over (measurement, nonce). */
@@ -71,7 +72,7 @@ class Attestor
     mac(MerkleHash measurement, uint64_t nonce) const
     {
         uint64_t buf[3] = {key_, measurement, nonce};
-        return merkleHashBytes(buf, sizeof(buf));
+        return fnvBytes(buf, sizeof(buf));
     }
 
     uint64_t key_;

@@ -1,49 +1,78 @@
 #include "monitor/merkle.h"
 
+#include <bit>
 #include <vector>
 
 #include "base/bitfield.h"
+#include "base/hash.h"
 #include "base/logging.h"
 
 namespace hpmp
 {
 
-MerkleHash
-merkleHashBytes(const void *data, size_t len, MerkleHash seed)
-{
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    MerkleHash h = seed;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace
 {
+
+/** FNV-1a of an all-zero page: the hash of every unbacked page. */
+constexpr MerkleHash kZeroPageHash = fnvZeros(kPageSize);
 
 /** Combine two child hashes into a parent. */
 MerkleHash
 combine(MerkleHash left, MerkleHash right)
 {
     MerkleHash pair[2] = {left, right};
-    return merkleHashBytes(pair, sizeof(pair), 0x9e3779b97f4a7c15ULL);
+    return fnvBytes(pair, sizeof(pair), kGoldenGamma);
+}
+
+/** Hash the page at page_base in place (no copy). */
+MerkleHash
+pageHash(const PhysMem &mem, Addr page_base)
+{
+    const uint8_t *data = mem.pageData(page_base);
+    return data ? fnvBytes(data, kPageSize) : kZeroPageHash;
+}
+
+void
+checkRegion(Addr base, uint64_t size)
+{
+    fatal_if(base % kPageSize || size % kPageSize || size == 0,
+             "merkle region must be page aligned and non-empty");
 }
 
 } // namespace
+
+MerkleHash
+merkleRoot(const PhysMem &mem, Addr base, uint64_t size)
+{
+    checkRegion(base, size);
+    const uint64_t pages = size / kPageSize;
+    // Leaves past the region are the implicit zero padding.
+    std::vector<MerkleHash> level(std::bit_ceil(pages), 0);
+    for (uint64_t i = 0; i < pages; ++i)
+        level[i] = pageHash(mem, base + i * kPageSize);
+    for (uint64_t width = level.size(); width > 1; width /= 2) {
+        // Runs of equal sibling pairs (unbacked pages, padding) are
+        // the common case: reuse the previous pair's parent.
+        MerkleHash left = 0, right = 0, parent = combine(0, 0);
+        for (uint64_t i = 0; i < width / 2; ++i) {
+            if (level[2 * i] != left || level[2 * i + 1] != right) {
+                left = level[2 * i];
+                right = level[2 * i + 1];
+                parent = combine(left, right);
+            }
+            level[i] = parent;
+        }
+    }
+    return level[0];
+}
 
 MerkleTree::MerkleTree(const PhysMem &mem, Addr base, uint64_t size)
     : mem_(mem),
       base_(base),
       size_(size)
 {
-    fatal_if(base % kPageSize || size % kPageSize || size == 0,
-             "merkle region must be page aligned and non-empty");
-    const uint64_t pages = size / kPageSize;
-    leaves_ = 1;
-    while (leaves_ < pages)
-        leaves_ <<= 1;
+    checkRegion(base, size);
+    leaves_ = std::bit_ceil(size / kPageSize);
 
     // Leaves occupy heap indices [leaves_, 2*leaves_).
     for (uint64_t i = 0; i < leaves_; ++i)
@@ -57,10 +86,7 @@ MerkleTree::hashPage(uint64_t leaf_index) const
 {
     if (leaf_index * kPageSize >= size_)
         return 0; // implicit zero padding
-    std::vector<uint8_t> buf(kPageSize);
-    mem_.readBytes(base_ + leaf_index * kPageSize, buf.data(),
-                   kPageSize);
-    return merkleHashBytes(buf.data(), buf.size());
+    return pageHash(mem_, base_ + leaf_index * kPageSize);
 }
 
 MerkleHash

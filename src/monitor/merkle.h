@@ -11,7 +11,9 @@
  * at creation and to detect physical tampering.
  *
  * Hashing is FNV-1a-based (not cryptographically strong — this is a
- * simulator; the structure and update/verify costs are the point).
+ * simulator; the structure and update/verify costs are the point). A
+ * leaf is the exact FNV-1a of its page's bytes, read in place; a page
+ * with no host backing reads as zeros and hashes to one constant.
  */
 
 #ifndef HPMP_MONITOR_MERKLE_H
@@ -29,9 +31,12 @@ namespace hpmp
 /** 64-bit node hash. */
 using MerkleHash = uint64_t;
 
-/** Hash a raw byte buffer (FNV-1a, seeded). */
-MerkleHash merkleHashBytes(const void *data, size_t len,
-                           MerkleHash seed = 0xcbf29ce484222325ULL);
+/**
+ * Root of the tree MerkleTree(mem, base, size) would build, computed
+ * over one flat vector reduced level by level with no node map: the
+ * cost of a measurement that never verifies, updates or remounts.
+ */
+MerkleHash merkleRoot(const PhysMem &mem, Addr base, uint64_t size);
 
 /** Merkle tree over a contiguous physical region. */
 class MerkleTree

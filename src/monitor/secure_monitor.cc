@@ -4,6 +4,7 @@
 
 #include "base/bitfield.h"
 #include "base/fault_inject.h"
+#include "base/hash.h"
 #include "base/logging.h"
 #include "base/trace.h"
 #include "core/smp.h"
@@ -26,12 +27,6 @@ struct MonitorAbort
     MonitorError code;
     std::string msg;
 };
-
-uint64_t
-digestFold(uint64_t h, uint64_t v)
-{
-    return (h ^ v) * 0x100000001b3ULL; // FNV-1a step
-}
 
 } // namespace
 
@@ -1805,9 +1800,9 @@ SecureMonitor::hartStateDigest(unsigned hart, bool include_table_contents,
                             include_csr_counter);
     if (include_virt && smp_->virtEnabled()) {
         const VirtMachine &vm = smp_->virtHart(hart);
-        h = digestFold(h, vm.vsatpRoot());
-        h = digestFold(h, vm.hgatpRoot());
-        h = digestFold(h, uint64_t(vm.guestPriv()));
+        h = fnvWordStep(h, vm.vsatpRoot());
+        h = fnvWordStep(h, vm.hgatpRoot());
+        h = fnvWordStep(h, uint64_t(vm.guestPriv()));
     }
     return h;
 }
@@ -1817,55 +1812,56 @@ SecureMonitor::digestWith(const HpmpUnit &unit,
                           bool include_table_contents,
                           bool include_csr_counter) const
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    h = digestFold(h, current_);
-    h = digestFold(h, domains_.nextIndex());
-    h = digestFold(h, tableFrameNext_);
-    h = digestFold(h, tableWritesTotal_);
-    h = digestFold(h, heatClock_);
-    h = digestFold(h, rasFatal_);
+    uint64_t h = kFnvBasis;
+    h = fnvWordStep(h, current_);
+    h = fnvWordStep(h, domains_.nextIndex());
+    h = fnvWordStep(h, tableFrameNext_);
+    h = fnvWordStep(h, tableWritesTotal_);
+    h = fnvWordStep(h, heatClock_);
+    h = fnvWordStep(h, rasFatal_);
     // Order-independent fold of the quarantine set: hash-set
     // iteration order is not stable across rehashes.
     uint64_t q = 0;
     for (const Addr page : quarantine_)
-        q ^= (page ^ 0x9e3779b97f4a7c15ULL) * 0x100000001b3ULL;
-    h = digestFold(h, q);
-    h = digestFold(h, quarantine_.size());
+        q ^= fnvScramble(page);
+    h = fnvWordStep(h, q);
+    h = fnvWordStep(h, quarantine_.size());
 
     // Siblings fenced by a coalesced window apply one *net* register
     // diff where the committing hart paid per-commit diffs, so their
     // CSR-write counters legitimately trail the canonical hart's.
     // Convergence checks exclude the counter; rollback checks keep it.
     if (include_csr_counter)
-        h = digestFold(h, unit.csrWrites());
+        h = fnvWordStep(h, unit.csrWrites());
     const PmpUnit &regs = unit.regs();
     for (unsigned i = 0; i < regs.numEntries(); ++i) {
-        h = digestFold(h, regs.addr(i));
-        h = digestFold(h, regs.cfg(i).raw);
+        h = fnvWordStep(h, regs.addr(i));
+        h = fnvWordStep(h, regs.cfg(i).raw);
     }
 
     domains_.forEach([&](DomainId id, const Domain &dom) {
-        h = digestFold(h, id);
-        h = digestFold(h, dom.alive);
-        h = digestFold(h, dom.migrating);
+        h = fnvWordStep(h, id);
+        h = fnvWordStep(h, dom.alive);
+        h = fnvWordStep(h, dom.migrating);
         for (const Gms &gms : dom.gmsList) {
-            h = digestFold(h, gms.base);
-            h = digestFold(h, gms.size);
-            h = digestFold(h, uint64_t(gms.perm.r) | uint64_t(gms.perm.w) << 1 |
-                                  uint64_t(gms.perm.x) << 2);
-            h = digestFold(h, uint64_t(gms.label));
-            h = digestFold(h, gms.shared);
-            h = digestFold(h, gms.heat);
+            h = fnvWordStep(h, gms.base);
+            h = fnvWordStep(h, gms.size);
+            h = fnvWordStep(h, uint64_t(gms.perm.r) |
+                                   uint64_t(gms.perm.w) << 1 |
+                                   uint64_t(gms.perm.x) << 2);
+            h = fnvWordStep(h, uint64_t(gms.label));
+            h = fnvWordStep(h, gms.shared);
+            h = fnvWordStep(h, gms.heat);
         }
         if (dom.table) {
-            h = digestFold(h, dom.table->rootPa());
-            h = digestFold(h, dom.table->levels());
-            h = digestFold(h, dom.table->entryWrites());
-            h = digestFold(h, dom.table->tablePages().size());
+            h = fnvWordStep(h, dom.table->rootPa());
+            h = fnvWordStep(h, dom.table->levels());
+            h = fnvWordStep(h, dom.table->entryWrites());
+            h = fnvWordStep(h, dom.table->tablePages().size());
             if (include_table_contents) {
                 for (const Addr page : dom.table->tablePages()) {
                     for (unsigned i = 0; i < kPageSize / 8; ++i) {
-                        h = digestFold(
+                        h = fnvWordStep(
                             h, machine_.mem().read64(page + i * 8));
                     }
                 }

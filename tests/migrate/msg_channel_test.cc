@@ -136,5 +136,25 @@ TEST(MsgChannelTest, DuplicatedFramesDedupThroughTheWindow)
     EXPECT_EQ(dups, 1u);
 }
 
+TEST(MsgChannelTest, ChecksumGolden)
+{
+    // Recorded from the byte-serial checksum; the word-at-a-time one
+    // must match it. The payload mixes zero and non-zero 8-byte words
+    // and ends in a partial word.
+    MsgFrame f;
+    f.seq = 3;
+    f.totalFrames = 17;
+    f.payload.assign(101, 0);
+    for (size_t i = 0; i < f.payload.size(); i += 13)
+        f.payload[i] = uint8_t(0x30 + i);
+    f.payload[100] = 0xee;
+    EXPECT_EQ(MsgChannel::checksumOf(f), 0x0064dfc99d2c346bULL);
+
+    // The checksum covers the header words too.
+    MsgFrame other = f;
+    other.seq = 4;
+    EXPECT_NE(MsgChannel::checksumOf(other), MsgChannel::checksumOf(f));
+}
+
 } // namespace
 } // namespace hpmp

@@ -1,11 +1,14 @@
 /**
  * @file
  * Mountable-Merkle-tree tests: build/verify, tamper detection, legal
- * updates, mount/unmount footprint and tamper-while-unmounted.
+ * updates, mount/unmount footprint, tamper-while-unmounted, and the
+ * flat measurement root against the tree's.
  */
 
 #include <gtest/gtest.h>
 
+#include "base/hash.h"
+#include "base/rng.h"
 #include "monitor/merkle.h"
 
 namespace hpmp
@@ -97,9 +100,53 @@ TEST(MerkleHashFn, BasicProperties)
 {
     uint8_t a[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     uint8_t b[8] = {1, 2, 3, 4, 5, 6, 7, 9};
-    EXPECT_NE(merkleHashBytes(a, 8), merkleHashBytes(b, 8));
-    EXPECT_EQ(merkleHashBytes(a, 8), merkleHashBytes(a, 8));
-    EXPECT_NE(merkleHashBytes(a, 8, 1), merkleHashBytes(a, 8, 2));
+    EXPECT_NE(fnvBytes(a, 8), fnvBytes(b, 8));
+    EXPECT_EQ(fnvBytes(a, 8), fnvBytes(a, 8));
+    EXPECT_NE(fnvBytes(a, 8, 1), fnvBytes(a, 8, 2));
+}
+
+TEST(MerkleRoot, FlatRootMatchesTheMountableTree)
+{
+    // Regions of 1..67 pages (mostly not powers of two) over a mix of
+    // unbacked pages, pages backed by zeroPage (all zero), and sparse
+    // data pages.
+    PhysMem mem(1_GiB);
+    constexpr Addr kBase = 32_MiB;
+    Rng rng(11);
+    for (unsigned p = 0; p < 67; ++p) {
+        const Addr page = kBase + p * kPageSize;
+        switch (rng.below(3)) {
+          case 0:
+            break; // never touched: no host backing
+          case 1:
+            mem.zeroPage(page);
+            break;
+          default:
+            for (unsigned w = rng.below(4); w < 5; ++w) {
+                mem.write64(page + 8 * rng.below(kPageSize / 8),
+                            rng.next());
+            }
+        }
+    }
+    for (uint64_t pages = 1; pages <= 67; ++pages) {
+        for (const Addr base : {kBase, kBase + 3 * kPageSize}) {
+            const uint64_t size = pages * kPageSize;
+            EXPECT_EQ(merkleRoot(mem, base, size),
+                      MerkleTree(mem, base, size).rootHash())
+                << pages << " pages at " << base;
+        }
+    }
+}
+
+TEST(MerkleRoot, BackedZeroPageHashesLikeAnUnbackedOne)
+{
+    PhysMem mem(1_GiB);
+    const MerkleHash unbacked = merkleRoot(mem, 8_MiB, 3 * kPageSize);
+    mem.zeroPage(8_MiB + kPageSize);
+    ASSERT_EQ(mem.backedPages(), 1u);
+    EXPECT_EQ(merkleRoot(mem, 8_MiB, 3 * kPageSize), unbacked);
+    mem.write8(8_MiB + kPageSize + 4095, 1);
+    EXPECT_NE(merkleRoot(mem, 8_MiB, 3 * kPageSize), unbacked);
 }
 
 } // namespace
