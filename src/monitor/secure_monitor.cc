@@ -1780,24 +1780,21 @@ SecureMonitor::remoteShootdown()
 }
 
 uint64_t
-SecureMonitor::stateDigest(bool include_table_contents) const
+SecureMonitor::stateDigest() const
 {
-    return digestWith(machine_.hpmp(), include_table_contents);
+    return digestWith(machine_.hpmp());
 }
 
 uint64_t
-SecureMonitor::hartStateDigest(unsigned hart, bool include_table_contents,
-                               bool include_virt,
+SecureMonitor::hartStateDigest(unsigned hart, bool include_virt,
                                bool include_csr_counter) const
 {
     if (!smp_) {
         panic_if(hart != 0,
                  "hartStateDigest(%u) on a single-machine monitor", hart);
-        return digestWith(machine_.hpmp(), include_table_contents,
-                          include_csr_counter);
+        return digestWith(machine_.hpmp(), include_csr_counter);
     }
-    uint64_t h = digestWith(smp_->hart(hart).hpmp(), include_table_contents,
-                            include_csr_counter);
+    uint64_t h = digestWith(smp_->hart(hart).hpmp(), include_csr_counter);
     if (include_virt && smp_->virtEnabled()) {
         const VirtMachine &vm = smp_->virtHart(hart);
         h = fnvWordStep(h, vm.vsatpRoot());
@@ -1809,7 +1806,6 @@ SecureMonitor::hartStateDigest(unsigned hart, bool include_table_contents,
 
 uint64_t
 SecureMonitor::digestWith(const HpmpUnit &unit,
-                          bool include_table_contents,
                           bool include_csr_counter) const
 {
     uint64_t h = kFnvBasis;
@@ -1858,13 +1854,9 @@ SecureMonitor::digestWith(const HpmpUnit &unit,
             h = fnvWordStep(h, dom.table->levels());
             h = fnvWordStep(h, dom.table->entryWrites());
             h = fnvWordStep(h, dom.table->tablePages().size());
-            if (include_table_contents) {
-                for (const Addr page : dom.table->tablePages()) {
-                    for (unsigned i = 0; i < kPageSize / 8; ++i) {
-                        h = fnvWordStep(
-                            h, machine_.mem().read64(page + i * 8));
-                    }
-                }
+            for (const Addr page : dom.table->tablePages()) {
+                for (unsigned i = 0; i < kPageSize / 8; ++i)
+                    h = fnvWordStep(h, machine_.mem().read64(page + i * 8));
             }
         }
     });

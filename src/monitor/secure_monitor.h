@@ -396,13 +396,8 @@ class SecureMonitor
      * 64-bit digest. Two equal digests mean bit-identical state; the
      * chaos fuzzer uses this to prove that failed calls rolled back
      * completely.
-     *
-     * @param include_table_contents hash every pmpte word too. This is
-     *        the strongest (and default) form; pass false for a cheap
-     *        digest covering metadata only when hashing whole tables
-     *        per operation is too slow (sanitizer fuzz runs).
      */
-    uint64_t stateDigest(bool include_table_contents = true) const;
+    uint64_t stateDigest() const;
 
     /**
      * stateDigest as seen from one hart: the shared monitor metadata
@@ -426,9 +421,7 @@ class SecureMonitor
      * Rollback checks keep the counter: a failed call must restore
      * each hart bit-identically, counter included.
      */
-    uint64_t hartStateDigest(unsigned hart,
-                             bool include_table_contents = true,
-                             bool include_virt = true,
+    uint64_t hartStateDigest(unsigned hart, bool include_virt = true,
                              bool include_csr_counter = true) const;
 
     /** The machine this monitor controls. */
@@ -526,7 +519,6 @@ class SecureMonitor
 
     /** stateDigest seen through a specific hart's register file. */
     uint64_t digestWith(const HpmpUnit &unit,
-                        bool include_table_contents,
                         bool include_csr_counter = true) const;
 
     /** Account cycles for CSR/table writes since the last snapshot. */

@@ -1,7 +1,10 @@
 #include "verify/decision.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace hpmp::verify
@@ -24,16 +27,25 @@ namespace
 bool
 kindFromString(const std::string &s, DecisionKind &out)
 {
-    if (s == "sched") {
-        out = DecisionKind::Sched;
-    } else if (s == "fault") {
-        out = DecisionKind::Fault;
-    } else if (s == "inject") {
-        out = DecisionKind::Inject;
-    } else {
-        return false;
+    for (const DecisionKind kind :
+         {DecisionKind::Sched, DecisionKind::Fault, DecisionKind::Inject}) {
+        if (s == toString(kind)) {
+            out = kind;
+            return true;
+        }
     }
-    return true;
+    return false;
+}
+
+/** The rest of a tagged line, without the separating space. */
+std::string
+restOf(std::istringstream &ls)
+{
+    std::string rest;
+    std::getline(ls, rest);
+    if (!rest.empty() && rest[0] == ' ')
+        rest.erase(0, 1);
+    return rest;
 }
 
 /** The description travels on one line; fold newlines away. */
@@ -48,6 +60,17 @@ oneLine(const std::string &s)
 }
 
 } // namespace
+
+bool
+parseUnsigned(const std::string &text, uint64_t &out)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text.c_str(), &end, 0);
+    return errno == 0 && *end == '\0';
+}
 
 std::string
 serializeTrace(const DecisionTrace &trace)
@@ -85,6 +108,10 @@ parseTrace(const std::string &text, DecisionTrace &out, std::string &error)
     std::istringstream is(text);
     std::string line;
     unsigned lineno = 0;
+    auto bad = [&](const std::string &why) {
+        error = "line " + std::to_string(lineno) + ": " + why;
+        return false;
+    };
     while (std::getline(is, line)) {
         ++lineno;
         if (line.empty() || line[0] == '#')
@@ -93,11 +120,7 @@ parseTrace(const std::string &text, DecisionTrace &out, std::string &error)
         std::string tag;
         ls >> tag;
         if (tag == "config") {
-            std::string rest;
-            std::getline(ls, rest);
-            if (!rest.empty() && rest[0] == ' ')
-                rest.erase(0, 1);
-            out.configLines.push_back(rest);
+            out.configLines.push_back(restOf(ls));
         } else if (tag == "violation") {
             out.violated = true;
             std::string field;
@@ -107,60 +130,51 @@ parseTrace(const std::string &text, DecisionTrace &out, std::string &error)
                     continue;
                 const std::string key = field.substr(0, eq);
                 const std::string val = field.substr(eq + 1);
+                uint64_t v = 0;
                 if (key == "kind") {
                     out.violation.kind = val;
+                } else if (key != "op" && key != "digest") {
+                    continue;
+                } else if (!parseUnsigned(val, v)) {
+                    return bad("bad " + key + " '" + val + "'");
                 } else if (key == "op") {
-                    out.violation.opIndex =
-                        unsigned(std::strtoul(val.c_str(), nullptr, 0));
-                } else if (key == "digest") {
-                    out.violation.stateDigest =
-                        std::strtoull(val.c_str(), nullptr, 0);
+                    out.violation.opIndex = unsigned(v);
+                } else {
+                    out.violation.stateDigest = v;
                 }
             }
         } else if (tag == "violation_desc") {
-            std::string rest;
-            std::getline(ls, rest);
-            if (!rest.empty() && rest[0] == ' ')
-                rest.erase(0, 1);
-            out.violation.description = rest;
+            out.violation.description = restOf(ls);
         } else if (tag == "d") {
             Decision d;
-            std::string kind, alt;
-            if (!(ls >> kind >> alt) || !kindFromString(kind, d.kind)) {
-                error = "line " + std::to_string(lineno) +
-                        ": bad decision";
-                return false;
-            }
+            std::string kind, alt, label, extra;
+            if (!(ls >> kind >> alt) || !kindFromString(kind, d.kind))
+                return bad("bad decision");
             const auto slash = alt.find('/');
-            if (slash == std::string::npos) {
-                error = "line " + std::to_string(lineno) +
-                        ": bad alt index '" + alt + "'";
-                return false;
+            uint64_t index = 0, alts = 0, hart = 0;
+            if (slash == std::string::npos ||
+                !parseUnsigned(alt.substr(0, slash), index) ||
+                !parseUnsigned(alt.substr(slash + 1), alts)) {
+                return bad("bad alt index '" + alt + "'");
             }
-            d.altIndex = unsigned(
-                std::strtoul(alt.substr(0, slash).c_str(), nullptr, 10));
-            d.numAlts = unsigned(
-                std::strtoul(alt.substr(slash + 1).c_str(), nullptr, 10));
-            std::string label;
-            if (ls >> label) {
-                if (d.kind == DecisionKind::Sched && label.size() > 1 &&
-                    label[0] == 'h') {
-                    d.value = unsigned(
-                        std::strtoul(label.c_str() + 1, nullptr, 10));
-                } else {
-                    d.label = label;
+            if (alts < 2 || index >= alts || alts > UINT32_MAX)
+                return bad("alt out of range");
+            d.altIndex = unsigned(index);
+            d.numAlts = unsigned(alts);
+            if (ls >> label && d.kind == DecisionKind::Sched) {
+                if (label.size() < 2 || label[0] != 'h' ||
+                    !parseUnsigned(label.substr(1), hart)) {
+                    return bad("bad hart '" + label + "'");
                 }
+                d.value = unsigned(hart);
+            } else {
+                d.label = label;
             }
-            if (d.numAlts < 2 || d.altIndex >= d.numAlts) {
-                error = "line " + std::to_string(lineno) +
-                        ": alt out of range";
-                return false;
-            }
+            if (ls >> extra)
+                return bad("trailing junk '" + extra + "'");
             out.decisions.push_back(std::move(d));
         } else {
-            error = "line " + std::to_string(lineno) +
-                    ": unknown tag '" + tag + "'";
-            return false;
+            return bad("unknown tag '" + tag + "'");
         }
     }
     return true;

@@ -76,9 +76,16 @@ struct DecisionTrace
 /** Serialize to the line-oriented counterexample format. */
 std::string serializeTrace(const DecisionTrace &trace);
 
-/** Parse a serialized trace. @return false (and set error) on junk. */
+/** Parse a serialized trace. @return false (and set error) on junk,
+ *  including a number with trailing junk. */
 bool parseTrace(const std::string &text, DecisionTrace &out,
                 std::string &error);
+
+/**
+ * Parse a whole unsigned number — decimal, or hex with a 0x prefix.
+ * @return false on an empty string, a sign, overflow or trailing junk.
+ */
+bool parseUnsigned(const std::string &text, uint64_t &out);
 
 } // namespace hpmp::verify
 

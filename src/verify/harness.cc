@@ -1,21 +1,22 @@
 #include "verify/harness.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "base/addr.h"
 #include "base/fault_inject.h"
 #include "base/hash.h"
 #include "base/logging.h"
-#include "core/params.h"
 #include "core/smp.h"
 #include "migrate/migration.h"
-#include "monitor/invariants.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
+#include "verify/contracts.h"
 
 namespace hpmp::verify
 {
@@ -33,12 +34,6 @@ Addr
 regionOf(unsigned enclave) // 1-based
 {
     return kRegionBase + Addr(enclave - 1) * kRegionStride;
-}
-
-Addr
-extraRegionOf(unsigned enclave)
-{
-    return regionOf(enclave) + 32_MiB;
 }
 
 uint64_t
@@ -81,9 +76,7 @@ struct PathController
            const std::string &label)
     {
         panic_if(alts.empty(), "decision point with no alternatives");
-        if (alts.size() == 1)
-            return alts[0];
-        if (truncated)
+        if (alts.size() == 1 || truncated)
             return alts[0];
         if (depthLimit != 0 && made.size() >= depthLimit) {
             truncated = true;
@@ -105,12 +98,9 @@ struct PathController
                     std::to_string(f.numAlts) + ", run offers " +
                     std::string(toString(kind)) + " ?/" +
                     std::to_string(d.numAlts);
-                d.altIndex = 0;
             } else {
                 d.altIndex = f.altIndex;
             }
-        } else {
-            d.altIndex = 0;
         }
         d.value = alts[d.altIndex];
         made.push_back(d);
@@ -119,6 +109,42 @@ struct PathController
 };
 
 const std::vector<unsigned> kBinaryAlts{0, 1};
+
+constexpr std::pair<const char *, IsolationScheme> kSchemeNames[] = {
+    {"hpmp", IsolationScheme::Hpmp},
+    {"pmpt", IsolationScheme::PmpTable},
+    {"pmp", IsolationScheme::Pmp},
+};
+
+/** Record the path's violation, stamped with the state key at detection. */
+void
+recordViolation(RunOutcome &out, const std::string &kind,
+                const std::string &what, unsigned op, uint64_t key)
+{
+    out.violated = true;
+    out.violation = {kind, what, op, key};
+    out.finalDigest = key;
+}
+
+/**
+ * Hand a finished path's decisions and flags to `out`. With
+ * `count_decisions`, the decisions past the forced prefix count as the
+ * path's new transitions (scripts without per-op dedup); the prefix
+ * test runs on the moved-from decision list, so only an unforced path
+ * counts any.
+ */
+void
+finishPath(PathController &ctl, RunOutcome &out, bool count_decisions)
+{
+    out.decisions = std::move(ctl.made);
+    out.truncated = ctl.truncated;
+    out.divergence = ctl.divergence;
+    out.divergenceWhy = ctl.divergenceWhy;
+    if (count_decisions && ctl.pastPrefix()) {
+        out.newTransitions =
+            out.decisions.size() - (ctl.forced ? ctl.forced->size() : 0);
+    }
+}
 
 /**
  * One path's decision state with the fault-branch tap installed. The
@@ -163,81 +189,6 @@ struct FaultBranching
     FaultBranching &operator=(const FaultBranching &) = delete;
 };
 
-// ---- interleave hook: stale checker + nested-call injection -------
-
-class VerifyHook : public InterleaveHook
-{
-  public:
-    VerifyHook(SmpSystem &smp, SecureMonitor &monitor,
-               StaleChecker &checker, PathController &ctl)
-        : smp_(smp), monitor_(monitor), checker_(checker), ctl_(ctl)
-    {
-    }
-
-    void
-    onIpiStep(const IpiEvent &event) override
-    {
-        checker_.onIpiStep(event);
-        switch (event.phase) {
-          case IpiPhase::WindowBegin:
-            ++openWindows_;
-            break;
-          case IpiPhase::WindowEnd:
-            --openWindows_;
-            break;
-          case IpiPhase::Posted:
-          case IpiPhase::Delivered:
-            maybeInject(event);
-            break;
-          default:
-            break;
-        }
-    }
-
-    int openWindows() const { return openWindows_; }
-    const std::string &violation() const { return violation_; }
-
-  private:
-    /**
-     * Decision point: drive a nested monitor call from the victim
-     * hart mid-window. The global lock is held by the initiator, so
-     * the nested call must bounce with LockContended before touching
-     * any state — anything else is a violation.
-     */
-    void
-    maybeInject(const IpiEvent &event)
-    {
-        if (ctl_.injectsDone >= ctl_.injectBudget)
-            return;
-        if (event.dstHart == event.srcHart)
-            return;
-        const std::string label = std::string(toString(event.phase)) +
-                                  "@h" + std::to_string(event.dstHart);
-        if (ctl_.choose(DecisionKind::Inject, kBinaryAlts, label) != 1)
-            return;
-        ++ctl_.injectsDone;
-        const unsigned saved = smp_.currentHart();
-        smp_.setCurrentHart(event.dstHart);
-        const MonitorResult r = monitor_.switchTo(monitor_.currentDomain());
-        smp_.setCurrentHart(saved);
-        if (r.ok || r.code != MonitorError::LockContended) {
-            violation_ = "nested switchTo from hart " +
-                         std::to_string(event.dstHart) + " at " +
-                         toString(event.phase) +
-                         " did not bounce LockContended (got " +
-                         std::string(r.ok ? "ok" : toString(r.code)) +
-                         ")";
-        }
-    }
-
-    SmpSystem &smp_;
-    SecureMonitor &monitor_;
-    StaleChecker &checker_;
-    PathController &ctl_;
-    int openWindows_ = 0;
-    std::string violation_;
-};
-
 // ---- the monitor-call script --------------------------------------
 
 enum class OpKind : uint8_t
@@ -258,7 +209,7 @@ struct ScriptOp
     unsigned peer = 0; //!< Share: receiving domain index
     Addr addr = 0;
     uint64_t size = 0;
-    Perm perm;
+    Perm perm{};
     GmsLabel label = GmsLabel::Slow;
     AccessType type = AccessType::Load;
     const char *name = "?";
@@ -272,147 +223,59 @@ buildCoreScript(const ModelConfig &cfg)
 {
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     const Addr pageA = regionOf(1);
+    // Free space in enclave 1's 64 MiB region for the one-domain script.
+    const Addr extra = regionOf(1) + 32_MiB;
     const unsigned last = cfg.domains;
     const Addr pageLast = regionOf(last);
 
     std::vector<std::vector<ScriptOp>> script(cfg.harts);
 
     auto access = [](Addr a, AccessType t, const char *n) {
-        ScriptOp op;
-        op.kind = OpKind::Access;
-        op.addr = a;
-        op.type = t;
-        op.name = n;
-        op.local = true;
-        return op;
+        return ScriptOp{.addr = a, .type = t, .name = n, .local = true};
     };
 
     // Hart 0: the initiator-heavy path — switch in, revoke a
     // permission (the stale-grant workhorse), share + unshare.
-    {
-        auto &s = script[0];
-        ScriptOp sw;
-        sw.kind = OpKind::Switch;
-        sw.dom = 1;
-        sw.name = "switch_d1";
-        s.push_back(sw);
-
-        ScriptOp sp;
-        sp.kind = OpKind::SetPerm;
-        sp.dom = 1;
-        sp.addr = pageA;
-        sp.perm = Perm::ro();
-        sp.name = "revoke_w_A";
-        s.push_back(sp);
-
-        s.push_back(access(pageA, AccessType::Store, "store_A"));
-
-        if (cfg.domains >= 2) {
-            ScriptOp sh;
-            sh.kind = OpKind::Share;
-            sh.dom = 1;
-            sh.peer = 2;
-            sh.addr = pageA;
-            sh.perm = Perm::ro();
-            sh.name = "share_A_d2";
-            s.push_back(sh);
-
-            ScriptOp rm;
-            rm.kind = OpKind::RemoveGms;
-            rm.dom = 2;
-            rm.addr = pageA;
-            rm.name = "unshare_A_d2";
-            s.push_back(rm);
-        } else {
-            ScriptOp ad;
-            ad.kind = OpKind::AddGms;
-            ad.dom = 1;
-            ad.addr = extraRegionOf(1);
-            ad.size = gmsBytes;
-            ad.perm = Perm::rw();
-            ad.name = "add_extra";
-            s.push_back(ad);
-
-            ScriptOp rm;
-            rm.kind = OpKind::RemoveGms;
-            rm.dom = 1;
-            rm.addr = extraRegionOf(1);
-            rm.name = "remove_extra";
-            s.push_back(rm);
-        }
+    script[0] = {
+        {.kind = OpKind::Switch, .dom = 1, .name = "switch_d1"},
+        {.kind = OpKind::SetPerm, .dom = 1, .addr = pageA,
+         .perm = Perm::ro(), .name = "revoke_w_A"},
+        access(pageA, AccessType::Store, "store_A"),
+    };
+    if (cfg.domains >= 2) {
+        script[0].push_back({.kind = OpKind::Share, .dom = 1, .peer = 2,
+                             .addr = pageA, .perm = Perm::ro(),
+                             .name = "share_A_d2"});
+        script[0].push_back({.kind = OpKind::RemoveGms, .dom = 2,
+                             .addr = pageA, .name = "unshare_A_d2"});
+    } else {
+        script[0].push_back({.kind = OpKind::AddGms, .dom = 1,
+                             .addr = extra, .size = gmsBytes,
+                             .perm = Perm::rw(), .name = "add_extra"});
+        script[0].push_back({.kind = OpKind::RemoveGms, .dom = 1,
+                             .addr = extra, .name = "remove_extra"});
     }
 
     // Hart 1: a victim that also initiates — reads the revoked page,
     // switches domains, relabels.
-    if (cfg.harts >= 2) {
-        auto &s = script[1];
-        s.push_back(access(pageA, AccessType::Load, "load_A"));
-
-        ScriptOp sw;
-        sw.kind = OpKind::Switch;
-        sw.dom = last;
-        sw.name = "switch_last";
-        s.push_back(sw);
-
-        s.push_back(access(pageLast, AccessType::Store, "store_last"));
-
-        ScriptOp sl;
-        sl.kind = OpKind::SetLabel;
-        sl.dom = last;
-        sl.addr = pageLast;
-        sl.label = GmsLabel::Slow;
-        sl.name = "relabel_last";
-        s.push_back(sl);
-    }
+    script[1] = {
+        access(pageA, AccessType::Load, "load_A"),
+        {.kind = OpKind::Switch, .dom = last, .name = "switch_last"},
+        access(pageLast, AccessType::Store, "store_last"),
+        {.kind = OpKind::SetLabel, .dom = last, .addr = pageLast,
+         .label = GmsLabel::Slow, .name = "relabel_last"},
+    };
 
     // Further harts: light probes + a switch, to scale interleavings.
     for (unsigned h = 2; h < cfg.harts; ++h) {
-        auto &s = script[h];
-        s.push_back(access(pageA, AccessType::Load, "load_A"));
-        ScriptOp sw;
-        sw.kind = OpKind::Switch;
-        sw.dom = (h % cfg.domains) + 1;
-        sw.name = "switch_mod";
-        s.push_back(sw);
-        s.push_back(access(pageLast, AccessType::Load, "load_last"));
+        script[h] = {
+            access(pageA, AccessType::Load, "load_A"),
+            {.kind = OpKind::Switch, .dom = (h % cfg.domains) + 1,
+             .name = "switch_mod"},
+            access(pageLast, AccessType::Load, "load_last"),
+        };
     }
     return script;
-}
-
-const std::vector<std::string> &
-defaultCoreSites()
-{
-    static const std::vector<std::string> sites = {
-        "monitor.add_gms", "monitor.remove_gms", "monitor.set_label",
-        "monitor.set_perm", "monitor.share_gms", "monitor.switch",
-        "smp.ipi_ack",     "smp.ipi_deliver",
-    };
-    return sites;
-}
-
-const std::vector<std::string> &
-defaultMigrateSites()
-{
-    static const std::vector<std::string> sites = {
-        "migrate.ack_lost",      "migrate.checkpoint_torn",
-        "migrate.commit_crash",  "migrate.dest_attest",
-        "migrate.frame_corrupt", "migrate.frame_drop",
-        "migrate.frame_dup",
-    };
-    return sites;
-}
-
-const std::vector<std::string> &
-defaultRasSites()
-{
-    // The two containment workhorses handleMachineCheck() delegates
-    // to: branching them enumerates every failed-containment path, and
-    // the harness then demands a bit-identical rollback.
-    static const std::vector<std::string> sites = {
-        "monitor.destroy_domain",
-        "monitor.heal_table",
-    };
-    return sites;
 }
 
 } // namespace
@@ -422,11 +285,20 @@ ModelConfig::effectiveSites() const
 {
     if (!faultSites.empty())
         return faultSites;
-    if (script == "migrate")
-        return defaultMigrateSites();
+    if (script == "migrate") {
+        return {"migrate.ack_lost",      "migrate.checkpoint_torn",
+                "migrate.commit_crash",  "migrate.dest_attest",
+                "migrate.frame_corrupt", "migrate.frame_drop",
+                "migrate.frame_dup"};
+    }
+    // The two containment workhorses handleMachineCheck() delegates
+    // to: branching them enumerates every failed-containment path, and
+    // the harness then demands a bit-identical rollback.
     if (script == "ras")
-        return defaultRasSites();
-    return defaultCoreSites();
+        return {"monitor.destroy_domain", "monitor.heal_table"};
+    return {"monitor.add_gms", "monitor.remove_gms", "monitor.set_label",
+            "monitor.set_perm", "monitor.share_gms", "monitor.switch",
+            "smp.ipi_ack",     "smp.ipi_deliver"};
 }
 
 std::vector<std::string>
@@ -436,21 +308,18 @@ ModelConfig::configLines() const
     lines.push_back("harts=" + std::to_string(harts));
     lines.push_back("domains=" + std::to_string(domains));
     lines.push_back("pages=" + std::to_string(pages));
-    lines.push_back(std::string("scheme=") +
-                    (scheme == IsolationScheme::Hpmp       ? "hpmp"
-                     : scheme == IsolationScheme::PmpTable ? "pmpt"
-                                                           : "pmp"));
+    for (const auto &[name, value] : kSchemeNames) {
+        if (value == scheme)
+            lines.push_back(std::string("scheme=") + name);
+    }
     lines.push_back("script=" + script);
     lines.push_back("depth=" + std::to_string(depthLimit));
     lines.push_back("fault_branch=" + std::to_string(faultBranch ? 1 : 0));
     lines.push_back("max_faults=" + std::to_string(maxFaults));
     lines.push_back("max_injects=" + std::to_string(maxInjects));
     std::string sites;
-    for (const std::string &s : effectiveSites()) {
-        if (!sites.empty())
-            sites += ",";
-        sites += s;
-    }
+    for (const std::string &site : effectiveSites())
+        sites += (sites.empty() ? "" : ",") + site;
     lines.push_back("sites=" + sites);
     lines.push_back("mutate_skip_fence=" +
                     std::to_string(mutateSkipFenceNth));
@@ -467,46 +336,48 @@ ModelConfig::applyConfigLine(const std::string &line, std::string &error)
     }
     const std::string key = line.substr(0, eq);
     const std::string val = line.substr(eq + 1);
-    auto toU = [&](unsigned &out) {
-        out = unsigned(std::strtoul(val.c_str(), nullptr, 0));
+    // Whole unsigned numbers only: "abc", "2x" or "-1" are errors.
+    auto toU = [&](auto &out, uint64_t max) {
+        uint64_t v = 0;
+        if (!parseUnsigned(val, v) || v > max) {
+            error = "bad value for " + key + ": '" + val + "'";
+            return false;
+        }
+        out = std::remove_reference_t<decltype(out)>(v);
         return true;
     };
-    if (key == "harts")
-        return toU(harts);
-    if (key == "domains")
-        return toU(domains);
-    if (key == "pages")
-        return toU(pages);
-    if (key == "depth")
-        return toU(depthLimit);
-    if (key == "max_faults")
-        return toU(maxFaults);
-    if (key == "max_injects")
-        return toU(maxInjects);
-    if (key == "fault_branch") {
-        faultBranch = val != "0";
-        return true;
+    static constexpr std::pair<const char *, unsigned ModelConfig::*>
+        kCounts[] = {{"harts", &ModelConfig::harts},
+                     {"domains", &ModelConfig::domains},
+                     {"pages", &ModelConfig::pages},
+                     {"depth", &ModelConfig::depthLimit},
+                     {"max_faults", &ModelConfig::maxFaults},
+                     {"max_injects", &ModelConfig::maxInjects}};
+    for (const auto &[name, field] : kCounts) {
+        if (key == name)
+            return toU(this->*field, UINT32_MAX);
     }
-    if (key == "mutate_skip_fence") {
-        mutateSkipFenceNth = std::strtoull(val.c_str(), nullptr, 0);
-        return true;
-    }
+    if (key == "fault_branch")
+        return toU(faultBranch, 1);
+    if (key == "mutate_skip_fence")
+        return toU(mutateSkipFenceNth, UINT64_MAX);
     if (key == "script") {
+        if (val != "core" && val != "migrate" && val != "ras") {
+            error = "unknown script '" + val + "'";
+            return false;
+        }
         script = val;
         return true;
     }
     if (key == "scheme") {
-        if (val == "hpmp") {
-            scheme = IsolationScheme::Hpmp;
-        } else if (val == "pmpt") {
-            scheme = IsolationScheme::PmpTable;
-        } else if (val == "pmp") {
-            scheme = IsolationScheme::Pmp;
-        } else {
-            error = "unknown scheme '" + val + "'";
-            return false;
+        for (const auto &[name, value] : kSchemeNames) {
+            if (val == name) {
+                scheme = value;
+                return true;
+            }
         }
-        return true;
+        error = "unknown scheme '" + val + "'";
+        return false;
     }
     if (key == "sites") {
         faultSites.clear();
@@ -521,63 +392,63 @@ ModelConfig::applyConfigLine(const std::string &line, std::string &error)
     return false;
 }
 
+namespace
+{
+
+/**
+ * Execute one path of the monitor-call scenario. `forced` is the
+ * decision prefix to replay (nullptr = all defaults); `visited` turns
+ * on explicit-state dedup (nullptr during replay/minimization).
+ */
 RunOutcome
 runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
             StateSet *visited)
 {
-    panic_if(cfg.harts < 2, "core scenario wants >= 2 harts");
-    panic_if(cfg.domains < 1, "core scenario wants >= 1 domain");
     RunOutcome out;
 
     // Bare harts, PMPTW cache off: the per-hart digest captures the
     // complete modelled hart state (see the header comment — this is
     // the dedup-soundness requirement, not an optimization).
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = cfg.harts;
-    sp.schedSeed = 1;
-    SmpSystem smp(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor monitor(smp, mc);
-    for (unsigned h = 0; h < cfg.harts; ++h) {
-        smp.hart(h).setPriv(PrivMode::Supervisor);
-        smp.hart(h).setBare();
-    }
+    SystemFixture sys(fixtureParams(0), {.harts = cfg.harts, .schedSeed = 1},
+                      cfg.scheme);
+    SmpSystem &smp = sys.smp;
+    SecureMonitor &monitor = sys.monitor;
 
     // ---- deterministic setup, outside the decision space ----------
     FaultInjector::instance().disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
-    for (unsigned i = 1; i <= cfg.domains; ++i) {
-        dom[i] = monitor.createDomain();
-        const MonitorResult r = monitor.addGms(
-            dom[i],
-            {regionOf(i), gmsBytes, Perm::rw(), GmsLabel::Fast});
-        panic_if(!r.ok, "model setup addGms failed: %s",
-                 r.error.c_str());
-    }
+    for (unsigned i = 1; i <= cfg.domains; ++i)
+        dom[i] = sys.addDomain(regionOf(i), gmsBytes, GmsLabel::Fast);
     if (cfg.mutateSkipFenceNth != 0)
         monitor.testSkipFenceNth(cfg.mutateSkipFenceNth);
 
     StaleChecker checker(smp, monitor);
     for (unsigned h = 0; h < cfg.harts; ++h) {
-        checker.addWatch({h, regionOf(1), regionOf(1),
-                          AccessType::Store, true});
-        checker.addWatch({h, regionOf(1), regionOf(1),
-                          AccessType::Load, true});
-        if (cfg.domains >= 2) {
-            checker.addWatch({h, regionOf(cfg.domains),
-                              regionOf(cfg.domains), AccessType::Load,
-                              true});
-        }
+        for (const AccessType type : {AccessType::Store, AccessType::Load})
+            checker.addWatch({h, regionOf(1), regionOf(1), type, true});
+        const Addr last = regionOf(cfg.domains);
+        if (cfg.domains >= 2)
+            checker.addWatch({h, last, last, AccessType::Load, true});
     }
 
     FaultBranching branching(cfg, forced, cfg.maxInjects);
     PathController &ctl = branching.ctl;
-    VerifyHook hook(smp, monitor, checker, ctl);
-    smp.setInterleaveHook(&hook);
+    // The Inject decision point: drive a nested monitor call from the
+    // victim hart at this Posted/Delivered step.
+    IpiProbe probe(smp, monitor, checker, [&](const IpiEvent &event) {
+        if (ctl.injectsDone >= ctl.injectBudget ||
+            event.dstHart == event.srcHart) {
+            return false;
+        }
+        const std::string label = std::string(toString(event.phase)) +
+                                  "@h" + std::to_string(event.dstHart);
+        if (ctl.choose(DecisionKind::Inject, kBinaryAlts, label) != 1)
+            return false;
+        ++ctl.injectsDone;
+        return true;
+    });
+    smp.setInterleaveHook(&probe);
 
     // ---- the interleaved script, driven through pickHart ----------
     const auto script = buildCoreScript(cfg);
@@ -589,10 +460,9 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     });
 
     auto stateKey = [&]() {
-        uint64_t key = monitor.stateDigest(true);
+        uint64_t key = monitor.stateDigest();
         for (unsigned h = 0; h < cfg.harts; ++h)
-            key = fnvFold(key, monitor.hartStateDigest(h, true, false,
-                                                       true));
+            key = fnvFold(key, monitor.hartStateDigest(h, false));
         for (size_t p : pc)
             key = fnvFold(key, p);
         key = fnvFold(key, ctl.faultsFired);
@@ -602,15 +472,6 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
 
     unsigned opIndex = 0;
     std::vector<uint64_t> preDigests(cfg.harts);
-    auto violate = [&](const std::string &kind,
-                       const std::string &desc) {
-        out.violated = true;
-        out.violation.kind = kind;
-        out.violation.description = desc;
-        out.violation.opIndex = opIndex;
-        out.violation.stateDigest = stateKey();
-        out.finalDigest = out.violation.stateDigest;
-    };
 
     while (!out.violated && !ctl.truncated) {
         // Scheduling alternatives, with the sleep-set-style merge:
@@ -641,11 +502,8 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         branching.firedThisOp = false;
 
         const bool monitorOp = op.kind != OpKind::Access;
-        if (monitorOp) {
-            for (unsigned h = 0; h < cfg.harts; ++h)
-                preDigests[h] =
-                    monitor.hartStateDigest(h, true, false, true);
-        }
+        if (monitorOp)
+            rollbackDigests(monitor, preDigests);
 
         MonitorResult r;
         switch (op.kind) {
@@ -682,65 +540,14 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
                                   std::to_string(opIndex) + ")";
 
         // ---- per-state checks -------------------------------------
-        if (!hook.violation().empty()) {
-            violate("nested_call", hook.violation() + " during " + where);
-            break;
-        }
-        if (hook.openWindows() != 0) {
-            violate("unclosed_window",
-                    "shootdown window still open after " + where);
-            break;
-        }
-        if (monitorOp && !r.ok) {
-            for (unsigned h = 0; h < cfg.harts; ++h) {
-                const uint64_t now =
-                    monitor.hartStateDigest(h, true, false, true);
-                if (now != preDigests[h]) {
-                    violate("rollback_divergence",
-                            "failed call (" + std::string(toString(r.code)) +
-                                ") left hart " + std::to_string(h) +
-                                " digest changed after " + where);
-                    break;
-                }
-            }
-            if (out.violated)
-                break;
-        }
-        if (monitorOp && r.ok) {
-            if (branching.firedThisOp) {
-                violate("fault_swallowed",
-                        "an injected fault fired but the call "
-                        "committed ok after " +
-                            where);
-                break;
-            }
-            const uint64_t ref =
-                monitor.hartStateDigest(0, true, false, false);
-            for (unsigned h = 1; h < cfg.harts; ++h) {
-                if (monitor.hartStateDigest(h, true, false, false) !=
-                    ref) {
-                    violate("convergence_divergence",
-                            "hart " + std::to_string(h) +
-                                " digest disagrees with hart 0 after "
-                                "committed " +
-                                where);
-                    break;
-                }
-            }
-            if (out.violated)
-                break;
-        }
-        if (checker.failed()) {
-            violate("stale_checker", checker.failure());
-            break;
-        }
-        if (!checker.checkQuiescent()) {
-            violate("stale_checker", checker.failure());
-            break;
-        }
-        const std::string inv = checkIsolationInvariants(monitor);
-        if (!inv.empty()) {
-            violate("invariant", inv + " after " + where);
+        if (const Breach b = auditOp(
+                monitor, checker, probe,
+                {.result = monitorOp ? &r : nullptr,
+                 .pre = monitorOp ? &preDigests : nullptr,
+                 .convergence = monitorOp && r.ok,
+                 .faultFired = branching.firedThisOp,
+                 .where = where})) {
+            recordViolation(out, b.kind, b.what, opIndex, stateKey());
             break;
         }
 
@@ -755,10 +562,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         }
     }
 
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
+    finishPath(ctl, out, false);
     if (!out.violated)
         out.finalDigest = stateKey();
     smp.setInterleaveHook(nullptr);
@@ -766,35 +570,31 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     return out;
 }
 
+/**
+ * Execute one path of the two-host live-migration scenario: a single
+ * migration attempt with every migrate.* FAULT_POINT hit enumerated
+ * as a binary branch. Checks the cross-system no-dual-grant oracle,
+ * digest-exact abort restore, and commit/stranded grant placement.
+ */
 RunOutcome
 runMigratePath(const ModelConfig &cfg,
                const std::vector<Decision> *forced)
 {
     RunOutcome out;
 
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = 1;
-    SmpSystem srcSys(mp, sp), dstSys(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor src(srcSys, mc), dst(dstSys, mc);
-    for (SmpSystem *sys : {&srcSys, &dstSys}) {
-        sys->hart(0).setPriv(PrivMode::Supervisor);
-        sys->hart(0).setBare();
-    }
+    SystemFixture srcHost(fixtureParams(0), {.harts = 1}, cfg.scheme);
+    SystemFixture dstHost(fixtureParams(0), {.harts = 1}, cfg.scheme);
+    SecureMonitor &src = srcHost.monitor;
+    SecureMonitor &dst = dstHost.monitor;
 
     FaultInjector::instance().disable();
 
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
-    const DomainId d = src.createDomain();
-    MonitorResult r = src.addGms(
-        d, {regionOf(1), gmsBytes, Perm::rw(), GmsLabel::Fast});
-    panic_if(!r.ok, "migrate setup addGms failed: %s", r.error.c_str());
+    const DomainId d =
+        srcHost.addDomain(regionOf(1), gmsBytes, GmsLabel::Fast);
     // A recognizable memory image so checkpoint verification bites.
     for (Addr a = regionOf(1); a < regionOf(1) + gmsBytes; a += 512)
-        srcSys.mem().write64(a, a ^ 0x5a5a5a5a5a5a5a5aULL);
+        srcHost.smp.mem().write64(a, a ^ 0x5a5a5a5a5a5a5a5aULL);
 
     CrossSystemOracle oracle(src, dst);
     MigrateConfig mcfg;
@@ -810,105 +610,54 @@ runMigratePath(const ModelConfig &cfg,
     const MigrateResult res = engine.migrate(d, /*nonce=*/1);
     ++out.opsExecuted;
 
-    auto violate = [&](const std::string &kind,
-                       const std::string &desc) {
-        out.violated = true;
-        out.violation.kind = kind;
-        out.violation.description = desc;
-        out.violation.opIndex = 0;
-        uint64_t key = fnvFold(src.stateDigest(true),
-                               dst.stateDigest(true));
-        key = fnvFold(key, ctl.faultsFired);
-        out.violation.stateDigest = key;
-    };
+    if (const Breach b = judgeMigration(res, src, d, dst, oracle))
+        recordViolation(out, b.kind, b.what, 0, 0);
 
-    if (oracle.failed()) {
-        violate("dual_grant", oracle.failure());
-    } else if (res.ok) {
-        if (src.domainGrantable(d)) {
-            violate("commit_state",
-                    "committed migration left the source granting");
-        } else if (!dst.domainGrantable(res.destId)) {
-            violate("commit_state",
-                    "committed migration left the destination not "
-                    "granting");
-        }
-    } else if (res.committed || res.stranded) {
-        if (src.domainGrantable(d) ||
-            (res.destId != 0 && dst.domainGrantable(res.destId))) {
-            violate("stranded_grant",
-                    "stranded migration has a live grant (phase " +
-                        std::string(toString(res.failedPhase)) + ")");
-        }
-    } else {
-        if (res.sourcePostDigest != res.sourcePreDigest) {
-            violate("abort_digest",
-                    "aborted migration (phase " +
-                        std::string(toString(res.failedPhase)) +
-                        ") did not restore the source digest");
-        } else if (!src.domainGrantable(d)) {
-            violate("abort_grantable",
-                    "aborted migration left the domain not grantable "
-                    "on the source (phase " +
-                        std::string(toString(res.failedPhase)) + ")");
-        }
-    }
-
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
-    out.newTransitions = ctl.pastPrefix()
-                             ? out.decisions.size() -
-                                   (forced ? forced->size() : 0)
-                             : 0;
+    finishPath(ctl, out, true);
     uint64_t key =
-        fnvFold(src.stateDigest(true), dst.stateDigest(true));
+        fnvFold(src.stateDigest(), dst.stateDigest());
     out.finalDigest = fnvFold(key, ctl.faultsFired);
     if (out.violated)
         out.violation.stateDigest = out.finalDigest;
     return out;
 }
 
+/**
+ * Execute one path of the RAS containment scenario: two poison/report
+ * rounds whose placement (a victim enclave's data page, a pmpte frame
+ * of a live PMP Table, an unowned free frame, a monitor-private page)
+ * is enumerated as a decision, with monitor.destroy_domain /
+ * monitor.heal_table FAULT_POINT hits branched to cover every failed
+ * containment. Checks the blast-radius contract (only the owning
+ * domain dies, self-heals keep the measurement and re-point the root,
+ * monitor poison degrades exactly the whole host), digest-exact
+ * rollback of failed containments, and quarantine idempotency.
+ */
 RunOutcome
 runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
 {
-    panic_if(cfg.domains < 1, "ras scenario wants >= 1 domain");
     RunOutcome out;
 
-    MachineParams mp = rocketParams();
-    mp.pmptwEntries = 0;
-    SmpParams sp;
-    sp.harts = cfg.harts > 0 ? cfg.harts : 1;
-    sp.schedSeed = 1;
-    SmpSystem smp(mp, sp);
-    MonitorConfig mc;
-    mc.scheme = cfg.scheme;
-    SecureMonitor monitor(smp, mc);
-    for (unsigned h = 0; h < sp.harts; ++h) {
-        smp.hart(h).setPriv(PrivMode::Supervisor);
-        smp.hart(h).setBare();
-    }
+    SystemFixture sys(fixtureParams(0),
+                      {.harts = cfg.harts > 0 ? cfg.harts : 1, .schedSeed = 1},
+                      cfg.scheme);
+    SmpSystem &smp = sys.smp;
+    SecureMonitor &monitor = sys.monitor;
 
     FaultInjector::instance().disable();
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     std::vector<DomainId> dom(cfg.domains + 1, 0);
-    for (unsigned i = 1; i <= cfg.domains; ++i) {
-        dom[i] = monitor.createDomain();
-        // Slow label: slow GMSs live in the PMP Table under both the
-        // pmpt and hpmp schemes, so the pmpte-frame blast-radius class
-        // exists everywhere tables exist.
-        const MonitorResult r = monitor.addGms(
-            dom[i],
-            {regionOf(i), gmsBytes, Perm::rw(), GmsLabel::Slow});
-        panic_if(!r.ok, "ras setup addGms failed: %s", r.error.c_str());
-    }
+    // Slow label: slow GMSs live in the PMP Table under both the pmpt
+    // and hpmp schemes, so the pmpte-frame blast-radius class exists
+    // everywhere tables exist.
+    for (unsigned i = 1; i <= cfg.domains; ++i)
+        dom[i] = sys.addDomain(regionOf(i), gmsBytes, GmsLabel::Slow);
 
     FaultBranching branching(cfg, forced, 0);
     PathController &ctl = branching.ctl;
 
     auto stateKey = [&]() {
-        uint64_t key = monitor.stateDigest(true);
+        uint64_t key = monitor.stateDigest();
         key = fnvFold(key, monitor.quarantinedPages());
         key = fnvFold(key, monitor.rasFatal() ? 1 : 0);
         key = fnvFold(key, ctl.faultsFired);
@@ -916,19 +665,16 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
     };
 
     unsigned opIndex = 0;
-    auto violate = [&](const std::string &kind,
-                       const std::string &desc) {
-        out.violated = true;
-        out.violation.kind = kind;
-        out.violation.description = desc;
-        out.violation.opIndex = opIndex;
-        out.violation.stateDigest = stateKey();
-        out.finalDigest = out.violation.stateDigest;
+    // The first breach ends the path, stamped with the state key then.
+    auto violate = [&](const Breach &b, const std::string &after = "") {
+        if (b && !out.violated)
+            recordViolation(out, b.kind, b.what + after, opIndex, stateKey());
+        return bool(b);
     };
 
     // Two poison/report rounds so the post-containment state (healed
     // table, contained victim, degraded host) is itself poked again.
-    bool rasFatalExpected = false;
+    ContainmentAudit audit(monitor);
     for (unsigned round = 0; round < 2 && !out.violated && !ctl.truncated;
          ++round) {
         ++opIndex;
@@ -955,10 +701,12 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         classes.push_back(3);     // monitor-private page
         const unsigned cls = ctl.choose(DecisionKind::Inject, classes,
                                         "ras_place" + rtag);
+        const std::string where = "ras class " + std::to_string(cls) +
+                                  " (op #" + std::to_string(opIndex) + ")";
+        const std::string after = " after " + where;
 
         Addr target = 0;
         unsigned victim = 0;
-        Addr oldRoot = 0;
         MonitorValue<AttestationReport> preAttest;
         switch (cls) {
           case 0: {
@@ -972,18 +720,10 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
             if (!monitor.rasFatal()) {
                 const MonitorResult sw = monitor.switchTo(dom[victim]);
                 if (sw.ok) {
-                    const AccessOutcome acc =
-                        smp.hart(0).access(target, AccessType::Load);
-                    if (acc.fault != Fault::MachineCheck) {
-                        violate("machine_check",
-                                "load of a poisoned line returned " +
-                                    std::string(toString(acc.fault)) +
-                                    ", not MachineCheck");
-                    } else if ((acc.poisonAddr & ~Addr(63)) !=
-                               (target & ~Addr(63))) {
-                        violate("machine_check",
-                                "machine check blamed the wrong line");
-                    }
+                    violate(ContainmentAudit::consumption(
+                                smp.hart(0).access(target, AccessType::Load),
+                                target),
+                            after);
                 }
             }
             break;
@@ -999,7 +739,6 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
             const unsigned fi = ctl.choose(
                 DecisionKind::Inject, frameAlts, "ras_frame" + rtag);
             target = frames[fi] + 0x80;
-            oldRoot = monitor.tablePeek(dom[victim])->rootPa();
             preAttest = monitor.attestDomain(dom[victim], 7);
             smp.mem().poisonLine(target);
             break;
@@ -1038,225 +777,68 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         if (out.violated)
             break;
 
-        const Addr targetPage = target & ~Addr(kPageSize - 1);
-        const bool fatalBefore = monitor.rasFatal();
-        const bool quarBefore = monitor.pageQuarantined(targetPage);
-        const uint64_t preDigest = monitor.stateDigest(true);
-
+        constexpr PoisonClass kPlacement[] = {
+            PoisonClass::Data, PoisonClass::Pmpte, PoisonClass::Free,
+            PoisonClass::Monitor};
+        audit.before(kPlacement[cls], target, victim ? dom[victim] : 0,
+                     cls == 1 ? monitor.tablePeek(dom[victim])->rootPa() : 0);
         ++out.opsExecuted;
         const MonitorValue<RasOutcome> mcv =
             monitor.handleMachineCheck(target);
-
-        const std::string where =
-            "ras class " + std::to_string(cls) + " (op #" +
-            std::to_string(opIndex) + ")";
-        if (quarBefore) {
-            // Repeat report of a retired frame: an ok no-op always,
-            // even after the host degraded.
-            if (!mcv.ok || mcv.value != RasOutcome::AlreadyQuarantined) {
-                violate("quarantine",
-                        "repeat report of a retired frame was not an "
-                        "ok no-op after " + where);
-            } else if (monitor.stateDigest(true) != preDigest) {
-                violate("quarantine",
-                        "no-op repeat report changed the digest after " +
-                            where);
-            }
-        } else if (fatalBefore) {
-            // New reports after the whole-host degrade: typed RasFatal
-            // denial, nothing mutated.
-            if (mcv.ok || mcv.code != MonitorError::RasFatal) {
-                violate("ras_fatal",
-                        "report after host degrade was not a typed "
-                        "RasFatal denial after " + where);
-            } else if (monitor.stateDigest(true) != preDigest) {
-                violate("ras_rollback",
-                        "denied report changed the digest after " +
-                            where);
-            }
-        } else if (!mcv.ok) {
-            // An injected fault aborted containment: bit-identical
-            // rollback, victim intact, frame not retired.
-            if (monitor.stateDigest(true) != preDigest) {
-                violate("ras_rollback",
-                        "failed containment (" +
-                            std::string(toString(mcv.code)) +
-                            ") left the digest changed after " + where);
-            } else if (monitor.pageQuarantined(targetPage)) {
-                violate("ras_rollback",
-                        "failed containment still retired the frame "
-                        "after " + where);
-            } else if ((cls == 0 || cls == 1) &&
-                       !monitor.domainExists(dom[victim])) {
-                violate("ras_rollback",
-                        "failed containment destroyed the victim "
-                        "anyway after " + where);
-            } else if (cls == 1 &&
-                       monitor.tablePeek(dom[victim])->rootPa() !=
-                           oldRoot) {
-                violate("ras_rollback",
-                        "failed heal re-pointed the table root after " +
-                            where);
-            }
-        } else {
-            switch (cls) {
-              case 0:
-                if (mcv.value != RasOutcome::ContainedDomain) {
-                    violate("blast_radius",
-                            "data-page poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                } else if (monitor.domainExists(dom[victim])) {
-                    violate("blast_radius",
-                            "victim survived its own containment "
-                            "after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "contained frame was not retired after " +
-                                where);
-                }
-                break;
-              case 1:
-                if (mcv.value == RasOutcome::HostFatal) {
-                    // Legal escalation: out of fresh table frames.
-                    rasFatalExpected = true;
-                    break;
-                }
-                if (mcv.value != RasOutcome::HealedTable) {
-                    violate("heal",
-                            "pmpte poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                    break;
-                }
-                if (!monitor.domainExists(dom[victim]) ||
-                    monitor.tablePeek(dom[victim]) == nullptr) {
-                    violate("heal",
-                            "self-heal lost the domain after " + where);
-                } else if (monitor.tablePeek(dom[victim])->rootPa() ==
-                           oldRoot) {
-                    violate("heal",
-                            "healed table still points at the old "
-                            "root after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "healed frame was not retired after " +
-                                where);
-                } else {
-                    const MonitorValue<AttestationReport> post =
-                        monitor.attestDomain(dom[victim], 7);
-                    if (!preAttest.ok || !post.ok ||
-                        post.value.measurement !=
-                            preAttest.value.measurement) {
-                        violate("heal",
-                                "self-heal changed the measurement "
-                                "after " + where);
-                    } else if (!monitor.attestor().verify(post.value,
-                                                          7)) {
-                        violate("heal",
-                                "post-heal report does not verify "
-                                "after " + where);
-                    }
-                }
-                break;
-              case 2:
-                if (mcv.value != RasOutcome::QuarantinedFree) {
-                    violate("blast_radius",
-                            "free-frame poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                } else if (!monitor.pageQuarantined(targetPage)) {
-                    violate("quarantine",
-                            "free frame was not retired after " +
-                                where);
-                } else {
-                    // Immediate idempotency probe.
-                    const uint64_t qd = monitor.stateDigest(true);
-                    const MonitorValue<RasOutcome> again =
-                        monitor.handleMachineCheck(target);
-                    if (!again.ok ||
-                        again.value != RasOutcome::AlreadyQuarantined) {
-                        violate("quarantine",
-                                "re-report of a retired frame was not "
-                                "an ok no-op after " + where);
-                    } else if (monitor.stateDigest(true) != qd) {
-                        violate("quarantine",
-                                "no-op re-report changed the digest "
-                                "after " + where);
-                    }
-                }
-                break;
-              default:
-                if (mcv.value != RasOutcome::HostFatal) {
-                    violate("ras_fatal",
-                            "monitor-page poison resolved as " +
-                                std::string(toString(mcv.value)) +
-                                " after " + where);
-                    break;
-                }
-                rasFatalExpected = true;
-                if (!monitor.rasFatal()) {
-                    violate("ras_fatal",
-                            "HostFatal did not latch rasFatal after " +
-                                where);
-                } else {
-                    const MonitorResult probe =
-                        monitor.switchTo(dom[1]);
-                    if (probe.ok ||
-                        probe.code != MonitorError::RasFatal) {
-                        violate("ras_fatal",
-                                "mutating call after host degrade was "
-                                "not a typed RasFatal denial after " +
-                                    where);
-                    }
-                }
-                break;
-            }
-            // Blast-radius audit: every domain live before the report
-            // survives, except a data-page containment's own victim.
-            if (!out.violated) {
-                for (unsigned i : live) {
-                    if (cls == 0 && i == victim)
-                        continue;
-                    if (!monitor.domainExists(dom[i])) {
-                        violate("blast_radius",
-                                "containment killed bystander domain "
-                                "index " + std::to_string(i) +
-                                    " after " + where);
-                        break;
-                    }
-                }
+        // A fresh containment gets its class's follow-up probe.
+        if (!violate(audit.after(mcv), after) && mcv.ok &&
+            mcv.value != RasOutcome::AlreadyQuarantined) {
+            if (cls == 1 && mcv.value == RasOutcome::HealedTable) {
+                violate(audit.healAttestation(
+                            &preAttest, monitor.attestDomain(dom[victim], 7),
+                            7),
+                        after);
+            } else if (cls == 2) {
+                // Immediate idempotency probe.
+                audit.before(PoisonClass::Free, target);
+                violate(audit.after(monitor.handleMachineCheck(target)), after);
+            } else if (cls == 3) {
+                const MonitorResult probe = monitor.switchTo(dom[1]);
+                violate(ContainmentAudit::degradedCall(probe), after);
             }
         }
-        if (!out.violated) {
-            const std::string inv = checkIsolationInvariants(monitor);
-            if (!inv.empty())
-                violate("invariant", inv + " after " + where);
-        }
+        if (!out.violated)
+            violate(auditInvariants(monitor, where));
     }
+    if (!out.violated)
+        violate(audit.finish());
 
-    if (!out.violated && monitor.rasFatal() && !rasFatalExpected) {
-        violate("ras_fatal",
-                "host degraded without a monitor-region poison event");
-    }
-
-    out.decisions = std::move(ctl.made);
-    out.truncated = ctl.truncated;
-    out.divergence = ctl.divergence;
-    out.divergenceWhy = ctl.divergenceWhy;
-    out.newTransitions = ctl.pastPrefix()
-                             ? out.decisions.size() -
-                                   (forced ? forced->size() : 0)
-                             : 0;
+    finishPath(ctl, out, true);
     if (!out.violated)
         out.finalDigest = stateKey();
     return out;
+}
+
+} // namespace
+
+bool
+ModelConfig::validate(std::string &error) const
+{
+    if (script == "core" && (harts < 2 || domains < 1)) {
+        error = "the core script needs harts >= 2 and domains >= 1 (got "
+                "harts=" + std::to_string(harts) +
+                " domains=" + std::to_string(domains) + ")";
+        return false;
+    }
+    if (script == "ras" && domains < 1) {
+        error = "the ras script needs domains >= 1 (got domains=0)";
+        return false;
+    }
+    return true;
 }
 
 RunOutcome
 runPath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         StateSet *visited)
 {
+    std::string error;
+    panic_if(!cfg.validate(error), "invalid model config: %s",
+             error.c_str());
     if (cfg.script == "migrate")
         return runMigratePath(cfg, forced);
     if (cfg.script == "ras")

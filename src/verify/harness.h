@@ -6,17 +6,18 @@
  * simulated system (SmpSystem + SecureMonitor + StaleChecker) is too
  * heavyweight to snapshot per state, so the enumerator explores the
  * decision tree by re-executing the whole bounded scenario from its
- * initial state along each path. runCorePath()/runMigratePath() build
- * a fresh system, install the three decision taps —
+ * initial state along each path. Each runPath() call builds a fresh
+ * system (verify::SystemFixture), installs the three decision taps —
  *
  *  - SmpSystem::setSchedHook        (which hart runs its next op),
  *  - FaultInjector decision controller (FAULT_POINT fire/no-fire),
- *  - an InterleaveHook that may drive a victim-hart nested call at
- *    Posted/Delivered steps (must bounce LockContended),
+ *  - a verify::IpiProbe whose Inject decision may drive a victim-hart
+ *    nested call at Posted/Delivered steps (must bounce LockContended),
  *
- * — replay the forced decision prefix, continue with defaults while
- * recording every further branch point, and check after *every* script
- * op:
+ * — replays the forced decision prefix, continues with defaults while
+ * recording every further branch point, and checks after *every*
+ * script op, with the per-op battery the chaos engine runs too
+ * (verify::auditOp, verify/contracts.h):
  *
  *  1. isolation invariants (monitor/invariants.h);
  *  2. StaleChecker: no post-ack stale grant, strict quiescent sweep;
@@ -75,8 +76,13 @@ struct ModelConfig
     /** "key=value" lines for trace headers. */
     std::vector<std::string> configLines() const;
     /** Apply one "key=value" line (parsing a trace). @return false on
-     *  an unknown key or bad value. */
+     *  an unknown key, an unknown script or scheme name, or a value
+     *  that is not a whole unsigned number (trailing junk included). */
     bool applyConfigLine(const std::string &line, std::string &error);
+    /** Check the scenario's preconditions (core: harts >= 2 and
+     *  domains >= 1; ras: domains >= 1). @return false, with the
+     *  reason in `error`, if the config cannot run. */
+    bool validate(std::string &error) const;
     /** The effective branchable-site set for this config. */
     std::vector<std::string> effectiveSites() const;
 };
@@ -101,38 +107,12 @@ struct RunOutcome
 using StateSet = std::unordered_set<uint64_t>;
 
 /**
- * Execute one path of the monitor-call scenario. `forced` is the
- * decision prefix to replay (nullptr = all defaults); `visited` turns
- * on explicit-state dedup (nullptr during replay/minimization).
+ * Execute one path of config.script: the monitor-call script ("core"),
+ * the two-host live migration ("migrate") or RAS containment ("ras").
+ * `forced` is the decision prefix to replay (nullptr = all defaults);
+ * `visited` turns on explicit-state dedup for the core script (nullptr
+ * during replay/minimization). Panics on a config validate() rejects.
  */
-RunOutcome runCorePath(const ModelConfig &config,
-                       const std::vector<Decision> *forced,
-                       StateSet *visited);
-
-/**
- * Execute one path of the two-host live-migration scenario: a single
- * migration attempt with every migrate.* FAULT_POINT hit enumerated
- * as a binary branch. Checks the cross-system no-dual-grant oracle,
- * digest-exact abort restore, and commit/stranded grant placement.
- */
-RunOutcome runMigratePath(const ModelConfig &config,
-                          const std::vector<Decision> *forced);
-
-/**
- * Execute one path of the RAS containment scenario: two poison/report
- * rounds whose placement (a victim enclave's data page, a pmpte frame
- * of a live PMP Table, an unowned free frame, a monitor-private page)
- * is enumerated as a decision, with monitor.destroy_domain /
- * monitor.heal_table FAULT_POINT hits branched to cover every failed
- * containment. Checks the blast-radius contract (only the owning
- * domain dies, self-heals keep the measurement and re-point the root,
- * monitor poison degrades exactly the whole host), digest-exact
- * rollback of failed containments, and quarantine idempotency.
- */
-RunOutcome runRasPath(const ModelConfig &config,
-                      const std::vector<Decision> *forced);
-
-/** Dispatch on config.script. */
 RunOutcome runPath(const ModelConfig &config,
                    const std::vector<Decision> *forced, StateSet *visited);
 

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 
 namespace hpmp
 {

@@ -23,13 +23,12 @@
 #include "core/smp.h"
 #include "core/virt_machine.h"
 #include "migrate/checkpoint.h"
-#include "migrate/migrate_chaos.h"
 #include "migrate/migration.h"
 #include "migrate/msg_channel.h"
-#include "monitor/chaos_engine.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
 #include "pt/page_table.h"
+#include "verify/chaos_engine.h"
 
 namespace hpmp
 {
@@ -477,7 +476,7 @@ TEST(MigrateChaosTest, MatrixHasZeroDualGrantWindowsAndCleanAborts)
             config.faultProb = 0.3;
             config.harts = harts;
             config.layer = ChaosLayer::Migrate;
-            const ChaosStats stats = runMigrateChaos(config);
+            const ChaosStats stats = runChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             EXPECT_EQ(stats.dualGrantViolations, 0u)
                 << "seed " << seed << " harts " << harts;

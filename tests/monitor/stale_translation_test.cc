@@ -14,9 +14,9 @@
 
 #include "base/fault_inject.h"
 #include "core/smp.h"
-#include "monitor/chaos_engine.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
+#include "verify/chaos_engine.h"
 
 namespace hpmp
 {

@@ -20,11 +20,11 @@
 #include "base/frame_alloc.h"
 #include "core/smp.h"
 #include "core/virt_machine.h"
-#include "monitor/chaos_engine.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
 #include "pt/page_table.h"
 #include "pt/pte.h"
+#include "verify/chaos_engine.h"
 
 namespace hpmp
 {

@@ -210,5 +210,75 @@ TEST(ModelCheckTest, ParserRejectsMalformedTraces)
     EXPECT_TRUE(parseTrace("# comment only\n", out, err));
 }
 
+TEST(ModelCheckTest, ConfigLinesRejectJunkValues)
+{
+    ModelConfig cfg;
+    std::string err;
+    // Non-numeric values, trailing junk, signs and overflow are errors
+    // that leave the field untouched — never a silent 0.
+    for (const char *line :
+         {"harts=abc", "harts=2x", "harts=", "harts=-1", "harts= 2",
+          "domains=1.5", "pages=0x", "depth=99999999999",
+          "max_faults=two", "max_injects=1;", "fault_branch=2",
+          "fault_branch=yes", "mutate_skip_fence=7q"}) {
+        EXPECT_FALSE(cfg.applyConfigLine(line, err)) << line;
+        EXPECT_NE(err.find("bad value"), std::string::npos) << err;
+    }
+    EXPECT_EQ(cfg.harts, 2u);
+    EXPECT_FALSE(cfg.applyConfigLine("script=bogus", err));
+    EXPECT_EQ(cfg.script, "core");
+    EXPECT_TRUE(cfg.applyConfigLine("harts=0x3", err)) << err;
+    EXPECT_EQ(cfg.harts, 3u);
+    EXPECT_TRUE(cfg.applyConfigLine("fault_branch=0", err)) << err;
+    EXPECT_FALSE(cfg.faultBranch);
+}
+
+TEST(ModelCheckTest, ValidateRejectsUnrunnableScenarios)
+{
+    std::string err;
+    ModelConfig cfg;
+    EXPECT_TRUE(cfg.validate(err)) << err;
+    cfg.harts = 1;
+    EXPECT_FALSE(cfg.validate(err));
+    EXPECT_NE(err.find("harts >= 2"), std::string::npos) << err;
+    cfg.harts = 2;
+    cfg.domains = 0;
+    EXPECT_FALSE(cfg.validate(err));
+    cfg.script = "ras";
+    EXPECT_FALSE(cfg.validate(err));
+    // The migrate scenario builds its own one-hart, one-domain hosts.
+    cfg.script = "migrate";
+    cfg.harts = 1;
+    EXPECT_TRUE(cfg.validate(err)) << err;
+}
+
+TEST(ModelCheckTest, ParserRejectsJunkNumbers)
+{
+    DecisionTrace out;
+    std::string err;
+    EXPECT_FALSE(parseTrace("d sched 1x/2 h0\n", out, err));
+    EXPECT_FALSE(parseTrace("d sched 0/2x h0\n", out, err));
+    EXPECT_FALSE(parseTrace("d sched 0/2 hq\n", out, err));
+    EXPECT_FALSE(parseTrace("d sched 0/2 h1 extra\n", out, err));
+    EXPECT_FALSE(parseTrace("violation kind=x op=abc\n", out, err));
+    EXPECT_FALSE(parseTrace("violation kind=x digest=0xzz\n", out, err));
+    EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+    ASSERT_TRUE(parseTrace("violation kind=x op=2 digest=0x1f\n"
+                           "d fault 1/2 monitor.switch\n"
+                           "d sched 1/2 h1\n",
+                           out, err))
+        << err;
+    EXPECT_EQ(out.violation.opIndex, 2u);
+    EXPECT_EQ(out.violation.stateDigest, 0x1fu);
+    ASSERT_EQ(out.decisions.size(), 2u);
+    EXPECT_EQ(out.decisions[1].value, 1u);
+
+    // A counterexample whose config header was edited to junk parses
+    // as text, but its config line is refused when applied.
+    ASSERT_TRUE(parseTrace("config harts=abc\n", out, err)) << err;
+    ModelConfig cfg;
+    EXPECT_FALSE(cfg.applyConfigLine(out.configLines.at(0), err));
+}
+
 } // namespace
 } // namespace hpmp::verify

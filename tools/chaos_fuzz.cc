@@ -2,7 +2,7 @@
  * @file
  * Command-line driver for the monitor chaos fuzzer.
  *
- * Runs randomized domain-lifecycle campaigns (monitor/chaos_engine.h)
+ * Runs randomized domain-lifecycle campaigns (verify/chaos_engine.h)
  * with fault injection armed and the isolation invariants checked
  * after every operation. Deterministic per seed: any failure printed
  * here is replayed exactly with
@@ -25,8 +25,7 @@
 
 #include "base/fault_inject.h"
 #include "base/trace.h"
-#include "migrate/migrate_chaos.h"
-#include "monitor/chaos_engine.h"
+#include "verify/chaos_engine.h"
 
 namespace
 {
@@ -41,7 +40,6 @@ struct Options
     std::vector<uint64_t> seeds{1, 2, 3, 4, 5, 6, 7, 8};
     unsigned ops = 1000;
     double faultProb = 0.25;
-    bool fullDigest = true;
     unsigned harts = 1;
     ChaosLayer layer = ChaosLayer::None; //!< at most one layer flag
     size_t traceRing = 8192; //!< event-ring capacity; 0 disables capture
@@ -56,10 +54,23 @@ struct Options
 };
 
 /** One flag per campaign layer; the replay line prints it back. */
-constexpr std::pair<const char *, ChaosLayer> kLayerFlags[] = {
-    {"--os-layer", ChaosLayer::Os}, {"--virt", ChaosLayer::Virt},
-    {"--fleet", ChaosLayer::Fleet}, {"--ras", ChaosLayer::Ras},
-    {"--migrate", ChaosLayer::Migrate},
+struct LayerFlag
+{
+    const char *flag;
+    ChaosLayer layer;
+    /** Why the layer needs sibling harts; nullptr = it does not. */
+    const char *needsSiblings;
+};
+
+constexpr LayerFlag kLayerFlags[] = {
+    {"--os-layer", ChaosLayer::Os,
+     "the OS-layer campaign is part of the multi-hart fuzzer"},
+    {"--virt", ChaosLayer::Virt,
+     "the guest campaign is part of the multi-hart fuzzer"},
+    {"--fleet", ChaosLayer::Fleet,
+     "coalesced shootdown windows only exist with sibling harts to fence"},
+    {"--ras", ChaosLayer::Ras, nullptr},
+    {"--migrate", ChaosLayer::Migrate, nullptr},
 };
 
 void
@@ -71,8 +82,8 @@ usage(const char *argv0)
         "          [--scheme pmp|pmpt|hpmp|all] [--fault-prob P]\n"
         "          [--harts N] [--os-layer] [--virt] [--fleet]\n"
         "          [--ras] [--migrate] [--trace-ring N]\n"
-        "          [--light-digest] [--stats-json FILE]\n"
-        "          [--stats-series FILE] [--stats-interval CYCLES]\n"
+        "          [--stats-json FILE] [--stats-series FILE]\n"
+        "          [--stats-interval CYCLES]\n"
         "          [--site-coverage-out FILE] [--list-fault-sites]\n",
         argv0);
 }
@@ -150,23 +161,21 @@ class RingCapture
     bool active_;
 };
 
+/** One scheme by name, or "all" of them in pmp, pmpt, hpmp order. */
 bool
 parseSchemes(const std::string &arg, std::vector<IsolationScheme> &out)
 {
+    static constexpr std::pair<const char *, IsolationScheme> kSchemes[] = {
+        {"pmp", IsolationScheme::Pmp},
+        {"pmpt", IsolationScheme::PmpTable},
+        {"hpmp", IsolationScheme::Hpmp},
+    };
     out.clear();
-    if (arg == "pmp") {
-        out = {IsolationScheme::Pmp};
-    } else if (arg == "pmpt") {
-        out = {IsolationScheme::PmpTable};
-    } else if (arg == "hpmp") {
-        out = {IsolationScheme::Hpmp};
-    } else if (arg == "all") {
-        out = {IsolationScheme::Pmp, IsolationScheme::PmpTable,
-               IsolationScheme::Hpmp};
-    } else {
-        return false;
+    for (const auto &[name, scheme] : kSchemes) {
+        if (arg == name || arg == "all")
+            out.push_back(scheme);
     }
-    return true;
+    return !out.empty();
 }
 
 std::vector<uint64_t>
@@ -194,7 +203,7 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         const auto layer_flag = std::find_if(
             std::begin(kLayerFlags), std::end(kLayerFlags),
-            [&](const auto &flag) { return arg == flag.first; });
+            [&](const LayerFlag &flag) { return arg == flag.flag; });
         auto value = [&]() -> const char * {
             if (i + 1 >= argc) {
                 usage(argv[0]);
@@ -210,19 +219,17 @@ main(int argc, char **argv)
             opts.ops = unsigned(std::strtoul(value(), nullptr, 0));
         } else if (arg == "--fault-prob") {
             opts.faultProb = std::strtod(value(), nullptr);
-        } else if (arg == "--light-digest") {
-            opts.fullDigest = false;
         } else if (arg == "--harts") {
             opts.harts = unsigned(std::strtoul(value(), nullptr, 0));
         } else if (layer_flag != std::end(kLayerFlags)) {
             if (opts.layer != ChaosLayer::None &&
-                opts.layer != layer_flag->second) {
+                opts.layer != layer_flag->layer) {
                 std::fprintf(stderr,
                              "at most one layer flag (--os-layer, --virt, "
                              "--fleet, --ras, --migrate) per campaign\n");
                 return 2;
             }
-            opts.layer = layer_flag->second;
+            opts.layer = layer_flag->layer;
         } else if (arg == "--site-coverage-out") {
             opts.siteCoverageOut = value();
         } else if (arg == "--list-fault-sites") {
@@ -256,23 +263,13 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    if (opts.layer == ChaosLayer::Os && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--os-layer requires --harts >= 2 (the OS-layer "
-                     "campaign is part of the multi-hart fuzzer)\n");
-        return 2;
-    }
-    if (opts.layer == ChaosLayer::Virt && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--virt requires --harts >= 2 (the guest campaign "
-                     "is part of the multi-hart fuzzer)\n");
-        return 2;
-    }
-    if (opts.layer == ChaosLayer::Fleet && opts.harts < 2) {
-        std::fprintf(stderr,
-                     "--fleet requires --harts >= 2 (coalesced shootdown "
-                     "windows only exist with sibling harts to fence)\n");
-        return 2;
+    for (const LayerFlag &flag : kLayerFlags) {
+        if (opts.layer == flag.layer && flag.needsSiblings &&
+            opts.harts < 2) {
+            std::fprintf(stderr, "%s requires --harts >= 2 (%s)\n",
+                         flag.flag, flag.needsSiblings);
+            return 2;
+        }
     }
 
     RingCapture capture(opts.traceRing);
@@ -308,7 +305,6 @@ main(int argc, char **argv)
             config.ops = opts.ops;
             config.scheme = scheme;
             config.faultProb = opts.faultProb;
-            config.fullDigest = opts.fullDigest;
             config.harts = opts.harts;
             config.layer = opts.layer;
             std::string campaign_stats;
@@ -321,31 +317,21 @@ main(int argc, char **argv)
             }
 
             capture.nextCampaign();
-            const ChaosStats stats = opts.layer == ChaosLayer::Migrate
-                                         ? hpmp::runMigrateChaos(config)
-                                         : hpmp::runChaos(config);
-            if (!opts.statsJson.empty()) {
-                if (!campaigns_json.empty())
-                    campaigns_json += ",\n";
-                campaigns_json += "    {\"scheme\": \"";
-                campaigns_json += toString(scheme);
-                campaigns_json += "\", \"seed\": ";
-                campaigns_json += std::to_string(seed);
-                campaigns_json += ", \"stats\": ";
-                campaigns_json += campaign_stats;
-                campaigns_json += "}";
-            }
-            if (!opts.statsSeries.empty()) {
-                if (!series_json.empty())
-                    series_json += ",\n";
-                series_json += "    {\"scheme\": \"";
-                series_json += toString(scheme);
-                series_json += "\", \"seed\": ";
-                series_json += std::to_string(seed);
-                series_json += ", \"series\": ";
-                series_json += campaign_series;
-                series_json += "}";
-            }
+            const ChaosStats stats = hpmp::runChaos(config);
+            // One {"scheme", "seed", <key>} entry per campaign.
+            auto append = [&](std::string &json, const char *key,
+                              const std::string &body) {
+                if (!json.empty())
+                    json += ",\n";
+                json += std::string("    {\"scheme\": \"") +
+                        toString(scheme) + "\", \"seed\": " +
+                        std::to_string(seed) + ", \"" + key + "\": " +
+                        body + "}";
+            };
+            if (!opts.statsJson.empty())
+                append(campaigns_json, "stats", campaign_stats);
+            if (!opts.statsSeries.empty())
+                append(series_json, "series", campaign_series);
             std::printf(
                 "chaos scheme=%-4s seed=%-3lu ops=%u ok=%u failed=%u "
                 "injected=%u degraded=%u rollback-checks=%u %s\n",
@@ -439,11 +425,9 @@ main(int argc, char **argv)
                 std::snprintf(prob, sizeof(prob), "%g", opts.faultProb);
                 replay += std::string(" --fault-prob ") + prob;
                 replay += " --harts " + std::to_string(opts.harts);
-                if (!opts.fullDigest)
-                    replay += " --light-digest";
-                for (const auto &[flag, layer] : kLayerFlags) {
-                    if (opts.layer == layer)
-                        replay += std::string(" ") + flag;
+                for (const LayerFlag &flag : kLayerFlags) {
+                    if (opts.layer == flag.layer)
+                        replay += std::string(" ") + flag.flag;
                 }
                 replay += " --trace-ring " + std::to_string(opts.traceRing);
                 std::printf("replay: %s\n", replay.c_str());
@@ -459,31 +443,25 @@ main(int argc, char **argv)
     std::printf("chaos: all campaigns clean (%u ops, %u injected faults, "
                 "%u degraded-mode ops)\n",
                 total_ops, total_faults, total_degraded);
-    if (!opts.statsJson.empty()) {
-        std::FILE *f = std::fopen(opts.statsJson.c_str(), "w");
+    // Write {"campaigns": [...]} to `path` ("" = off); false on error.
+    auto write_campaigns = [](const std::string &path,
+                              const std::string &json, const char *what) {
+        if (path.empty())
+            return true;
+        std::FILE *f = std::fopen(path.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.statsJson.c_str());
-            return 1;
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            return false;
         }
         std::fprintf(f, "{\n  \"campaigns\": [\n%s\n  ]\n}\n",
-                     campaigns_json.c_str());
+                     json.c_str());
         std::fclose(f);
-        std::printf("chaos: stats written to %s\n",
-                    opts.statsJson.c_str());
-    }
-    if (!opts.statsSeries.empty()) {
-        std::FILE *f = std::fopen(opts.statsSeries.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.statsSeries.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"campaigns\": [\n%s\n  ]\n}\n",
-                     series_json.c_str());
-        std::fclose(f);
-        std::printf("chaos: stats series written to %s\n",
-                    opts.statsSeries.c_str());
+        std::printf("chaos: %s written to %s\n", what, path.c_str());
+        return true;
+    };
+    if (!write_campaigns(opts.statsJson, campaigns_json, "stats") ||
+        !write_campaigns(opts.statsSeries, series_json, "stats series")) {
+        return 1;
     }
     write_site_coverage();
     return 0;

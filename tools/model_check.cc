@@ -28,12 +28,15 @@
  * 0 = the trace reproduced its recorded violation, 1 = it did not.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "verify/enumerator.h"
 
@@ -54,6 +57,20 @@ struct Options
     bool quiet = false;
 };
 
+/** Flags that set one ModelConfig key (ModelConfig::applyConfigLine). */
+constexpr std::pair<const char *, const char *> kConfigFlags[] = {
+    {"--harts", "harts"},
+    {"--domains", "domains"},
+    {"--pages", "pages"},
+    {"--scheme", "scheme"},
+    {"--script", "script"},
+    {"--depth", "depth"},
+    {"--max-faults", "max_faults"},
+    {"--max-injects", "max_injects"},
+    {"--sites", "sites"},
+    {"--mutate-skip-fence", "mutate_skip_fence"},
+};
+
 void
 usage(const char *argv0)
 {
@@ -72,79 +89,37 @@ usage(const char *argv0)
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
-    auto need = [&](int i) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s needs a value\n", argv[i]);
-            return false;
-        }
-        return true;
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        auto value = [&]() -> const char * {
+            if (i + 1 < argc)
+                return argv[++i];
+            std::fprintf(stderr, "%s needs a value\n", argv[i]);
+            usage(argv[0]);
+            std::exit(2);
+        };
+        const auto flag = std::find_if(
+            std::begin(kConfigFlags), std::end(kConfigFlags),
+            [&](const auto &f) { return arg == f.first; });
         std::string err;
-        auto kv = [&](const char *key) {
-            if (!need(i))
-                return false;
+        if (flag != std::end(kConfigFlags)) {
             if (!opt.config.applyConfigLine(
-                    std::string(key) + "=" + argv[++i], err)) {
+                    std::string(flag->second) + "=" + value(), err)) {
                 std::fprintf(stderr, "%s\n", err.c_str());
                 return false;
             }
-            return true;
-        };
-        if (arg == "--harts") {
-            if (!kv("harts"))
-                return false;
-        } else if (arg == "--domains") {
-            if (!kv("domains"))
-                return false;
-        } else if (arg == "--pages") {
-            if (!kv("pages"))
-                return false;
-        } else if (arg == "--scheme") {
-            if (!kv("scheme"))
-                return false;
-        } else if (arg == "--script") {
-            if (!kv("script"))
-                return false;
-        } else if (arg == "--depth") {
-            if (!kv("depth"))
-                return false;
-        } else if (arg == "--max-faults") {
-            if (!kv("max_faults"))
-                return false;
-        } else if (arg == "--max-injects") {
-            if (!kv("max_injects"))
-                return false;
-        } else if (arg == "--sites") {
-            if (!kv("sites"))
-                return false;
-        } else if (arg == "--mutate-skip-fence") {
-            if (!kv("mutate_skip_fence"))
-                return false;
         } else if (arg == "--no-fault-branch") {
             opt.config.faultBranch = false;
         } else if (arg == "--max-violations") {
-            if (!need(i))
-                return false;
-            opt.maxViolations =
-                unsigned(std::strtoul(argv[++i], nullptr, 0));
+            opt.maxViolations = unsigned(std::strtoul(value(), nullptr, 0));
         } else if (arg == "--max-paths") {
-            if (!need(i))
-                return false;
-            opt.maxPaths = std::strtoull(argv[++i], nullptr, 0);
+            opt.maxPaths = std::strtoull(value(), nullptr, 0);
         } else if (arg == "--ce-out") {
-            if (!need(i))
-                return false;
-            opt.ceOut = argv[++i];
+            opt.ceOut = value();
         } else if (arg == "--trace-out") {
-            if (!need(i))
-                return false;
-            opt.traceOut = argv[++i];
+            opt.traceOut = value();
         } else if (arg == "--replay") {
-            if (!need(i))
-                return false;
-            opt.replayPath = argv[++i];
+            opt.replayPath = value();
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -168,22 +143,18 @@ parseArgs(int argc, char **argv, Options &opt)
 void
 printStats(const CheckStats &s)
 {
-    std::printf("paths            %llu\n",
-                (unsigned long long)s.paths);
-    std::printf("states           %llu\n",
-                (unsigned long long)s.states);
-    std::printf("transitions      %llu\n",
-                (unsigned long long)s.transitions);
-    std::printf("violations       %llu\n",
-                (unsigned long long)s.violations);
-    std::printf("truncated_paths  %llu\n",
-                (unsigned long long)s.truncatedPaths);
-    std::printf("dedup_stops      %llu\n",
-                (unsigned long long)s.dedupStops);
-    std::printf("sleep_merged     %llu\n",
-                (unsigned long long)s.sleepMergedAlts);
-    std::printf("minimize_runs    %llu\n",
-                (unsigned long long)s.minimizeRuns);
+    const std::pair<const char *, uint64_t> rows[] = {
+        {"paths", s.paths},
+        {"states", s.states},
+        {"transitions", s.transitions},
+        {"violations", s.violations},
+        {"truncated_paths", s.truncatedPaths},
+        {"dedup_stops", s.dedupStops},
+        {"sleep_merged", s.sleepMergedAlts},
+        {"minimize_runs", s.minimizeRuns},
+    };
+    for (const auto &[name, value] : rows)
+        std::printf("%-17s%llu\n", name, (unsigned long long)value);
 }
 
 int
@@ -207,12 +178,12 @@ replayMode(const Options &opt)
     // options were applied before and win over the header only if
     // the user repeats them after --replay (documented sharp edge).
     ModelConfig cfg = opt.config;
-    for (const std::string &line : trace.configLines) {
-        if (!cfg.applyConfigLine(line, err)) {
-            std::fprintf(stderr, "bad trace config: %s\n",
-                         err.c_str());
-            return 2;
-        }
+    bool applied = true;
+    for (const std::string &line : trace.configLines)
+        applied = applied && cfg.applyConfigLine(line, err);
+    if (!applied || !cfg.validate(err)) {
+        std::fprintf(stderr, "bad trace config: %s\n", err.c_str());
+        return 2;
     }
     ModelChecker checker(cfg);
     const ReplayReport rep =
@@ -242,6 +213,11 @@ main(int argc, char **argv)
     }
     if (!opt.replayPath.empty())
         return replayMode(opt);
+    std::string err;
+    if (!opt.config.validate(err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return 2;
+    }
 
     ModelChecker checker(opt.config);
     if (!opt.quiet) {
