@@ -1,9 +1,10 @@
 /**
  * @file
  * Simulator-throughput regression benchmarks: host-side cost of one
- * simulated access per scheme and state, plus PMP-table update and
- * domain-measurement throughput. These guard the engineering quality
- * of the simulator itself rather than reproducing a paper figure.
+ * simulated access per scheme and state, plus PMP-table update,
+ * domain-measurement and Kron-graph build throughput. These guard the
+ * engineering quality of the simulator itself rather than reproducing
+ * a paper figure.
  *
  * Two layers:
  *   - google-benchmark micros (BM_*), run with the usual flags;
@@ -25,6 +26,7 @@
 #include "base/stats.h"
 #include "bench/common.h"
 #include "monitor/attestation.h"
+#include "workloads/gap.h"
 #include "workloads/virt_env.h"
 
 namespace hpmp::bench
@@ -160,6 +162,50 @@ BM_MeasurePopulated(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * kSize);
 }
 BENCHMARK(BM_MeasurePopulated)->Unit(benchmark::kMicrosecond);
+
+/** A fresh environment with an active host address space to build in. */
+struct KronRig
+{
+    explicit KronRig(const EnvConfig &config)
+        : env(config),
+          as(env.hostKernel().createAddressSpace()),
+          model(env.makeCoreModel()),
+          runner(env.hostKernel(), *as, model)
+    {
+        env.hostKernel().activate(*as, PrivMode::User);
+    }
+
+    TeeEnv env;
+    std::unique_ptr<AddressSpace> as;
+    CoreModel model;
+    Runner runner;
+};
+
+/**
+ * Build one 2^scale-vertex, degree-8 Kron graph (GAP's input): RMAT
+ * generation, CSR construction and the populated mmap of both arrays.
+ * Each build gets a fresh rig, set up and torn down outside the timing.
+ */
+void
+BM_KronBuild(benchmark::State &state)
+{
+    EnvConfig config;
+    config.core = CoreKind::Rocket;
+    config.scheme = IsolationScheme::Hpmp;
+    const auto scale = static_cast<unsigned>(state.range(0));
+    std::unique_ptr<KronRig> rig;
+    std::unique_ptr<KronGraph> graph;
+    for (auto _ : state) {
+        state.PauseTiming();
+        graph.reset();
+        rig.reset();
+        rig = std::make_unique<KronRig>(config);
+        state.ResumeTiming();
+        graph = std::make_unique<KronGraph>(rig->runner, scale, 8);
+        benchmark::DoNotOptimize(graph->numEdges());
+    }
+}
+BENCHMARK(BM_KronBuild)->Arg(15)->Arg(18)->Unit(benchmark::kMillisecond);
 
 /** One scheme's throughput measurement for BENCH_simperf.json. */
 struct SimperfResult

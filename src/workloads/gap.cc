@@ -19,49 +19,71 @@ gapKernels()
 KronGraph::KronGraph(Runner &runner, unsigned scale, unsigned degree,
                      uint64_t seed)
 {
+    fatal_if(scale == 0 || scale > 32,
+             "KronGraph: scale %u out of range [1, 32] (vertex ids are "
+             "uint32_t)", scale);
+    fatal_if(degree == 0, "KronGraph: degree must be at least 1");
     numVertices_ = 1ULL << scale;
     const uint64_t target_edges = numVertices_ * degree;
 
-    // RMAT edge generator (A=0.57, B=0.19, C=0.19), as in graph500.
+    // RMAT edge generator (A=0.57, B=0.19, C=0.19), as in graph500:
+    // each draw p picks quadrant 0/1/2/3 at the thresholds 0.57, 0.76
+    // and 0.95, whose high bit extends u and low bit extends v.
     Rng rng(seed);
-    std::vector<std::vector<uint32_t>> adj(numVertices_);
+    std::vector<uint32_t> src, dst;
+    src.reserve(target_edges);
+    dst.reserve(target_edges);
     for (uint64_t e = 0; e < target_edges; ++e) {
         uint64_t u = 0, v = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
             const double p = rng.real();
-            unsigned quad;
-            if (p < 0.57) quad = 0;
-            else if (p < 0.76) quad = 1;
-            else if (p < 0.95) quad = 2;
-            else quad = 3;
-            u = (u << 1) | (quad >> 1);
-            v = (v << 1) | (quad & 1);
+            const uint64_t ub = p >= 0.76;
+            const uint64_t vb = (p >= 0.57) ^ ub ^ (p >= 0.95);
+            u = (u << 1) | ub;
+            v = (v << 1) | vb;
         }
         if (u == v)
             continue;
-        adj[u].push_back(uint32_t(v));
-    }
-    // Sort and dedup neighbour lists (needed by tc).
-    numEdges_ = 0;
-    for (auto &list : adj) {
-        std::sort(list.begin(), list.end());
-        list.erase(std::unique(list.begin(), list.end()), list.end());
-        numEdges_ += list.size();
+        src.push_back(uint32_t(u));
+        dst.push_back(uint32_t(v));
     }
 
+    // Counting sort on the source. After the scatter, offsets[u] is
+    // one past u's slots, which start at offsets[u - 1] (0 for u = 0).
+    std::vector<uint64_t> offsets(numVertices_ + 1, 0);
+    for (const uint32_t u : src)
+        ++offsets[u + 1];
+    for (uint64_t u = 0; u < numVertices_; ++u)
+        offsets[u + 1] += offsets[u];
+    std::vector<uint32_t> neighbors(src.size());
+    for (size_t i = 0; i < src.size(); ++i)
+        neighbors[offsets[src[i]]++] = dst[i];
+    src = {};
+    dst = {};
+
+    // Sort and dedup each neighbour list (needed by tc), compacting
+    // the lists to the front as the final offsets are written.
+    uint64_t begin = 0, out = 0;
+    for (uint64_t u = 0; u < numVertices_; ++u) {
+        const uint64_t end = offsets[u];
+        offsets[u] = out;
+        std::sort(neighbors.begin() + begin, neighbors.begin() + end);
+        for (uint64_t e = begin; e < end; ++e) {
+            if (out == offsets[u] || neighbors[out - 1] != neighbors[e])
+                neighbors[out++] = neighbors[e];
+        }
+        begin = end;
+    }
+    offsets[numVertices_] = out;
+    neighbors.resize(out);
+    numEdges_ = out;
+
+    // Offsets are mapped first, then neighbours: the order fixes every
+    // simulated address the kernels touch.
     offsets_ = std::make_unique<SimArray<uint64_t>>(runner,
-                                                    numVertices_ + 1);
-    neighbors_ = std::make_unique<SimArray<uint32_t>>(runner, numEdges_);
-    degreeHost_.resize(numVertices_);
-
-    uint64_t pos = 0;
-    for (uint64_t v = 0; v < numVertices_; ++v) {
-        offsets_->init(v, pos);
-        degreeHost_[v] = adj[v].size();
-        for (uint32_t n : adj[v])
-            neighbors_->init(pos++, n);
-    }
-    offsets_->init(numVertices_, pos);
+                                                    std::move(offsets));
+    neighbors_ = std::make_unique<SimArray<uint32_t>>(runner,
+                                                      std::move(neighbors));
 }
 
 GapSuite::GapSuite(TeeEnv &env, unsigned scale, unsigned degree)

@@ -30,9 +30,11 @@ class KronGraph
 {
   public:
     /**
-     * Build a Kron graph with 2^scale vertices and about
-     * 2^scale * degree directed edges (paper: graph500 parameters,
-     * scaled down for simulation).
+     * Build a Kron graph with 2^scale vertices (1 <= scale <= 32, so
+     * every vertex id fits a uint32_t) and about 2^scale * degree
+     * directed edges (paper: graph500 parameters, scaled down for
+     * simulation). Self-loops are dropped and each neighbour list is
+     * sorted and deduplicated.
      */
     KronGraph(Runner &runner, unsigned scale, unsigned degree,
               uint64_t seed = 0x9a9);
@@ -45,14 +47,19 @@ class KronGraph
     uint32_t neighbor(uint64_t e) { return neighbors_->get(e); }
 
     /** Untimed (host-side) reads for verification. */
-    uint64_t degreeOf(uint64_t v) const { return degreeHost_[v]; }
+    uint64_t peekOffset(uint64_t v) const { return offsets_->peek(v); }
+    uint32_t peekNeighbor(uint64_t e) const { return neighbors_->peek(e); }
+    uint64_t
+    degreeOf(uint64_t v) const
+    {
+        return peekOffset(v + 1) - peekOffset(v);
+    }
 
   private:
     uint64_t numVertices_;
     uint64_t numEdges_;
     std::unique_ptr<SimArray<uint64_t>> offsets_;
     std::unique_ptr<SimArray<uint32_t>> neighbors_;
-    std::vector<uint64_t> degreeHost_;
 };
 
 /** GAP suite bound to an environment. */

@@ -13,6 +13,8 @@
 #define HPMP_WORKLOADS_RUNNER_H
 
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "core/core_model.h"
 #include "os/address_space.h"
@@ -106,15 +108,21 @@ class SimArray
 {
   public:
     SimArray(Runner &runner, uint64_t count, Perm perm = Perm::rw())
-        : runner_(&runner),
-          count_(count),
-          mirror_(count)
+        : SimArray(runner, std::vector<T>(count), perm)
     {
-        base_ = runner.as().mmap(count * sizeof(T), perm, true, true);
+    }
+
+    /** Array holding `values`, moved into the mirror without a copy. */
+    SimArray(Runner &runner, std::vector<T> values, Perm perm = Perm::rw())
+        : runner_(&runner),
+          mirror_(std::move(values))
+    {
+        base_ = runner.as().mmap(mirror_.size() * sizeof(T), perm, true,
+                                 true);
     }
 
     Addr addrOf(uint64_t idx) const { return base_ + idx * sizeof(T); }
-    uint64_t size() const { return count_; }
+    uint64_t size() const { return mirror_.size(); }
     Addr base() const { return base_; }
 
     /** Timed element read. */
@@ -136,10 +144,12 @@ class SimArray
     /** Functional (untimed) initialization. */
     void init(uint64_t idx, T value) { mirror_[idx] = value; }
 
+    /** Functional (untimed) read, for host-side verification. */
+    T peek(uint64_t idx) const { return mirror_[idx]; }
+
   private:
     Runner *runner_;
     Addr base_ = 0;
-    uint64_t count_;
     std::vector<T> mirror_;
 };
 

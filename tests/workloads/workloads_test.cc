@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <vector>
 
+#include "base/hash.h"
 #include "workloads/env.h"
 #include "workloads/gap.h"
 #include "workloads/lmbench.h"
@@ -134,6 +137,38 @@ TEST(Runner, SimArrayRoundTrip)
     EXPECT_EQ(small.get(3), 0xabcdu);
 }
 
+TEST(Runner, SimArrayMoveInMatchesCountConstructor)
+{
+    // Two fresh host address spaces, one per constructor: both must
+    // place the array at the same VA.
+    TeeEnv env(cfg(IsolationScheme::Hpmp));
+    CoreModel model = env.makeCoreModel();
+    auto as_count = env.hostKernel().createAddressSpace();
+    auto as_moved = env.hostKernel().createAddressSpace();
+
+    env.hostKernel().activate(*as_count, PrivMode::User);
+    Runner counted(env.hostKernel(), *as_count, model);
+    SimArray<uint64_t> by_count(counted, 1000);
+
+    env.hostKernel().activate(*as_moved, PrivMode::User);
+    Runner moved(env.hostKernel(), *as_moved, model);
+    std::vector<uint64_t> values(1000);
+    for (uint64_t i = 0; i < values.size(); ++i)
+        values[i] = i * 7 + 1;
+    SimArray<uint64_t> by_move(moved, std::move(values));
+
+    EXPECT_EQ(by_move.base(), by_count.base());
+    EXPECT_EQ(by_move.size(), 1000u);
+
+    const StatGroup &stats = env.machine().stats();
+    const uint64_t before = stats.get("accesses");
+    EXPECT_EQ(by_move.peek(999), 999u * 7 + 1);
+    EXPECT_EQ(by_move.peek(0), 1u);
+    EXPECT_EQ(stats.get("accesses"), before);
+    EXPECT_EQ(by_move.get(500), 500u * 7 + 1);
+    EXPECT_EQ(stats.get("accesses"), before + 1);
+}
+
 TEST(Lmbench, SchemesOrderAsExpected)
 {
     // stat is kernel-memory heavy: PMPT must cost more than PMP and
@@ -209,6 +244,79 @@ TEST(Gap, KernelsRunOnKronGraph)
     EXPECT_GT(suite.graph().numEdges(), suite.graph().numVertices());
     for (const auto &kernel : gapKernels())
         EXPECT_GT(suite.run(kernel), 0.0) << kernel;
+}
+
+/** FNV-1a over the offsets (u64) chained over the neighbours (u32). */
+uint64_t
+csrDigest(const KronGraph &g)
+{
+    static_assert(std::endian::native == std::endian::little);
+    std::vector<uint64_t> offsets(g.numVertices() + 1);
+    for (uint64_t v = 0; v < offsets.size(); ++v)
+        offsets[v] = g.peekOffset(v);
+    std::vector<uint32_t> neighbors(g.numEdges());
+    for (uint64_t e = 0; e < neighbors.size(); ++e)
+        neighbors[e] = g.peekNeighbor(e);
+    const uint64_t h = fnvBytes(offsets.data(), offsets.size() * 8);
+    return fnvBytes(neighbors.data(), neighbors.size() * 4, h);
+}
+
+TEST(Gap, KronGraphCsrGolden)
+{
+    // Recorded from the per-vertex-vector builder this one replaced
+    // (degree 8, seed 0x9a9): the CSR must be the same bytes.
+    struct Golden
+    {
+        unsigned scale;
+        uint64_t digest;
+        uint64_t edges;
+    };
+    const Golden goldens[] = {{10, 0x1df862dc00bde722ULL, 6649},
+                              {15, 0xc0b589a0cf0f6696ULL, 243929},
+                              {18, 0x68ffe3804e4f45f9ULL, 2016617}};
+    TeeEnv env(cfg(IsolationScheme::Hpmp));
+    CoreModel model = env.makeCoreModel();
+    for (const Golden &gold : goldens) {
+        SCOPED_TRACE(gold.scale);
+        auto as = env.hostKernel().createAddressSpace();
+        env.hostKernel().activate(*as, PrivMode::User);
+        Runner runner(env.hostKernel(), *as, model);
+        const KronGraph g(runner, gold.scale, 8, 0x9a9);
+
+        ASSERT_EQ(g.numVertices(), 1ULL << gold.scale);
+        EXPECT_EQ(g.numEdges(), gold.edges);
+        EXPECT_EQ(csrDigest(g), gold.digest);
+
+        EXPECT_EQ(g.peekOffset(0), 0u);
+        EXPECT_EQ(g.peekOffset(g.numVertices()), g.numEdges());
+        uint64_t degree_sum = 0;
+        for (uint64_t u = 0; u < g.numVertices(); ++u) {
+            const uint64_t begin = g.peekOffset(u);
+            const uint64_t end = g.peekOffset(u + 1);
+            ASSERT_LE(begin, end) << "vertex " << u;
+            for (uint64_t e = begin; e < end; ++e) {
+                ASSERT_NE(g.peekNeighbor(e), u) << "self-loop at " << u;
+                if (e > begin) {
+                    ASSERT_LT(g.peekNeighbor(e - 1), g.peekNeighbor(e))
+                        << "vertex " << u;
+                }
+            }
+            degree_sum += g.degreeOf(u);
+        }
+        EXPECT_EQ(degree_sum, g.numEdges());
+    }
+}
+
+TEST(KronGraphDeath, RejectsBadParameters)
+{
+    TeeEnv env(cfg(IsolationScheme::Hpmp));
+    auto as = env.hostKernel().createAddressSpace();
+    env.hostKernel().activate(*as, PrivMode::User);
+    CoreModel model = env.makeCoreModel();
+    Runner runner(env.hostKernel(), *as, model);
+    EXPECT_DEATH(KronGraph(runner, 0, 8), "scale 0 out of range");
+    EXPECT_DEATH(KronGraph(runner, 33, 8), "scale 33 out of range");
+    EXPECT_DEATH(KronGraph(runner, 4, 0), "degree must be at least 1");
 }
 
 TEST(Serverless, InvocationAndChain)
