@@ -26,7 +26,7 @@ main(int argc, char **argv)
         VirtEnv env(CoreKind::Rocket, scheme);
         const Addr gva = env.mapGuestPages(1);
         env.vm().coldReset();
-        const VirtAccessOutcome out =
+        const AccessOutcome out =
             env.vm().access(gva, AccessType::Load);
         if (!out.ok())
             fatal("virt access faulted: %s", toString(out.fault));

@@ -57,7 +57,7 @@ measure(VirtScheme scheme)
                 break;
             }
 
-            const VirtAccessOutcome out =
+            const AccessOutcome out =
                 vm.access(gva, AccessType::Load);
             if (!out.ok())
                 fatal("virt bench faulted: %s", toString(out.fault));

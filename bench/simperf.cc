@@ -319,7 +319,7 @@ runSimperfScheme(VirtScheme scheme, const SimperfPattern &pattern,
     const auto t0 = std::chrono::steady_clock::now();
     double elapsed = 0.0;
     do {
-        const VirtBatchOutcome out = vm.accessBatch(reqs);
+        const BatchOutcome out = vm.accessBatch(reqs);
         result.accesses += out.accesses;
         cycles += out.cycles;
         hits += out.tlbHits;

@@ -27,7 +27,7 @@ main()
         const Addr gva = env.mapGuestPages(1);
         env.vm().coldReset();
 
-        const VirtAccessOutcome out =
+        const AccessOutcome out =
             env.vm().access(gva, AccessType::Load);
         if (!out.ok()) {
             std::printf("%s: fault %s\n", toString(scheme),

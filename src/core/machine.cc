@@ -89,22 +89,16 @@ Machine::coldReset()
 }
 
 Fault
-Machine::consumePoison(Addr pa, uint64_t len, RefOrigin origin,
-                       AccessOutcome &out)
+Machine::consumePoison(Addr pa, RefOrigin origin, AccessOutcome &out,
+                       bool fill_site)
 {
-    if (!mem_->isPoisoned(pa, len))
+    if (fill_site && FAULT_POINT_NAMED("ras.poison_on_fill"))
+        mem_->poisonLine(pa);
+    if (!mem_->isPoisoned(pa, 8))
         return Fault::None;
     out.poisonAddr = pa;
     out.poisonOrigin = origin;
     return Fault::MachineCheck;
-}
-
-Fault
-Machine::dataPoisonCheck(Addr pa, AccessOutcome &out)
-{
-    if (FAULT_POINT_NAMED("ras.poison_on_fill"))
-        mem_->poisonLine(pa);
-    return consumePoison(pa, 8, RefOrigin::Data, out);
 }
 
 void
@@ -140,8 +134,8 @@ Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out,
         // the walker itself. The HPMP walk above already filled the
         // PMPTW cache from the poisoned bytes, so flush it — nothing
         // derived from poison may stay cached (fail closed).
-        if (consumePoison(ref.pa, 8, pmptOrigin(ref.level, levels),
-                          out) != Fault::None) {
+        if (consumePoison(ref.pa, pmptOrigin(ref.level, levels), out) !=
+            Fault::None) {
             hpmp_->flushCache();
             return Fault::MachineCheck;
         }
@@ -156,41 +150,44 @@ Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out,
 Perm
 Machine::physPermProbe(Addr pa) const
 {
-    if (priv_ == PrivMode::Machine)
-        return Perm::rwx();
-    return hpmp_->probe(pa);
+    return priv_ == PrivMode::Machine ? Perm::rwx() : hpmp_->probe(pa);
+}
+
+Fault
+Machine::physRef(Addr pa, AccessType type, RefOrigin origin,
+                 RefAttribution &attr, const AccessStage &stage,
+                 AccessOutcome &out, Perm *tlb_perm)
+{
+    Fault fault = checkPhys(pa, type, out, tlb_perm);
+    if (fault == Fault::None) {
+        fault = consumePoison(pa, origin, out,
+                              origin == RefOrigin::Data &&
+                                  stage.poisonOnFillSite);
+    }
+    if (fault != Fault::None)
+        return fault;
+    const uint64_t cycles =
+        hier_->access(pa, type == AccessType::Fetch).cycles;
+    out.cycles += cycles;
+    attr.record(origin, cycles);
+    ++out.refsOf(origin);
+    return Fault::None;
 }
 
 BatchOutcome
 Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
                      bool stop_on_fault)
 {
-    BatchOutcome b;
-    for (const AccessRequest &req : reqs) {
-        const AccessOutcome out = accessInner(req.va, req.type);
-        ++b.completed;
-        ++b.accesses;
-        if (out.tlbHit)
-            ++b.tlbHits;
-        else if (translationOn_)
-            statWalkCycles_.sample(out.cycles);
-        b.cycles += out.cycles;
-        b.ptRefs += out.ptRefs;
-        b.adRefs += out.adRefs;
-        b.pmptRefs += out.pmptRefs;
-        b.dataRefs += out.dataRefs;
-        b.pwcSkips += out.pwcSkips;
-        if (model)
-            model->addAccess(out);
-        if (!out.ok()) {
-            ++b.faults;
-            if (b.firstFault == Fault::None)
-                b.firstFault = out.fault;
-            countFault(out.fault);
-            if (stop_on_fault)
-                break;
-        }
-    }
+    const BatchOutcome b = replayBatch(
+        reqs, translationOn_ ? &statWalkCycles_ : nullptr, stop_on_fault,
+        [&](const AccessRequest &req) {
+            const AccessOutcome out = accessInner(req.va, req.type);
+            if (model)
+                model->addAccess(out);
+            if (!out.ok())
+                countFault(out.fault);
+            return out;
+        });
     statAccesses_ += b.accesses;
     if (translationOn_)
         statWalks_ += b.accesses - b.tlbHits;
@@ -207,18 +204,10 @@ Machine::accessMiss(Addr va, AccessType type)
     if (!translationOn_) {
         // Bare mode: the physical check still applies (e.g. the host
         // OS running with PMP enabled but paging off).
-        out.fault = checkPhys(va, type, out);
-        if (out.fault == Fault::None)
-            out.fault = dataPoisonCheck(va, out);
-        if (out.fault != Fault::None)
-            return out;
-        out.cycles += dataReference(*hier_, attr_, va, type);
-        out.dataRefs = 1;
+        out.fault = physRef(va, type, RefOrigin::Data, attr_, kHostStage,
+                            out);
         return out;
     }
-
-    if (const TlbEntry *entry = tlb_->lookupL2(va))
-        return tlbHit(*entry, va, type, kL2TlbPenalty);
 
     // TLB miss: functional walk first, then replay its references
     // through the PWC, the protection checker and the hierarchy.
@@ -228,36 +217,19 @@ Machine::accessMiss(Addr va, AccessType type)
                                     config);
 
     for (const PtRef &ref : walk.refs) {
-        if (!ref.write) {
-            if (pwc_->lookup(ref.level, va)) {
-                ++out.pwcSkips;
-                continue;
-            }
+        if (!ref.write && pwc_->lookup(ref.level, va)) {
+            ++out.pwcSkips;
+            continue;
         }
         // The walker's reference must itself pass the physical check.
-        const AccessType ref_type =
-            ref.write ? AccessType::Store : AccessType::Load;
-        out.fault = checkPhys(ref.pa, ref_type, out);
-        // Poisoned PT page: the walker consumed the error. Checked
-        // before the PWC fill below so poison-derived PTEs are never
-        // cached.
-        if (out.fault == Fault::None) {
-            out.fault = consumePoison(ref.pa, 8,
-                                      ref.write ? RefOrigin::AdUpdate
-                                                : ptOrigin(ref.level),
-                                      out);
-        }
+        // A poisoned PT page is consumed there, before the PWC fill
+        // below, so poison-derived PTEs are never cached.
+        out.fault = physRef(ref.pa,
+                            ref.write ? AccessType::Store : AccessType::Load,
+                            originOf(ref), attr_, kHostStage, out);
         if (out.fault != Fault::None)
             return out;
-
-        const uint64_t ref_cycles = hier_->access(ref.pa).cycles;
-        out.cycles += ref_cycles;
-        if (ref.write) {
-            attr_.record(RefOrigin::AdUpdate, ref_cycles);
-            ++out.adRefs;
-        } else {
-            attr_.record(ptOrigin(ref.level), ref_cycles);
-            ++out.ptRefs;
+        if (!ref.write) {
             const Pte pte{mem_->read64(ref.pa)};
             if (pte.v())
                 pwc_->fill(ref.level, va, pte);
@@ -272,13 +244,10 @@ Machine::accessMiss(Addr va, AccessType type)
     // Data reference with its own physical check, which also yields
     // the permission the TLB entry inlines.
     Perm phys_perm;
-    out.fault = checkPhys(walk.pa, type, out, &phys_perm);
-    if (out.fault == Fault::None)
-        out.fault = dataPoisonCheck(walk.pa, out);
+    out.fault = physRef(walk.pa, type, RefOrigin::Data, attr_, kHostStage,
+                        out, &phys_perm);
     if (out.fault != Fault::None)
         return out;
-    out.cycles += dataReference(*hier_, attr_, walk.pa, type);
-    out.dataRefs = 1;
 
     DPRINTF(Walk, "va=%#lx pa=%#lx pt=%u ad=%u pmpt=%u cycles=%lu\n",
             va, walk.pa, out.ptRefs, out.adRefs, out.pmptRefs,

@@ -15,6 +15,11 @@
  * The isolation *scheme* is not machine state — it is whatever the
  * secure monitor programmed into the HPMP entries. The machine simply
  * checks every actual physical reference.
+ *
+ * VirtMachine runs the same pipeline (DESIGN.md §10): its hits go
+ * through tlbHit() and its NPT, GPT and data references through
+ * physRef(); only the walk driver and the AccessStage constants
+ * differ.
  */
 
 #ifndef HPMP_CORE_MACHINE_H
@@ -40,7 +45,11 @@
 namespace hpmp
 {
 
-/** Per-access outcome and reference breakdown. */
+/**
+ * Per-access outcome and reference breakdown of either machine: a
+ * host access fills the PT and A/D counts, a guest access the NPT,
+ * GPT and G-TLB ones.
+ */
 struct AccessOutcome
 {
     Fault fault = Fault::None;
@@ -48,9 +57,12 @@ struct AccessOutcome
     bool tlbHit = false;
     unsigned ptRefs = 0;    //!< page-table page reads
     unsigned adRefs = 0;    //!< A/D-bit update writes
+    unsigned nptRefs = 0;   //!< nested-PT page references
+    unsigned gptRefs = 0;   //!< guest-PT page references
     unsigned pmptRefs = 0;  //!< permission-table entry references
     unsigned dataRefs = 0;  //!< the data/instruction reference itself
     unsigned pwcSkips = 0;  //!< PT references skipped by the PWC
+    unsigned gTlbHits = 0;  //!< G-stage walks short-circuited
     /** Meaningful when fault == MachineCheck: the poisoned physical
      *  address and what kind of reference consumed it. */
     Addr poisonAddr = 0;
@@ -59,11 +71,26 @@ struct AccessOutcome
     bool ok() const { return fault == Fault::None; }
     unsigned totalRefs() const
     {
-        return ptRefs + adRefs + pmptRefs + dataRefs;
+        return ptRefs + adRefs + nptRefs + gptRefs + pmptRefs + dataRefs;
+    }
+
+    /** The reference count an origin's references add to. */
+    unsigned &
+    refsOf(RefOrigin origin)
+    {
+        if (origin <= RefOrigin::AdUpdate)
+            return origin == RefOrigin::Data ? dataRefs : adRefs;
+        if (origin <= RefOrigin::PtL4)
+            return ptRefs;
+        if (origin <= RefOrigin::GptL3)
+            return gptRefs;
+        if (origin <= RefOrigin::NptL3)
+            return nptRefs;
+        return pmptRefs;
     }
 };
 
-/** Aggregate outcome of a batched replay (Machine::accessBatch). */
+/** Aggregate outcome of a batched replay (either machine's accessBatch). */
 struct BatchOutcome
 {
     uint64_t accesses = 0;
@@ -72,9 +99,12 @@ struct BatchOutcome
     uint64_t cycles = 0;
     uint64_t ptRefs = 0;
     uint64_t adRefs = 0;
+    uint64_t nptRefs = 0;
+    uint64_t gptRefs = 0;
     uint64_t pmptRefs = 0;
     uint64_t dataRefs = 0;
     uint64_t pwcSkips = 0;
+    uint64_t gTlbHits = 0;
     /**
      * Requests consumed, including the faulting one when
      * `stop_on_fault` ended the batch early.
@@ -84,41 +114,77 @@ struct BatchOutcome
 
     uint64_t totalRefs() const
     {
-        return ptRefs + adRefs + pmptRefs + dataRefs;
+        return ptRefs + adRefs + nptRefs + gptRefs + pmptRefs + dataRefs;
+    }
+
+    /** Add one access. */
+    void
+    add(const AccessOutcome &out)
+    {
+        ++completed;
+        ++accesses;
+        tlbHits += out.tlbHit;
+        cycles += out.cycles;
+        ptRefs += out.ptRefs;
+        adRefs += out.adRefs;
+        nptRefs += out.nptRefs;
+        gptRefs += out.gptRefs;
+        pmptRefs += out.pmptRefs;
+        dataRefs += out.dataRefs;
+        pwcSkips += out.pwcSkips;
+        gTlbHits += out.gTlbHits;
+        faults += !out.ok();
+        if (firstFault == Fault::None)
+            firstFault = out.fault;
     }
 };
 
 /**
- * Permission verdict of a TLB hit (TLB inlining, §2.2/§7): the cached
- * leaf's R/W/X and U rules (SUM set), then the G-stage leaf permission
- * (rwx for single-stage entries, so a no-op for Machine), then the
- * inlined physical permission. The one copy of the hit checks: every
- * TLB hit of Machine and VirtMachine runs it.
+ * The batch loop of both machines: run each request through `access`
+ * (request -> AccessOutcome) and sum the outcomes. A TLB miss samples
+ * its cycles into `walk_cycles` when that is set; with
+ * `stop_on_fault` the batch ends at the first faulting request.
  */
-[[gnu::always_inline]] inline Fault
-tlbHitFault(const TlbEntry &entry, AccessType type, PrivMode priv)
+template <typename AccessFn>
+[[gnu::always_inline]] inline BatchOutcome
+replayBatch(std::span<const AccessRequest> reqs, Distribution *walk_cycles,
+            bool stop_on_fault, AccessFn &&access)
 {
-    Fault fault = checkLeafPerms(entry.perm, entry.user, type, priv, true);
-    if (fault == Fault::None && !entry.gPerm.allows(type))
-        fault = guestPageFaultFor(type);
-    if (fault == Fault::None && !entry.physPerm.allows(type))
-        fault = accessFaultFor(type);
-    return fault;
+    BatchOutcome b;
+    for (const AccessRequest &req : reqs) {
+        const AccessOutcome out = access(req);
+        b.add(out);
+        if (!out.tlbHit && walk_cycles)
+            walk_cycles->sample(out.cycles);
+        if (!out.ok() && stop_on_fault)
+            break;
+    }
+    return b;
 }
 
 /**
- * The timed data reference of an access: one hierarchy access (L1I
- * for fetches, L1D otherwise), attributed to RefOrigin::Data.
- * @return its cycles.
+ * What differs between the single-stage (host) and the two-stage
+ * (guest) pipeline besides the walk itself. Fixed per stage: no
+ * parameter, flag or environment variable sets these.
  */
-[[gnu::always_inline]] inline uint64_t
-dataReference(MemoryHierarchy &hier, RefAttribution &attr, Addr pa,
-              AccessType type)
+struct AccessStage
 {
-    const uint64_t cycles = hier.access(pa, type == AccessType::Fetch).cycles;
-    attr.record(RefOrigin::Data, cycles);
-    return cycles;
-}
+    uint64_t l2TlbPenalty;  //!< cycles an L2-TLB hit adds to an L1 hit
+    bool poisonOnFillSite;  //!< data refs visit ras.poison_on_fill
+};
+
+/** The host pipeline: Machine's own accesses. */
+inline constexpr AccessStage kHostStage{2, true};
+
+/**
+ * The guest pipeline: VirtMachine's accesses. Both values are
+ * measured drifts from the host stage, kept so that simulated output
+ * stays as measured (EXPERIMENTS.md "Known fidelity gaps"):
+ *  - l2TlbPenalty 0: a combined-TLB L2 hit is free (gap 5);
+ *  - poisonOnFillSite false: guest data references skip the
+ *    ras.poison_on_fill site (gap 6).
+ */
+inline constexpr AccessStage kGuestStage{0, false};
 
 class CoreModel;
 
@@ -145,7 +211,6 @@ class Machine
     MemoryHierarchy &hier() { return *hier_; }
     HpmpUnit &hpmp() { return *hpmp_; }
     Tlb &tlb() { return *tlb_; }
-    Pwc &pwc() { return *pwc_; }
 
     /**
      * Point the MMU at a page table. A satp write implies a local
@@ -216,14 +281,73 @@ class Machine
 
     /**
      * Check one physical reference against the programmed HPMP state,
-     * charging pmpte references to `out`. Public so the virtualized
-     * machine can reuse it. When the check passes and `tlb_perm` is
-     * set, it receives the physical permission to inline into a TLB
-     * entry for pa: the one the check resolved, or a physPermProbe()
-     * when the PMPTW-Cache answered — one permission walk per fill.
+     * charging pmpte references to `out`. When the check passes and
+     * `tlb_perm` is set, it receives the physical permission to inline
+     * into a TLB entry for pa: the one the check resolved, or a
+     * physPermProbe() when the PMPTW-Cache answered — one permission
+     * walk per fill.
      */
     Fault checkPhys(Addr pa, AccessType type, AccessOutcome &out,
                     Perm *tlb_perm = nullptr);
+
+    /**
+     * One physical reference of either pipeline — host PT, A/D, bare
+     * or walk data; guest NPT, GPT or data: checkPhys() (pmptes
+     * attributed to "machine.ref.*"), poison consumption tagged with
+     * `origin` (visiting ras.poison_on_fill first for a data
+     * reference of a stage that has the site), the timed hierarchy
+     * access (L1I only for a fetch, which only a data reference is),
+     * then `attr.record(origin, ...)` and the count in `out` that
+     * `origin` selects. On a fault nothing past the failing step
+     * happens.
+     */
+    Fault physRef(Addr pa, AccessType type, RefOrigin origin,
+                  RefAttribution &attr, const AccessStage &stage,
+                  AccessOutcome &out, Perm *tlb_perm = nullptr);
+
+    /**
+     * The TLB-hit path of either pipeline. Looks `va` up in `tlb`, L1
+     * then L2 (whose hit costs `stage.l2TlbPenalty`); on a miss
+     * returns false and leaves `out` alone. On a hit, fills `out`:
+     * the cached leaf's R/W/X and U rules (SUM set), the G-stage leaf
+     * permission (rwx for single-stage entries), the inlined physical
+     * permission — so no PMP/PMPT activity (TLB inlining, §2.2/§7) —
+     * then data poison consumption unless fastHitOk(), then the data
+     * reference, attributed to `attr`.
+     */
+    [[gnu::always_inline]] bool
+    tlbHit(Tlb &tlb, Addr va, AccessType type, PrivMode priv,
+           RefAttribution &attr, const AccessStage &stage,
+           AccessOutcome &out)
+    {
+        TlbHitLevel level = TlbHitLevel::Miss;
+        const TlbEntry *entry = tlb.lookup(va, &level);
+        if (!entry)
+            return false;
+        out.tlbHit = true;
+        out.cycles = level == TlbHitLevel::L2 ? stage.l2TlbPenalty : 0;
+        out.fault = checkLeafPerms(entry->perm, entry->user, type, priv,
+                                   true);
+        if (out.fault == Fault::None && !entry->gPerm.allows(type))
+            out.fault = guestPageFaultFor(type);
+        if (out.fault == Fault::None && !entry->physPerm.allows(type))
+            out.fault = accessFaultFor(type);
+        if (out.fault != Fault::None)
+            return true;
+        const Addr pa = entry->translate(va);
+        if (!fastHitOk()) {
+            out.fault = consumePoison(pa, RefOrigin::Data, out,
+                                      stage.poisonOnFillSite);
+            if (out.fault != Fault::None)
+                return true;
+        }
+        const uint64_t cycles =
+            hier_->access(pa, type == AccessType::Fetch).cycles;
+        out.cycles += cycles;
+        attr.record(RefOrigin::Data, cycles);
+        out.dataRefs = 1;
+        return true;
+    }
 
     /**
      * Functional probe of the physical permission triple for a page
@@ -248,7 +372,6 @@ class Machine
 
     /** Per-origin reference counts/latencies ("machine.ref.*"). */
     const RefAttribution &refAttr() const { return attr_; }
-    RefAttribution &refAttr() { return attr_; }
 
     /**
      * Register every stat group of this machine and its components
@@ -279,50 +402,23 @@ class Machine
 
     /**
      * The access path proper (stats wrappers live in access() and
-     * accessBatch()): an L1-TLB hit inline, everything else out of
-     * line in accessMiss().
+     * accessBatch()): a TLB hit inline, everything else out of line
+     * in accessMiss().
      */
     [[gnu::always_inline]] AccessOutcome
     accessInner(Addr va, AccessType type)
     {
-        if (translationOn_) {
-            if (const TlbEntry *entry = tlb_->lookupL1(va))
-                return tlbHit(*entry, va, type, 0);
-        }
+        AccessOutcome out;
+        if (translationOn_ &&
+            tlbHit(*tlb_, va, type, priv_, attr_, kHostStage, out))
+            return out;
         return accessMiss(va, type);
     }
 
     /**
-     * A TLB hit, L1 or L2 (whose penalty arrives as `cycles`): the hit
-     * checks, the data poison consumption unless fastHitOk(), then the
-     * data reference. The inlined physical permission makes PMP/PMPT
-     * activity unnecessary on hits (TLB inlining, §7).
-     */
-    [[gnu::always_inline]] AccessOutcome
-    tlbHit(const TlbEntry &entry, Addr va, AccessType type, uint64_t cycles)
-    {
-        AccessOutcome out;
-        out.cycles = cycles;
-        out.tlbHit = true;
-        out.fault = tlbHitFault(entry, type, priv_);
-        if (out.fault != Fault::None)
-            return out;
-        const Addr pa = entry.translate(va);
-        if (!fastHitOk()) {
-            out.fault = dataPoisonCheck(pa, out);
-            if (out.fault != Fault::None)
-                return out;
-        }
-        out.cycles += dataReference(*hier_, attr_, pa, type);
-        out.dataRefs = 1;
-        return out;
-    }
-
-    /**
-     * The access path after an L1-TLB miss, or with translation off:
-     * an L2-TLB hit, else the walk with its physical checks, the data
-     * reference and the TLB fill; in bare mode the checked data
-     * reference alone.
+     * The access path after a TLB miss, or with translation off: the
+     * walk with its physical references, the data reference and the
+     * TLB fill; in bare mode the data reference alone.
      */
     AccessOutcome accessMiss(Addr va, AccessType type);
 
@@ -330,17 +426,15 @@ class Machine
     void countFault(Fault fault);
 
     /**
-     * Consume poison on [pa, pa+len): returns MachineCheck (and tags
+     * Consume poison on the 8 bytes at pa, first visiting the
+     * ras.poison_on_fill injection site (fires only when armed by
+     * name) when `fill_site` is set: returns MachineCheck (and tags
      * `out` with the address + origin) when the range carries an
      * uncorrectable-error mark, None otherwise. Fail closed: the
      * faulting reference never returns data.
      */
-    Fault consumePoison(Addr pa, uint64_t len, RefOrigin origin,
-                        AccessOutcome &out);
-
-    /** Data-reference poison check, including the ras.poison_on_fill
-     *  injection site (fires only when armed by name). */
-    Fault dataPoisonCheck(Addr pa, AccessOutcome &out);
+    Fault consumePoison(Addr pa, RefOrigin origin, AccessOutcome &out,
+                        bool fill_site = false);
 
     StatGroup stats_;
     StatGroup tlbStats_;
@@ -356,8 +450,6 @@ class Machine
     Counter statMachineChecks_;
     Distribution statWalkCycles_; //!< end-to-end cycles of TLB-miss accesses
     RefAttribution attr_{stats_};
-
-    static constexpr unsigned kL2TlbPenalty = 2;
 };
 
 } // namespace hpmp

@@ -49,13 +49,11 @@ VirtMachine::VirtMachine(std::unique_ptr<Machine> owned, Machine *host,
 
     gtlbHooks_.lookup =
         [this](Addr gpa_page, AccessType t) -> std::optional<GStageHit> {
-        if (auto e = gStageTlb_.lookup(gpa_page)) {
-            // Enforce the cached G-stage leaf permission: a miss here
-            // routes the access to the full G-stage walk, which
-            // raises the proper guest page fault.
-            if (e->perm.allows(t))
-                return GStageHit{pageAddr(e->ppn), e->perm};
-        }
+        // Enforce the cached G-stage leaf permission: a miss here
+        // routes the access to the full G-stage walk, which raises the
+        // proper guest page fault.
+        if (auto e = gStageTlb_.lookup(gpa_page); e && e->perm.allows(t))
+            return GStageHit{pageAddr(e->ppn), e->perm};
         return std::nullopt;
     };
     gtlbHooks_.fill = [this](Addr gpa_page, Addr spa_page, Perm perm) {
@@ -108,8 +106,7 @@ void
 VirtMachine::hfenceGvma()
 {
     gStageTlb_.flushAll();
-    combinedTlb_.flushAll();
-    vsPwc_.flush();
+    hfenceVvma();
 }
 
 void
@@ -133,90 +130,55 @@ VirtMachine::registerStats(StatRegistry &registry)
 }
 
 void
-VirtMachine::account(const VirtAccessOutcome &out)
+VirtMachine::account(const BatchOutcome &b)
 {
-    ++statAccesses_;
-    if (out.tlbHit) {
-        ++statTlbHits_;
-    } else {
-        ++statWalks_;
-        statWalkCycles_.sample(out.cycles);
-    }
-    statNptRefs_ += out.nptRefs;
-    statGptRefs_ += out.gptRefs;
-    statDataRefs_ += out.dataRefs;
-    statPmptRefs_ += out.pmptRefs;
-    statGTlbHits_ += out.gTlbHits;
-    if (!out.ok())
-        ++statFaults_;
+    statAccesses_ += b.accesses;
+    statTlbHits_ += b.tlbHits;
+    statWalks_ += b.accesses - b.tlbHits;
+    statNptRefs_ += b.nptRefs;
+    statGptRefs_ += b.gptRefs;
+    statDataRefs_ += b.dataRefs;
+    statPmptRefs_ += b.pmptRefs;
+    statGTlbHits_ += b.gTlbHits;
+    statFaults_ += b.faults;
 }
 
-VirtAccessOutcome
+AccessOutcome
 VirtMachine::access(Addr gva, AccessType type)
 {
-    VirtAccessOutcome out = accessInner(gva, type);
-    account(out);
+    // A one-request batch, so both entry points count alike.
+    const AccessRequest req{gva, type};
+    AccessOutcome out;
+    account(replayBatch({&req, 1}, &statWalkCycles_, false,
+                        [&](const AccessRequest &r) {
+                            return out = accessInner(r.va, r.type);
+                        }));
     return out;
 }
 
-VirtBatchOutcome
+BatchOutcome
 VirtMachine::accessBatch(std::span<const AccessRequest> reqs)
 {
-    VirtBatchOutcome batch;
-    for (const AccessRequest &req : reqs) {
-        const VirtAccessOutcome out = accessInner(req.va, req.type);
-        ++batch.accesses;
-        if (out.tlbHit)
-            ++batch.tlbHits;
-        else
-            statWalkCycles_.sample(out.cycles);
-        if (!out.ok())
-            ++batch.faults;
-        batch.cycles += out.cycles;
-        batch.nptRefs += out.nptRefs;
-        batch.gptRefs += out.gptRefs;
-        batch.dataRefs += out.dataRefs;
-        batch.pmptRefs += out.pmptRefs;
-        batch.gTlbHits += out.gTlbHits;
-    }
-    statAccesses_ += batch.accesses;
-    statTlbHits_ += batch.tlbHits;
-    statWalks_ += batch.accesses - batch.tlbHits;
-    statNptRefs_ += batch.nptRefs;
-    statGptRefs_ += batch.gptRefs;
-    statDataRefs_ += batch.dataRefs;
-    statPmptRefs_ += batch.pmptRefs;
-    statGTlbHits_ += batch.gTlbHits;
-    statFaults_ += batch.faults;
-    return batch;
+    const BatchOutcome b =
+        replayBatch(reqs, &statWalkCycles_, false,
+                    [this](const AccessRequest &req) {
+                        return accessInner(req.va, req.type);
+                    });
+    account(b);
+    return b;
 }
 
-VirtAccessOutcome
+AccessOutcome
 VirtMachine::accessInner(Addr gva, AccessType type)
 {
-    VirtAccessOutcome out;
-    const bool is_fetch = type == AccessType::Fetch;
-
-    // Combined-TLB hit: inlined permissions, data reference only. The
-    // entry carries the real VS-stage U bit / permissions, the real
-    // G-stage leaf permission and the inlined physical permission, so
-    // the same checks fire as on the full-walk path.
-    if (const TlbEntry *entry = combinedTlb_.lookup(gva)) {
-        out.tlbHit = true;
-        out.fault = tlbHitFault(*entry, type, guestPriv_);
-        if (out.fault != Fault::None)
-            return out;
-        const Addr spa = entry->translate(gva);
-        if (!machine_.fastHitOk() && machine_.mem().isPoisoned(spa, 8)) {
-            out.fault = Fault::MachineCheck;
-            out.poisonAddr = spa;
-            out.poisonOrigin = RefOrigin::Data;
-            return out;
-        }
-        out.cycles += dataReference(machine_.hier(), attr_, spa, type);
-        out.dataRefs = 1;
+    // Combined-TLB hit: the entry carries the real VS-stage U bit /
+    // permissions, the real G-stage leaf permission and the inlined
+    // physical permission, so the same checks fire as on the
+    // full-walk path.
+    AccessOutcome out;
+    if (machine_.tlbHit(combinedTlb_, gva, type, guestPriv_, attr_,
+                        kGuestStage, out))
         return out;
-    }
 
     // Full two-stage walk with the G-stage TLB and guest PWC hooks.
     TwoStageConfig config;
@@ -225,65 +187,20 @@ VirtMachine::accessInner(Addr gva, AccessType type)
                      guestPriv_, config, &gtlbHooks_, &pwcHooks_);
     out.gTlbHits = walk.gstageTlbHits;
 
-    // Replay the supervisor-physical references: protection check
-    // first, then the memory reference itself.
-    AccessOutcome check_out;
+    // Replay the supervisor-physical references. A poisoned GPT/NPT
+    // page or guest data line is consumed before any TLB/PWC state is
+    // derived from the poisoned bytes.
     Perm phys_perm; // the data reference's, inlined by the TLB fill
     for (const VirtRef &ref : walk.refs) {
         const bool is_data = ref.kind == VirtRefKind::Data;
         const AccessType ref_type =
             is_data ? type
                     : (ref.write ? AccessType::Store : AccessType::Load);
-        out.fault = machine_.checkPhys(ref.spa, ref_type, check_out,
-                                       is_data ? &phys_perm : nullptr);
-        out.cycles += check_out.cycles;
-        out.pmptRefs += check_out.pmptRefs;
-        if (out.fault == Fault::MachineCheck) {
-            // Poisoned pmpte consumed inside the physical check.
-            out.poisonAddr = check_out.poisonAddr;
-            out.poisonOrigin = check_out.poisonOrigin;
-        }
-        check_out = AccessOutcome{};
+        out.fault = machine_.physRef(ref.spa, ref_type, originOf(ref), attr_,
+                                     kGuestStage, out,
+                                     is_data ? &phys_perm : nullptr);
         if (out.fault != Fault::None)
             return out;
-
-        // Poisoned GPT/NPT page or guest data line: consumed by the
-        // two-stage walker, before any TLB/PWC state is derived from
-        // the poisoned bytes.
-        if (machine_.mem().isPoisoned(ref.spa, 8)) {
-            out.fault = Fault::MachineCheck;
-            out.poisonAddr = ref.spa;
-            switch (ref.kind) {
-              case VirtRefKind::NptPage:
-                out.poisonOrigin = nptOrigin(ref.level);
-                break;
-              case VirtRefKind::GptPage:
-                out.poisonOrigin = gptOrigin(ref.level);
-                break;
-              case VirtRefKind::Data:
-                out.poisonOrigin = RefOrigin::Data;
-                break;
-            }
-            return out;
-        }
-
-        const uint64_t ref_cycles =
-            machine_.hier().access(ref.spa, is_data && is_fetch).cycles;
-        out.cycles += ref_cycles;
-        switch (ref.kind) {
-          case VirtRefKind::NptPage:
-            attr_.record(nptOrigin(ref.level), ref_cycles);
-            ++out.nptRefs;
-            break;
-          case VirtRefKind::GptPage:
-            attr_.record(gptOrigin(ref.level), ref_cycles);
-            ++out.gptRefs;
-            break;
-          case VirtRefKind::Data:
-            attr_.record(RefOrigin::Data, ref_cycles);
-            ++out.dataRefs;
-            break;
-        }
     }
 
     if (!walk.ok()) {
@@ -291,8 +208,7 @@ VirtMachine::accessInner(Addr gva, AccessType type)
         return out;
     }
 
-    DPRINTF(Walk,
-            "3D gva=%#lx spa=%#lx npt=%u gpt=%u pmpt=%u cycles=%lu\n",
+    DPRINTF(Walk, "3D gva=%#lx spa=%#lx npt=%u gpt=%u pmpt=%u cycles=%lu\n",
             gva, walk.spa, out.nptRefs, out.gptRefs, out.pmptRefs,
             (unsigned long)out.cycles);
     TRACE_EVENT(Walk, statAccesses_.value(), out.cycles, "3d_walk", gva,

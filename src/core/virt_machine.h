@@ -5,8 +5,10 @@
  * Wraps a Machine with the hypervisor-extension translation path:
  * guest accesses walk the guest page table (vsatp, Sv39) through the
  * nested page table (hgatp, Sv39x4), and every supervisor-physical
- * reference — NPT page, guest-PT page or data — goes through the same
- * HPMP permission check and cache hierarchy. Separate combined and
+ * reference — NPT page, guest-PT page or data — goes through the
+ * host's Machine::physRef, the same step as the host's own walk
+ * references; a combined-TLB hit goes through Machine::tlbHit (the
+ * one pipeline, DESIGN.md §10). Separate combined and
  * G-stage TLBs plus a guest PWC give hfence.vvma / hfence.gvma their
  * distinct costs.
  *
@@ -29,47 +31,13 @@
 namespace hpmp
 {
 
-/** Outcome of one guest access with the 3D-walk breakdown. */
-struct VirtAccessOutcome
-{
-    Fault fault = Fault::None;
-    uint64_t cycles = 0;
-    bool tlbHit = false;
-    unsigned nptRefs = 0;   //!< nested-PT page references
-    unsigned gptRefs = 0;   //!< guest-PT page references
-    unsigned dataRefs = 0;
-    unsigned pmptRefs = 0;  //!< permission-table references
-    unsigned gTlbHits = 0;  //!< G-stage walks short-circuited
-    /** Meaningful when fault == MachineCheck: the poisoned physical
-     *  address and what kind of reference consumed it. */
-    Addr poisonAddr = 0;
-    RefOrigin poisonOrigin = RefOrigin::Data;
-
-    bool ok() const { return fault == Fault::None; }
-    unsigned totalRefs() const
-    {
-        return nptRefs + gptRefs + dataRefs + pmptRefs;
-    }
-};
-
-/** Aggregate outcome of a batched guest replay. */
-struct VirtBatchOutcome
-{
-    uint64_t accesses = 0;
-    uint64_t tlbHits = 0;
-    uint64_t faults = 0;
-    uint64_t cycles = 0;
-    uint64_t nptRefs = 0;
-    uint64_t gptRefs = 0;
-    uint64_t dataRefs = 0;
-    uint64_t pmptRefs = 0;
-    uint64_t gTlbHits = 0;
-
-    uint64_t totalRefs() const
-    {
-        return nptRefs + gptRefs + dataRefs + pmptRefs;
-    }
-};
+/**
+ * Former names of the guest outcome types, now the shared
+ * AccessOutcome / BatchOutcome with the NPT, GPT and G-TLB counts
+ * filled. Kept for the perfbench driver sources, which name them.
+ */
+using VirtAccessOutcome = AccessOutcome;
+using VirtBatchOutcome = BatchOutcome;
 
 /** A guest hart running under the hypervisor extension. */
 class VirtMachine
@@ -123,14 +91,14 @@ class VirtMachine
                           PrivMode guest_priv);
 
     /** One guest load/store/fetch (the hlv.d path of §8.6). */
-    VirtAccessOutcome access(Addr gva, AccessType type);
+    AccessOutcome access(Addr gva, AccessType type);
 
     /**
      * Batched guest replay: one dispatch for the whole request span,
      * with stats updated in bulk. Faulting accesses are counted and
      * skipped, as in trace replay.
      */
-    VirtBatchOutcome accessBatch(std::span<const AccessRequest> reqs);
+    BatchOutcome accessBatch(std::span<const AccessRequest> reqs);
 
     /** hfence.vvma: drop guest translations, keep G-stage ones. */
     void hfenceVvma();
@@ -163,11 +131,15 @@ class VirtMachine
     VirtMachine(std::unique_ptr<Machine> owned, Machine *host,
                 const std::string &stat_prefix);
 
-    /** The access path proper (stats wrappers live in access()). */
-    VirtAccessOutcome accessInner(Addr gva, AccessType type);
+    /**
+     * The access path proper (stats wrappers live in access() and
+     * accessBatch()): a combined-TLB hit, else the two-stage walk
+     * with its physical references, the data reference and the fill.
+     */
+    AccessOutcome accessInner(Addr gva, AccessType type);
 
-    /** Add one outcome to the "virt_machine.*" counters. */
-    void account(const VirtAccessOutcome &out);
+    /** Add replayed accesses to the "virt_machine.*" counters. */
+    void account(const BatchOutcome &b);
 
     std::unique_ptr<Machine> ownedMachine_; //!< set by the owning ctor
     Machine &machine_;                      //!< owned or wrapped host

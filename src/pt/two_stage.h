@@ -36,6 +36,21 @@ struct VirtRef
     unsigned level = 0;
 };
 
+/** Attribution origin of a two-stage reference: NPT/GPT level or data. */
+inline RefOrigin
+originOf(const VirtRef &ref)
+{
+    switch (ref.kind) {
+      case VirtRefKind::NptPage:
+        return nptOrigin(ref.level);
+      case VirtRefKind::GptPage:
+        return gptOrigin(ref.level);
+      case VirtRefKind::Data:
+        break;
+    }
+    return RefOrigin::Data;
+}
+
 /** Result of a two-stage walk. */
 struct TwoStageResult
 {

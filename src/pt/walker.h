@@ -12,6 +12,7 @@
 #ifndef HPMP_PT_WALKER_H
 #define HPMP_PT_WALKER_H
 
+#include "base/attribution.h"
 #include "base/small_vec.h"
 #include "mem/phys_mem.h"
 #include "pt/pte.h"
@@ -26,6 +27,13 @@ struct PtRef
     bool write = false;   //!< A/D read-modify-write update
     unsigned level = 0;   //!< page-table level of the entry touched
 };
+
+/** Attribution origin of a walk reference: A/D write or PT level read. */
+inline RefOrigin
+originOf(const PtRef &ref)
+{
+    return ref.write ? RefOrigin::AdUpdate : ptOrigin(ref.level);
+}
 
 /** Result of one full walk. */
 struct WalkResult

@@ -129,18 +129,17 @@ recordViolation(RunOutcome &out, const std::string &kind,
 /**
  * Hand a finished path's decisions and flags to `out`. With
  * `count_decisions`, the decisions past the forced prefix count as the
- * path's new transitions (scripts without per-op dedup); the prefix
- * test runs on the moved-from decision list, so only an unforced path
- * counts any.
+ * path's new transitions (scripts without per-op dedup).
  */
 void
 finishPath(PathController &ctl, RunOutcome &out, bool count_decisions)
 {
+    const bool past_prefix = ctl.pastPrefix();
     out.decisions = std::move(ctl.made);
     out.truncated = ctl.truncated;
     out.divergence = ctl.divergence;
     out.divergenceWhy = ctl.divergenceWhy;
-    if (count_decisions && ctl.pastPrefix()) {
+    if (count_decisions && past_prefix) {
         out.newTransitions =
             out.decisions.size() - (ctl.forced ? ctl.forced->size() : 0);
     }

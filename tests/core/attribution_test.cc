@@ -204,7 +204,7 @@ TEST(Attribution, Fig8Golden3dWalkRefCounts)
         const RefCounts m_before =
             fold(env.vm().machine().refAttr());
 
-        const VirtAccessOutcome out =
+        const AccessOutcome out =
             env.vm().access(gva, AccessType::Load);
         ASSERT_TRUE(out.ok()) << toString(row.scheme);
 

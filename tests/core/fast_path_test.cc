@@ -30,6 +30,7 @@
 #include "core/virt_machine.h"
 #include "pmpt/pmp_table.h"
 #include "pt/page_table.h"
+#include "pt/walker.h"
 
 namespace hpmp
 {
@@ -52,22 +53,10 @@ describe(const AccessOutcome &out)
     std::ostringstream os;
     os << toString(out.fault) << " cyc=" << out.cycles
        << " hit=" << out.tlbHit << " pt=" << out.ptRefs
-       << " ad=" << out.adRefs << " pmpt=" << out.pmptRefs
+       << " ad=" << out.adRefs << " npt=" << out.nptRefs
+       << " gpt=" << out.gptRefs << " pmpt=" << out.pmptRefs
        << " data=" << out.dataRefs << " pwc=" << out.pwcSkips
-       << " poison=" << out.poisonAddr << "/"
-       << unsigned(out.poisonOrigin);
-    return os.str();
-}
-
-std::string
-describe(const VirtAccessOutcome &out)
-{
-    std::ostringstream os;
-    os << toString(out.fault) << " cyc=" << out.cycles
-       << " hit=" << out.tlbHit << " npt=" << out.nptRefs
-       << " gpt=" << out.gptRefs << " data=" << out.dataRefs
-       << " pmpt=" << out.pmptRefs << " gtlb=" << out.gTlbHits
-       << " poison=" << out.poisonAddr << "/"
+       << " gtlb=" << out.gTlbHits << " poison=" << out.poisonAddr << "/"
        << unsigned(out.poisonOrigin);
     return os.str();
 }
@@ -79,21 +68,10 @@ describe(const BatchOutcome &b)
     os << "n=" << b.accesses << " hits=" << b.tlbHits
        << " faults=" << b.faults << " cyc=" << b.cycles
        << " pt=" << b.ptRefs << " ad=" << b.adRefs
-       << " pmpt=" << b.pmptRefs << " data=" << b.dataRefs
-       << " pwc=" << b.pwcSkips << " done=" << b.completed
-       << " first=" << toString(b.firstFault);
-    return os.str();
-}
-
-std::string
-describe(const VirtBatchOutcome &b)
-{
-    std::ostringstream os;
-    os << "n=" << b.accesses << " hits=" << b.tlbHits
-       << " faults=" << b.faults << " cyc=" << b.cycles
        << " npt=" << b.nptRefs << " gpt=" << b.gptRefs
-       << " data=" << b.dataRefs << " pmpt=" << b.pmptRefs
-       << " gtlb=" << b.gTlbHits;
+       << " pmpt=" << b.pmptRefs << " data=" << b.dataRefs
+       << " pwc=" << b.pwcSkips << " gtlb=" << b.gTlbHits
+       << " done=" << b.completed << " first=" << toString(b.firstFault);
     return os.str();
 }
 
@@ -395,6 +373,90 @@ TEST(MachineHitPoison, L1AndL2HitsConsumePoisonedLine)
     EXPECT_EQ(out.poisonAddr, kData + 0x40);
 }
 
+/** A walk reference the access of `va` makes, found without timing it. */
+PtRef
+hostWalkRef(MachineRig &rig, Addr va, unsigned level, bool write)
+{
+    WalkConfig config;
+    config.hardwareAdUpdate = false; // no A/D write on a functional probe
+    const WalkResult walk =
+        walkPageTable(rig.machine.mem(), rig.pt.rootPa(), va,
+                      AccessType::Load, PrivMode::User, config);
+    for (const PtRef &ref : walk.refs) {
+        if (ref.level == level)
+            return {ref.pa, write, level};
+    }
+    ADD_FAILURE() << "no level-" << level << " reference";
+    return {};
+}
+
+/** The pmpte reads the physical check of `pa` makes, root first. */
+std::vector<PmptRef>
+pmpteRefs(HpmpUnit &unit, Addr pa)
+{
+    const HpmpCheckResult check =
+        unit.check(pa, 8, AccessType::Load, PrivMode::Supervisor);
+    return {check.pmptRefs.begin(), check.pmptRefs.end()};
+}
+
+TEST(MachineWalkPoison, PoisonedPtPageReportsItsLevel)
+{
+    for (unsigned level : {0u, 2u}) {
+        MachineRig rig(IsolationScheme::Hpmp, 0);
+        const PtRef ref = hostWalkRef(rig, kVa + 0x40, level, false);
+        rig.machine.mem().poisonLine(ref.pa);
+        const AccessOutcome out =
+            rig.machine.access(kVa + 0x40, AccessType::Load);
+        EXPECT_FALSE(out.tlbHit);
+        EXPECT_EQ(out.fault, Fault::MachineCheck);
+        EXPECT_EQ(out.poisonAddr, ref.pa);
+        EXPECT_EQ(out.poisonOrigin, level ? RefOrigin::PtL2 : RefOrigin::PtL0);
+    }
+}
+
+TEST(MachineWalkPoison, PoisonedAdWriteReportsAdUpdate)
+{
+    // A clean page: the first load caches every PTE in the PWC, so the
+    // store's walk skips the reads and its A/D write is the first
+    // reference to reach the poisoned leaf PTE.
+    MachineRig rig(IsolationScheme::Hpmp, 0);
+    Machine &m = rig.machine;
+    const Addr va = kVa + pageAddr(kHot + 8);
+    rig.pt.map(va, kData + pageAddr(kHot + 8), Perm::rw(), true, 0,
+               /*accessed=*/true, /*dirty=*/false);
+    ASSERT_TRUE(m.access(va, AccessType::Load).ok());
+    const PtRef ref = hostWalkRef(rig, va, 0, true);
+    m.mem().poisonLine(ref.pa);
+    m.tlb().flushAll(); // the PWC keeps its entries
+    const AccessOutcome out = m.access(va, AccessType::Store);
+    EXPECT_EQ(out.pwcSkips, 3u);
+    EXPECT_EQ(out.fault, Fault::MachineCheck);
+    EXPECT_EQ(out.poisonAddr, ref.pa);
+    EXPECT_EQ(out.poisonOrigin, RefOrigin::AdUpdate);
+}
+
+TEST(MachineWalkPoison, PoisonedPmpteReportsRootOrLeaf)
+{
+    // The data page's leaf pmpte is read only by the data reference's
+    // check; its root pmpte line by the first one that reaches it.
+    for (bool leaf : {true, false}) {
+        MachineRig rig(IsolationScheme::PmpTable, 0);
+        Machine &m = rig.machine;
+        const std::vector<PmptRef> refs = pmpteRefs(m.hpmp(), kData + 0x40);
+        ASSERT_EQ(refs.size(), 2u);
+        const Addr pmpte = leaf ? refs.back().pa : refs.front().pa;
+        m.mem().poisonLine(pmpte);
+        const AccessOutcome out = m.access(kVa + 0x40, AccessType::Load);
+        EXPECT_EQ(out.fault, Fault::MachineCheck);
+        EXPECT_EQ(alignDown(out.poisonAddr, 64), alignDown(pmpte, 64));
+        EXPECT_EQ(out.poisonOrigin,
+                  leaf ? RefOrigin::PmpteLeaf : RefOrigin::PmpteRoot);
+        if (leaf) {
+            EXPECT_EQ(out.poisonAddr, pmpte);
+        }
+    }
+}
+
 // ---- two-stage ------------------------------------------------------
 
 constexpr Addr kNptPool = 128_MiB;
@@ -572,7 +634,7 @@ TEST(VirtFastPathStream, ReachesEveryOutcomeKind)
     for (unsigned op = 0; op < kOps; ++op) {
         const AccessType type = randomType(rng);
         const Addr gva = VirtRig::randomVa(rng);
-        const VirtAccessOutcome out = vm.access(gva, type);
+        const AccessOutcome out = vm.access(gva, type);
         page_fault |= out.fault == pageFaultFor(type);
         guest_fault |= out.fault == guestPageFaultFor(type);
         access_fault |= out.fault == accessFaultFor(type);
@@ -593,12 +655,73 @@ TEST(VirtHitPoison, CombinedTlbHitConsumesPoisonedLine)
     VirtMachine &vm = rig.vm;
     ASSERT_TRUE(vm.access(kGva + 0x40, AccessType::Load).ok());
     vm.mem().poisonLine(kGuestData + 0x40);
-    const VirtAccessOutcome out = vm.access(kGva + 0x40, AccessType::Load);
+    const AccessOutcome out = vm.access(kGva + 0x40, AccessType::Load);
     EXPECT_TRUE(out.tlbHit);
     EXPECT_EQ(out.fault, Fault::MachineCheck);
     EXPECT_EQ(out.poisonAddr, kGuestData + 0x40);
     EXPECT_EQ(out.poisonOrigin, RefOrigin::Data);
     EXPECT_TRUE(vm.access(kGva + 0x80, AccessType::Load).ok());
+}
+
+/** The supervisor-physical references of the first access of `gva`. */
+std::vector<VirtRef>
+virtWalkRefs(VirtRig &rig, Addr gva)
+{
+    const TwoStageResult walk = walkTwoStage(
+        rig.vm.mem(), rig.gpt.rootPa(), rig.npt.rootPa(), gva,
+        AccessType::Load, PrivMode::User, TwoStageConfig{});
+    EXPECT_TRUE(walk.ok());
+    return {walk.refs.begin(), walk.refs.end()};
+}
+
+/** The first reference of `kind` in a 3D walk. */
+VirtRef
+firstOf(const std::vector<VirtRef> &refs, VirtRefKind kind)
+{
+    for (const VirtRef &ref : refs) {
+        if (ref.kind == kind)
+            return ref;
+    }
+    ADD_FAILURE() << "no reference of that kind";
+    return {};
+}
+
+TEST(VirtWalkPoison, PoisonedReferenceReportsItsOrigin)
+{
+    // NPT page, GPT page and data line of a cold 3D walk: each is the
+    // first reference to its line, so it is the one that consumes it.
+    // The first NPT and GPT references are both root-level reads.
+    const struct { VirtRefKind kind; RefOrigin origin; } cases[] = {
+        {VirtRefKind::NptPage, RefOrigin::NptL2},
+        {VirtRefKind::GptPage, RefOrigin::GptL2},
+        {VirtRefKind::Data, RefOrigin::Data},
+    };
+    for (const auto &c : cases) {
+        VirtRig rig(IsolationScheme::Hpmp);
+        const VirtRef ref = firstOf(virtWalkRefs(rig, kGva + 0x40), c.kind);
+        rig.vm.mem().poisonLine(ref.spa);
+        const AccessOutcome out = rig.vm.access(kGva + 0x40, AccessType::Load);
+        EXPECT_FALSE(out.tlbHit);
+        EXPECT_EQ(out.fault, Fault::MachineCheck);
+        EXPECT_EQ(out.poisonAddr, ref.spa);
+        EXPECT_EQ(out.poisonOrigin, c.origin);
+    }
+}
+
+TEST(VirtWalkPoison, PoisonedPmpteReportsRoot)
+{
+    // The first NPT reference's check reads the root pmpte first.
+    VirtRig rig(IsolationScheme::PmpTable);
+    const VirtRef npt =
+        firstOf(virtWalkRefs(rig, kGva + 0x40), VirtRefKind::NptPage);
+    const std::vector<PmptRef> refs = pmpteRefs(rig.vm.hpmp(), npt.spa);
+    ASSERT_EQ(refs.size(), 2u);
+    rig.vm.mem().poisonLine(refs.front().pa);
+    const AccessOutcome out = rig.vm.access(kGva + 0x40, AccessType::Load);
+    EXPECT_EQ(out.fault, Fault::MachineCheck);
+    EXPECT_EQ(out.poisonAddr, refs.front().pa);
+    EXPECT_EQ(out.poisonOrigin, RefOrigin::PmpteRoot);
+    EXPECT_EQ(out.pmptRefs, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -25,7 +25,7 @@ TEST_P(VirtRefTest, ColdReferenceCounts)
     const Addr gva = env.mapGuestPages(1);
     env.vm().coldReset();
 
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Load);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Load);
     ASSERT_TRUE(out.ok()) << toString(out.fault);
 
     // Base 3D walk: 12 NPT + 3 GPT + 1 data = 16 references.
@@ -77,7 +77,7 @@ TEST(VirtMachine, CombinedTlbHitIsDataOnly)
     env.vm().coldReset();
 
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Load);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Load);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(out.tlbHit);
     EXPECT_EQ(out.totalRefs(), 1u);
@@ -91,7 +91,7 @@ TEST(VirtMachine, HfenceVvmaKeepsGStage)
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
 
     env.vm().hfenceVvma();
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Load);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Load);
     ASSERT_TRUE(out.ok());
     EXPECT_FALSE(out.tlbHit);
     // Guest walk re-runs, but G-stage translations are still cached:
@@ -109,7 +109,7 @@ TEST(VirtMachine, HfenceGvmaDropsEverything)
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
 
     env.vm().hfenceGvma();
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Load);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Load);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.nptRefs, 12u);
     EXPECT_EQ(out.gptRefs, 3u);
@@ -171,7 +171,7 @@ TEST(VirtMachine, NeighborPageUsesGuestPwc)
     env.vm().coldReset();
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
 
-    const VirtAccessOutcome out =
+    const AccessOutcome out =
         env.vm().access(gva + kPageSize, AccessType::Load);
     ASSERT_TRUE(out.ok());
     // L2/L1 gptes cached in the guest PWC; the L0 gpte's G-stage walk
@@ -213,7 +213,7 @@ TEST(VirtMachine, CombinedTlbKeepsRealUserBit)
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
 
     env.vm().setGuestPriv(PrivMode::User);
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Load);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Load);
     EXPECT_TRUE(out.tlbHit);
     EXPECT_EQ(out.fault, Fault::LoadPageFault);
 
@@ -233,7 +233,7 @@ TEST(VirtMachine, CombinedTlbEnforcesGStagePerm)
 
     ASSERT_TRUE(env.vm().access(gva, AccessType::Load).ok());
 
-    const VirtAccessOutcome hit = env.vm().access(gva, AccessType::Store);
+    const AccessOutcome hit = env.vm().access(gva, AccessType::Store);
     EXPECT_TRUE(hit.tlbHit);
     EXPECT_EQ(hit.fault, Fault::GuestStorePageFault);
 }
@@ -251,7 +251,7 @@ TEST(VirtMachine, GStageTlbEnforcesCachedPerm)
     // Drop the combined TLB but keep the G-stage TLB: the store's
     // walk consults the cached G-stage leaf and must still fault.
     env.vm().hfenceVvma();
-    const VirtAccessOutcome out = env.vm().access(gva, AccessType::Store);
+    const AccessOutcome out = env.vm().access(gva, AccessType::Store);
     EXPECT_FALSE(out.tlbHit);
     EXPECT_EQ(out.fault, Fault::GuestStorePageFault);
 }

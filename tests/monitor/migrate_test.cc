@@ -226,7 +226,7 @@ TEST_F(MigrateTest, FirstDestAccessPaysTheColdTlbHgatpSwitchWalk)
     // ...and its first guest access pays the full cold-TLB walk: the
     // hgatp/vsatp installs fenced everything, so no microarchitectural
     // state survived the migration — only architectural state did.
-    const VirtAccessOutcome first =
+    const AccessOutcome first =
         smpB->virtHart(0).access(kGva, AccessType::Load);
     EXPECT_TRUE(first.ok());
     EXPECT_FALSE(first.tlbHit);

@@ -175,6 +175,39 @@ TEST(ModelCheckTest, MigrateScenarioIsCleanUnderFaultBranching)
     EXPECT_GT(result.stats.paths, cfg.effectiveSites().size());
 }
 
+TEST(ModelCheckTest, CountedScriptCountsEveryPathsTransitions)
+{
+    // The ras script (no per-op dedup) counts each path's decisions
+    // past its forced prefix as transitions. Recount them with a plain
+    // DFS over runPath(): the forced paths' new decisions count too,
+    // not only the unforced root path's.
+    ModelConfig cfg;
+    cfg.script = "ras";
+    const CheckResult result = ModelChecker(cfg).run();
+    ASSERT_TRUE(result.exhaustive);
+
+    uint64_t paths = 0, transitions = 0, root = 0;
+    std::vector<Decision> prefix;
+    StateSet visited;
+    while (true) {
+        const RunOutcome out = runPath(cfg, &prefix, &visited);
+        if (paths++ == 0)
+            root = out.decisions.size();
+        transitions += out.decisions.size() - prefix.size();
+        size_t j = out.decisions.size();
+        while (j > 0 && out.decisions[j - 1].altIndex + 1 >=
+                            out.decisions[j - 1].numAlts)
+            --j;
+        if (j == 0)
+            break;
+        prefix.assign(out.decisions.begin(), out.decisions.begin() + j);
+        ++prefix[j - 1].altIndex;
+    }
+    EXPECT_EQ(result.stats.paths, paths);
+    EXPECT_EQ(result.stats.transitions, transitions);
+    EXPECT_GT(result.stats.transitions, root);
+}
+
 TEST(ModelCheckTest, ConfigLinesRoundTrip)
 {
     ModelConfig cfg;
