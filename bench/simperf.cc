@@ -163,7 +163,10 @@ BM_MeasurePopulated(benchmark::State &state)
 }
 BENCHMARK(BM_MeasurePopulated)->Unit(benchmark::kMicrosecond);
 
-/** A fresh environment with an active host address space to build in. */
+/**
+ * A fresh environment with an active host address space, the rig a
+ * GAP suite runs in.
+ */
 struct KronRig
 {
     explicit KronRig(const EnvConfig &config)
@@ -206,6 +209,35 @@ BM_KronBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KronBuild)->Arg(15)->Arg(18)->Unit(benchmark::kMillisecond);
+
+/**
+ * SimArray<uint32_t>::get over a resident 64 KiB array, through
+ * Runner: the path every GAP kernel access takes (TLB hit, cache
+ * model, core model). BM_AccessTlbHit calls Machine::access directly
+ * and so never times the Runner layer. Host time only, not gated.
+ */
+void
+BM_RunnerHit(benchmark::State &state)
+{
+    EnvConfig config;
+    config.core = CoreKind::Rocket;
+    config.scheme = IsolationScheme(int(state.range(0)));
+    KronRig rig(config);
+    constexpr uint64_t kElems = 16 * 1024; // 16 pages, fits the L1 TLB
+    SimArray<uint32_t> array(rig.runner, kElems);
+    for (uint64_t i = 0; i < kElems; ++i)
+        (void)array.get(i); // fault in and warm every page
+    uint64_t idx = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(array.get(idx));
+        idx = (idx + 17) % kElems; // 68-byte stride: every line, all pages
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RunnerHit)
+    ->Arg(int(IsolationScheme::Pmp))
+    ->Arg(int(IsolationScheme::PmpTable))
+    ->Arg(int(IsolationScheme::Hpmp));
 
 /** One scheme's throughput measurement for BENCH_simperf.json. */
 struct SimperfResult

@@ -181,7 +181,8 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
     const BatchOutcome b = replayBatch(
         reqs, translationOn_ ? &statWalkCycles_ : nullptr, stop_on_fault,
         [&](const AccessRequest &req) {
-            const AccessOutcome out = accessInner(req.va, req.type);
+            AccessOutcome out;
+            accessInner(req.va, req.type, out);
             if (model)
                 model->addAccess(out);
             if (!out.ok())
@@ -196,17 +197,15 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
     return b;
 }
 
-AccessOutcome
-Machine::accessMiss(Addr va, AccessType type)
+void
+Machine::accessMiss(Addr va, AccessType type, AccessOutcome &out)
 {
-    AccessOutcome out;
-
     if (!translationOn_) {
         // Bare mode: the physical check still applies (e.g. the host
         // OS running with PMP enabled but paging off).
         out.fault = physRef(va, type, RefOrigin::Data, attr_, kHostStage,
                             out);
-        return out;
+        return;
     }
 
     // TLB miss: functional walk first, then replay its references
@@ -228,7 +227,7 @@ Machine::accessMiss(Addr va, AccessType type)
                             ref.write ? AccessType::Store : AccessType::Load,
                             originOf(ref), attr_, kHostStage, out);
         if (out.fault != Fault::None)
-            return out;
+            return;
         if (!ref.write) {
             const Pte pte{mem_->read64(ref.pa)};
             if (pte.v())
@@ -238,7 +237,7 @@ Machine::accessMiss(Addr va, AccessType type)
 
     if (!walk.ok()) {
         out.fault = walk.fault;
-        return out;
+        return;
     }
 
     // Data reference with its own physical check, which also yields
@@ -247,7 +246,7 @@ Machine::accessMiss(Addr va, AccessType type)
     out.fault = physRef(walk.pa, type, RefOrigin::Data, attr_, kHostStage,
                         out, &phys_perm);
     if (out.fault != Fault::None)
-        return out;
+        return;
 
     DPRINTF(Walk, "va=%#lx pa=%#lx pt=%u ad=%u pmpt=%u cycles=%lu\n",
             va, walk.pa, out.ptRefs, out.adRefs, out.pmptRefs,
@@ -258,7 +257,6 @@ Machine::accessMiss(Addr va, AccessType type)
     const uint64_t span = pageSizeAtLevel(walk.leafLevel);
     tlb_->fill(va, walk.pa - (va & (span - 1)), walk.perm, phys_perm,
                walk.user, walk.leafLevel);
-    return out;
 }
 
 } // namespace hpmp

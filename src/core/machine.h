@@ -141,7 +141,8 @@ struct BatchOutcome
 
 /**
  * The batch loop of both machines: run each request through `access`
- * (request -> AccessOutcome) and sum the outcomes. A TLB miss samples
+ * (request -> AccessOutcome, by value or by reference; bound, not
+ * copied) and sum the outcomes. A TLB miss samples
  * its cycles into `walk_cycles` when that is set; with
  * `stop_on_fault` the batch ends at the first faulting request.
  */
@@ -152,7 +153,7 @@ replayBatch(std::span<const AccessRequest> reqs, Distribution *walk_cycles,
 {
     BatchOutcome b;
     for (const AccessRequest &req : reqs) {
-        const AccessOutcome out = access(req);
+        const AccessOutcome &out = access(req);
         b.add(out);
         if (!out.tlbHit && walk_cycles)
             walk_cycles->sample(out.cycles);
@@ -249,7 +250,8 @@ class Machine
     [[gnu::always_inline]] AccessOutcome
     access(Addr va, AccessType type)
     {
-        AccessOutcome out = accessInner(va, type);
+        AccessOutcome out;
+        accessInner(va, type, out);
         ++statAccesses_;
         if (!out.tlbHit && translationOn_) {
             ++statWalks_;
@@ -403,24 +405,25 @@ class Machine
     /**
      * The access path proper (stats wrappers live in access() and
      * accessBatch()): a TLB hit inline, everything else out of line
-     * in accessMiss().
+     * in accessMiss(). Fills the caller's default-constructed `out`
+     * in place, so an access builds its outcome exactly once
+     * (DESIGN.md §5).
      */
-    [[gnu::always_inline]] AccessOutcome
-    accessInner(Addr va, AccessType type)
+    [[gnu::always_inline]] void
+    accessInner(Addr va, AccessType type, AccessOutcome &out)
     {
-        AccessOutcome out;
-        if (translationOn_ &&
-            tlbHit(*tlb_, va, type, priv_, attr_, kHostStage, out))
-            return out;
-        return accessMiss(va, type);
+        if (!translationOn_ ||
+            !tlbHit(*tlb_, va, type, priv_, attr_, kHostStage, out))
+            accessMiss(va, type, out);
     }
 
     /**
      * The access path after a TLB miss, or with translation off: the
      * walk with its physical references, the data reference and the
-     * TLB fill; in bare mode the data reference alone.
+     * TLB fill; in bare mode the data reference alone. Fills `out`,
+     * which a missed tlbHit() left default-constructed.
      */
-    AccessOutcome accessMiss(Addr va, AccessType type);
+    void accessMiss(Addr va, AccessType type, AccessOutcome &out);
 
     /** Count a faulting access in the machine-level counters. */
     void countFault(Fault fault);

@@ -2,6 +2,7 @@
 
 #include "base/bitfield.h"
 #include "base/fault_inject.h"
+#include "base/logging.h"
 #include "base/trace.h"
 
 namespace hpmp
@@ -14,6 +15,9 @@ Tlb::Tlb(unsigned l1_entries, unsigned l2_entries)
       l1Index_(l1_entries),
       l2_(l2_entries)
 {
+    // An L1 of 0 entries just never caches; the direct-mapped L2 has
+    // no slot to index into.
+    fatal_if(l2_entries == 0, "L2 TLB needs at least one entry");
     l2Filled_.reserve(l2_entries);
     if (isPowerOf2(l2_entries)) {
         l2Pow2_ = true;

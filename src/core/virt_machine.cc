@@ -150,8 +150,9 @@ VirtMachine::access(Addr gva, AccessType type)
     const AccessRequest req{gva, type};
     AccessOutcome out;
     account(replayBatch({&req, 1}, &statWalkCycles_, false,
-                        [&](const AccessRequest &r) {
-                            return out = accessInner(r.va, r.type);
+                        [&](const AccessRequest &r) -> const AccessOutcome & {
+                            accessInner(r.va, r.type, out);
+                            return out;
                         }));
     return out;
 }
@@ -162,23 +163,24 @@ VirtMachine::accessBatch(std::span<const AccessRequest> reqs)
     const BatchOutcome b =
         replayBatch(reqs, &statWalkCycles_, false,
                     [this](const AccessRequest &req) {
-                        return accessInner(req.va, req.type);
+                        AccessOutcome out;
+                        accessInner(req.va, req.type, out);
+                        return out;
                     });
     account(b);
     return b;
 }
 
-AccessOutcome
-VirtMachine::accessInner(Addr gva, AccessType type)
+void
+VirtMachine::accessInner(Addr gva, AccessType type, AccessOutcome &out)
 {
     // Combined-TLB hit: the entry carries the real VS-stage U bit /
     // permissions, the real G-stage leaf permission and the inlined
     // physical permission, so the same checks fire as on the
     // full-walk path.
-    AccessOutcome out;
     if (machine_.tlbHit(combinedTlb_, gva, type, guestPriv_, attr_,
                         kGuestStage, out))
-        return out;
+        return;
 
     // Full two-stage walk with the G-stage TLB and guest PWC hooks.
     TwoStageConfig config;
@@ -200,12 +202,12 @@ VirtMachine::accessInner(Addr gva, AccessType type)
                                      kGuestStage, out,
                                      is_data ? &phys_perm : nullptr);
         if (out.fault != Fault::None)
-            return out;
+            return;
     }
 
     if (!walk.ok()) {
         out.fault = walk.fault;
-        return out;
+        return;
     }
 
     DPRINTF(Walk, "3D gva=%#lx spa=%#lx npt=%u gpt=%u pmpt=%u cycles=%lu\n",
@@ -220,7 +222,6 @@ VirtMachine::accessInner(Addr gva, AccessType type)
     const uint64_t span = pageSizeAtLevel(level);
     combinedTlb_.fill(gva, walk.spa - (gva & (span - 1)), walk.perm,
                       phys_perm, walk.user, level, walk.gPerm);
-    return out;
 }
 
 } // namespace hpmp

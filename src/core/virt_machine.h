@@ -135,8 +135,9 @@ class VirtMachine
      * The access path proper (stats wrappers live in access() and
      * accessBatch()): a combined-TLB hit, else the two-stage walk
      * with its physical references, the data reference and the fill.
+     * Fills the caller's default-constructed `out` in place.
      */
-    AccessOutcome accessInner(Addr gva, AccessType type);
+    void accessInner(Addr gva, AccessType type, AccessOutcome &out);
 
     /** Add replayed accesses to the "virt_machine.*" counters. */
     void account(const BatchOutcome &b);

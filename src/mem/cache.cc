@@ -18,6 +18,9 @@ Cache::Cache(const CacheParams &params)
     fatal_if(num_lines % params.assoc != 0,
              "%s: size/assoc mismatch", params.name.c_str());
     numSets_ = num_lines / params.assoc;
+    fatal_if(numSets_ == 0, "%s: %lu bytes hold no set of %u %u-byte lines",
+             params.name.c_str(), (unsigned long)params.sizeBytes,
+             params.assoc, params.lineBytes);
     if (isPowerOf2(numSets_)) {
         setsPow2_ = true;
         setShift_ = log2i(numSets_);

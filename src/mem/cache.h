@@ -48,16 +48,19 @@ class Cache
         const uint64_t first = setIndex(pa) * params_.assoc;
         const uint64_t want = tagWord(tagOf(pa));
 
-        // Hit scan first, over the set's contiguous tag words; victim
-        // selection only runs on a miss, keeping the (far more common)
-        // hit path tight.
+        // Hit scan first, over the set's contiguous tag words, without
+        // a data-dependent branch: a set never holds a tag word twice
+        // (lines fill only on a miss), so the last match is the only
+        // one. Victim selection only runs on a miss.
         const uint64_t *tags = &tags_[first];
-        for (unsigned way = 0; way < params_.assoc; ++way) {
-            if (tags[way] == want) {
-                stamp(first + way);
-                ++hits_;
-                return true;
-            }
+        const unsigned assoc = params_.assoc;
+        unsigned hit = assoc;
+        for (unsigned way = 0; way < assoc; ++way)
+            hit = tags[way] == want ? way : hit;
+        if (hit != assoc) {
+            stamp(first + hit);
+            ++hits_;
+            return true;
         }
         ++misses_;
         fillVictim(first, want);

@@ -7,24 +7,24 @@ namespace hpmp
 
 Runner::Runner(Kernel &kernel, AddressSpace &as, CoreModel &model)
     : kernel_(kernel),
+      machine_(kernel.machine()),
       as_(&as),
       model_(model)
 {
 }
 
-AccessOutcome
-Runner::serviceFault(Addr va, AccessType type, const AccessOutcome &fault)
+void
+Runner::serviceFault(Addr va, AccessType type, Fault fault)
 {
     if (!as_->handleFault(va, type))
-        panic("unhandled fault (%s) at va %#lx", toString(fault.fault), va);
+        panic("unhandled fault (%s) at va %#lx", toString(fault), va);
     ++faults_;
     model_.addInstructions(kFaultKernelInstrs);
 
-    const AccessOutcome out = kernel_.machine().access(va, type);
+    const AccessOutcome out = machine_.access(va, type);
     panic_if(!out.ok(), "fault persists at va %#lx: %s", va,
              toString(out.fault));
     model_.addAccess(out);
-    return out;
 }
 
 uint64_t
@@ -32,7 +32,7 @@ Runner::load64(Addr va)
 {
     accessChecked(va, AccessType::Load);
     auto pa = as_->pageTable().translate(va);
-    return pa ? kernel_.machine().mem().read64(alignDown(*pa, 8)) : 0;
+    return pa ? machine_.mem().read64(alignDown(*pa, 8)) : 0;
 }
 
 void
@@ -41,7 +41,7 @@ Runner::store64(Addr va, uint64_t value)
     accessChecked(va, AccessType::Store);
     auto pa = as_->pageTable().translate(va);
     if (pa)
-        kernel_.machine().mem().write64(alignDown(*pa, 8), value);
+        machine_.mem().write64(alignDown(*pa, 8), value);
 }
 
 void
@@ -52,28 +52,17 @@ Runner::runBatch(std::span<const AccessRequest> reqs)
             trace_->append(req.va, req.type);
     }
 
-    Machine &m = kernel_.machine();
     std::span<const AccessRequest> rest = reqs;
     while (!rest.empty()) {
         const BatchOutcome out =
-            m.accessBatch(rest, &model_, /*stop_on_fault=*/true);
+            machine_.accessBatch(rest, &model_, /*stop_on_fault=*/true);
         if (out.firstFault == Fault::None)
             break;
 
         // The faulting request is the last one the batch consumed:
-        // service it, charge the kernel path, retry once, resume.
+        // service it exactly as the per-access path does, then resume.
         const AccessRequest &req = rest[out.completed - 1];
-        if (!as_->handleFault(req.va, req.type)) {
-            panic("unhandled fault (%s) at va %#lx",
-                  toString(out.firstFault), req.va);
-        }
-        ++faults_;
-        model_.addInstructions(kFaultKernelInstrs);
-
-        const AccessOutcome retry = m.access(req.va, req.type);
-        panic_if(!retry.ok(), "fault persists at va %#lx: %s", req.va,
-                 toString(retry.fault));
-        model_.addAccess(retry);
+        serviceFault(req.va, req.type, out.firstFault);
         rest = rest.subspan(out.completed);
     }
 }

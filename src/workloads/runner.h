@@ -71,25 +71,29 @@ class Runner
     uint64_t faultsServiced() const { return faults_; }
 
   private:
-    /** One access with fault handling; returns the final outcome. */
-    AccessOutcome
+    /**
+     * One access with fault handling. The outcome is built once, in
+     * place, and only read here (DESIGN.md §5).
+     */
+    void
     accessChecked(Addr va, AccessType type)
     {
         if (trace_)
             trace_->append(va, type);
-        const AccessOutcome out = kernel_.machine().access(va, type);
+        const AccessOutcome out = machine_.access(va, type);
         model_.addAccess(out); // a fault's cycles were burned too
-        return out.ok() ? out : serviceFault(va, type, out);
+        if (!out.ok())
+            serviceFault(va, type, out.fault);
     }
 
     /**
      * Page fault on `va`: let the OS model populate the page, charge
-     * the kernel path, retry once. @return the retry's outcome.
+     * the kernel path, retry once (which must succeed).
      */
-    AccessOutcome serviceFault(Addr va, AccessType type,
-                               const AccessOutcome &fault);
+    void serviceFault(Addr va, AccessType type, Fault fault);
 
     Kernel &kernel_;
+    Machine &machine_; //!< kernel_.machine(), fixed for the kernel's life
     AddressSpace *as_;
     CoreModel &model_;
     Trace *trace_ = nullptr;

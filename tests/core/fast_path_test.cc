@@ -26,6 +26,7 @@
 
 #include "base/bitfield.h"
 #include "base/fault_inject.h"
+#include "base/hash.h"
 #include "base/rng.h"
 #include "core/virt_machine.h"
 #include "pmpt/pmp_table.h"
@@ -282,6 +283,21 @@ expectSame(const Replay &fast, const Replay &full)
     EXPECT_EQ(fast.caches, full.caches);
 }
 
+/**
+ * FNV-1a over a replay's op log (one line per op) and its cache/DRAM
+ * counters. The golden values below pin the fast path's output across
+ * builds, which expectSame() cannot: a change to an outcome field that
+ * both paths share would pass it.
+ */
+uint64_t
+digestOf(const Replay &replay)
+{
+    uint64_t hash = kFnvBasis;
+    for (const std::string &op : replay.ops)
+        hash = fnvBytes(op.data(), op.size(), fnvFold(hash, op.size()));
+    return fnvBytes(replay.caches.data(), replay.caches.size(), hash);
+}
+
 struct MachineCase
 {
     IsolationScheme scheme;
@@ -345,6 +361,45 @@ INSTANTIATE_TEST_SUITE_P(
                                                   : "_poison";
         return paramName(name);
     });
+
+struct GoldenDigest
+{
+    IsolationScheme scheme;
+    unsigned pmptwEntries; //!< host replays only
+    uint64_t seed;
+    uint64_t digest;
+};
+
+/**
+ * Recorded before AccessOutcome was filled in place; an
+ * intended change to simulated output re-records them (the failure
+ * message prints each new digest).
+ */
+TEST(MachineFastPathGolden, OpLogDigestsMatchRecorded)
+{
+    const GoldenDigest cases[] = {
+        {IsolationScheme::Pmp, 0, 1, 0x2b308fe3db584e15ULL},
+        {IsolationScheme::Pmp, 0, 2, 0x3c441f6d56d42e3cULL},
+        {IsolationScheme::Pmp, 0, 3, 0xe0d2758a3e191e6eULL},
+        {IsolationScheme::PmpTable, 0, 1, 0xf87a0b7330842918ULL},
+        {IsolationScheme::PmpTable, 0, 2, 0x1c0c011ef6058606ULL},
+        {IsolationScheme::PmpTable, 0, 3, 0xf3c31087a2d9a0a2ULL},
+        {IsolationScheme::Hpmp, 0, 1, 0xec7dcdc9793641f7ULL},
+        {IsolationScheme::Hpmp, 0, 2, 0x7e37dc4e8fbb702cULL},
+        {IsolationScheme::Hpmp, 0, 3, 0x9e8ffa08b033bca8ULL},
+        {IsolationScheme::Hpmp, 8, 1, 0xed4ee84207733250ULL},
+        {IsolationScheme::Hpmp, 8, 2, 0xcef88df269f976e1ULL},
+        {IsolationScheme::Hpmp, 8, 3, 0x37392bd1e3142b96ULL},
+    };
+    for (const GoldenDigest &c : cases) {
+        const Replay replay =
+            replayMachine(c.scheme, c.pmptwEntries, Force::None, c.seed);
+        EXPECT_EQ(digestOf(replay), c.digest)
+            << std::hex << std::showbase << toString(c.scheme)
+            << " pmptw=" << c.pmptwEntries << " seed=" << c.seed
+            << " digest=" << digestOf(replay);
+    }
+}
 
 TEST(MachineHitPoison, L1AndL2HitsConsumePoisonedLine)
 {
@@ -621,6 +676,27 @@ TEST_P(VirtFastPath, FullPathReplaysByteIdentical)
         const Replay fast = replayVirt(scheme, Force::None, seed);
         const Replay full = replayVirt(scheme, force, seed);
         expectSame(fast, full);
+    }
+}
+
+TEST(VirtFastPathGolden, OpLogDigestsMatchRecorded)
+{
+    const GoldenDigest cases[] = {
+        {IsolationScheme::Pmp, 0, 1, 0xcc407e0bc38611a2ULL},
+        {IsolationScheme::Pmp, 0, 2, 0x5fb6f14fc3267118ULL},
+        {IsolationScheme::Pmp, 0, 3, 0xc2cb82e4f45403fbULL},
+        {IsolationScheme::PmpTable, 0, 1, 0x29321a1390ead024ULL},
+        {IsolationScheme::PmpTable, 0, 2, 0x3462be32531a7d4aULL},
+        {IsolationScheme::PmpTable, 0, 3, 0xd80379b3eb954265ULL},
+        {IsolationScheme::Hpmp, 0, 1, 0xf3a65a2381b181a2ULL},
+        {IsolationScheme::Hpmp, 0, 2, 0x845b8ffdcdb6e0bcULL},
+        {IsolationScheme::Hpmp, 0, 3, 0x4c44603574f08fbaULL},
+    };
+    for (const GoldenDigest &c : cases) {
+        const Replay replay = replayVirt(c.scheme, Force::None, c.seed);
+        EXPECT_EQ(digestOf(replay), c.digest)
+            << std::hex << std::showbase << toString(c.scheme)
+            << " seed=" << c.seed << " digest=" << digestOf(replay);
     }
 }
 

@@ -246,6 +246,27 @@ TEST(Tlb, SplitLookupCountsEachAccessOnce)
     EXPECT_EQ(tlb.misses(), 1u);
 }
 
+TEST(Tlb, ZeroEntryL1NeverCaches)
+{
+    Tlb tlb(0, 64);
+    tlb.fill(0x1000, 0x80001000, Perm::rw(), Perm::rwx(), true);
+    TlbHitLevel level = TlbHitLevel::Miss;
+    ASSERT_NE(tlb.lookup(0x1000, &level), nullptr);
+    EXPECT_EQ(level, TlbHitLevel::L2);
+    EXPECT_EQ(tlb.l1Hits(), 0u);
+}
+
+TEST(TlbDeathTest, ZeroEntryL2IsRejected)
+{
+    // The direct-mapped L2 would index `vpn % 0` on the first lookup.
+    EXPECT_DEATH(
+        {
+            Tlb tlb(4, 0);
+            tlb.lookup(0x1000);
+        },
+        "L2 TLB needs at least one entry");
+}
+
 TEST(Pwc, FillLookupByLevel)
 {
     Pwc pwc(8);

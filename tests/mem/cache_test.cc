@@ -73,6 +73,19 @@ TEST(Cache, DistinctTagsSameIndex)
     EXPECT_FALSE(c.access(0x0));    // evicted
 }
 
+TEST(CacheDeathTest, SmallerThanOneSetIsRejected)
+{
+    // 32 bytes hold no 64-byte line, so there would be 0 sets and the
+    // first access would take `% 0`.
+    EXPECT_DEATH(
+        {
+            Cache c({"tiny", 32, 2, 64, 1});
+            c.access(0x1000);
+        },
+        "tiny: 32 bytes hold no set of 2 64-byte lines");
+    EXPECT_DEATH({ Cache c({"empty", 0, 4, 64, 1}); }, "hold no set");
+}
+
 /** Associativity sweep: a working set within assoc lines never misses
  * after warm-up. */
 class CacheAssoc : public ::testing::TestWithParam<unsigned>
