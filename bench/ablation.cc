@@ -95,10 +95,7 @@ hotDataHints()
          {std::string("GET"), std::string("LRANGE_100")}) {
         double rps[2];
         for (int with_hints = 0; with_hints < 2; ++with_hints) {
-            EnvConfig config;
-            config.core = CoreKind::Rocket;
-            config.scheme = IsolationScheme::Hpmp;
-            TeeEnv env(config);
+            TeeEnv env(envConfig(CoreKind::Rocket, IsolationScheme::Hpmp));
             RedisBench bench(env, 1024);
             if (with_hints) {
                 // Pin the hottest data: carve 16 MiB around the store
@@ -129,13 +126,13 @@ hotDataHints()
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+ablation(Report &)
 {
-    hpmp::bench::tableDepth();
-    hpmp::bench::pmptwStepSensitivity();
-    hpmp::bench::hotDataHints();
-    return 0;
+    tableDepth();
+    pmptwStepSensitivity();
+    hotDataHints();
 }
+
+} // namespace hpmp::bench

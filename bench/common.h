@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses: fixed-width table
- * printing in the style of the paper's tables/figures, and a
+ * Shared helpers for the paper figures run by bench_paper: fixed-width
+ * table printing in the style of the paper's tables/figures, the one
+ * JSON writer, the PMP/PMPT/HPMP environment triple, and a
  * microbenchmark fixture that builds a Machine + page table + HPMP
  * state for one isolation scheme with controlled placement of PT
  * pages (contiguous pool) and data pages.
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -21,65 +23,86 @@
 #include "hpmp/isolation.h"
 #include "pmpt/pmp_table.h"
 #include "pt/page_table.h"
+#include "workloads/env.h"
 
 namespace hpmp::bench
 {
 
 /**
- * --stats-json=FILE collector for the bench harnesses: each measured
- * cell (one machine, one scheme/mode point) is captured as a named
- * stats-registry dump and the whole run is written as one JSON
- * document at destruction. With no --stats-json argument every call
- * is a no-op, so bench stdout stays byte-identical.
+ * The one JSON writer of the paper figures. A value is either JSON
+ * text as is (a number the figure formatted, a registry dump) or an
+ * object/array whose members keep insertion order. A container whose
+ * members are all one-line text prints on one line; any other prints
+ * one member per line, indented two spaces a level.
  */
-class StatsSink
+class Json
 {
   public:
-    StatsSink(int argc, char **argv)
+    Json(std::string text) : text_(std::move(text)) {}
+    static Json object() { return Json(Kind::Object); }
+    static Json array() { return Json(Kind::Array); }
+
+    /** Append a member; an array ignores the key. */
+    Json &
+    add(const std::string &key, Json value)
     {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--stats-json=", 0) == 0)
-                path_ = arg.substr(std::string("--stats-json=").size());
-        }
+        members_.emplace_back(key, std::move(value));
+        return *this;
     }
 
-    ~StatsSink()
+    std::string
+    str(const std::string &indent = "") const
     {
-        if (path_.empty())
-            return;
-        std::string out = "{\n  \"captures\": {\n";
-        out += body_;
-        out += "\n  }\n}\n";
-        std::FILE *f = std::fopen(path_.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-            return;
+        if (kind_ == Kind::Text)
+            return text_;
+        bool flat = true;
+        for (const auto &[key, value] : members_)
+            flat = flat && value.kind_ == Kind::Text &&
+                   value.text_.find('\n') == std::string::npos;
+        const std::string inner = indent + "  ";
+        std::string out = kind_ == Kind::Object ? "{" : "[";
+        for (size_t i = 0; i < members_.size(); ++i) {
+            out += i == 0 ? "" : ",";
+            out += flat ? (i == 0 ? "" : " ") : "\n" + inner;
+            if (kind_ == Kind::Object)
+                out += "\"" + members_[i].first + "\": ";
+            out += members_[i].second.str(inner);
         }
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "stats written to %s\n", path_.c_str());
-    }
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** Capture anything with registerStats(StatRegistry&). */
-    template <class M>
-    void
-    capture(const std::string &label, M &m)
-    {
-        if (path_.empty())
-            return;
-        StatRegistry registry;
-        m.registerStats(registry);
-        if (!body_.empty())
-            body_ += ",\n";
-        body_ += "    \"" + label + "\": " + registry.dumpJson();
+        if (!flat)
+            out += "\n" + indent;
+        return out + (kind_ == Kind::Object ? "}" : "]");
     }
 
   private:
-    std::string path_;
-    std::string body_;
+    enum class Kind { Text, Object, Array };
+
+    explicit Json(Kind kind) : kind_(kind) {}
+
+    Kind kind_ = Kind::Text;
+    std::string text_;
+    std::vector<std::pair<std::string, Json>> members_;
+};
+
+/** A registry dump of anything with registerStats(StatRegistry &). */
+template <class M>
+Json
+statsOf(M &m)
+{
+    StatRegistry registry;
+    m.registerStats(registry);
+    return registry.dumpJson();
+}
+
+/**
+ * What a figure writes besides its stdout tables: its member of the
+ * --json document, and fleet's windowed stats (--stats-series).
+ */
+struct Report
+{
+    Json json = Json::object();
+    Json series = Json::object();
+    bool sampleSeries = false;
+    uint64_t seriesInterval = 50000;
 };
 
 /** Print a header like "=== Figure 10: ... ===". */
@@ -106,8 +129,29 @@ fmt(const char *format, double value)
     return buf;
 }
 
-inline std::string num(double v) { return fmt("%.1f", v); }
 inline std::string pct(double v) { return fmt("%.1f%%", v * 100.0); }
+
+inline EnvConfig
+envConfig(CoreKind core, IsolationScheme scheme)
+{
+    EnvConfig c;
+    c.core = core;
+    c.scheme = scheme;
+    return c;
+}
+
+/** One TeeEnv per scheme the paper compares, in its column order. */
+struct SchemeEnvs
+{
+    explicit SchemeEnvs(CoreKind core)
+        : pmp(envConfig(core, IsolationScheme::Pmp)),
+          pmpt(envConfig(core, IsolationScheme::PmpTable)),
+          hpmp(envConfig(core, IsolationScheme::Hpmp))
+    {
+    }
+
+    TeeEnv pmp, pmpt, hpmp;
+};
 
 /**
  * Microbenchmark fixture: one machine with `npages` test pages mapped
@@ -224,6 +268,36 @@ class MicroEnv
     Addr nextVa_ = kVaBase;
     Addr nextPa_ = kFirstDataPa;
 };
+
+/**
+ * Total cycles of one load to each of 64 freshly mapped pages, caches
+ * cold: the Fig. 15/16 fragmentation microbenchmark. A fragmented VA
+ * strides so each access lands in a different L1/L0 table (8 GiB +
+ * 4 KiB in the paper; Sv39 limits us to 2 GiB + 4 KiB, same effect:
+ * no PT locality); `pa_stride` is in pages.
+ */
+inline uint64_t
+touchPages(const MachineParams &params, IsolationScheme scheme,
+           bool frag_va, uint64_t pa_stride)
+{
+    MicroEnv env(params, scheme);
+    Machine &m = env.machine();
+
+    constexpr unsigned kPages = 64;
+    const uint64_t va_stride = frag_va ? (512 * 512 + 1) : 1;
+    const Addr base = env.mapPages(kPages, va_stride, pa_stride);
+    m.coldReset();
+
+    uint64_t total = 0;
+    for (unsigned i = 0; i < kPages; ++i) {
+        const Addr va = base + pageAddr(uint64_t(i) * va_stride);
+        const AccessOutcome out = m.access(va, AccessType::Load);
+        if (!out.ok())
+            fatal("page-touch access faulted: %s", toString(out.fault));
+        total += out.cycles;
+    }
+    return total;
+}
 
 } // namespace hpmp::bench
 

@@ -15,7 +15,7 @@ namespace
 
 unsigned
 coldRefs(const MachineParams &params, IsolationScheme scheme,
-         PagingMode mode, StatsSink &sink, const std::string &label)
+         PagingMode mode, Json &captures, const std::string &label)
 {
     Machine machine(params);
     PageTable pt(machine.mem(), bumpAllocator(MicroEnv::kPtPool), mode);
@@ -52,20 +52,16 @@ coldRefs(const MachineParams &params, IsolationScheme scheme,
         machine.access(MicroEnv::kVaBase, AccessType::Load);
     if (!out.ok())
         fatal("refcount access faulted: %s", toString(out.fault));
-    sink.capture(label, machine);
+    captures.add(label, statsOf(machine));
     return out.totalRefs();
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main(int argc, char **argv)
+void
+fig02_refcounts(Report &report)
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
-
-    StatsSink sink(argc, argv);
+    Json captures = Json::object();
     banner("Figures 2 & 4: memory references per TLB-missing load "
            "(2-level PMP Table)");
     row({"", "page-table", "+PMP", "+PMP Table", "HPMP"});
@@ -80,7 +76,7 @@ main(int argc, char **argv)
         auto cell = [&](IsolationScheme scheme, const char *tag) {
             return std::to_string(coldRefs(
                 params, scheme, mode,
-                sink, std::string(name) + "." + tag));
+                captures, std::string(name) + "." + tag));
         };
         row({name, cell(IsolationScheme::None, "base"),
              cell(IsolationScheme::Pmp, "pmp"),
@@ -89,5 +85,7 @@ main(int argc, char **argv)
     }
     std::printf("  Paper (Sv39): 4 / 4 / 12 / 6. The extra-dimension "
                 "share grows with deeper tables (fn.1).\n");
-    return 0;
+    report.json.add("fig02_refcounts", std::move(captures));
 }
+
+} // namespace hpmp::bench

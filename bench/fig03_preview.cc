@@ -16,15 +16,6 @@ namespace hpmp::bench
 namespace
 {
 
-EnvConfig
-cfg(IsolationScheme scheme)
-{
-    EnvConfig c;
-    c.core = CoreKind::Boom;
-    c.scheme = scheme;
-    return c;
-}
-
 void
 print(const char *what, double avg, double worst, const char *paper)
 {
@@ -33,14 +24,10 @@ print(const char *what, double avg, double worst, const char *paper)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig03_preview(Report &)
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
-
     banner("Figure 3: table vs segment preview (BOOM), normalized to "
            "Segment = 100%");
     row({"", "Segment", "Table avg", "Table worst"});
@@ -80,8 +67,8 @@ main()
 
     // (b) GAP.
     {
-        TeeEnv seg(cfg(IsolationScheme::Pmp));
-        TeeEnv tab(cfg(IsolationScheme::PmpTable));
+        TeeEnv seg(envConfig(CoreKind::Boom, IsolationScheme::Pmp));
+        TeeEnv tab(envConfig(CoreKind::Boom, IsolationScheme::PmpTable));
         GapSuite s_seg(seg, 11, 8), s_tab(tab, 11, 8);
         double sum = 0.0, worst = 0.0;
         unsigned n = 0;
@@ -97,8 +84,8 @@ main()
 
     // (c) FunctionBench (serverless).
     {
-        TeeEnv seg(cfg(IsolationScheme::Pmp));
-        TeeEnv tab(cfg(IsolationScheme::PmpTable));
+        TeeEnv seg(envConfig(CoreKind::Boom, IsolationScheme::Pmp));
+        TeeEnv tab(envConfig(CoreKind::Boom, IsolationScheme::PmpTable));
         double sum = 0.0, worst = 0.0;
         unsigned n = 0;
         for (const FunctionModel &fn : functionBenchApps()) {
@@ -115,8 +102,8 @@ main()
 
     // (d) Redis RPS (lower = worse for table).
     {
-        TeeEnv seg(cfg(IsolationScheme::Pmp));
-        TeeEnv tab(cfg(IsolationScheme::PmpTable));
+        TeeEnv seg(envConfig(CoreKind::Boom, IsolationScheme::Pmp));
+        TeeEnv tab(envConfig(CoreKind::Boom, IsolationScheme::PmpTable));
         RedisBench b_seg(seg, 2048), b_tab(tab, 2048);
         double sum = 0.0, worst = 1.0;
         unsigned n = 0;
@@ -132,5 +119,6 @@ main()
         print("Redis RPS", 100.0 * sum / n, 100.0 * worst,
               "-16.0% avg, -31.8% worst (RPS)");
     }
-    return 0;
 }
+
+} // namespace hpmp::bench

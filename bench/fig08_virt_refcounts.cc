@@ -9,13 +9,13 @@
 #include "bench/common.h"
 #include "workloads/virt_env.h"
 
-int
-main(int argc, char **argv)
+namespace hpmp::bench
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
 
-    StatsSink sink(argc, argv);
+void
+fig08_virt_refcounts(Report &report)
+{
+    Json captures = Json::object();
     banner("Figure 8 / Section 6: 3D-walk reference counts "
            "(Sv39 guest, Sv39x4 nested, 2-level PMP Table)");
     row({"", "NPT", "GPT", "data", "pmpte", "total"});
@@ -30,7 +30,7 @@ main(int argc, char **argv)
             env.vm().access(gva, AccessType::Load);
         if (!out.ok())
             fatal("virt access faulted: %s", toString(out.fault));
-        sink.capture(toString(scheme), env.vm());
+        captures.add(toString(scheme), statsOf(env.vm()));
         row({toString(scheme), std::to_string(out.nptRefs),
              std::to_string(out.gptRefs), std::to_string(out.dataRefs),
              std::to_string(out.pmptRefs),
@@ -38,5 +38,7 @@ main(int argc, char **argv)
     }
     std::printf("  Paper: 16 (PMP) / 48 (PMPT: +32) / 24 (HPMP: "
                 "mitigates the 24 NPT checks) / 18 (HPMP-GPT)\n");
-    return 0;
+    report.json.add("fig08_virt_refcounts", std::move(captures));
 }
+
+} // namespace hpmp::bench

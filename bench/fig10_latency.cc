@@ -145,14 +145,10 @@ runCore(CoreKind core, AccessType type)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig10_latency(Report &)
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
-
     banner("Table 1: simulated machine configurations");
     printTable1(rocketParams());
     printTable1(boomParams());
@@ -168,5 +164,6 @@ main()
         runCore(core, AccessType::Load);
         runCore(core, AccessType::Store);
     }
-    return 0;
 }
+
+} // namespace hpmp::bench

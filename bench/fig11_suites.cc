@@ -14,15 +14,6 @@ namespace hpmp::bench
 namespace
 {
 
-EnvConfig
-cfg(CoreKind core, IsolationScheme scheme)
-{
-    EnvConfig c;
-    c.core = core;
-    c.scheme = scheme;
-    return c;
-}
-
 void
 runRv8()
 {
@@ -30,14 +21,11 @@ runRv8()
     row({"app", "PL-PMP", "PL-PMPT", "PL-HPMP", "PMPT ovh",
          "HPMP ovh"});
 
-    TeeEnv pmp(cfg(CoreKind::Rocket, IsolationScheme::Pmp));
-    TeeEnv pmpt(cfg(CoreKind::Rocket, IsolationScheme::PmpTable));
-    TeeEnv hpmp(cfg(CoreKind::Rocket, IsolationScheme::Hpmp));
-
+    SchemeEnvs envs(CoreKind::Rocket);
     for (const Rv8App &app : rv8Apps()) {
-        const double t_pmp = runRv8App(pmp, app);
-        const double t_pmpt = runRv8App(pmpt, app);
-        const double t_hpmp = runRv8App(hpmp, app);
+        const double t_pmp = runRv8App(envs.pmp, app);
+        const double t_pmpt = runRv8App(envs.pmpt, app);
+        const double t_hpmp = runRv8App(envs.hpmp, app);
         row({app.name, fmt("%.2f", t_pmp), fmt("%.2f", t_pmpt),
              fmt("%.2f", t_hpmp), pct(t_pmpt / t_pmp - 1.0),
              pct(t_hpmp / t_pmp - 1.0)});
@@ -56,10 +44,8 @@ runGap(CoreKind core)
            params.name + ")");
     row({"kernel", "PL-PMP", "PL-PMPT", "PL-HPMP"});
 
-    TeeEnv pmp(cfg(core, IsolationScheme::Pmp));
-    TeeEnv pmpt(cfg(core, IsolationScheme::PmpTable));
-    TeeEnv hpmp(cfg(core, IsolationScheme::Hpmp));
-    GapSuite s_pmp(pmp), s_pmpt(pmpt), s_hpmp(hpmp);
+    SchemeEnvs envs(core);
+    GapSuite s_pmp(envs.pmp), s_pmpt(envs.pmpt), s_hpmp(envs.hpmp);
 
     for (const std::string &kernel : gapKernels()) {
         const double t_pmp = s_pmp.run(kernel);
@@ -73,13 +59,13 @@ runGap(CoreKind core)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig11_suites(Report &)
 {
-    hpmp::bench::runRv8();
-    hpmp::bench::runGap(hpmp::CoreKind::Rocket);
-    hpmp::bench::runGap(hpmp::CoreKind::Boom);
-    return 0;
+    runRv8();
+    runGap(CoreKind::Rocket);
+    runGap(CoreKind::Boom);
 }
+
+} // namespace hpmp::bench

@@ -13,15 +13,6 @@ namespace hpmp::bench
 namespace
 {
 
-EnvConfig
-cfg(CoreKind core, IsolationScheme scheme)
-{
-    EnvConfig c;
-    c.core = core;
-    c.scheme = scheme;
-    return c;
-}
-
 void
 runCore(CoreKind core)
 {
@@ -36,16 +27,14 @@ runCore(CoreKind core)
     else
         row({"function", "ms(PMP)", "PL-PMP", "PL-PMPT", "PL-HPMP"});
 
-    TeeEnv pmp(cfg(core, IsolationScheme::Pmp));
-    TeeEnv pmpt(cfg(core, IsolationScheme::PmpTable));
-    TeeEnv hpmp(cfg(core, IsolationScheme::Hpmp));
+    SchemeEnvs envs(core);
 
     double pmpt_sum = 0.0, hpmp_sum = 0.0;
     unsigned n = 0;
     for (const FunctionModel &fn : functionBenchApps()) {
-        const double t_pmp = invokeFunction(pmp, fn);
-        const double t_pmpt = invokeFunction(pmpt, fn);
-        const double t_hpmp = invokeFunction(hpmp, fn);
+        const double t_pmp = invokeFunction(envs.pmp, fn);
+        const double t_pmpt = invokeFunction(envs.pmpt, fn);
+        const double t_hpmp = invokeFunction(envs.hpmp, fn);
         // Host-PMP: same machine, same PMP-based checking, no enclave
         // management -> modelled by the PMP run without the monitor
         // calls; the paper finds the two indistinguishable, and the
@@ -71,12 +60,12 @@ runCore(CoreKind core)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig12_functionbench(Report &)
 {
-    hpmp::bench::runCore(hpmp::CoreKind::Rocket);
-    hpmp::bench::runCore(hpmp::CoreKind::Boom);
-    return 0;
+    runCore(CoreKind::Rocket);
+    runCore(CoreKind::Boom);
 }
+
+} // namespace hpmp::bench

@@ -31,16 +31,8 @@ runCore(CoreKind core)
            ")");
     row({"command", "RPS(PMP)", "PL-PMPT", "PL-HPMP"});
 
-    EnvConfig config;
-    config.core = core;
-    config.scheme = IsolationScheme::Pmp;
-    TeeEnv pmp_env(config);
-    config.scheme = IsolationScheme::PmpTable;
-    TeeEnv pmpt_env(config);
-    config.scheme = IsolationScheme::Hpmp;
-    TeeEnv hpmp_env(config);
-
-    RedisBench pmp(pmp_env), pmpt(pmpt_env), hpmp(hpmp_env);
+    SchemeEnvs envs(core);
+    RedisBench pmp(envs.pmp), pmpt(envs.pmpt), hpmp(envs.hpmp);
 
     double pmpt_sum = 0.0, hpmp_sum = 0.0;
     unsigned n = 0;
@@ -66,12 +58,12 @@ runCore(CoreKind core)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig12_redis(Report &)
 {
-    hpmp::bench::runCore(hpmp::CoreKind::Rocket);
-    hpmp::bench::runCore(hpmp::CoreKind::Boom);
-    return 0;
+    runCore(CoreKind::Rocket);
+    runCore(CoreKind::Boom);
 }
+
+} // namespace hpmp::bench

@@ -69,14 +69,10 @@ measure(VirtScheme scheme)
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig13_virt(Report &)
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
-
     banner("Figure 13: virtualized memory-access latency, cycles "
            "(RocketCore, Sv39 guest + Sv39x4 nested)");
     row({"", "TC1", "hfence.v", "hfence.g", "TC3", "TC4"});
@@ -94,5 +90,6 @@ main()
     std::printf("  Paper: PMPT 89.9%%-155%% over PMP; HPMP cuts the "
                 "extra cost to 29.7%%-75.6%%; HPMP-GPT to "
                 "16.3%%-26.8%%\n");
-    return 0;
 }
+
+} // namespace hpmp::bench

@@ -14,73 +14,6 @@ namespace hpmp::bench
 namespace
 {
 
-/**
- * --json=FILE baseline emitter: every printed table cell is also
- * recorded, and the whole run is written as one JSON document whose
- * committed copy (bench/BASELINE_fig14.json) pins the deterministic
- * cycle numbers — a re-baseline is a re-run plus a diff.
- */
-class JsonBaseline
-{
-  public:
-    void
-    begin(const std::string &table, const std::vector<std::string> &cols)
-    {
-        tables_.push_back({table, {}});
-        tables_.back().second.push_back(cols);
-    }
-
-    void
-    addRow(const std::vector<std::string> &cells)
-    {
-        if (!tables_.empty())
-            tables_.back().second.push_back(cells);
-    }
-
-    bool
-    write(const std::string &path) const
-    {
-        std::string out = "{\n";
-        for (size_t t = 0; t < tables_.size(); ++t) {
-            out += "  \"" + tables_[t].first + "\": {\n";
-            const auto &rows = tables_[t].second;
-            out += "    \"columns\": " + list(rows[0]) + ",\n";
-            out += "    \"rows\": [\n";
-            for (size_t r = 1; r < rows.size(); ++r) {
-                out += "      " + list(rows[r]);
-                out += r + 1 < rows.size() ? ",\n" : "\n";
-            }
-            out += "    ]\n  }";
-            out += t + 1 < tables_.size() ? ",\n" : "\n";
-        }
-        out += "}\n";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f)
-            return false;
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        return true;
-    }
-
-  private:
-    static std::string
-    list(const std::vector<std::string> &cells)
-    {
-        std::string out = "[";
-        for (size_t i = 0; i < cells.size(); ++i) {
-            out += "\"" + cells[i] + "\"";
-            if (i + 1 < cells.size())
-                out += ", ";
-        }
-        return out + "]";
-    }
-
-    std::vector<std::pair<std::string, std::vector<std::vector<std::string>>>>
-        tables_;
-};
-
-JsonBaseline baseline;
-
 std::unique_ptr<SecureMonitor>
 makeMonitor(Machine &machine, IsolationScheme scheme, bool huge = false)
 {
@@ -95,8 +28,6 @@ domainSwitch()
 {
     banner("Figure 14-a: domain-switch latency, cycles");
     row({"domains", "Penglai-PMP", "Penglai-HPMP"});
-    baseline.begin("domain_switch",
-                   {"domains", "pmp_cycles", "hpmp_cycles"});
 
     for (const unsigned domains : {2u, 12u, 101u}) {
         std::vector<std::string> cells{std::to_string(domains)};
@@ -144,7 +75,6 @@ domainSwitch()
             cells.push_back(std::to_string(total / n));
         }
         row(cells);
-        baseline.addRow(cells);
     }
     std::printf("  Paper: HPMP adds <1%% switch cost and supports "
                 ">100 domains; PMP caps out (\"no available PMP\")\n");
@@ -157,9 +87,6 @@ regionChurn()
            "cycles");
     row({"regions", "PMP alloc", "HPMP alloc", "PMP free",
          "HPMP free"});
-    baseline.begin("region_churn_64k",
-                   {"regions", "pmp_alloc", "hpmp_alloc", "pmp_free",
-                    "hpmp_free"});
 
     for (const unsigned count : {1u, 8u, 14u, 50u, 100u}) {
         std::vector<std::string> cells{std::to_string(count)};
@@ -201,7 +128,6 @@ regionChurn()
         }
         cells.insert(cells.end(), free_cells.begin(), free_cells.end());
         row(cells);
-        baseline.addRow(cells);
     }
     std::printf("  Paper: PMP supports few regions (16 entries); HPMP "
                 ">100 with slightly higher per-op latency\n");
@@ -214,8 +140,6 @@ allocSizes()
            "(Penglai-HPMP), with and without the huge-pmpte "
            "optimization");
     row({"size(MiB)", "leaf-granular", "huge-pmpte"});
-    baseline.begin("alloc_vs_size",
-                   {"size_mib", "leaf_granular", "huge_pmpte"});
 
     for (const uint64_t mib : {1ull, 2ull, 4ull, 8ull, 16ull, 32ull,
                                64ull}) {
@@ -235,7 +159,6 @@ allocSizes()
             cells.push_back(std::to_string(res.cycles));
         }
         row(cells);
-        baseline.addRow(cells);
     }
     std::printf("  Paper: latency grows with size; the huge-pmpte "
                 "optimization updates a 32 MiB-aligned span with a "
@@ -243,29 +166,13 @@ allocSizes()
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main(int argc, char **argv)
+void
+fig14_tee_ops(Report &)
 {
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            json_path = arg.substr(std::string("--json=").size());
-    }
-
-    hpmp::bench::domainSwitch();
-    hpmp::bench::regionChurn();
-    hpmp::bench::allocSizes();
-
-    if (!json_path.empty()) {
-        if (!hpmp::bench::baseline.write(json_path)) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "baseline written to %s\n",
-                     json_path.c_str());
-    }
-    return 0;
+    domainSwitch();
+    regionChurn();
+    allocSizes();
 }
+
+} // namespace hpmp::bench

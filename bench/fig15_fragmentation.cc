@@ -14,36 +14,6 @@ namespace hpmp::bench
 namespace
 {
 
-uint64_t
-runCase(IsolationScheme scheme, bool frag_pa, bool frag_va)
-{
-    MicroEnv env(rocketParams(), scheme);
-    Machine &m = env.machine();
-
-    constexpr unsigned kPages = 64;
-    // Fragmented VA: stride so each access lands in a different L1/L0
-    // table (8 GiB + 4 KiB in the paper; Sv39 VA space here limits us
-    // to 2 GiB + 4 KiB strides, same effect: no PT locality).
-    const uint64_t va_stride = frag_va ? (512 * 512 + 1) : 1;
-    // Fragmented PA: scatter pages 8 MiB apart so leaf pmptes and
-    // cache lines never coalesce.
-    const uint64_t pa_stride = frag_pa ? 2048 + 7 : 1;
-
-    const Addr base = env.mapPages(kPages, va_stride, pa_stride);
-    m.coldReset();
-
-    uint64_t total = 0;
-    for (unsigned i = 0; i < kPages; ++i) {
-        const Addr va = base + pageAddr(uint64_t(i) * va_stride);
-        const AccessOutcome out = m.access(va, AccessType::Load);
-        if (!out.ok())
-            fatal("fragmentation access faulted: %s",
-                  toString(out.fault));
-        total += out.cycles;
-    }
-    return total;
-}
-
 void
 runPaCase(bool frag_pa)
 {
@@ -52,24 +22,29 @@ runPaCase(bool frag_pa)
            " physical pages — total latency of 64 page touches, "
            "cycles (Rocket)");
     row({"", "Contig-VA", "Fragmented-VA"});
+    // Fragmented PA: scatter pages 8 MiB apart so leaf pmptes and
+    // cache lines never coalesce.
+    const uint64_t pa_stride = frag_pa ? 2048 + 7 : 1;
     for (const IsolationScheme scheme :
          {IsolationScheme::Pmp, IsolationScheme::PmpTable,
           IsolationScheme::Hpmp}) {
         row({toString(scheme),
-             std::to_string(runCase(scheme, frag_pa, false)),
-             std::to_string(runCase(scheme, frag_pa, true))});
+             std::to_string(touchPages(rocketParams(), scheme, false,
+                                       pa_stride)),
+             std::to_string(touchPages(rocketParams(), scheme, true,
+                                       pa_stride))});
     }
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main()
+void
+fig15_fragmentation(Report &)
 {
-    hpmp::bench::runPaCase(false);
-    hpmp::bench::runPaCase(true);
+    runPaCase(false);
+    runPaCase(true);
     std::printf("  Paper: fragmentation raises latency everywhere; "
                 "HPMP still beats PMP Table in all four cases\n");
-    return 0;
 }
+
+} // namespace hpmp::bench

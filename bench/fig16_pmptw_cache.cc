@@ -9,42 +9,10 @@
 
 namespace hpmp::bench
 {
-namespace
+
+void
+fig16_pmptw_cache(Report &)
 {
-
-uint64_t
-runCase(IsolationScheme scheme, unsigned pmptw_entries, bool frag_va)
-{
-    MachineParams params = rocketParams();
-    params.pmptwEntries = pmptw_entries;
-    MicroEnv env(params, scheme);
-    Machine &m = env.machine();
-
-    constexpr unsigned kPages = 64;
-    const uint64_t va_stride = frag_va ? (512 * 512 + 1) : 1;
-    const Addr base = env.mapPages(kPages, va_stride, 1);
-    m.coldReset();
-
-    uint64_t total = 0;
-    for (unsigned i = 0; i < kPages; ++i) {
-        const Addr va = base + pageAddr(uint64_t(i) * va_stride);
-        const AccessOutcome out = m.access(va, AccessType::Load);
-        if (!out.ok())
-            fatal("pmptw-cache bench faulted: %s", toString(out.fault));
-        total += out.cycles;
-    }
-    return total;
-}
-
-} // namespace
-} // namespace hpmp::bench
-
-int
-main()
-{
-    using namespace hpmp;
-    using namespace hpmp::bench;
-
     banner("Figure 16: PMPTW-Cache benefit — total latency of 64 page "
            "touches, cycles (Rocket, 8-entry cache)");
     row({"", "Contig-VA", "Fragmented-VA"});
@@ -62,12 +30,14 @@ main()
         {"PMP", IsolationScheme::Pmp, 0},
     };
     for (const auto &c : cases) {
-        row({c.name,
-             std::to_string(runCase(c.scheme, c.cache, false)),
-             std::to_string(runCase(c.scheme, c.cache, true))});
+        MachineParams params = rocketParams();
+        params.pmptwEntries = c.cache;
+        row({c.name, std::to_string(touchPages(params, c.scheme, false, 1)),
+             std::to_string(touchPages(params, c.scheme, true, 1))});
     }
     std::printf("  Paper: caching helps PMPT (especially fragmented "
                 "VA); HPMP-Cache is best everywhere because HPMP "
                 "removes PT-page checks that caching cannot\n");
-    return 0;
 }
+
+} // namespace hpmp::bench

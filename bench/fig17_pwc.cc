@@ -8,12 +8,12 @@
 #include "bench/common.h"
 #include "workloads/serverless.h"
 
-int
-main()
+namespace hpmp::bench
 {
-    using namespace hpmp;
-    using namespace hpmp::bench;
 
+void
+fig17_pwc(Report &)
+{
     banner("Figure 17: FunctionBench latency normalized to PMP(8) "
            "(%), PWC 8 vs 32 entries (Rocket)");
     row({"function", "PMP(8)", "PMP(32)", "PMPT(8)", "PMPT(32)",
@@ -32,9 +32,7 @@ main()
 
     std::vector<std::unique_ptr<TeeEnv>> envs;
     for (const Config &c : configs) {
-        EnvConfig ec;
-        ec.core = CoreKind::Rocket;
-        ec.scheme = c.scheme;
+        EnvConfig ec = envConfig(CoreKind::Rocket, c.scheme);
         ec.pwcEntries = c.pwc;
         envs.push_back(std::make_unique<TeeEnv>(ec));
     }
@@ -51,5 +49,6 @@ main()
     std::printf("  Paper: a larger PWC helps marginally; PMPT keeps "
                 "its permission-table overhead while HPMP removes the "
                 "PT-page checks by design\n");
-    return 0;
 }
+
+} // namespace hpmp::bench

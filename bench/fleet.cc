@@ -9,14 +9,13 @@
  * domains within a small constant of the 100-domain figure, while
  * coalescing amortizes one IPI round over a whole batch of switches.
  *
- * Emits BENCH_fleet.json (path override: --json=FILE) with one record
- * per fleet size.
+ * Its --json member "fleet" holds one record per fleet size; with
+ * --stats-series each size's windowed telemetry goes to the
+ * "fleet_series" member of that file.
  */
 
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "base/stats.h"
 #include "bench/common.h"
@@ -27,92 +26,57 @@ namespace hpmp::bench
 namespace
 {
 
-struct FleetRow
+/** One fleet size's --json record. */
+Json
+jsonRecord(unsigned domains, const FleetResult &r)
 {
-    unsigned domains;
-    FleetResult res;
-};
-
-std::string
-jsonRecord(const FleetRow &r)
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"domains\": %u, \"switches\": %llu, "
-        "\"switches_per_sec\": %.1f, \"p50_switch_cycles\": %llu, "
-        "\"p99_switch_cycles\": %llu, \"p999_switch_cycles\": %llu, "
-        "\"churns\": %llu, "
-        "\"attests\": %llu, \"stale_probes\": %llu, "
-        "\"coalesced_windows\": %llu, \"commits_per_window\": %.2f}",
-        r.domains, (unsigned long long)r.res.switches,
-        r.res.switchesPerSec, (unsigned long long)r.res.p50SwitchCycles,
-        (unsigned long long)r.res.p99SwitchCycles,
-        (unsigned long long)r.res.p999SwitchCycles,
-        (unsigned long long)r.res.churns,
-        (unsigned long long)r.res.attests,
-        (unsigned long long)r.res.staleProbes,
-        (unsigned long long)r.res.coalescedWindows,
-        r.res.commitsPerWindow);
-    return buf;
+    return Json::object()
+        .add("domains", std::to_string(domains))
+        .add("switches", std::to_string(r.switches))
+        .add("switches_per_sec", fmt("%.1f", r.switchesPerSec))
+        .add("p50_switch_cycles", std::to_string(r.p50SwitchCycles))
+        .add("p99_switch_cycles", std::to_string(r.p99SwitchCycles))
+        .add("p999_switch_cycles", std::to_string(r.p999SwitchCycles))
+        .add("churns", std::to_string(r.churns))
+        .add("attests", std::to_string(r.attests))
+        .add("stale_probes", std::to_string(r.staleProbes))
+        .add("coalesced_windows", std::to_string(r.coalescedWindows))
+        .add("commits_per_window", fmt("%.2f", r.commitsPerWindow));
 }
 
-int
-runBench(int argc, char **argv)
-{
-    std::string jsonPath = "BENCH_fleet.json";
-    std::string seriesPath;
-    uint64_t seriesInterval = 50000;
-    uint64_t requests = 4000;
-    unsigned harts = 4;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            jsonPath = arg.substr(std::strlen("--json="));
-        else if (arg.rfind("--stats-series=", 0) == 0)
-            seriesPath = arg.substr(std::strlen("--stats-series="));
-        else if (arg.rfind("--stats-interval=", 0) == 0)
-            seriesInterval =
-                std::stoull(arg.substr(std::strlen("--stats-interval=")));
-        else if (arg.rfind("--requests=", 0) == 0)
-            requests = std::stoull(arg.substr(std::strlen("--requests=")));
-        else if (arg.rfind("--harts=", 0) == 0)
-            harts = unsigned(std::stoul(arg.substr(std::strlen("--harts="))));
-    }
+} // namespace
 
+void
+fleet(Report &report)
+{
     banner("Fleet serving: Zipf switch traffic with churn + coalescing");
     row({"domains", "switch/s", "p50 cyc", "p99 cyc", "p99.9 cyc",
          "churns", "windows", "c/window"});
 
-    std::vector<FleetRow> rows;
-    std::string series_json;
+    Json records = Json::array();
+    Json series = Json::array();
     for (const unsigned domains : {100u, 1000u, 10000u}) {
         FleetConfig cfg;
         cfg.domains = domains;
-        cfg.requests = requests;
-        cfg.harts = harts;
-        FleetWorkload fleet(cfg);
+        cfg.requests = 4000;
+        cfg.harts = 4;
+        FleetWorkload workload(cfg);
         // Windowed telemetry of the serving run (per fleet size).
         StatRegistry seriesRegistry;
         std::unique_ptr<StatSampler> sampler;
-        if (!seriesPath.empty()) {
-            fleet.monitor().registerStats(seriesRegistry);
-            fleet.smp().registerStats(seriesRegistry);
+        if (report.sampleSeries) {
+            workload.monitor().registerStats(seriesRegistry);
+            workload.smp().registerStats(seriesRegistry);
             sampler = std::make_unique<StatSampler>(seriesRegistry,
-                                                    seriesInterval);
-            fleet.setSampler(sampler.get());
+                                                    report.seriesInterval);
+            workload.setSampler(sampler.get());
         }
-        const FleetResult res = fleet.run();
-        if (sampler) {
-            if (!series_json.empty())
-                series_json += ",\n";
-            series_json += "    {\"domains\": ";
-            series_json += std::to_string(domains);
-            series_json += ", \"series\": ";
-            series_json += sampler->dumpJson();
-            series_json += "}";
-        }
-        rows.push_back({domains, res});
+        const FleetResult res = workload.run();
+        if (sampler)
+            series.add("", Json::object()
+                               .add("domains", std::to_string(domains))
+                               .add("series", sampler->dumpJson()));
+        records.add("", jsonRecord(domains, res));
         row({std::to_string(domains), fmt("%.0f", res.switchesPerSec),
              std::to_string(res.p50SwitchCycles),
              std::to_string(res.p99SwitchCycles),
@@ -121,42 +85,8 @@ runBench(int argc, char **argv)
              std::to_string(res.coalescedWindows),
              fmt("%.2f", res.commitsPerWindow)});
     }
-
-    std::string out = "{\n  \"fleet\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        out += jsonRecord(rows[i]);
-        out += i + 1 < rows.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
-    std::FILE *f = std::fopen(jsonPath.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-        return 1;
-    }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "fleet baseline written to %s\n",
-                 jsonPath.c_str());
-    if (!seriesPath.empty()) {
-        std::FILE *sf = std::fopen(seriesPath.c_str(), "w");
-        if (!sf) {
-            std::fprintf(stderr, "cannot write %s\n", seriesPath.c_str());
-            return 1;
-        }
-        std::fprintf(sf, "{\n  \"fleet_series\": [\n%s\n  ]\n}\n",
-                     series_json.c_str());
-        std::fclose(sf);
-        std::fprintf(stderr, "fleet stats series written to %s\n",
-                     seriesPath.c_str());
-    }
-    return 0;
+    report.json.add("fleet", std::move(records));
+    report.series.add("fleet_series", std::move(series));
 }
 
-} // namespace
 } // namespace hpmp::bench
-
-int
-main(int argc, char **argv)
-{
-    return hpmp::bench::runBench(argc, argv);
-}

@@ -6,7 +6,7 @@
 # operation costs (n/a cells included) and fleet's simulated
 # switch rate.
 #
-#   cmake -DBIN=<figure binary> -DFIGURE=<figure> \
+#   cmake -DBIN=<build>/bench/bench_paper -DFIGURE=<figure> \
 #         -DGOLDEN_DIR=<repo>/bench/golden -DOUT_DIR=<scratch dir> \
 #         -P golden_check.cmake
 #
@@ -16,7 +16,7 @@
 
 cmake_minimum_required(VERSION 3.16)
 
-execute_process(COMMAND ${BIN}
+execute_process(COMMAND ${BIN} ${FIGURE}
     WORKING_DIRECTORY ${OUT_DIR}
     OUTPUT_VARIABLE out RESULT_VARIABLE rc ERROR_QUIET)
 file(READ ${GOLDEN_DIR}/${FIGURE}.txt golden)

@@ -4,7 +4,7 @@
  * Penglai-PMPT and Penglai-HPMP, with the PMPT/HPMP ratio column.
  * BOOM (the paper's table) plus the Rocket summary quoted in §8.2.
  *
- * --json=FILE also writes every microseconds-per-op cell and both
+ * Its --json member holds every microseconds-per-op cell and both
  * averages as table3.<core>.<syscall>.<scheme>_us and
  * table3.<core>.avg.*_pct. The values are deterministic; the
  * committed copy (bench/BASELINE_table3.json) is gated by perfcheck.
@@ -18,23 +18,18 @@ namespace hpmp::bench
 namespace
 {
 
-/** One JSON member "name": {"pmp_us": .., "pmpt_us": .., "hpmp_us": ..}. */
-std::string
-jsonCells(const std::string &name, const double us[3])
+/** One JSON cell {"pmp_us": .., "pmpt_us": .., "hpmp_us": ..}. */
+Json
+jsonCells(const double us[3])
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\": {\"pmp_us\": %.9g, \"pmpt_us\": %.9g, "
-                  "\"hpmp_us\": %.9g}",
-                  name.c_str(), us[0], us[1], us[2]);
-    return buf;
+    return Json::object()
+        .add("pmp_us", fmt("%.9g", us[0]))
+        .add("pmpt_us", fmt("%.9g", us[1]))
+        .add("hpmp_us", fmt("%.9g", us[2]));
 }
 
-/**
- * Print one core's table and return its JSON object body (the
- * members of table3.<core>).
- */
-std::string
+/** Print one core's table and return its JSON object table3.<core>. */
+Json
 runCore(CoreKind core, unsigned iters)
 {
     const MachineParams params = machineParams(core);
@@ -42,36 +37,27 @@ runCore(CoreKind core, unsigned iters)
            params.name + ")");
     row({"syscall", "PMP", "PMPT", "HPMP", "PMPT/HPMP"});
 
-    EnvConfig config;
-    config.core = core;
-
     // One environment + suite per scheme, reused across syscalls.
-    std::vector<std::unique_ptr<TeeEnv>> envs;
-    std::vector<std::unique_ptr<LmbenchSuite>> suites;
-    const IsolationScheme schemes[3] = {IsolationScheme::Pmp,
-                                        IsolationScheme::PmpTable,
-                                        IsolationScheme::Hpmp};
-    for (const IsolationScheme scheme : schemes) {
-        config.scheme = scheme;
-        envs.push_back(std::make_unique<TeeEnv>(config));
-        suites.push_back(std::make_unique<LmbenchSuite>(*envs.back()));
-    }
+    SchemeEnvs envs(core);
+    LmbenchSuite suites[3] = {LmbenchSuite(envs.pmp),
+                              LmbenchSuite(envs.pmpt),
+                              LmbenchSuite(envs.hpmp)};
 
-    std::vector<std::string> json;
+    Json json = Json::object();
     double ratio_sum = 0.0;
     double pmpt_over_pmp_sum = 0.0;
     unsigned n = 0;
     for (const std::string &syscall : lmbenchSyscalls()) {
         double us[3];
         for (int i = 0; i < 3; ++i)
-            us[i] = suites[i]->run(syscall, iters);
+            us[i] = suites[i].run(syscall, iters);
         const double ratio = us[1] / us[2];
         ratio_sum += ratio;
         pmpt_over_pmp_sum += us[1] / us[0];
         ++n;
         row({syscall, fmt("%.2f", us[0]), fmt("%.2f", us[1]),
              fmt("%.2f", us[2]), pct(ratio - 1.0)});
-        json.push_back(jsonCells(syscall, us));
+        json.add(syscall, jsonCells(us));
     }
     const double avg_ratio_pct = (ratio_sum / n - 1.0) * 100.0;
     const double avg_pmpt_pmp_pct = (pmpt_over_pmp_sum / n - 1.0) * 100.0;
@@ -79,12 +65,11 @@ runCore(CoreKind core, unsigned iters)
                 "; avg PMPT/PMP: %.2f%% (paper BOOM: 39.03%%, Rocket: "
                 "26.46%%)\n",
                 avg_ratio_pct, avg_pmpt_pmp_pct);
-    char avg[160];
-    std::snprintf(avg, sizeof(avg),
-                  "\"avg\": {\"pmpt_over_hpmp_pct\": %.9g, "
-                  "\"pmpt_over_pmp_pct\": %.9g}",
-                  avg_ratio_pct, avg_pmpt_pmp_pct);
-    json.push_back(avg);
+    json.add("avg", Json::object()
+                        .add("pmpt_over_hpmp_pct",
+                             fmt("%.9g", avg_ratio_pct))
+                        .add("pmpt_over_pmp_pct",
+                             fmt("%.9g", avg_pmpt_pmp_pct)));
 
     // Extension: the VM-centric LMBench operations the paper's table
     // omits — mmap/munmap, page-fault service and context switches
@@ -95,49 +80,25 @@ runCore(CoreKind core, unsigned iters)
     for (const std::string &syscall : lmbenchExtendedSyscalls()) {
         double us[3];
         for (int i = 0; i < 3; ++i)
-            us[i] = suites[i]->run(syscall, iters);
+            us[i] = suites[i].run(syscall, iters);
         row({syscall, fmt("%.2f", us[0]), fmt("%.2f", us[1]),
              fmt("%.2f", us[2]), pct(us[1] / us[2] - 1.0)});
-        json.push_back(jsonCells(syscall, us));
+        json.add(syscall, jsonCells(us));
     }
 
-    std::string body;
-    for (size_t i = 0; i < json.size(); ++i)
-        body += (i ? ",\n      " : "      ") + json[i];
-    return body;
+    return json;
 }
 
 } // namespace
-} // namespace hpmp::bench
 
-int
-main(int argc, char **argv)
+void
+table3_lmbench(Report &report)
 {
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            json_path = arg.substr(std::string("--json=").size());
-    }
-
-    const std::string boom =
-        hpmp::bench::runCore(hpmp::CoreKind::Boom, 120);
-    const std::string rocket =
-        hpmp::bench::runCore(hpmp::CoreKind::Rocket, 120);
-
-    if (!json_path.empty()) {
-        const std::string out = "{\n  \"table3\": {\n    \"boom\": {\n" +
-                                boom + "\n    },\n    \"rocket\": {\n" +
-                                rocket + "\n    }\n  }\n}\n";
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fwrite(out.data(), 1, out.size(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "baseline written to %s\n",
-                     json_path.c_str());
-    }
-    return 0;
+    Json boom = runCore(CoreKind::Boom, 120);
+    Json rocket = runCore(CoreKind::Rocket, 120);
+    report.json.add("table3", Json::object()
+                                  .add("boom", std::move(boom))
+                                  .add("rocket", std::move(rocket)));
 }
+
+} // namespace hpmp::bench

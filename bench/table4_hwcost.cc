@@ -13,6 +13,8 @@
 
 #include "bench/common.h"
 
+namespace hpmp::bench
+{
 namespace
 {
 
@@ -42,11 +44,9 @@ const Structure kAdded[] = {
 
 } // namespace
 
-int
-main()
+void
+table4_hwcost(Report &)
 {
-    using namespace hpmp::bench;
-
     banner("Table 4: FPGA resource costs (analytic width-based "
            "estimate; baseline = paper's BOOM numbers)");
 
@@ -78,5 +78,6 @@ main()
     std::printf("\n  BRAM/DSP/LUTRAM: +0 (tables live in DRAM; no new "
                 "SRAM arrays). Paper: 0.94%%/1.18%% LUT, "
                 "0.16%%/0.78%% FF, 0 elsewhere\n");
-    return 0;
 }
+
+} // namespace hpmp::bench

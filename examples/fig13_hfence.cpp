@@ -1,7 +1,7 @@
 /**
  * @file
  * Where Fig. 13's hfence.v cell comes from (EXPERIMENTS.md "Known
- * fidelity gaps" 4). For each of bench_fig13_virt's 16 samples it
+ * fidelity gaps" 4). For each of the fig13_virt figure's 16 samples it
  * replays the hfence.v state — one guest load, hfence.vvma, the same
  * load again — under PMPT and HPMP and prints the measured access:
  * its cycles, its references by kind, the cycles of its pmpte reads,
@@ -20,7 +20,7 @@ using namespace hpmp;
 int
 main()
 {
-    const unsigned kSamples = 16; // as in bench_fig13_virt
+    const unsigned kSamples = 16; // as in bench/fig13_virt.cc
     std::printf("scheme  s  cycles  npt gpt pmpte data gtlb  "
                 "pmpte_root pmpte_leaf  root_line_in_l1d\n");
     for (const VirtScheme scheme : {VirtScheme::Pmpt, VirtScheme::Hpmp}) {
