@@ -25,6 +25,7 @@
 #include "base/rng.h"
 #include "base/stats.h"
 #include "bench/common.h"
+#include "mem/hierarchy.h"
 #include "monitor/attestation.h"
 #include "workloads/gap.h"
 #include "workloads/virt_env.h"
@@ -238,6 +239,30 @@ BENCHMARK(BM_RunnerHit)
     ->Arg(int(IsolationScheme::Pmp))
     ->Arg(int(IsolationScheme::PmpTable))
     ->Arg(int(IsolationScheme::Hpmp));
+
+/**
+ * MemoryHierarchy::access over a seeded random line stream whose
+ * 16 MiB footprint is 4x the Table 1 LLC, so nearly every reference
+ * misses the L1 and most miss the LLC: the L2/LLC/DRAM path that
+ * bc-kron and tenants spend their cache-model time in. The other
+ * micros stay in the L1. Host time only, not gated.
+ */
+void
+BM_HierarchyMiss(benchmark::State &state)
+{
+    MemoryHierarchy hier(rocketParams().hier);
+    std::vector<Addr> stream(64 * 1024);
+    Rng rng(1);
+    for (Addr &pa : stream)
+        pa = 0x80000000 + rng.below(16_MiB / 64) * 64;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(hier.access(stream[i]));
+        i = (i + 1) % stream.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HierarchyMiss);
 
 /** One scheme's throughput measurement for BENCH_simperf.json. */
 struct SimperfResult

@@ -1,5 +1,7 @@
 #include "mem/cache.h"
 
+#include <algorithm>
+
 #include "base/bitfield.h"
 #include "base/logging.h"
 
@@ -26,63 +28,98 @@ Cache::Cache(const CacheParams &params)
         setShift_ = log2i(numSets_);
         setMask_ = numSets_ - 1;
     }
-    tags_.assign(num_lines, 0);
-    stamps_.assign(num_lines, 0);
-    locked_.assign(num_lines, 0);
+    blockWords_ = 2 * params.assoc;
+    blocks_.assign(numSets_ * blockWords_, 0);
 }
 
-uint64_t
-Cache::victimOf(uint64_t first) const
+void
+Cache::tagTooWide(Addr pa) const
 {
-    const uint64_t end = first + params_.assoc;
+    panic("%s: tag of pa %#lx is wider than 31 bits",
+          params_.name.c_str(), (unsigned long)pa);
+}
+
+void
+Cache::renumberStamps()
+{
+    const unsigned assoc = params_.assoc;
+    std::vector<uint32_t> old(assoc);
+    for (uint64_t set = 0; set < numSets_; ++set) {
+        uint32_t *stamps = block(set) + assoc;
+        std::copy(stamps, stamps + assoc, old.begin());
+        for (unsigned way = 0; way < assoc; ++way) {
+            if (old[way] == 0)
+                continue;
+            uint32_t rank = 1;
+            for (const uint32_t other : old)
+                rank += other != 0 && other < old[way];
+            stamps[way] = rank;
+        }
+    }
+    lruClock_ = assoc;
+}
+
+unsigned
+Cache::victimOf(uint64_t set) const
+{
+    const unsigned assoc = params_.assoc;
+    const uint32_t *tags = block(set);
+    const uint32_t *stamps = tags + assoc;
     if (lockedLines_ == 0) {
         // Invalid ways hold stamp 0 and valid ways distinct stamps >= 1
-        // (see stamp()), so the lowest stamp, ties going to the later
+        // (see restamp()), so the lowest stamp, ties going to the later
         // way, is the rule below read off the stamps alone. This scan
         // has no data-dependent branch, which is measurably faster on
-        // miss-heavy workloads (EXPERIMENTS.md).
-        uint64_t victim = first;
-        for (uint64_t i = first + 1; i < end; ++i) {
-            if (stamps_[i] <= stamps_[victim])
-                victim = i;
+        // miss-heavy workloads (EXPERIMENTS.md), and it keeps the
+        // oldest stamp in a register rather than reloading it through
+        // the victim index.
+        unsigned victim = 0;
+        uint32_t oldest = stamps[0];
+        for (unsigned way = 1; way < assoc; ++way) {
+            const bool older = stamps[way] <= oldest;
+            victim = older ? way : victim;
+            oldest = older ? stamps[way] : oldest;
         }
         return victim;
     }
 
     // Same victim choice as the historical single-pass scan: the last
     // invalid unlocked way if any, else the lowest-stamp unlocked way.
-    int64_t victim = -1;
+    int victim = -1;
     bool victim_valid = false;
-    for (uint64_t i = first; i < end; ++i) {
-        if (locked_[i])
+    for (unsigned way = 0; way < assoc; ++way) {
+        if (isLocked(set, way))
             continue;
-        if (!validWord(tags_[i])) {
-            victim = int64_t(i);
+        if (tags[way] == 0) {
+            victim = int(way);
             victim_valid = false;
         } else if (victim < 0 ||
-                   (victim_valid && stamps_[i] < stamps_[victim])) {
-            victim = int64_t(i);
+                   (victim_valid && stamps[way] < stamps[victim])) {
+            victim = int(way);
             victim_valid = true;
         }
     }
     panic_if(victim < 0, "all ways locked in set");
-    return uint64_t(victim);
+    return unsigned(victim);
 }
 
 void
-Cache::fillVictim(uint64_t first, uint64_t word)
+Cache::fillVictim(uint64_t set, uint32_t word)
 {
-    const uint64_t victim = victimOf(first);
-    tags_[victim] = word;
-    stamps_[victim] = ++lruClock_;
+    const uint32_t stamp = nextStamp();
+    const unsigned victim = victimOf(set);
+    uint32_t *tags = block(set);
+    tags[victim] = word;
+    tags[params_.assoc + victim] = stamp;
 }
 
-int64_t
-Cache::findWay(uint64_t first, uint64_t word) const
+int
+Cache::findWay(uint64_t set, uint32_t word) const
 {
-    for (uint64_t i = first; i < first + params_.assoc; ++i) {
-        if (tags_[i] == word)
-            return int64_t(i);
+    const uint32_t *tags = block(set);
+    for (unsigned way = 0; way < params_.assoc; ++way) {
+        if (tags[way] == word)
+            return int(way);
     }
     return -1;
 }
@@ -90,29 +127,31 @@ Cache::findWay(uint64_t first, uint64_t word) const
 bool
 Cache::probe(Addr pa) const
 {
-    return findWay(setIndex(pa) * params_.assoc, tagWord(tagOf(pa))) >= 0;
+    return findWay(setIndex(pa), tagWord(pa)) >= 0;
 }
 
 void
 Cache::touch(Addr pa)
 {
-    const uint64_t first = setIndex(pa) * params_.assoc;
-    const uint64_t word = tagWord(tagOf(pa));
-    const int64_t way = findWay(first, word);
+    const uint64_t set = setIndex(pa);
+    const uint32_t word = tagWord(pa);
+    const int way = findWay(set, word);
     if (way >= 0)
-        stamp(uint64_t(way));
+        restamp(block(set) + params_.assoc, unsigned(way));
     else
-        fillVictim(first, word);
+        fillVictim(set, word);
 }
 
 bool
 Cache::lockLine(Addr pa)
 {
-    const uint64_t first = setIndex(pa) * params_.assoc;
+    const uint64_t set = setIndex(pa);
+    if (locked_.empty())
+        locked_.assign(numSets_ * params_.assoc, 0);
 
     unsigned unlocked = 0;
-    for (uint64_t i = first; i < first + params_.assoc; ++i) {
-        if (!locked_[i])
+    for (unsigned way = 0; way < params_.assoc; ++way) {
+        if (!isLocked(set, way))
             ++unlocked;
     }
     if (unlocked <= 1)
@@ -120,10 +159,10 @@ Cache::lockLine(Addr pa)
 
     // Bring the line in (warm) and pin it.
     touch(pa);
-    const int64_t way = findWay(first, tagWord(tagOf(pa)));
-    if (way < 0 || locked_[way])
+    const int way = findWay(set, tagWord(pa));
+    if (way < 0 || isLocked(set, unsigned(way)))
         return false;
-    locked_[way] = 1;
+    locked_[set * params_.assoc + unsigned(way)] = 1;
     ++lockedLines_;
     return true;
 }
@@ -131,10 +170,10 @@ Cache::lockLine(Addr pa)
 void
 Cache::unlockLine(Addr pa)
 {
-    const int64_t way =
-        findWay(setIndex(pa) * params_.assoc, tagWord(tagOf(pa)));
-    if (way >= 0 && locked_[way]) {
-        locked_[way] = 0;
+    const uint64_t set = setIndex(pa);
+    const int way = findWay(set, tagWord(pa));
+    if (way >= 0 && isLocked(set, unsigned(way))) {
+        locked_[set * params_.assoc + unsigned(way)] = 0;
         --lockedLines_;
     }
 }
@@ -144,10 +183,14 @@ Cache::flushAll()
 {
     // Locked lines survive flushes (the monitor's pinned state);
     // everything else goes.
-    for (uint64_t i = 0; i < tags_.size(); ++i) {
-        if (!locked_[i]) {
-            tags_[i] = 0;
-            stamps_[i] = 0;
+    const unsigned assoc = params_.assoc;
+    for (uint64_t set = 0; set < numSets_; ++set) {
+        uint32_t *tags = block(set);
+        for (unsigned way = 0; way < assoc; ++way) {
+            if (!isLocked(set, way)) {
+                tags[way] = 0;
+                tags[assoc + way] = 0;
+            }
         }
     }
 }
@@ -155,11 +198,12 @@ Cache::flushAll()
 void
 Cache::flushLine(Addr pa)
 {
-    const int64_t way =
-        findWay(setIndex(pa) * params_.assoc, tagWord(tagOf(pa)));
-    if (way >= 0 && !locked_[way]) {
-        tags_[way] = 0;
-        stamps_[way] = 0;
+    const uint64_t set = setIndex(pa);
+    const int way = findWay(set, tagWord(pa));
+    if (way >= 0 && !isLocked(set, unsigned(way))) {
+        uint32_t *tags = block(set);
+        tags[way] = 0;
+        tags[params_.assoc + way] = 0;
     }
 }
 

@@ -12,7 +12,9 @@
 #ifndef HPMP_MEM_CACHE_H
 #define HPMP_MEM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -32,6 +34,31 @@ struct CacheParams
     unsigned latency;       //!< hit latency contribution, core cycles
 };
 
+/**
+ * std::allocator that aligns every allocation to a 64-byte host cache
+ * line, so an 8-way set's tag block never straddles two host lines.
+ */
+template <typename T>
+struct LineAlignedAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    LineAlignedAllocator() = default;
+    template <typename U>
+    LineAlignedAllocator(const LineAlignedAllocator<U> &) {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T *p, std::size_t) { ::operator delete(p, kAlign); }
+
+    template <typename U>
+    bool operator==(const LineAlignedAllocator<U> &) const { return true; }
+};
+
 /** One level of tag-only cache with LRU replacement. */
 class Cache
 {
@@ -45,25 +72,25 @@ class Cache
     bool
     access(Addr pa)
     {
-        const uint64_t first = setIndex(pa) * params_.assoc;
-        const uint64_t want = tagWord(tagOf(pa));
+        const uint64_t set = setIndex(pa);
+        const uint32_t want = tagWord(pa);
 
         // Hit scan first, over the set's contiguous tag words, without
         // a data-dependent branch: a set never holds a tag word twice
         // (lines fill only on a miss), so the last match is the only
         // one. Victim selection only runs on a miss.
-        const uint64_t *tags = &tags_[first];
+        uint32_t *tags = block(set);
         const unsigned assoc = params_.assoc;
         unsigned hit = assoc;
         for (unsigned way = 0; way < assoc; ++way)
             hit = tags[way] == want ? way : hit;
         if (hit != assoc) {
-            stamp(first + hit);
+            restamp(tags + assoc, hit);
             ++hits_;
             return true;
         }
         ++misses_;
-        fillVictim(first, want);
+        fillVictim(set, want);
         return false;
     }
 
@@ -101,41 +128,84 @@ class Cache
     void resetStats() { hits_.reset(); misses_.reset(); }
 
   private:
+    friend class CacheTestPeer;
+
     /**
-     * The tag store keeps one word per way, `tag << 1 | valid`, with
-     * each set's ways contiguous so a hit scan reads one run of words.
-     * An invalid way is the word 0. Recency stamps and lock flags live
-     * in parallel arrays indexed the same way (set * assoc + way).
+     * The tag store is one block of 2 x assoc 32-bit words per set:
+     * the set's tag words, then its LRU stamps, so an 8-way set is one
+     * 64-byte host line. A tag word is `tag << 1 | valid`; an invalid
+     * way is the word 0. A tag wider than 31 bits panics.
      */
-    static uint64_t tagWord(uint64_t tag) { return tag << 1 | 1; }
-    static bool validWord(uint64_t word) { return word & 1; }
+    uint32_t
+    tagWord(Addr pa) const
+    {
+        const uint64_t tag = tagOf(pa);
+        if (tag >> 31) [[unlikely]]
+            tagTooWide(pa);
+        return uint32_t(tag << 1 | 1);
+    }
+    [[noreturn]] void tagTooWide(Addr pa) const;
+
+    uint32_t *block(uint64_t set) { return &blocks_[set * blockWords_]; }
+    const uint32_t *
+    block(uint64_t set) const
+    {
+        return &blocks_[set * blockWords_];
+    }
 
     uint64_t lineNumber(Addr pa) const { return pa >> lineShift_; }
 
     /**
-     * Make way `i` the most recently used. A way already holding the
-     * newest stamp keeps it: only the relative order of stamps is
-     * ever read, and that order would not change. Valid ways thus hold
-     * distinct stamps >= 1; invalid ways hold 0.
+     * Make `way` (of the set whose stamps start at `stamps`) the most
+     * recently used. A way already holding the clock keeps it: only
+     * the order of a set's stamps is ever read, and that order would
+     * not change. Valid ways of a set thus hold distinct stamps >= 1;
+     * invalid ways hold 0.
      */
     void
-    stamp(uint64_t i)
+    restamp(uint32_t *stamps, unsigned way)
     {
-        if (stamps_[i] != lruClock_)
-            stamps_[i] = ++lruClock_;
+        if (lruClock_ == kClockMax) [[unlikely]]
+            renumberStamps();
+        lruClock_ += stamps[way] != lruClock_;
+        stamps[way] = lruClock_;
+    }
+
+    /** A stamp newer than every stamp in the store. */
+    uint32_t
+    nextStamp()
+    {
+        if (lruClock_ == kClockMax) [[unlikely]]
+            renumberStamps();
+        return ++lruClock_;
     }
 
     /**
-     * Way of the set starting at `first` to evict: the last invalid
-     * unlocked way if any, else the lowest-stamp unlocked way.
+     * Clock wrap: renumber every set's valid stamps 1..k in their
+     * current order (invalid ways keep 0) and restart the clock at
+     * assoc, above every renumbered stamp. Victim choice reads only
+     * the order within a set, so no victim changes.
      */
-    uint64_t victimOf(uint64_t first) const;
+    void renumberStamps();
+
+    /** A locked way; no lock array exists before the first lockLine. */
+    bool
+    isLocked(uint64_t set, unsigned way) const
+    {
+        return lockedLines_ != 0 && locked_[set * params_.assoc + way];
+    }
+
+    /**
+     * Way of `set` to evict: the last invalid unlocked way if any,
+     * else the lowest-stamp unlocked way.
+     */
+    unsigned victimOf(uint64_t set) const;
 
     /** Miss path of access()/touch(): refill the victim way. */
-    void fillVictim(uint64_t first, uint64_t word);
+    void fillVictim(uint64_t set, uint32_t word);
 
-    /** Index of the way of the set at `first` holding `word`, or -1. */
-    int64_t findWay(uint64_t first, uint64_t word) const;
+    /** Way of `set` holding `word`, or -1. */
+    int findWay(uint64_t set, uint32_t word) const;
 
     // Set/tag split avoids a hardware division per lookup when the
     // set count is a power of two (every Table 1 geometry is).
@@ -153,16 +223,19 @@ class Cache
                          : lineNumber(pa) / numSets_;
     }
 
+    static constexpr uint32_t kClockMax = UINT32_MAX;
+
     CacheParams params_;
     unsigned lineShift_;
     uint64_t numSets_;
     bool setsPow2_ = false;
     unsigned setShift_ = 0;
     uint64_t setMask_ = 0;
-    std::vector<uint64_t> tags_;  //!< numSets_ x assoc tag words
-    std::vector<uint64_t> stamps_; //!< LRU stamps, larger = more recent
-    std::vector<uint8_t> locked_;  //!< pinned ways, never victims
-    uint64_t lruClock_ = 0;
+    unsigned blockWords_;  //!< 2 x assoc: tag words, then stamps
+    /** numSets_ blocks; larger stamp = more recent. */
+    std::vector<uint32_t, LineAlignedAllocator<uint32_t>> blocks_;
+    std::vector<uint8_t> locked_;  //!< pinned ways; empty until lockLine
+    uint32_t lruClock_ = 0;
     uint64_t lockedLines_ = 0;
 
     Counter hits_;

@@ -50,6 +50,12 @@ class Dram
 
   private:
     DramParams params_;
+    // Row/bank split by shift and mask when both rowBytes and numBanks
+    // are powers of two (both Table 1 configs are); else by division.
+    bool pow2_ = false;
+    unsigned rowShift_ = 0;
+    unsigned bankShift_ = 0;
+    uint64_t bankMask_ = 0;
     std::vector<int64_t> openRow_; //!< -1 = closed
 
     Counter rowHits_;

@@ -9,19 +9,55 @@
  * a small address pool — including sets driven to all-but-one locked
  * way — must produce the same hit/miss answers, the same victims
  * (compared as the full residency of the pool after every step) and
- * the same lockedLines() count.
+ * the same lockedLines() count. A second case moves the cache's
+ * 32-bit LRU clock just below 2^32, so the store renumbers its stamps
+ * mid-sequence, and must still agree with the 64-bit reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "core/params.h"
 #include "mem/cache.h"
 
 namespace hpmp
 {
+
+/** Reads and moves the private tag-store state the tests pin. */
+class CacheTestPeer
+{
+  public:
+    static uint32_t clock(const Cache &c) { return c.lruClock_; }
+
+    /** Move the clock forward; it must stay >= every stamp. */
+    static void
+    advanceClock(Cache &c, uint32_t clock)
+    {
+        ASSERT_GE(clock, c.lruClock_);
+        c.lruClock_ = clock;
+    }
+
+    /** Host bytes of line state: tag block plus any lock array. */
+    static uint64_t
+    lineStateBytes(const Cache &c)
+    {
+        return c.blocks_.capacity() * sizeof(uint32_t) +
+               c.locked_.capacity();
+    }
+
+    static bool hasLockArray(const Cache &c) { return c.locked_.capacity(); }
+
+    static uintptr_t
+    blockBase(const Cache &c)
+    {
+        return reinterpret_cast<uintptr_t>(c.blocks_.data());
+    }
+};
+
 namespace
 {
 
@@ -184,70 +220,125 @@ class CacheDiff : public ::testing::TestWithParam<Geometry>
 {
 };
 
-TEST_P(CacheDiff, RandomSequencesMatchReference)
+CacheParams
+diffParams(const Geometry &g)
 {
-    const Geometry g = GetParam();
-    const CacheParams params{"diff", uint64_t(g.sets) * g.assoc * 64,
-                             g.assoc, 64, 1};
-    // A pool of 3x assoc distinct lines per set: enough to force
-    // evictions, small enough that lines come back.
+    return {"diff", uint64_t(g.sets) * g.assoc * 64, g.assoc, 64, 1};
+}
+
+/**
+ * A pool of 3x assoc distinct lines per set: enough to force
+ * evictions, small enough that lines come back.
+ */
+std::vector<Addr>
+linePool(const Geometry &g)
+{
     std::vector<Addr> pool;
     for (uint64_t i = 0; i < uint64_t(g.sets) * g.assoc * 3; ++i)
         pool.push_back(0x40000000 + i * 64);
+    return pool;
+}
 
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-        Cache dut(params);
-        RefCache ref(params);
-        Rng rng(seed);
-        // Every third seed never locks (the lock-free victim scan).
-        // Other odd seeds lock aggressively, so sets sit at all-but-one
-        // locked way and the single evictable way takes every fill.
-        const unsigned lock_weight =
-            seed % 3 == 0 ? 0 : (seed % 2 ? 12 : 2);
+/**
+ * Every third seed never locks (the lock-free victim scan). Other odd
+ * seeds lock aggressively, so sets sit at all-but-one locked way and
+ * the single evictable way takes every fill.
+ */
+unsigned
+lockWeight(uint64_t seed)
+{
+    return seed % 3 == 0 ? 0 : (seed % 2 ? 12 : 2);
+}
 
-        for (unsigned step = 0; step < 4000; ++step) {
-            const Addr pa = pool[rng.below(pool.size())] +
-                            rng.below(8) * 8; // any offset in the line
-            const unsigned op = unsigned(rng.below(35 + lock_weight));
-            SCOPED_TRACE(::testing::Message() << "seed " << seed << " step "
-                                              << step << " op " << op
-                                              << " pa " << pa);
-            if (op < 20) {
-                ASSERT_EQ(dut.access(pa), ref.access(pa));
-            } else if (op < 24) {
-                dut.touch(pa);
-                ref.touch(pa);
-            } else if (op < 27) {
-                ASSERT_EQ(dut.probe(pa), ref.probe(pa));
-            } else if (op < 30) {
-                dut.flushLine(pa);
-                ref.flushLine(pa);
-            } else if (op < 34) {
-                dut.unlockLine(pa);
-                ref.unlockLine(pa);
-            } else if (op == 34) {
-                if (rng.chance(0.25)) {
-                    dut.flushAll();
-                    ref.flushAll();
-                }
-            } else {
-                ASSERT_EQ(dut.lockLine(pa), ref.lockLine(pa));
-            }
-            ASSERT_EQ(dut.lockedLines(), ref.lockedLines());
-            // Same victims: the whole pool's residency agrees.
-            for (Addr line : pool)
-                ASSERT_EQ(dut.probe(line), ref.probe(line)) << line;
+/** One random operation on both models; any divergence fails. */
+void
+stepBoth(Cache &dut, RefCache &ref, Rng &rng, const std::vector<Addr> &pool,
+         unsigned lock_weight)
+{
+    const Addr pa = pool[rng.below(pool.size())] +
+                    rng.below(8) * 8; // any offset in the line
+    const unsigned op = unsigned(rng.below(35 + lock_weight));
+    SCOPED_TRACE(::testing::Message() << "op " << op << " pa " << pa);
+    if (op < 20) {
+        ASSERT_EQ(dut.access(pa), ref.access(pa));
+    } else if (op < 24) {
+        dut.touch(pa);
+        ref.touch(pa);
+    } else if (op < 27) {
+        ASSERT_EQ(dut.probe(pa), ref.probe(pa));
+    } else if (op < 30) {
+        dut.flushLine(pa);
+        ref.flushLine(pa);
+    } else if (op < 34) {
+        dut.unlockLine(pa);
+        ref.unlockLine(pa);
+    } else if (op == 34) {
+        if (rng.chance(0.25)) {
+            dut.flushAll();
+            ref.flushAll();
         }
+    } else {
+        ASSERT_EQ(dut.lockLine(pa), ref.lockLine(pa));
+    }
+    ASSERT_EQ(dut.lockedLines(), ref.lockedLines());
+    // Same victims: the whole pool's residency agrees.
+    for (Addr line : pool)
+        ASSERT_EQ(dut.probe(line), ref.probe(line)) << line;
+}
+
+TEST_P(CacheDiff, RandomSequencesMatchReference)
+{
+    const Geometry g = GetParam();
+    const std::vector<Addr> pool = linePool(g);
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+        Cache dut(diffParams(g));
+        RefCache ref(diffParams(g));
+        Rng rng(seed);
+        for (unsigned step = 0; step < 4000; ++step) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                              << " step " << step);
+            ASSERT_NO_FATAL_FAILURE(
+                stepBoth(dut, ref, rng, pool, lockWeight(seed)));
+        }
+    }
+}
+
+/**
+ * The 32-bit clock wraps: it starts a few steps below 2^32 and, each
+ * time a wrap has restarted it, is moved back there, so stamps are
+ * renumbered over many different states (invalid ways, sets locked
+ * to all but one way). The 64-bit reference never wraps.
+ */
+TEST_P(CacheDiff, ClockWrapMatchesReference)
+{
+    const Geometry g = GetParam();
+    const std::vector<Addr> pool = linePool(g);
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        Cache dut(diffParams(g));
+        RefCache ref(diffParams(g));
+        Rng rng(seed + 100);
+        unsigned wraps = 0;
+        for (unsigned step = 0; step < 12000; ++step) {
+            const uint32_t before = CacheTestPeer::clock(dut);
+            if (step % 400 == 0 && before < UINT32_MAX - 8) {
+                ASSERT_NO_FATAL_FAILURE(CacheTestPeer::advanceClock(
+                    dut, uint32_t(UINT32_MAX - rng.below(8))));
+            }
+            SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                              << " step " << step);
+            ASSERT_NO_FATAL_FAILURE(
+                stepBoth(dut, ref, rng, pool, lockWeight(seed)));
+            wraps += CacheTestPeer::clock(dut) < before;
+        }
+        EXPECT_GE(wraps, 20u) << "seed " << seed;
     }
 }
 
 TEST_P(CacheDiff, NearlyFullyLockedSetsKeepOneVictim)
 {
     const Geometry g = GetParam();
-    const CacheParams params{"diff", uint64_t(g.sets) * g.assoc * 64,
-                             g.assoc, 64, 1};
-    Cache dut(params);
-    RefCache ref(params);
+    Cache dut(diffParams(g));
+    RefCache ref(diffParams(g));
     const uint64_t stride = uint64_t(g.sets) * 64; // same set
     // Lock assoc-1 ways of set 0; the last lock attempt must fail.
     for (unsigned way = 0; way < g.assoc; ++way) {
@@ -271,11 +362,47 @@ TEST_P(CacheDiff, NearlyFullyLockedSetsKeepOneVictim)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDiff,
     ::testing::Values(Geometry{4, 4}, Geometry{8, 8}, Geometry{3, 4},
-                      Geometry{2, 2}, Geometry{1, 16}),
+                      Geometry{2, 2}, Geometry{1, 16}, Geometry{4, 3}),
     [](const ::testing::TestParamInfo<Geometry> &tp) {
         return std::to_string(tp.param.sets) + "sets_" +
                std::to_string(tp.param.assoc) + "way";
     });
+
+TEST(CacheDeathTest, TagWiderThan31BitsPanics)
+{
+    const CacheParams params{"narrow", 4 * 2 * 64, 2, 64, 1}; // 4 sets
+    Cache c(params);
+    // pa = tag << 8 (6 line bits, 2 set bits): the widest tag fits.
+    const Addr widest = ((Addr(1) << 31) - 1) << 8;
+    EXPECT_FALSE(c.access(widest));
+    EXPECT_TRUE(c.access(widest));
+    EXPECT_DEATH(c.access(Addr(1) << 39), "wider than 31 bits");
+    EXPECT_DEATH(c.probe(Addr(1) << 63), "wider than 31 bits");
+}
+
+TEST(CacheTagStore, Table1L2AndLlcKeepEightHostBytesPerLine)
+{
+    for (const MachineParams &mp : {rocketParams(), boomParams()}) {
+        for (const CacheParams &params : {mp.hier.l2, mp.hier.llc}) {
+            SCOPED_TRACE(params.name);
+            Cache c(params);
+            const uint64_t lines = params.sizeBytes / params.lineBytes;
+            EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 8 * lines);
+            EXPECT_EQ(CacheTestPeer::blockBase(c) % 64, 0u);
+            EXPECT_FALSE(CacheTestPeer::hasLockArray(c));
+            // Traffic and flushes leave the lock array unallocated.
+            for (Addr pa = 0; pa < 64 * 1024; pa += 64)
+                c.access(pa);
+            c.flushLine(0);
+            c.unlockLine(64);
+            c.flushAll();
+            EXPECT_FALSE(CacheTestPeer::hasLockArray(c));
+            ASSERT_TRUE(c.lockLine(0x1000));
+            EXPECT_TRUE(CacheTestPeer::hasLockArray(c));
+            EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 9 * lines);
+        }
+    }
+}
 
 } // namespace
 } // namespace hpmp

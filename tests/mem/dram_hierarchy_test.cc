@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/rng.h"
 #include "core/params.h"
 #include "mem/dram.h"
 #include "mem/hierarchy.h"
@@ -44,6 +47,35 @@ TEST(Dram, DifferentRowsSameBankConflict)
     const Addr conflict = Addr(p.numBanks) * p.rowBytes;
     EXPECT_EQ(dram.access(conflict), p.rowMissCycles);
     EXPECT_EQ(dram.access(0x0), p.rowMissCycles); // reopened
+}
+
+TEST(Dram, IndexMatchesDivisionForEveryGeometry)
+{
+    // Power-of-two geometries take the shift/mask split, the others
+    // the division; both must open and hit the rows a plain
+    // division model does.
+    for (const auto &[banks, row_bytes] :
+         {std::pair{32u, 8192u}, std::pair{3u, 8192u},
+          std::pair{32u, 3000u}, std::pair{6u, 1000u}}) {
+        DramParams p;
+        p.numBanks = banks;
+        p.rowBytes = row_bytes;
+        Dram dram(p);
+        std::vector<int64_t> open(banks, -1);
+        Rng rng(banks * 7 + row_bytes);
+        for (unsigned i = 0; i < 20000; ++i) {
+            // A small row pool so both row hits and misses occur.
+            const Addr pa = rng.below(4 * banks * row_bytes) + 0x80000000;
+            const uint64_t row_global = pa / row_bytes;
+            const auto row = int64_t(row_global / banks);
+            const bool hit = open[row_global % banks] == row;
+            open[row_global % banks] = row;
+            ASSERT_EQ(dram.access(pa),
+                      hit ? p.rowHitCycles : p.rowMissCycles)
+                << banks << " banks, " << row_bytes << " B rows, step "
+                << i;
+        }
+    }
 }
 
 TEST(Hierarchy, LatencyOrdering)
