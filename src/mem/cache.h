@@ -12,9 +12,7 @@
 #ifndef HPMP_MEM_CACHE_H
 #define HPMP_MEM_CACHE_H
 
-#include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -32,31 +30,6 @@ struct CacheParams
     unsigned assoc;         //!< ways per set
     unsigned lineBytes = 64;
     unsigned latency;       //!< hit latency contribution, core cycles
-};
-
-/**
- * std::allocator that aligns every allocation to a 64-byte host cache
- * line, so an 8-way set's tag block never straddles two host lines.
- */
-template <typename T>
-struct LineAlignedAllocator
-{
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-
-    LineAlignedAllocator() = default;
-    template <typename U>
-    LineAlignedAllocator(const LineAlignedAllocator<U> &) {}
-
-    T *
-    allocate(std::size_t n)
-    {
-        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
-    }
-    void deallocate(T *p, std::size_t) { ::operator delete(p, kAlign); }
-
-    template <typename U>
-    bool operator==(const LineAlignedAllocator<U> &) const { return true; }
 };
 
 /** One level of tag-only cache with LRU replacement. */
@@ -110,7 +83,8 @@ class Cache
      * Cache-line locking (Penglai's side-channel/latency defence,
      * paper Fig. 7): pin the line containing pa so replacement never
      * evicts it. @return false if every way of its set is already
-     * locked (at least one way must stay evictable).
+     * locked (at least one way must stay evictable). No simulated
+     * component locks a line today; only the tests call this.
      */
     bool lockLine(Addr pa);
 
@@ -132,9 +106,11 @@ class Cache
 
     /**
      * The tag store is one block of 2 x assoc 32-bit words per set:
-     * the set's tag words, then its LRU stamps, so an 8-way set is one
-     * 64-byte host line. A tag word is `tag << 1 | valid`; an invalid
-     * way is the word 0. A tag wider than 31 bits panics.
+     * the set's tag words, then its LRU stamps, so an 8-way set is 64
+     * host bytes. A tag word is `tag << 1 | valid`; an invalid way is
+     * the word 0. A tag wider than 31 bits panics. That caps the
+     * physical address at 2^(31 + log2(lineBytes x sets)): 2^43 for
+     * the 64-set Table 1 L1s, the lowest ceiling in the hierarchy.
      */
     uint32_t
     tagWord(Addr pa) const
@@ -188,7 +164,10 @@ class Cache
      */
     void renumberStamps();
 
-    /** A locked way; no lock array exists before the first lockLine. */
+    /**
+     * A locked way; no lock array exists before the first lockLine,
+     * which only the tests call.
+     */
     bool
     isLocked(uint64_t set, unsigned way) const
     {
@@ -223,6 +202,8 @@ class Cache
                          : lineNumber(pa) / numSets_;
     }
 
+    // The 32-bit clock wraps (renumberStamps); the 31-bit tag does
+    // not, so a physical address >= 2^43 panics in a Table 1 L1.
     static constexpr uint32_t kClockMax = UINT32_MAX;
 
     CacheParams params_;
@@ -233,7 +214,7 @@ class Cache
     uint64_t setMask_ = 0;
     unsigned blockWords_;  //!< 2 x assoc: tag words, then stamps
     /** numSets_ blocks; larger stamp = more recent. */
-    std::vector<uint32_t, LineAlignedAllocator<uint32_t>> blocks_;
+    std::vector<uint32_t> blocks_;
     std::vector<uint8_t> locked_;  //!< pinned ways; empty until lockLine
     uint32_t lruClock_ = 0;
     uint64_t lockedLines_ = 0;

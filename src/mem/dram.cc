@@ -1,20 +1,20 @@
 #include "mem/dram.h"
 
 #include "base/bitfield.h"
+#include "base/logging.h"
 
 namespace hpmp
 {
 
 Dram::Dram(const DramParams &params)
     : params_(params),
-      pow2_(isPowerOf2(params.rowBytes) && isPowerOf2(params.numBanks)),
+      rowShift_(log2i(params.rowBytes)),
+      bankShift_(log2i(params.numBanks)),
+      bankMask_(params.numBanks - 1),
       openRow_(params.numBanks, -1)
 {
-    if (pow2_) {
-        rowShift_ = log2i(params.rowBytes);
-        bankShift_ = log2i(params.numBanks);
-        bankMask_ = params.numBanks - 1;
-    }
+    fatal_if(!isPowerOf2(params.rowBytes), "DRAM row size must be 2^n");
+    fatal_if(!isPowerOf2(params.numBanks), "DRAM bank count must be 2^n");
 }
 
 unsigned
@@ -22,12 +22,9 @@ Dram::access(Addr pa)
 {
     // Row index within the whole device, bank-interleaved at row
     // granularity so that adjacent rows map to different banks.
-    const uint64_t row_global =
-        pow2_ ? pa >> rowShift_ : pa / params_.rowBytes;
-    const uint64_t bank =
-        pow2_ ? row_global & bankMask_ : row_global % params_.numBanks;
-    const auto row = static_cast<int64_t>(
-        pow2_ ? row_global >> bankShift_ : row_global / params_.numBanks);
+    const uint64_t row_global = pa >> rowShift_;
+    const uint64_t bank = row_global & bankMask_;
+    const auto row = static_cast<int64_t>(row_global >> bankShift_);
 
     if (openRow_[bank] == row) {
         ++rowHits_;

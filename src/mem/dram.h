@@ -24,8 +24,8 @@ namespace hpmp
 /** Timing/geometry parameters of the DRAM model. */
 struct DramParams
 {
-    unsigned numBanks = 8 * 4;       //!< 8 banks x quad rank (Table 1)
-    unsigned rowBytes = 8192;        //!< row-buffer size per bank
+    unsigned numBanks = 8 * 4;       //!< 8 banks x quad rank (Table 1); 2^n
+    unsigned rowBytes = 8192;        //!< row-buffer size per bank; 2^n
     unsigned rowHitCycles = 42;      //!< CAS-limited access
     unsigned rowMissCycles = 84;     //!< precharge + activate + CAS
 };
@@ -50,12 +50,11 @@ class Dram
 
   private:
     DramParams params_;
-    // Row/bank split by shift and mask when both rowBytes and numBanks
-    // are powers of two (both Table 1 configs are); else by division.
-    bool pow2_ = false;
-    unsigned rowShift_ = 0;
-    unsigned bankShift_ = 0;
-    uint64_t bankMask_ = 0;
+    // Row/bank split by shift and mask: the constructor rejects a
+    // rowBytes or numBanks that is not a power of two.
+    unsigned rowShift_;
+    unsigned bankShift_;
+    uint64_t bankMask_;
     std::vector<int64_t> openRow_; //!< -1 = closed
 
     Counter rowHits_;

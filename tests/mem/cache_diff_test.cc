@@ -50,12 +50,6 @@ class CacheTestPeer
     }
 
     static bool hasLockArray(const Cache &c) { return c.locked_.capacity(); }
-
-    static uintptr_t
-    blockBase(const Cache &c)
-    {
-        return reinterpret_cast<uintptr_t>(c.blocks_.data());
-    }
 };
 
 namespace
@@ -378,6 +372,17 @@ TEST(CacheDeathTest, TagWiderThan31BitsPanics)
     EXPECT_TRUE(c.access(widest));
     EXPECT_DEATH(c.access(Addr(1) << 39), "wider than 31 bits");
     EXPECT_DEATH(c.probe(Addr(1) << 63), "wider than 31 bits");
+
+    // The 64-set Table 1 L1s put 12 address bits below the tag, so
+    // their ceiling is the lowest of the hierarchy: pa < 2^43.
+    for (const MachineParams &mp : {rocketParams(), boomParams()}) {
+        SCOPED_TRACE(mp.name);
+        Cache l1(mp.hier.l1d);
+        const Addr ceiling = Addr(1) << 43;
+        EXPECT_FALSE(l1.access(ceiling - 64));
+        EXPECT_TRUE(l1.access(ceiling - 64));
+        EXPECT_DEATH(l1.access(ceiling), "wider than 31 bits");
+    }
 }
 
 TEST(CacheTagStore, Table1L2AndLlcKeepEightHostBytesPerLine)
@@ -388,7 +393,6 @@ TEST(CacheTagStore, Table1L2AndLlcKeepEightHostBytesPerLine)
             Cache c(params);
             const uint64_t lines = params.sizeBytes / params.lineBytes;
             EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 8 * lines);
-            EXPECT_EQ(CacheTestPeer::blockBase(c) % 64, 0u);
             EXPECT_FALSE(CacheTestPeer::hasLockArray(c));
             // Traffic and flushes leave the lock array unallocated.
             for (Addr pa = 0; pa < 64 * 1024; pa += 64)

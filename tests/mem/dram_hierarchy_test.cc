@@ -49,14 +49,13 @@ TEST(Dram, DifferentRowsSameBankConflict)
     EXPECT_EQ(dram.access(0x0), p.rowMissCycles); // reopened
 }
 
-TEST(Dram, IndexMatchesDivisionForEveryGeometry)
+TEST(Dram, ShiftIndexMatchesDivisionModel)
 {
-    // Power-of-two geometries take the shift/mask split, the others
-    // the division; both must open and hit the rows a plain
-    // division model does.
+    // The shift/mask row/bank split must open and hit the rows a
+    // plain division model does, on the Table 1 geometry and others.
     for (const auto &[banks, row_bytes] :
-         {std::pair{32u, 8192u}, std::pair{3u, 8192u},
-          std::pair{32u, 3000u}, std::pair{6u, 1000u}}) {
+         {std::pair{32u, 8192u}, std::pair{1u, 8192u},
+          std::pair{8u, 2048u}, std::pair{64u, 64u}}) {
         DramParams p;
         p.numBanks = banks;
         p.rowBytes = row_bytes;
@@ -76,6 +75,19 @@ TEST(Dram, IndexMatchesDivisionForEveryGeometry)
                 << i;
         }
     }
+}
+
+TEST(DramDeathTest, NonPowerOfTwoGeometryIsFatal)
+{
+    DramParams rows;
+    rows.rowBytes = 3000;
+    EXPECT_DEATH({ Dram d(rows); }, "row size must be 2\\^n");
+    DramParams banks;
+    banks.numBanks = 6;
+    EXPECT_DEATH({ Dram d(banks); }, "bank count must be 2\\^n");
+    DramParams none;
+    none.numBanks = 0;
+    EXPECT_DEATH({ Dram d(none); }, "bank count must be 2\\^n");
 }
 
 TEST(Hierarchy, LatencyOrdering)
