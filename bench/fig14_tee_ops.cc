@@ -7,6 +7,7 @@
  */
 
 #include "bench/common.h"
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 
 namespace hpmp::bench
@@ -24,12 +25,12 @@ namespace
 constexpr unsigned kPaperPmpMaxDomains = 14;
 
 std::unique_ptr<SecureMonitor>
-makeMonitor(Machine &machine, IsolationScheme scheme, bool huge = false)
+makeMonitor(SmpSystem &smp, IsolationScheme scheme, bool huge = false)
 {
     MonitorConfig config;
     config.scheme = scheme;
     config.hugePmpte = huge;
-    return std::make_unique<SecureMonitor>(machine, config);
+    return std::make_unique<SecureMonitor>(smp, config);
 }
 
 void
@@ -42,8 +43,8 @@ domainSwitch()
         std::vector<std::string> cells{std::to_string(domains)};
         for (const IsolationScheme scheme :
              {IsolationScheme::Pmp, IsolationScheme::Hpmp}) {
-            Machine machine(rocketParams());
-            auto monitor = makeMonitor(machine, scheme);
+            SmpSystem smp(rocketParams(), SmpParams{});
+            auto monitor = makeMonitor(smp, scheme);
             std::vector<DomainId> ids;
             bool failed = false;
             for (unsigned i = 0; i < domains; ++i) {
@@ -96,8 +97,8 @@ regionChurn()
         std::vector<std::string> free_cells;
         for (const IsolationScheme scheme :
              {IsolationScheme::Pmp, IsolationScheme::Hpmp}) {
-            Machine machine(rocketParams());
-            auto monitor = makeMonitor(machine, scheme);
+            SmpSystem smp(rocketParams(), SmpParams{});
+            auto monitor = makeMonitor(smp, scheme);
             const DomainId id = monitor->createDomain();
             auto switched = monitor->switchTo(id);
 
@@ -148,8 +149,8 @@ allocSizes()
                                64ull}) {
         std::vector<std::string> cells{std::to_string(mib)};
         for (const bool huge : {false, true}) {
-            Machine machine(rocketParams());
-            auto monitor = makeMonitor(machine, IsolationScheme::Hpmp,
+            SmpSystem smp(rocketParams(), SmpParams{});
+            auto monitor = makeMonitor(smp, IsolationScheme::Hpmp,
                                        huge);
             const DomainId id = monitor->createDomain();
             (void)monitor->switchTo(id);

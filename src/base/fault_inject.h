@@ -127,7 +127,6 @@ class FaultInjector
     {
         controller_ = std::move(controller);
     }
-    bool hasDecisionController() const { return bool(controller_); }
 
     /**
      * Should the fault at `site` fire now? Counts the hit either way.

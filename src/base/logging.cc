@@ -43,10 +43,4 @@ warnImpl(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace hpmp

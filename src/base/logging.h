@@ -7,7 +7,6 @@
  * fatal()  — the simulation cannot continue because of a user error
  *            (bad configuration, invalid arguments). Exits with code 1.
  * warn()   — functionality is approximated; results may be affected.
- * inform() — status messages with no connotation of incorrectness.
  */
 
 #ifndef HPMP_BASE_LOGGING_H
@@ -21,7 +20,6 @@ namespace hpmp
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Format helper: tiny printf-style formatting into std::string. */
 std::string logFormat(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -33,7 +31,6 @@ std::string logFormat(const char *fmt, ...) __attribute__((format(printf, 1, 2))
 #define fatal(...) \
     ::hpmp::fatalImpl(__FILE__, __LINE__, ::hpmp::logFormat(__VA_ARGS__))
 #define warn(...) ::hpmp::warnImpl(::hpmp::logFormat(__VA_ARGS__))
-#define inform(...) ::hpmp::informImpl(::hpmp::logFormat(__VA_ARGS__))
 
 /** panic() unless the invariant holds. */
 #define panic_if(cond, ...)                      \

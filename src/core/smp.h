@@ -15,9 +15,10 @@
  * seeded xoshiro stream (or strict round-robin), so any concurrency
  * failure replays exactly from {seed, hart count, op count}.
  *
- * A single-hart SmpSystem is bit-identical to a standalone Machine:
- * hart 0 keeps the "machine" stat prefix, remote loops are empty, and
- * no IPI cost or stat moves.
+ * The secure monitor runs only over an SmpSystem, so a single-machine
+ * setup (TeeEnv, every paper figure) is a one-hart system. That system
+ * is bit-identical to a standalone Machine: hart 0 keeps the "machine"
+ * stat prefix, remote loops are empty, and no IPI cost or stat moves.
  */
 
 #ifndef HPMP_CORE_SMP_H
@@ -141,10 +142,6 @@ class SmpSystem
      */
     using SchedHook = std::function<unsigned(unsigned numHarts)>;
     void setSchedHook(SchedHook hook) { schedHook_ = std::move(hook); }
-    bool hasSchedHook() const { return bool(schedHook_); }
-
-    /** The scheduler's stream, for hooks that need more decisions. */
-    Rng &schedRng() { return schedRng_; }
 
     /**
      * Run one closure per hart, interleaved by the scheduler until
@@ -156,7 +153,6 @@ class SmpSystem
 
     /** Install (or clear, with nullptr) the interleave observer. */
     void setInterleaveHook(InterleaveHook *hook) { hook_ = hook; }
-    InterleaveHook *interleaveHook() { return hook_; }
 
     /** Publish one protocol step to the hook (monitor/satp paths). */
     void notifyStep(const IpiEvent &event);

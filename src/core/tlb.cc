@@ -13,16 +13,15 @@ Tlb::Tlb(unsigned l1_entries, unsigned l2_entries)
       l2Entries_(l2_entries),
       l1_(l1_entries),
       l1Index_(l1_entries),
+      l2Mask_(l2_entries - 1),
       l2_(l2_entries)
 {
     // An L1 of 0 entries just never caches; the direct-mapped L2 has
-    // no slot to index into.
+    // no slot to index into, and indexes by mask (Table 1's 1024).
     fatal_if(l2_entries == 0, "L2 TLB needs at least one entry");
+    fatal_if(!isPowerOf2(l2_entries),
+             "L2 TLB entries (%u) must be a power of two", l2_entries);
     l2Filled_.reserve(l2_entries);
-    if (isPowerOf2(l2_entries)) {
-        l2Pow2_ = true;
-        l2Mask_ = l2_entries - 1;
-    }
 }
 
 void

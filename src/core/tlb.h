@@ -171,11 +171,7 @@ class Tlb
         return (vpn_at_level << 3) | level;
     }
 
-    uint64_t
-    l2SlotOf(uint64_t vpn) const
-    {
-        return l2Pow2_ ? (vpn & l2Mask_) : vpn % l2Entries_;
-    }
+    uint64_t l2SlotOf(uint64_t vpn) const { return vpn & l2Mask_; }
 
     /**
      * Claim an L1 slot (evicting true-LRU if full) and install.
@@ -216,9 +212,8 @@ class Tlb
     /** Entries currently cached per level, to skip empty-level probes. */
     unsigned levelCount_[kMaxLeafLevels] = {};
     uint32_t levelMask_ = 0; //!< bit l set iff levelCount_[l] > 0
-    bool l2Pow2_ = false;
-    uint64_t l2Mask_ = 0;
-    std::vector<TlbEntry> l2_; //!< direct mapped by vpn % l2Entries_
+    uint64_t l2Mask_;          //!< l2Entries_ - 1 (a power of two)
+    std::vector<TlbEntry> l2_; //!< direct mapped by vpn & l2Mask_
     /**
      * L2 slots filled since the last flushAll (repeats allowed), so a
      * flush clears those instead of sweeping every slot. Recording

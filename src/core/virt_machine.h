@@ -115,7 +115,6 @@ class VirtMachine
     /** TLB/PWC structures, exposed for flush-contract assertions. */
     Tlb &combinedTlb() { return combinedTlb_; }
     Tlb &gStageTlb() { return gStageTlb_; }
-    Pwc &vsPwc() { return vsPwc_; }
 
     /** Per-origin guest reference counts/latencies ("virt_machine.ref.*"). */
     const RefAttribution &refAttr() const { return attr_; }

@@ -38,8 +38,6 @@ class IopmpUnit
     IopmpUnit(PhysMem &mem, unsigned num_masters,
               unsigned entries_per_master = 4);
 
-    unsigned numMasters() const { return unsigned(masters_.size()); }
-
     /** The backing store the masters check against (poison lookups). */
     PhysMem &mem() { return mem_; }
 

@@ -19,17 +19,16 @@ Cache::Cache(const CacheParams &params)
     const uint64_t num_lines = params.sizeBytes / params.lineBytes;
     fatal_if(num_lines % params.assoc != 0,
              "%s: size/assoc mismatch", params.name.c_str());
-    numSets_ = num_lines / params.assoc;
-    fatal_if(numSets_ == 0, "%s: %lu bytes hold no set of %u %u-byte lines",
+    const uint64_t num_sets = num_lines / params.assoc;
+    fatal_if(num_sets == 0, "%s: %lu bytes hold no set of %u %u-byte lines",
              params.name.c_str(), (unsigned long)params.sizeBytes,
              params.assoc, params.lineBytes);
-    if (isPowerOf2(numSets_)) {
-        setsPow2_ = true;
-        setShift_ = log2i(numSets_);
-        setMask_ = numSets_ - 1;
-    }
+    fatal_if(!isPowerOf2(num_sets), "%s: %lu sets is not a power of two",
+             params.name.c_str(), (unsigned long)num_sets);
+    setShift_ = log2i(num_sets);
+    setMask_ = num_sets - 1;
     blockWords_ = 2 * params.assoc;
-    blocks_.assign(numSets_ * blockWords_, 0);
+    blocks_.assign(num_sets * blockWords_, 0);
 }
 
 void
@@ -44,7 +43,7 @@ Cache::renumberStamps()
 {
     const unsigned assoc = params_.assoc;
     std::vector<uint32_t> old(assoc);
-    for (uint64_t set = 0; set < numSets_; ++set) {
+    for (uint64_t set = 0; set <= setMask_; ++set) {
         uint32_t *stamps = block(set) + assoc;
         std::copy(stamps, stamps + assoc, old.begin());
         for (unsigned way = 0; way < assoc; ++way) {
@@ -63,44 +62,22 @@ unsigned
 Cache::victimOf(uint64_t set) const
 {
     const unsigned assoc = params_.assoc;
-    const uint32_t *tags = block(set);
-    const uint32_t *stamps = tags + assoc;
-    if (lockedLines_ == 0) {
-        // Invalid ways hold stamp 0 and valid ways distinct stamps >= 1
-        // (see restamp()), so the lowest stamp, ties going to the later
-        // way, is the rule below read off the stamps alone. This scan
-        // has no data-dependent branch, which is measurably faster on
-        // miss-heavy workloads (EXPERIMENTS.md), and it keeps the
-        // oldest stamp in a register rather than reloading it through
-        // the victim index.
-        unsigned victim = 0;
-        uint32_t oldest = stamps[0];
-        for (unsigned way = 1; way < assoc; ++way) {
-            const bool older = stamps[way] <= oldest;
-            victim = older ? way : victim;
-            oldest = older ? stamps[way] : oldest;
-        }
-        return victim;
+    const uint32_t *stamps = block(set) + assoc;
+    // Invalid ways hold stamp 0 and valid ways distinct stamps >= 1
+    // (see restamp()), so the lowest stamp, ties going to the later
+    // way, is the last invalid way if any, else the least recently
+    // used one. This scan has no data-dependent branch, which is
+    // measurably faster on miss-heavy workloads (EXPERIMENTS.md), and
+    // it keeps the oldest stamp in a register rather than reloading it
+    // through the victim index.
+    unsigned victim = 0;
+    uint32_t oldest = stamps[0];
+    for (unsigned way = 1; way < assoc; ++way) {
+        const bool older = stamps[way] <= oldest;
+        victim = older ? way : victim;
+        oldest = older ? stamps[way] : oldest;
     }
-
-    // Same victim choice as the historical single-pass scan: the last
-    // invalid unlocked way if any, else the lowest-stamp unlocked way.
-    int victim = -1;
-    bool victim_valid = false;
-    for (unsigned way = 0; way < assoc; ++way) {
-        if (isLocked(set, way))
-            continue;
-        if (tags[way] == 0) {
-            victim = int(way);
-            victim_valid = false;
-        } else if (victim < 0 ||
-                   (victim_valid && stamps[way] < stamps[victim])) {
-            victim = int(way);
-            victim_valid = true;
-        }
-    }
-    panic_if(victim < 0, "all ways locked in set");
-    return unsigned(victim);
+    return victim;
 }
 
 void
@@ -142,57 +119,10 @@ Cache::touch(Addr pa)
         fillVictim(set, word);
 }
 
-bool
-Cache::lockLine(Addr pa)
-{
-    const uint64_t set = setIndex(pa);
-    if (locked_.empty())
-        locked_.assign(numSets_ * params_.assoc, 0);
-
-    unsigned unlocked = 0;
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (!isLocked(set, way))
-            ++unlocked;
-    }
-    if (unlocked <= 1)
-        return false; // keep at least one evictable way per set
-
-    // Bring the line in (warm) and pin it.
-    touch(pa);
-    const int way = findWay(set, tagWord(pa));
-    if (way < 0 || isLocked(set, unsigned(way)))
-        return false;
-    locked_[set * params_.assoc + unsigned(way)] = 1;
-    ++lockedLines_;
-    return true;
-}
-
-void
-Cache::unlockLine(Addr pa)
-{
-    const uint64_t set = setIndex(pa);
-    const int way = findWay(set, tagWord(pa));
-    if (way >= 0 && isLocked(set, unsigned(way))) {
-        locked_[set * params_.assoc + unsigned(way)] = 0;
-        --lockedLines_;
-    }
-}
-
 void
 Cache::flushAll()
 {
-    // Locked lines survive flushes (the monitor's pinned state);
-    // everything else goes.
-    const unsigned assoc = params_.assoc;
-    for (uint64_t set = 0; set < numSets_; ++set) {
-        uint32_t *tags = block(set);
-        for (unsigned way = 0; way < assoc; ++way) {
-            if (!isLocked(set, way)) {
-                tags[way] = 0;
-                tags[assoc + way] = 0;
-            }
-        }
-    }
+    std::fill(blocks_.begin(), blocks_.end(), 0);
 }
 
 void
@@ -200,7 +130,7 @@ Cache::flushLine(Addr pa)
 {
     const uint64_t set = setIndex(pa);
     const int way = findWay(set, tagWord(pa));
-    if (way >= 0 && !isLocked(set, unsigned(way))) {
+    if (way >= 0) {
         uint32_t *tags = block(set);
         tags[way] = 0;
         tags[params_.assoc + way] = 0;

@@ -6,7 +6,8 @@
  * tracks which lines are resident to attribute hit/miss latency, like
  * the timing side of gem5's classic caches. LRU replacement,
  * write-allocate; no level below reads dirtiness, so no dirty bit is
- * kept. Geometry follows Table 1 of the paper.
+ * kept. Geometry follows Table 1 of the paper; the set count must be
+ * a power of two, as every Table 1 geometry is.
  */
 
 #ifndef HPMP_MEM_CACHE_H
@@ -79,21 +80,6 @@ class Cache
     /** Invalidate only the line containing pa, if resident. */
     void flushLine(Addr pa);
 
-    /**
-     * Cache-line locking (Penglai's side-channel/latency defence,
-     * paper Fig. 7): pin the line containing pa so replacement never
-     * evicts it. @return false if every way of its set is already
-     * locked (at least one way must stay evictable). No simulated
-     * component locks a line today; only the tests call this.
-     */
-    bool lockLine(Addr pa);
-
-    /** Release a pinned line. */
-    void unlockLine(Addr pa);
-
-    /** Number of currently locked lines. */
-    uint64_t lockedLines() const { return lockedLines_; }
-
     unsigned latency() const { return params_.latency; }
     const CacheParams &params() const { return params_; }
 
@@ -165,18 +151,8 @@ class Cache
     void renumberStamps();
 
     /**
-     * A locked way; no lock array exists before the first lockLine,
-     * which only the tests call.
-     */
-    bool
-    isLocked(uint64_t set, unsigned way) const
-    {
-        return lockedLines_ != 0 && locked_[set * params_.assoc + way];
-    }
-
-    /**
-     * Way of `set` to evict: the last invalid unlocked way if any,
-     * else the lowest-stamp unlocked way.
+     * Way of `set` to evict: the last invalid way if any, else the
+     * lowest-stamp way.
      */
     unsigned victimOf(uint64_t set) const;
 
@@ -186,21 +162,8 @@ class Cache
     /** Way of `set` holding `word`, or -1. */
     int findWay(uint64_t set, uint32_t word) const;
 
-    // Set/tag split avoids a hardware division per lookup when the
-    // set count is a power of two (every Table 1 geometry is).
-    uint64_t
-    setIndex(Addr pa) const
-    {
-        return setsPow2_ ? (lineNumber(pa) & setMask_)
-                         : lineNumber(pa) % numSets_;
-    }
-
-    uint64_t
-    tagOf(Addr pa) const
-    {
-        return setsPow2_ ? (lineNumber(pa) >> setShift_)
-                         : lineNumber(pa) / numSets_;
-    }
+    uint64_t setIndex(Addr pa) const { return lineNumber(pa) & setMask_; }
+    uint64_t tagOf(Addr pa) const { return lineNumber(pa) >> setShift_; }
 
     // The 32-bit clock wraps (renumberStamps); the 31-bit tag does
     // not, so a physical address >= 2^43 panics in a Table 1 L1.
@@ -208,16 +171,12 @@ class Cache
 
     CacheParams params_;
     unsigned lineShift_;
-    uint64_t numSets_;
-    bool setsPow2_ = false;
-    unsigned setShift_ = 0;
-    uint64_t setMask_ = 0;
-    unsigned blockWords_;  //!< 2 x assoc: tag words, then stamps
-    /** numSets_ blocks; larger stamp = more recent. */
+    unsigned setShift_ = 0; //!< log2 of the set count
+    uint64_t setMask_ = 0;  //!< set count - 1
+    unsigned blockWords_;   //!< 2 x assoc: tag words, then stamps
+    /** One block per set; larger stamp = more recent. */
     std::vector<uint32_t> blocks_;
-    std::vector<uint8_t> locked_;  //!< pinned ways; empty until lockLine
     uint32_t lruClock_ = 0;
-    uint64_t lockedLines_ = 0;
 
     Counter hits_;
     Counter misses_;

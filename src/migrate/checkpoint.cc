@@ -79,10 +79,9 @@ captureCheckpoint(SecureMonitor &src, DomainId id, uint64_t nonce,
         return "source attestation failed: " + report.error;
     out.report = report.value;
 
-    if (SmpSystem *smp = src.smp()) {
-        for (unsigned h = 0; h < smp->numHarts(); ++h)
-            out.harts.push_back(smp->extractHartContext(h));
-    }
+    const SmpSystem &smp = src.smp();
+    for (unsigned h = 0; h < smp.numHarts(); ++h)
+        out.harts.push_back(smp.extractHartContext(h));
     return "";
 }
 

@@ -64,7 +64,7 @@ struct DomainCheckpoint
     std::vector<GmsImage> regions;
     /** Concatenated raw bytes of every region, in list order. */
     std::vector<uint8_t> memory;
-    /** Per-hart translation context (empty on single-machine hosts). */
+    /** Translation context of every source hart, hart 0 first. */
     std::vector<HartContext> harts;
 };
 

@@ -511,15 +511,14 @@ MigrationEngine::migrate(DomainId id, uint64_t nonce)
         // every sibling is fenced and the harts arrive with cold
         // TLBs — the first guest access pays the full hgatp-switch
         // walk.
-        if (SmpSystem *dsmp = dst_.smp()) {
-            const unsigned n = std::min<unsigned>(
-                dsmp->numHarts(), unsigned(rcp.harts.size()));
-            for (unsigned h = 0; h < n; ++h) {
-                HartContext ctx = rcp.harts[h];
-                if (ctx.virt && !dsmp->virtEnabled())
-                    ctx.virt = false;
-                dsmp->applyHartContext(h, ctx);
-            }
+        SmpSystem &dsmp = dst_.smp();
+        const unsigned n = std::min<unsigned>(
+            dsmp.numHarts(), unsigned(rcp.harts.size()));
+        for (unsigned h = 0; h < n; ++h) {
+            HartContext ctx = rcp.harts[h];
+            if (ctx.virt && !dsmp.virtEnabled())
+                ctx.virt = false;
+            dsmp.applyHartContext(h, ctx);
         }
         for (unsigned attempt = 0; attempt <= config_.maxRetries;
              ++attempt) {

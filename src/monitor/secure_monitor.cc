@@ -97,24 +97,20 @@ struct SecureMonitor::Txn
         coalescedOpen_ = m_.coalescedOpen_;
         coalescedCommits_ = m_.coalescedCommits_;
         lastCommitter_ = m_.lastCommitter_;
-        hpmpSnap_ = m_.machine_.hpmp().takeSnapshot();
-        // Multi-hart: a failing call may abort after partial
-        // shootdowns, so rollback must be able to restore *every*
-        // hart's register file, not just the canonical one.
-        if (m_.smp_) {
-            for (unsigned h = 1; h < m_.smp_->numHarts(); ++h) {
-                remoteSnaps_.push_back(
-                    m_.smp_->hart(h).hpmp().takeSnapshot());
-            }
-            // Virt-enabled: capture every hart's guest CSR state too
-            // (hart 0 included), so a call aborting after a partial
-            // guest shootdown restores the virt view as well.
-            if (m_.smp_->virtEnabled()) {
-                for (unsigned h = 0; h < m_.smp_->numHarts(); ++h) {
-                    VirtMachine &vm = m_.smp_->virtHart(h);
-                    virtSnaps_.push_back({vm.vsatpRoot(), vm.hgatpRoot(),
-                                          vm.guestPriv()});
-                }
+        // A failing call may abort after partial shootdowns, so
+        // rollback must be able to restore *every* hart's register
+        // file, not just the canonical one.
+        SmpSystem &smp = m_.smp_;
+        for (unsigned h = 0; h < smp.numHarts(); ++h)
+            hartSnaps_.push_back(smp.hart(h).hpmp().takeSnapshot());
+        // Virt-enabled: capture every hart's guest CSR state too (hart
+        // 0 included), so a call aborting after a partial guest
+        // shootdown restores the virt view as well.
+        if (smp.virtEnabled()) {
+            for (unsigned h = 0; h < smp.numHarts(); ++h) {
+                VirtMachine &vm = smp.virtHart(h);
+                virtSnaps_.push_back(
+                    {vm.vsatpRoot(), vm.hgatpRoot(), vm.guestPriv()});
             }
         }
         m_.activeTxn_ = this;
@@ -251,63 +247,54 @@ struct SecureMonitor::Txn
             }
         }
 
-        // 4. Scalars, then the register file (flushes the PMPTW-Cache).
+        // 4. Scalars, then every hart's register file (flushes its
+        //    PMPTW-Cache).
         m_.current_ = current_;
         m_.tableFrameNext_ = tableFrameNext_;
         m_.tableWritesTotal_ = tableWritesTotal_;
         m_.tableWritesAgg_ = tableWritesAgg_;
         m_.heatClock_ = heatClock_;
-        m_.machine_.hpmp().restoreSnapshot(hpmpSnap_);
-        if (m_.smp_) {
-            for (unsigned h = 1; h < m_.smp_->numHarts(); ++h) {
-                m_.smp_->hart(h).hpmp().restoreSnapshot(
-                    remoteSnaps_[h - 1]);
-            }
-        }
+        SmpSystem &smp = m_.smp_;
+        for (unsigned h = 0; h < smp.numHarts(); ++h)
+            smp.hart(h).hpmp().restoreSnapshot(hartSnaps_[h]);
 
         // 5. Nothing ran between the mid-call programming and this
         //    restore, but mirror the hardware contract anyway: any
         //    isolation-state change ends with TLB synchronization —
         //    on every hart, since partial shootdowns may have synced
         //    (and now un-synced) some of them.
-        m_.machine_.sfenceVma();
-        if (m_.smp_) {
-            for (unsigned h = 1; h < m_.smp_->numHarts(); ++h)
-                m_.smp_->hart(h).sfenceVma();
-            // Guest view: put back the pre-call vsatp/hgatp roots and
-            // drop every cached translation (combined, G-stage, guest
-            // PWC) on each hart — restoreVirtState fences locally
-            // without re-entering the shootdown path.
-            for (unsigned h = 0; h < unsigned(virtSnaps_.size()); ++h) {
-                m_.smp_->virtHart(h).restoreVirtState(
-                    virtSnaps_[h].vsatp, virtSnaps_[h].hgatp,
-                    virtSnaps_[h].priv);
-            }
-            if (m_.ipiWindowOpen_) {
-                // The aborted shootdown's window closes here: every
-                // hart is back on (and fenced to) the pre-call state,
-                // which is what checkers verify at window-end.
-                m_.ipiWindowOpen_ = false;
-                m_.smp_->notifyStep({IpiPhase::WindowEnd,
-                                     m_.smp_->currentHart(),
-                                     m_.smp_->currentHart(),
-                                     m_.ipiWindowSeq_});
-            }
-            if (m_.coalescedOpen_ && !coalescedOpen_) {
-                // This call's deferred commit opened the coalesced
-                // window and then aborted: nothing is pending, so the
-                // window closes with every hart on the pre-call state.
-                m_.coalescedOpen_ = false;
-                m_.smp_->notifyStep({IpiPhase::WindowEnd,
-                                     m_.smp_->currentHart(),
-                                     m_.smp_->currentHart(),
-                                     m_.coalescedSeq_});
-            }
-            // A window opened by *earlier* commits stays open: their
-            // state is committed and still awaits the shared flush.
-            m_.coalescedCommits_ = coalescedCommits_;
-            m_.lastCommitter_ = lastCommitter_;
+        for (unsigned h = 0; h < smp.numHarts(); ++h)
+            smp.hart(h).sfenceVma();
+        // Guest view: put back the pre-call vsatp/hgatp roots and drop
+        // every cached translation (combined, G-stage, guest PWC) on
+        // each hart — restoreVirtState fences locally without
+        // re-entering the shootdown path.
+        for (unsigned h = 0; h < unsigned(virtSnaps_.size()); ++h) {
+            smp.virtHart(h).restoreVirtState(virtSnaps_[h].vsatp,
+                                             virtSnaps_[h].hgatp,
+                                             virtSnaps_[h].priv);
         }
+        const unsigned self = smp.currentHart();
+        if (m_.ipiWindowOpen_) {
+            // The aborted shootdown's window closes here: every hart
+            // is back on (and fenced to) the pre-call state, which is
+            // what checkers verify at window-end.
+            m_.ipiWindowOpen_ = false;
+            smp.notifyStep(
+                {IpiPhase::WindowEnd, self, self, m_.ipiWindowSeq_});
+        }
+        if (m_.coalescedOpen_ && !coalescedOpen_) {
+            // This call's deferred commit opened the coalesced window
+            // and then aborted: nothing is pending, so the window
+            // closes with every hart on the pre-call state.
+            m_.coalescedOpen_ = false;
+            smp.notifyStep(
+                {IpiPhase::WindowEnd, self, self, m_.coalescedSeq_});
+        }
+        // A window opened by *earlier* commits stays open: their state
+        // is committed and still awaits the shared flush.
+        m_.coalescedCommits_ = coalescedCommits_;
+        m_.lastCommitter_ = lastCommitter_;
     }
 
     SecureMonitor &m_;
@@ -327,8 +314,7 @@ struct SecureMonitor::Txn
         PrivMode priv;
     };
 
-    HpmpUnit::Snapshot hpmpSnap_;
-    std::vector<HpmpUnit::Snapshot> remoteSnaps_; //!< harts 1..N-1
+    std::vector<HpmpUnit::Snapshot> hartSnaps_; //!< every hart, 0 first
     std::vector<VirtSnap> virtSnaps_; //!< all harts, virt-enabled only
     std::vector<DomainSnap> domSnaps_;
     std::vector<std::pair<DomainId, Domain>> stashed_;
@@ -340,14 +326,14 @@ template <typename Fn>
 MonitorResult
 SecureMonitor::transact(const char *callName, Fn &&body)
 {
-    // Multi-hart: one monitor call in flight at a time. A hart whose
-    // trap races another hart's transaction bounces with a typed
-    // error before any snapshot or mutation.
-    const unsigned initiator = smp_ ? smp_->currentHart() : 0;
-    if (smp_ && !smp_->tryAcquireMonitorLock(initiator)) {
+    // One monitor call in flight at a time. A hart whose trap races
+    // another hart's transaction bounces with a typed error before any
+    // snapshot or mutation.
+    const unsigned initiator = smp_.currentHart();
+    if (!smp_.tryAcquireMonitorLock(initiator)) {
         return failCall(MonitorError::LockContended,
                         "monitor lock held by hart " +
-                            std::to_string(smp_->lockOwner()));
+                            std::to_string(smp_.lockOwner()));
     }
     // Root (or, during a migration phase, child) span for the whole
     // call: shootdown-window and per-sibling IPI spans open under it,
@@ -369,8 +355,7 @@ SecureMonitor::transact(const char *callName, Fn &&body)
             rolled_back = true;
         }
     }
-    if (smp_)
-        smp_->releaseMonitorLock(initiator);
+    smp_.releaseMonitorLock(initiator);
     noteResult(result.ok, result.code, result.cycles, result.degraded,
                rolled_back);
     return result;
@@ -405,8 +390,9 @@ SecureMonitor::failCall(MonitorError code, std::string why) const
     return MonitorResult::fail(code, std::move(why));
 }
 
-SecureMonitor::SecureMonitor(Machine &machine, const MonitorConfig &config)
-    : machine_(machine),
+SecureMonitor::SecureMonitor(SmpSystem &smp, const MonitorConfig &config)
+    : smp_(smp),
+      machine_(smp.hart(0)),
       config_(config)
 {
     fatal_if(!isPowerOf2(config.monitorSize) ||
@@ -461,12 +447,7 @@ SecureMonitor::SecureMonitor(Machine &machine, const MonitorConfig &config)
     const DomainId host = createDomain();
     panic_if(host != 0, "host must be domain 0");
     current_ = 0;
-}
 
-SecureMonitor::SecureMonitor(SmpSystem &smp, const MonitorConfig &config)
-    : SecureMonitor(smp.hart(0), config)
-{
-    smp_ = &smp;
     // Boot-time convergence: every hart starts with the canonical
     // register file (entry 0 = the monitor region), not just hart 0.
     // No IPI accounting — this is reset, not a runtime shootdown.
@@ -1520,15 +1501,9 @@ SecureMonitor::applyLayout()
     // Any isolation-state change requires TLB + PMPTW synchronization
     // on the hart that executed it — even a zero-write diff, because
     // table *contents* may have changed under an unchanged root.
-    if (!smp_) {
-        machine_.sfenceVma();
-        unit.flushCache();
-        return degraded;
-    }
-
-    // Multi-hart: fence the initiating hart synchronously (its trap
-    // returns to the new state), then shoot down everyone else.
-    Machine &initiator = smp_->hart(smp_->currentHart());
+    // Fence the initiating hart synchronously (its trap returns to the
+    // new state), then shoot down everyone else.
+    Machine &initiator = smp_.hart(smp_.currentHart());
     if (&initiator != &machine_) {
         initiator.hpmp().syncRegsFrom(machine_.hpmp());
         pendingIpiCycles_ += config_.costs.remoteFenceCycles;
@@ -1540,25 +1515,25 @@ SecureMonitor::applyLayout()
     // Empty-diff fast path: a same-layout commit (e.g. re-switching to
     // the already-current domain) wrote no CSRs and no pmptes, so
     // sibling harts hold nothing stale — the remote shootdown *and*
-    // the guest fences are elided. Single-hart SmpSystems skip this so
-    // they stay bit-identical to a standalone Machine.
+    // the guest fences are elided. One hart has no shootdown to spare,
+    // so it never takes (or counts) the elision.
     const uint64_t csr_delta = machine_.hpmp().csrWrites() - csrSnapshot_;
     const uint64_t table_delta = tableWritesAgg_ - tableWriteSnapshot_;
-    if (smp_->numHarts() > 1 && csr_delta == 0 && table_delta == 0) {
+    if (smp_.numHarts() > 1 && csr_delta == 0 && table_delta == 0) {
         ++statIpiElided_;
-        if (smp_->virtEnabled())
-            smp_->noteHfenceElided();
+        if (smp_.virtEnabled())
+            smp_.noteHfenceElided();
         return degraded;
     }
 
     // Virt-enabled: physical permissions are inlined into combined-TLB
     // entries, so the initiating hart's guest view must drop with its
     // sfence — the remote harts get theirs inside the shootdown.
-    if (smp_->virtEnabled()) {
-        smp_->virtHart(smp_->currentHart()).hfenceGvma();
+    if (smp_.virtEnabled()) {
+        smp_.virtHart(smp_.currentHart()).hfenceGvma();
         pendingHfenceCycles_ += config_.costs.hfenceCycles;
     }
-    if (coalesceActive_ && smp_->numHarts() > 1)
+    if (coalesceActive_ && smp_.numHarts() > 1)
         deferShootdown();
     else
         remoteShootdown();
@@ -1568,18 +1543,18 @@ SecureMonitor::applyLayout()
 void
 SecureMonitor::deferShootdown()
 {
-    const unsigned committer = smp_->currentHart();
+    const unsigned committer = smp_.currentHart();
     ++coalescedCommits_;
     lastCommitter_ = committer;
     if (!coalescedOpen_) {
         coalescedOpen_ = true;
-        coalescedSeq_ = smp_->nextIpiSeq();
-        smp_->notifyStep({IpiPhase::WindowBegin, committer, committer,
+        coalescedSeq_ = smp_.nextIpiSeq();
+        smp_.notifyStep({IpiPhase::WindowBegin, committer, committer,
                           coalescedSeq_});
     } else {
         // Later commits move the canonical state the pending flush
         // will fence everyone to; checkers refresh their oracle here.
-        smp_->notifyStep({IpiPhase::CoalescedCommit, committer,
+        smp_.notifyStep({IpiPhase::CoalescedCommit, committer,
                           committer, coalescedSeq_});
     }
 }
@@ -1595,8 +1570,7 @@ SecureMonitor::beginCoalescedWindow()
     // context until endCoalescedWindow, so every deferred commit's
     // call span (and the shared flush round) nests under it.
     coalescedSpan_ = Tracer::instance().spans().beginSpan(
-        TraceFlag::Monitor, "coalesced_epoch",
-        smp_ ? smp_->currentHart() : 0);
+        TraceFlag::Monitor, "coalesced_epoch", smp_.currentHart());
 }
 
 uint64_t
@@ -1620,8 +1594,8 @@ SecureMonitor::endCoalescedWindow()
     // LockContended exactly as it would against a regular call.
     const unsigned initiator = lastCommitter_;
     const uint64_t seq = coalescedSeq_;
-    const bool virt = smp_->virtEnabled();
-    panic_if(!smp_->tryAcquireMonitorLock(initiator),
+    const bool virt = smp_.virtEnabled();
+    panic_if(!smp_.tryAcquireMonitorLock(initiator),
              "coalesced flush raced a monitor call");
 
     ++statIpiShootdowns_;
@@ -1631,7 +1605,7 @@ SecureMonitor::endCoalescedWindow()
         ++statHfenceShootdowns_;
     uint64_t cycles = config_.costs.ipiPostCycles;
 
-    for (unsigned h = 0; h < smp_->numHarts(); ++h) {
+    for (unsigned h = 0; h < smp_.numHarts(); ++h) {
         if (h == initiator)
             continue;
         // Exactly one post per sibling per window: a lost IPI inside
@@ -1641,11 +1615,11 @@ SecureMonitor::endCoalescedWindow()
         ++statIpiSent_;
         ++statIpiPost_;
         ScopedSpan hartSpan(TraceFlag::Monitor, "shootdown.hart", h, seq);
-        smp_->notifyStep({IpiPhase::Posted, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Posted, initiator, h, seq});
         for (unsigned attempt = 0;
              attempt < 8 && FAULT_POINT("smp.ipi_deliver"); ++attempt)
             ++statIpiRetries_;
-        Machine &dst = smp_->hart(h);
+        Machine &dst = smp_.hart(h);
         dst.hpmp().syncRegsFrom(machine_.hpmp());
         dst.sfenceVma();
         dst.hpmp().flushCache();
@@ -1657,28 +1631,28 @@ SecureMonitor::endCoalescedWindow()
                  attempt < 8 && FAULT_POINT("smp.hfence_deliver");
                  ++attempt)
                 ++statIpiRetries_;
-            smp_->virtHart(h).hfenceGvma();
+            smp_.virtHart(h).hfenceGvma();
             cycles += config_.costs.hfenceCycles;
             for (unsigned attempt = 0;
                  attempt < 8 && FAULT_POINT("smp.hfence_ack"); ++attempt)
                 ++statIpiRetries_;
             ++statHfenceAcked_;
         }
-        smp_->notifyStep({IpiPhase::Delivered, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Delivered, initiator, h, seq});
         for (unsigned attempt = 0;
              attempt < 8 && FAULT_POINT("smp.ipi_ack"); ++attempt)
             ++statIpiRetries_;
         cycles += config_.costs.ipiAckCycles +
                   config_.costs.remoteFenceCycles;
         ++statIpiAcked_;
-        smp_->notifyStep({IpiPhase::Acked, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Acked, initiator, h, seq});
     }
 
     coalescedOpen_ = false;
     coalescedCommits_ = 0;
-    smp_->notifyStep({IpiPhase::WindowEnd, initiator, initiator, seq});
+    smp_.notifyStep({IpiPhase::WindowEnd, initiator, initiator, seq});
     statIpiCycles_.sample(cycles);
-    smp_->releaseMonitorLock(initiator);
+    smp_.releaseMonitorLock(initiator);
     Tracer::instance().spans().endSpan(coalescedSpan_, coalescedCommits_,
                                        cycles);
     coalescedSpan_ = 0;
@@ -1688,11 +1662,11 @@ SecureMonitor::endCoalescedWindow()
 void
 SecureMonitor::remoteShootdown()
 {
-    if (!smp_ || smp_->numHarts() == 1)
+    if (smp_.numHarts() == 1)
         return;
-    const unsigned initiator = smp_->currentHart();
-    const uint64_t seq = smp_->nextIpiSeq();
-    const bool virt = smp_->virtEnabled();
+    const unsigned initiator = smp_.currentHart();
+    const uint64_t seq = smp_.nextIpiSeq();
+    const bool virt = smp_.virtEnabled();
     // Mutation knob (testSkipFenceNth): sabotage exactly one shootdown
     // by acking siblings without fencing them.
     const bool skipFence =
@@ -1708,14 +1682,14 @@ SecureMonitor::remoteShootdown()
     // shootdown's trace shows exactly which sibling's fence died.
     ScopedSpan windowSpan(TraceFlag::Monitor, "shootdown.window",
                           initiator, seq);
-    smp_->notifyStep({IpiPhase::WindowBegin, initiator, initiator, seq});
+    smp_.notifyStep({IpiPhase::WindowBegin, initiator, initiator, seq});
 
-    for (unsigned h = 0; h < smp_->numHarts(); ++h) {
+    for (unsigned h = 0; h < smp_.numHarts(); ++h) {
         if (h == initiator)
             continue;
         ++statIpiSent_;
         ScopedSpan hartSpan(TraceFlag::Monitor, "shootdown.hart", h, seq);
-        smp_->notifyStep({IpiPhase::Posted, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Posted, initiator, h, seq});
         // A lost or glitched IPI can never leave hart h running on the
         // old state while the call commits the new one: the call fails
         // closed and the cross-hart rollback re-fences every hart back
@@ -1727,7 +1701,7 @@ SecureMonitor::remoteShootdown()
                 "lost IPI to hart " + std::to_string(h) +
                     " (smp.ipi_deliver): call fails closed"};
         }
-        Machine &dst = smp_->hart(h);
+        Machine &dst = smp_.hart(h);
         if (!skipFence) {
             dst.hpmp().syncRegsFrom(machine_.hpmp());
             dst.sfenceVma();
@@ -1749,7 +1723,7 @@ SecureMonitor::remoteShootdown()
                     "lost guest fence on hart " + std::to_string(h) +
                         " (smp.hfence_deliver): call fails closed"};
             }
-            smp_->virtHart(h).hfenceGvma();
+            smp_.virtHart(h).hfenceGvma();
             pendingHfenceCycles_ += config_.costs.hfenceCycles;
             if (FAULT_POINT("smp.hfence_ack")) {
                 ++statHfenceLost_;
@@ -1761,7 +1735,7 @@ SecureMonitor::remoteShootdown()
             }
             ++statHfenceAcked_;
         }
-        smp_->notifyStep({IpiPhase::Delivered, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Delivered, initiator, h, seq});
         if (FAULT_POINT("smp.ipi_ack")) {
             ++statIpiLost_;
             throw MonitorAbort{
@@ -1772,11 +1746,11 @@ SecureMonitor::remoteShootdown()
         pendingIpiCycles_ +=
             config_.costs.ipiAckCycles + config_.costs.remoteFenceCycles;
         ++statIpiAcked_;
-        smp_->notifyStep({IpiPhase::Acked, initiator, h, seq});
+        smp_.notifyStep({IpiPhase::Acked, initiator, h, seq});
     }
 
     ipiWindowOpen_ = false;
-    smp_->notifyStep({IpiPhase::WindowEnd, initiator, initiator, seq});
+    smp_.notifyStep({IpiPhase::WindowEnd, initiator, initiator, seq});
 }
 
 uint64_t
@@ -1789,14 +1763,9 @@ uint64_t
 SecureMonitor::hartStateDigest(unsigned hart, bool include_virt,
                                bool include_csr_counter) const
 {
-    if (!smp_) {
-        panic_if(hart != 0,
-                 "hartStateDigest(%u) on a single-machine monitor", hart);
-        return digestWith(machine_.hpmp(), include_csr_counter);
-    }
-    uint64_t h = digestWith(smp_->hart(hart).hpmp(), include_csr_counter);
-    if (include_virt && smp_->virtEnabled()) {
-        const VirtMachine &vm = smp_->virtHart(hart);
+    uint64_t h = digestWith(smp_.hart(hart).hpmp(), include_csr_counter);
+    if (include_virt && smp_.virtEnabled()) {
+        const VirtMachine &vm = smp_.virtHart(hart);
         h = fnvWordStep(h, vm.vsatpRoot());
         h = fnvWordStep(h, vm.hgatpRoot());
         h = fnvWordStep(h, uint64_t(vm.guestPriv()));

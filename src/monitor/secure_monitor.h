@@ -173,17 +173,15 @@ class SmpSystem;
 class SecureMonitor
 {
   public:
-    SecureMonitor(Machine &machine, const MonitorConfig &config);
-
     /**
-     * Multi-hart monitor: controls every hart of `smp`. Hart 0's HPMP
-     * unit is the canonical register file the monitor programs
-     * directly; sibling harts converge to it through the modelled
+     * The monitor controls every hart of `smp`. Hart 0's HPMP unit is
+     * the canonical register file the monitor programs directly;
+     * sibling harts converge to it through the modelled
      * IPI/remote-fence protocol (shootdowns at the end of every
      * layout-changing call, costed into MonitorResult.cycles and the
      * monitor.ipi_* stats). Calls take the global monitor lock; a
-     * second hart calling mid-transaction gets LockContended. With one
-     * hart this is bit-identical to the Machine constructor.
+     * second hart calling mid-transaction gets LockContended. A
+     * one-hart system sends no IPI and pays no IPI cost.
      */
     SecureMonitor(SmpSystem &smp, const MonitorConfig &config);
 
@@ -320,12 +318,12 @@ class SecureMonitor
     size_t quarantinedPages() const { return quarantine_.size(); }
 
     /**
-     * Open a coalesced shootdown window (multi-hart monitors only; a
-     * no-op hint otherwise). While active, layout-committing calls
-     * defer their per-call IPI/hfence shootdown into one shared fence
-     * window: the first commit opens it, later commits join it, and
-     * endCoalescedWindow() runs the single IPI round that fences every
-     * sibling hart to the final state. This is the fleet-serving
+     * Open a coalesced shootdown window (a no-op hint on one hart).
+     * While active, layout-committing calls defer their per-call
+     * IPI/hfence shootdown into one shared fence window: the first
+     * commit opens it, later commits join it, and endCoalescedWindow()
+     * runs the single IPI round that fences every sibling hart to the
+     * final state. This is the fleet-serving
      * batching path — N back-to-back domain switches inside one
      * monitor epoch pay one shootdown, not N.
      *
@@ -346,9 +344,6 @@ class SecureMonitor
      * no commit was deferred.
      */
     uint64_t endCoalescedWindow();
-
-    /** True between beginCoalescedWindow() and endCoalescedWindow(). */
-    bool coalescingActive() const { return coalesceActive_; }
 
     /** Commits deferred into the currently open coalesced window. */
     uint64_t pendingCoalescedCommits() const { return coalescedCommits_; }
@@ -424,11 +419,11 @@ class SecureMonitor
     uint64_t hartStateDigest(unsigned hart, bool include_virt = true,
                              bool include_csr_counter = true) const;
 
-    /** The machine this monitor controls. */
+    /** Hart 0, whose HPMP unit holds the canonical register file. */
     Machine &machine() { return machine_; }
 
-    /** The SMP system, or nullptr for a single-machine monitor. */
-    SmpSystem *smp() { return smp_; }
+    /** The harts this monitor controls. */
+    SmpSystem &smp() { return smp_; }
 
     /**
      * Monitor-call counters ("monitor.*"): calls, ok/failed split,
@@ -504,8 +499,8 @@ class SecureMonitor
      * all of them converge to the canonical register file. Runs inside
      * the transaction: a lost IPI or ack (FAULT_POINT smp.ipi_deliver
      * / smp.ipi_ack) throws, the call fails closed and the cross-hart
-     * rollback restores and re-fences every hart. No-op without an
-     * SmpSystem or with one hart.
+     * rollback restores and re-fences every hart. No-op with one
+     * hart.
      */
     void remoteShootdown();
 
@@ -567,8 +562,8 @@ class SecureMonitor
      */
     void scrubFreedGms(const std::vector<Gms> &freed);
 
-    Machine &machine_;
-    SmpSystem *smp_ = nullptr; //!< set by the SmpSystem constructor
+    SmpSystem &smp_;
+    Machine &machine_; //!< hart 0: the canonical register file
     MonitorConfig config_;
     Attestor attestor_{0x5ec0de};
     DomainRegistry<Domain> domains_;

@@ -31,8 +31,9 @@ pageBase(Addr addr)
 
 } // namespace
 
-StaleChecker::StaleChecker(SmpSystem &smp, SecureMonitor &monitor)
-    : smp_(smp), monitor_(monitor), acked_(smp.numHarts(), false)
+StaleChecker::StaleChecker(SecureMonitor &monitor)
+    : smp_(monitor.smp()), monitor_(monitor),
+      acked_(smp_.numHarts(), false)
 {
     stats_.add("probes", &statProbes_);
     stats_.add("windows", &statWindows_);
@@ -421,22 +422,15 @@ CrossSystemOracle::grants(SecureMonitor &monitor, DomainId id)
     // layout leak this oracle exists to catch). Any grant of a
     // watched page counts — regions are exclusive, so no other domain
     // may legitimately hold them while the migration is in flight.
-    auto probe_unit = [&](const HpmpUnit &unit) {
+    SmpSystem &smp = monitor.smp();
+    for (unsigned h = 0; h < smp.numHarts(); ++h) {
         for (Addr pa : pages_) {
             ++statRegProbes_;
-            if (unit.probe(pa).any())
+            if (smp.hart(h).hpmp().probe(pa).any())
                 return true;
         }
-        return false;
-    };
-    if (SmpSystem *smp = monitor.smp()) {
-        for (unsigned h = 0; h < smp->numHarts(); ++h) {
-            if (probe_unit(smp->hart(h).hpmp()))
-                return true;
-        }
-        return false;
     }
-    return probe_unit(monitor.machine().hpmp());
+    return false;
 }
 
 void

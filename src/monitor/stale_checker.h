@@ -97,19 +97,16 @@ struct VirtStaleWatch
 class StaleChecker : public InterleaveHook
 {
   public:
-    StaleChecker(SmpSystem &smp, SecureMonitor &monitor);
+    /** Watches every hart of the monitor's SmpSystem. */
+    explicit StaleChecker(SecureMonitor &monitor);
 
     void addWatch(const StaleWatch &watch) { watches_.push_back(watch); }
-    void clearWatches() { watches_.clear(); }
-    size_t watchCount() const { return watches_.size(); }
 
     /** Two-stage oracle watches (virt-enabled systems only). */
     void addVirtWatch(const VirtStaleWatch &watch)
     {
         virtWatches_.push_back(watch);
     }
-    void clearVirtWatches() { virtWatches_.clear(); }
-    size_t virtWatchCount() const { return virtWatches_.size(); }
 
     /**
      * Commit the expected VS-stage leaf permission for (hart, gva

@@ -82,7 +82,6 @@ class Kernel
 
     Machine &machine() { return monitor_.machine(); }
     SecureMonitor &monitor() { return monitor_; }
-    DomainId domainId() const { return domain_; }
     const KernelConfig &config() const { return config_; }
 
     /** Allocate data frames (scatter-aware). */

@@ -90,7 +90,8 @@ class PmpTable
      * Undo journal for transactional monitor calls: while installed,
      * every pmpte store records (slot, previous value) so an aborted
      * call can restore the table bit-identically. The caller owns the
-     * vector and replays it in reverse via undoWrite().
+     * vector and replays it in reverse, storing each old value back
+     * with a plain 64-bit write (no entry-write accounting).
      */
     struct JournalEntry
     {
@@ -100,9 +101,6 @@ class PmpTable
     using Journal = std::vector<JournalEntry>;
 
     void setJournal(Journal *journal) { journal_ = journal; }
-
-    /** Restore one journaled store (no entry-write accounting). */
-    void undoWrite(const JournalEntry &e) { mem_.write64(e.slot, e.oldValue); }
 
     /**
      * Roll table-growth metadata back to a snapshot taken before a

@@ -91,7 +91,6 @@ struct Pte
 
     Perm perm() const { return Perm{r(), w(), x()}; }
 
-    void setV(bool val) { raw = insertBits(raw, 0, val); }
     void setA(bool val) { raw = insertBits(raw, 6, val); }
     void setD(bool val) { raw = insertBits(raw, 7, val); }
 

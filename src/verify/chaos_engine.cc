@@ -253,10 +253,10 @@ Campaign::Campaign(const ChaosConfig &config)
             .schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts},
            config.scheme),
       mapped_(config.harts),
-      checker_(smp_, monitor_),
+      checker_(monitor_),
       // Nested monitor calls fire from inside the shootdown window at
       // 12 % of the Posted/Delivered steps.
-      probe_(smp_, monitor_, checker_,
+      probe_(monitor_, checker_,
              [this](const IpiEvent &) {
                  return !stats_.failed && rng_.chance(0.12);
              }),

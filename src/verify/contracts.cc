@@ -51,9 +51,9 @@ SystemFixture::addDomain(Addr base, uint64_t bytes, GmsLabel label)
 
 // ---- nested-call probe ----------------------------------------------
 
-IpiProbe::IpiProbe(SmpSystem &smp, SecureMonitor &monitor,
-                   StaleChecker &checker, Decide decide)
-    : smp_(smp), monitor_(monitor), checker_(checker),
+IpiProbe::IpiProbe(SecureMonitor &monitor, StaleChecker &checker,
+                   Decide decide)
+    : smp_(monitor.smp()), monitor_(monitor), checker_(checker),
       decide_(std::move(decide))
 {
 }
@@ -128,7 +128,7 @@ auditOp(SecureMonitor &monitor, StaleChecker &checker,
     // false: coalesced windows fence siblings with one net diff, so
     // write counters diverge legitimately; register *contents* must
     // still agree.
-    const unsigned harts = c.convergence ? monitor.smp()->numHarts() : 0;
+    const unsigned harts = c.convergence ? monitor.smp().numHarts() : 0;
     const uint64_t ref = harts ? monitor.hartStateDigest(0, false, false) : 0;
     for (unsigned h = 1; h < harts; ++h) {
         if (monitor.hartStateDigest(h, false, false) != ref) {

@@ -100,8 +100,7 @@ class IpiProbe : public InterleaveHook
   public:
     using Decide = std::function<bool(const IpiEvent &)>;
 
-    IpiProbe(SmpSystem &smp, SecureMonitor &monitor, StaleChecker &checker,
-             Decide decide);
+    IpiProbe(SecureMonitor &monitor, StaleChecker &checker, Decide decide);
     IpiProbe(const IpiProbe &) = delete; // the SmpSystem holds its address
     IpiProbe &operator=(const IpiProbe &) = delete;
 

@@ -422,7 +422,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     if (cfg.mutateSkipFenceNth != 0)
         monitor.testSkipFenceNth(cfg.mutateSkipFenceNth);
 
-    StaleChecker checker(smp, monitor);
+    StaleChecker checker(monitor);
     for (unsigned h = 0; h < cfg.harts; ++h) {
         for (const AccessType type : {AccessType::Store, AccessType::Load})
             checker.addWatch({h, regionOf(1), regionOf(1), type, true});
@@ -435,7 +435,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     PathController &ctl = branching.ctl;
     // The Inject decision point: drive a nested monitor call from the
     // victim hart at this Posted/Delivered step.
-    IpiProbe probe(smp, monitor, checker, [&](const IpiEvent &event) {
+    IpiProbe probe(monitor, checker, [&](const IpiEvent &event) {
         if (ctl.injectsDone >= ctl.injectBudget ||
             event.dstHart == event.srcHart) {
             return false;

@@ -38,14 +38,14 @@ TeeEnv::TeeEnv(const EnvConfig &config)
     : config_(config),
       params_(buildParams(config))
 {
-    machine_ = std::make_unique<Machine>(params_);
+    smp_ = std::make_unique<SmpSystem>(params_, SmpParams{});
 
     MonitorConfig mc;
     mc.scheme = config.scheme;
     mc.monitorBase = kMonitorBase;
     mc.monitorSize = kMonitorSize;
     mc.pmptLevels = config.pmptLevels;
-    monitor_ = std::make_unique<SecureMonitor>(*machine_, mc);
+    monitor_ = std::make_unique<SecureMonitor>(*smp_, mc);
 
     hostKernel_ = std::make_unique<Kernel>(*monitor_, DomainId{0},
                                            kHostBase, kHostSize,
@@ -155,7 +155,7 @@ TeeEnv::exitToHost()
 {
     auto res = monitor_->switchTo(0);
     fatal_if(!res.ok, "exitToHost: %s", res.error.c_str());
-    machine_->setPriv(PrivMode::Supervisor);
+    machine().setPriv(PrivMode::Supervisor);
     return res.cycles;
 }
 

@@ -2,11 +2,11 @@
  * @file
  * Ready-made TEE environments for experiments.
  *
- * A TeeEnv assembles the full stack — Machine (Rocket or BOOM),
- * secure monitor with one of the three isolation schemes, and a host
- * kernel — using the paper's memory layout conventions, and can mint
- * enclaves out of a dedicated arena the way Penglai's host driver
- * donates memory to new domains.
+ * A TeeEnv assembles the full stack — a one-hart SmpSystem (Rocket
+ * or BOOM), secure monitor with one of the three isolation schemes,
+ * and a host kernel — using the paper's memory layout conventions,
+ * and can mint enclaves out of a dedicated arena the way Penglai's
+ * host driver donates memory to new domains.
  */
 
 #ifndef HPMP_WORKLOADS_ENV_H
@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "core/core_model.h"
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
@@ -60,7 +61,7 @@ class TeeEnv
     ~TeeEnv();
 
     const EnvConfig &config() const { return config_; }
-    Machine &machine() { return *machine_; }
+    Machine &machine() { return smp_->hart(0); }
     SecureMonitor &monitor() { return *monitor_; }
     Kernel &hostKernel() { return *hostKernel_; }
 
@@ -111,7 +112,7 @@ class TeeEnv
   private:
     EnvConfig config_;
     MachineParams params_;
-    std::unique_ptr<Machine> machine_;
+    std::unique_ptr<SmpSystem> smp_;
     std::unique_ptr<SecureMonitor> monitor_;
     std::unique_ptr<Kernel> hostKernel_;
     std::unique_ptr<PageAllocator> arena_;

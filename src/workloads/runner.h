@@ -62,9 +62,6 @@ class Runner
     AddressSpace &as() { return *as_; }
     Kernel &kernel() { return kernel_; }
 
-    /** Retarget the runner at another address space. */
-    void setAddressSpace(AddressSpace &as) { as_ = &as; }
-
     /** Record every access into `trace` (nullptr stops recording). */
     void setTrace(Trace *trace) { trace_ = trace; }
 

@@ -267,6 +267,13 @@ TEST(TlbDeathTest, ZeroEntryL2IsRejected)
         "L2 TLB needs at least one entry");
 }
 
+TEST(TlbDeathTest, NonPowerOfTwoL2IsRejected)
+{
+    // The direct-mapped L2 indexes by mask.
+    EXPECT_DEATH({ Tlb tlb(4, 48); },
+                 "L2 TLB entries \\(48\\) must be a power of two");
+}
+
 TEST(Pwc, FillLookupByLevel)
 {
     Pwc pwc(8);

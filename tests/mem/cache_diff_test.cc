@@ -3,15 +3,14 @@
  * Differential test of the cache tag store against a reference model.
  *
  * The reference is the straightforward array-of-lines model (one
- * record per way with tag, valid, locked and an LRU stamp restamped
- * on every hit), kept here as the oracle. Random access / touch /
- * probe / flushLine / flushAll / lockLine / unlockLine sequences over
- * a small address pool — including sets driven to all-but-one locked
- * way — must produce the same hit/miss answers, the same victims
- * (compared as the full residency of the pool after every step) and
- * the same lockedLines() count. A second case moves the cache's
- * 32-bit LRU clock just below 2^32, so the store renumbers its stamps
- * mid-sequence, and must still agree with the 64-bit reference.
+ * record per way with tag, valid and an LRU stamp restamped on every
+ * hit), kept here as the oracle. Random access / touch / probe /
+ * flushLine / flushAll sequences over a small address pool must
+ * produce the same hit/miss answers and the same victims (compared
+ * as the full residency of the pool after every step). A second case
+ * moves the cache's 32-bit LRU clock just below 2^32, so the store
+ * renumbers its stamps mid-sequence, and must still agree with the
+ * 64-bit reference.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/logging.h"
 #include "base/rng.h"
 #include "core/params.h"
 #include "mem/cache.h"
@@ -41,15 +39,12 @@ class CacheTestPeer
         c.lruClock_ = clock;
     }
 
-    /** Host bytes of line state: tag block plus any lock array. */
+    /** Host bytes of line state: the tag-store blocks. */
     static uint64_t
     lineStateBytes(const Cache &c)
     {
-        return c.blocks_.capacity() * sizeof(uint32_t) +
-               c.locked_.capacity();
+        return c.blocks_.capacity() * sizeof(uint32_t);
     }
-
-    static bool hasLockArray(const Cache &c) { return c.locked_.capacity(); }
 };
 
 namespace
@@ -104,47 +99,11 @@ class RefCache
         fill(base, tagOf(pa));
     }
 
-    bool
-    lockLine(Addr pa)
-    {
-        Line *base = set(pa);
-        unsigned unlocked = 0;
-        for (unsigned way = 0; way < params_.assoc; ++way)
-            unlocked += !base[way].locked;
-        if (unlocked <= 1)
-            return false;
-        touch(pa);
-        for (unsigned way = 0; way < params_.assoc; ++way) {
-            Line &line = base[way];
-            if (line.valid && line.tag == tagOf(pa) && !line.locked) {
-                line.locked = true;
-                ++locked_;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    void
-    unlockLine(Addr pa)
-    {
-        Line *base = set(pa);
-        for (unsigned way = 0; way < params_.assoc; ++way) {
-            Line &line = base[way];
-            if (line.valid && line.tag == tagOf(pa) && line.locked) {
-                line.locked = false;
-                --locked_;
-            }
-        }
-    }
-
     void
     flushAll()
     {
-        for (Line &line : lines_) {
-            if (!line.locked)
-                line = Line{};
-        }
+        for (Line &line : lines_)
+            line = Line{};
     }
 
     void
@@ -153,19 +112,16 @@ class RefCache
         Line *base = set(pa);
         for (unsigned way = 0; way < params_.assoc; ++way) {
             Line &line = base[way];
-            if (line.valid && line.tag == tagOf(pa) && !line.locked)
+            if (line.valid && line.tag == tagOf(pa))
                 line = Line{};
         }
     }
-
-    uint64_t lockedLines() const { return locked_; }
 
   private:
     struct Line
     {
         uint64_t tag = 0;
         bool valid = false;
-        bool locked = false;
         uint64_t lru = 0;
     };
 
@@ -177,21 +133,18 @@ class RefCache
         return &lines_[lineOf(pa) % numSets_ * params_.assoc];
     }
 
-    /** The last invalid unlocked way, else the lowest-LRU unlocked way. */
+    /** The last invalid way, else the lowest-LRU way. */
     void
     fill(Line *base, uint64_t tag)
     {
         Line *victim = nullptr;
         for (unsigned way = 0; way < params_.assoc; ++way) {
             Line &line = base[way];
-            if (line.locked)
-                continue;
             if (!line.valid)
                 victim = &line;
             else if (!victim || (victim->valid && line.lru < victim->lru))
                 victim = &line;
         }
-        panic_if(!victim, "all ways locked in set");
         victim->valid = true;
         victim->tag = tag;
         victim->lru = ++clock_;
@@ -201,7 +154,6 @@ class RefCache
     uint64_t numSets_;
     std::vector<Line> lines_;
     uint64_t clock_ = 0;
-    uint64_t locked_ = 0;
 };
 
 struct Geometry
@@ -233,25 +185,13 @@ linePool(const Geometry &g)
     return pool;
 }
 
-/**
- * Every third seed never locks (the lock-free victim scan). Other odd
- * seeds lock aggressively, so sets sit at all-but-one locked way and
- * the single evictable way takes every fill.
- */
-unsigned
-lockWeight(uint64_t seed)
-{
-    return seed % 3 == 0 ? 0 : (seed % 2 ? 12 : 2);
-}
-
 /** One random operation on both models; any divergence fails. */
 void
-stepBoth(Cache &dut, RefCache &ref, Rng &rng, const std::vector<Addr> &pool,
-         unsigned lock_weight)
+stepBoth(Cache &dut, RefCache &ref, Rng &rng, const std::vector<Addr> &pool)
 {
     const Addr pa = pool[rng.below(pool.size())] +
                     rng.below(8) * 8; // any offset in the line
-    const unsigned op = unsigned(rng.below(35 + lock_weight));
+    const unsigned op = unsigned(rng.below(31));
     SCOPED_TRACE(::testing::Message() << "op " << op << " pa " << pa);
     if (op < 20) {
         ASSERT_EQ(dut.access(pa), ref.access(pa));
@@ -263,18 +203,10 @@ stepBoth(Cache &dut, RefCache &ref, Rng &rng, const std::vector<Addr> &pool,
     } else if (op < 30) {
         dut.flushLine(pa);
         ref.flushLine(pa);
-    } else if (op < 34) {
-        dut.unlockLine(pa);
-        ref.unlockLine(pa);
-    } else if (op == 34) {
-        if (rng.chance(0.25)) {
-            dut.flushAll();
-            ref.flushAll();
-        }
-    } else {
-        ASSERT_EQ(dut.lockLine(pa), ref.lockLine(pa));
+    } else if (rng.chance(0.25)) {
+        dut.flushAll();
+        ref.flushAll();
     }
-    ASSERT_EQ(dut.lockedLines(), ref.lockedLines());
     // Same victims: the whole pool's residency agrees.
     for (Addr line : pool)
         ASSERT_EQ(dut.probe(line), ref.probe(line)) << line;
@@ -291,8 +223,7 @@ TEST_P(CacheDiff, RandomSequencesMatchReference)
         for (unsigned step = 0; step < 4000; ++step) {
             SCOPED_TRACE(::testing::Message() << "seed " << seed
                                               << " step " << step);
-            ASSERT_NO_FATAL_FAILURE(
-                stepBoth(dut, ref, rng, pool, lockWeight(seed)));
+            ASSERT_NO_FATAL_FAILURE(stepBoth(dut, ref, rng, pool));
         }
     }
 }
@@ -300,8 +231,8 @@ TEST_P(CacheDiff, RandomSequencesMatchReference)
 /**
  * The 32-bit clock wraps: it starts a few steps below 2^32 and, each
  * time a wrap has restarted it, is moved back there, so stamps are
- * renumbered over many different states (invalid ways, sets locked
- * to all but one way). The 64-bit reference never wraps.
+ * renumbered over many different states (invalid ways, partly filled
+ * sets). The 64-bit reference never wraps.
  */
 TEST_P(CacheDiff, ClockWrapMatchesReference)
 {
@@ -320,43 +251,17 @@ TEST_P(CacheDiff, ClockWrapMatchesReference)
             }
             SCOPED_TRACE(::testing::Message() << "seed " << seed
                                               << " step " << step);
-            ASSERT_NO_FATAL_FAILURE(
-                stepBoth(dut, ref, rng, pool, lockWeight(seed)));
+            ASSERT_NO_FATAL_FAILURE(stepBoth(dut, ref, rng, pool));
             wraps += CacheTestPeer::clock(dut) < before;
         }
         EXPECT_GE(wraps, 20u) << "seed " << seed;
     }
 }
 
-TEST_P(CacheDiff, NearlyFullyLockedSetsKeepOneVictim)
-{
-    const Geometry g = GetParam();
-    Cache dut(diffParams(g));
-    RefCache ref(diffParams(g));
-    const uint64_t stride = uint64_t(g.sets) * 64; // same set
-    // Lock assoc-1 ways of set 0; the last lock attempt must fail.
-    for (unsigned way = 0; way < g.assoc; ++way) {
-        const Addr pa = way * stride;
-        ASSERT_EQ(dut.lockLine(pa), ref.lockLine(pa)) << way;
-    }
-    EXPECT_EQ(dut.lockedLines(), g.assoc - 1);
-    // A stream of conflicting lines cycles through the one free way.
-    for (unsigned i = 0; i < 4 * g.assoc; ++i) {
-        const Addr pa = (g.assoc + i % 3) * stride;
-        ASSERT_EQ(dut.access(pa), ref.access(pa)) << i;
-        for (unsigned way = 0; way < g.assoc + 3; ++way)
-            ASSERT_EQ(dut.probe(way * stride), ref.probe(way * stride));
-    }
-    dut.flushAll();
-    ref.flushAll();
-    for (unsigned way = 0; way < g.assoc + 3; ++way)
-        ASSERT_EQ(dut.probe(way * stride), ref.probe(way * stride));
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDiff,
-    ::testing::Values(Geometry{4, 4}, Geometry{8, 8}, Geometry{3, 4},
-                      Geometry{2, 2}, Geometry{1, 16}, Geometry{4, 3}),
+    ::testing::Values(Geometry{4, 4}, Geometry{8, 8}, Geometry{2, 2},
+                      Geometry{1, 16}, Geometry{4, 3}),
     [](const ::testing::TestParamInfo<Geometry> &tp) {
         return std::to_string(tp.param.sets) + "sets_" +
                std::to_string(tp.param.assoc) + "way";
@@ -393,17 +298,12 @@ TEST(CacheTagStore, Table1L2AndLlcKeepEightHostBytesPerLine)
             Cache c(params);
             const uint64_t lines = params.sizeBytes / params.lineBytes;
             EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 8 * lines);
-            EXPECT_FALSE(CacheTestPeer::hasLockArray(c));
-            // Traffic and flushes leave the lock array unallocated.
+            // Traffic and flushes allocate no further line state.
             for (Addr pa = 0; pa < 64 * 1024; pa += 64)
                 c.access(pa);
             c.flushLine(0);
-            c.unlockLine(64);
             c.flushAll();
-            EXPECT_FALSE(CacheTestPeer::hasLockArray(c));
-            ASSERT_TRUE(c.lockLine(0x1000));
-            EXPECT_TRUE(CacheTestPeer::hasLockArray(c));
-            EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 9 * lines);
+            EXPECT_EQ(CacheTestPeer::lineStateBytes(c), 8 * lines);
         }
     }
 }

@@ -86,6 +86,13 @@ TEST(CacheDeathTest, SmallerThanOneSetIsRejected)
     EXPECT_DEATH({ Cache c({"empty", 0, 4, 64, 1}); }, "hold no set");
 }
 
+TEST(CacheDeathTest, NonPowerOfTwoSetCountIsRejected)
+{
+    // Sets are indexed by mask, so 3 sets of 4 ways cannot be built.
+    EXPECT_DEATH({ Cache c({"three", 3 * 4 * 64, 4, 64, 1}); },
+                 "three: 3 sets is not a power of two");
+}
+
 /** Associativity sweep: a working set within assoc lines never misses
  * after warm-up. */
 class CacheAssoc : public ::testing::TestWithParam<unsigned>

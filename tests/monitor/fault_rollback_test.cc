@@ -12,6 +12,7 @@
 #include <functional>
 
 #include "base/fault_inject.h"
+#include "core/smp.h"
 #include "monitor/invariants.h"
 #include "monitor/secure_monitor.h"
 
@@ -28,15 +29,17 @@ class RobustnessTest : public ::testing::Test
     void
     makeMonitor(IsolationScheme scheme)
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = scheme;
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
         machine->setPriv(PrivMode::Supervisor);
         machine->setBare();
     }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 
@@ -349,11 +352,12 @@ TEST_F(RobustnessTest, TableFrameExhaustionFailsTyped)
 {
     // A 16 KiB monitor region leaves two PMP-table frames: enough for
     // one root + one leaf, not for a second leaf.
-    machine = std::make_unique<Machine>(rocketParams());
+    smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+    machine = &smp->hart(0);
     MonitorConfig config;
     config.scheme = IsolationScheme::Hpmp;
     config.monitorSize = 16_KiB;
-    monitor = std::make_unique<SecureMonitor>(*machine, config);
+    monitor = std::make_unique<SecureMonitor>(*smp, config);
 
     ASSERT_TRUE(
         monitor->addGms(0, {1_GiB, 4_KiB, Perm::rw(), GmsLabel::Slow}).ok);

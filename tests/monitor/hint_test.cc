@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 
 namespace hpmp
@@ -19,10 +20,11 @@ class HintTest : public ::testing::Test
   protected:
     HintTest()
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = IsolationScheme::Hpmp;
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
         EXPECT_TRUE(monitor
                         ->addGms(0, {2_GiB, 256_MiB, Perm::rwx(),
                                      GmsLabel::Slow})
@@ -31,7 +33,8 @@ class HintTest : public ::testing::Test
         machine->setPriv(PrivMode::Supervisor);
     }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "base/frame_alloc.h"
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 #include "pt/page_table.h"
 
@@ -24,10 +25,11 @@ class MeasureGoldenTest : public ::testing::Test
   protected:
     MeasureGoldenTest()
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = IsolationScheme::Hpmp;
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
     }
 
     DomainId
@@ -53,7 +55,8 @@ class MeasureGoldenTest : public ::testing::Test
 
     PhysMem &mem() { return machine->mem(); }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 
 namespace hpmp
@@ -19,13 +20,15 @@ class MonitorTest : public ::testing::TestWithParam<IsolationScheme>
     void
     SetUp() override
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = GetParam();
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
     }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 
@@ -132,10 +135,10 @@ TEST(MonitorScalability, PmpRunsOutOfEntriesButHpmpDoesNot)
     // supports >100 (Fig. 14-a/b).
     for (const IsolationScheme scheme :
          {IsolationScheme::Pmp, IsolationScheme::Hpmp}) {
-        Machine machine(rocketParams());
+        SmpSystem smp(rocketParams(), SmpParams{});
         MonitorConfig config;
         config.scheme = scheme;
-        SecureMonitor monitor(machine, config);
+        SecureMonitor monitor(smp, config);
         ASSERT_TRUE(monitor.switchTo(0).ok);
 
         unsigned added = 0;
@@ -155,10 +158,11 @@ TEST(MonitorScalability, PmpRunsOutOfEntriesButHpmpDoesNot)
 
 TEST(MonitorLabels, FastLabelUsesSegmentEntry)
 {
-    Machine machine(rocketParams());
+    SmpSystem smp(rocketParams(), SmpParams{});
+    Machine &machine = smp.hart(0);
     MonitorConfig config;
     config.scheme = IsolationScheme::Hpmp;
-    SecureMonitor monitor(machine, config);
+    SecureMonitor monitor(smp, config);
     ASSERT_TRUE(monitor.addGms(0, {2_GiB, 16_MiB, Perm::rw(),
                                    GmsLabel::Slow}).ok);
     ASSERT_TRUE(monitor.switchTo(0).ok);
@@ -180,10 +184,10 @@ TEST(MonitorLabels, FastLabelUsesSegmentEntry)
 
 TEST(MonitorCost, SwitchCostStableWithDomainCount)
 {
-    Machine machine(rocketParams());
+    SmpSystem smp(rocketParams(), SmpParams{});
     MonitorConfig config;
     config.scheme = IsolationScheme::Hpmp;
-    SecureMonitor monitor(machine, config);
+    SecureMonitor monitor(smp, config);
 
     std::vector<DomainId> domains;
     for (unsigned i = 0; i < 32; ++i) {

@@ -14,6 +14,7 @@
 
 #include "base/fault_inject.h"
 #include "base/frame_alloc.h"
+#include "core/smp.h"
 #include "hpmp/iopmp.h"
 #include "mem/scrubber.h"
 #include "migrate/checkpoint.h"
@@ -33,10 +34,11 @@ class RasTest : public ::testing::Test
     void
     makeMonitor(IsolationScheme scheme)
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = scheme;
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
         machine->setPriv(PrivMode::Supervisor);
         machine->setBare();
     }
@@ -51,7 +53,8 @@ class RasTest : public ::testing::Test
         return id;
     }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 
 namespace hpmp
@@ -17,10 +18,11 @@ class ShareTest : public ::testing::Test
   protected:
     ShareTest()
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig config;
         config.scheme = IsolationScheme::Hpmp;
-        monitor = std::make_unique<SecureMonitor>(*machine, config);
+        monitor = std::make_unique<SecureMonitor>(*smp, config);
         a = monitor->createDomain();
         b = monitor->createDomain();
         EXPECT_TRUE(monitor
@@ -41,7 +43,8 @@ class ShareTest : public ::testing::Test
         return machine->checkPhys(pa, type, out);
     }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
     DomainId a = 0, b = 0;
 };

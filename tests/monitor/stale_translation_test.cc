@@ -60,7 +60,7 @@ TEST_F(StaleTranslationTest, PreAckStaleGrantsAreCountedNotFatal)
         monitor->addGms(0, {2_GiB, 4_MiB, Perm::rw(), GmsLabel::Fast})
             .ok);
 
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     for (unsigned h = 0; h < 4; ++h) {
         // Bare harts: va == pa. Store watches, so narrowing rw -> ro
         // makes a not-yet-fenced hart's cached rw a stale grant.
@@ -99,7 +99,7 @@ TEST_F(StaleTranslationTest, StaleGrantOnAFencedHartIsAViolation)
             .ok);
     ASSERT_TRUE(monitor->setPerm(0, 2_GiB, Perm::ro()).ok);
 
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     checker.addWatch({1, 2_GiB, 2_GiB, AccessType::Store});
     ASSERT_TRUE(checker.checkQuiescent()); // clean before sabotage
 

@@ -111,7 +111,7 @@ TEST_F(VirtStaleTest, UnfencedStaleGrantIsAGStageViolation)
     grantArena(1, Perm::rwx());
     const TestGuest g = buildGuest(1);
 
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     checker.addVirtWatch({1, kGuestVa, g.data, g.data, AccessType::Store});
     checker.setGuestPerm(1, kGuestVa, Perm::rwx());
     checker.setGpaPerm(1, g.data, Perm::rwx());
@@ -157,7 +157,7 @@ TEST_F(VirtStaleTest, StaleExecutableGrantsAreAttributedSeparately)
     ASSERT_TRUE(g.npt->map(xpa, xpa, Perm::rwx(), true));
     ASSERT_TRUE(g.gpt->map(xva, xpa, Perm::xo(), false));
 
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     checker.addVirtWatch({1, xva, xpa, xpa, AccessType::Fetch});
     checker.setGuestPerm(1, xva, Perm::xo());
     checker.setGpaPerm(1, xpa, Perm::rwx());
@@ -195,7 +195,7 @@ TEST_F(VirtStaleTest, HfenceShootdownClosesTheStaleWindow)
     grantArena(1, Perm::rwx());
     const TestGuest g = buildGuest(1);
 
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     checker.addVirtWatch({1, kGuestVa, g.data, g.data, AccessType::Store});
     checker.setGuestPerm(1, kGuestVa, Perm::rwx());
     checker.setGpaPerm(1, g.data, Perm::rwx());
@@ -223,7 +223,7 @@ TEST_F(VirtStaleTest, PreAckGuestStaleHitsAreBoundedWithPmpteOrigin)
 {
     makeSmp(4);
     std::vector<TestGuest> guests;
-    StaleChecker checker(*smp, *monitor);
+    StaleChecker checker(*monitor);
     for (unsigned h = 1; h < 4; ++h) {
         grantArena(h, Perm::rwx());
         guests.push_back(buildGuest(h));

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "base/fault_inject.h"
+#include "core/smp.h"
 #include "monitor/secure_monitor.h"
 #include "os/address_space.h"
 #include "os/kernel.h"
@@ -25,15 +26,17 @@ class OsFaultTest : public ::testing::Test
   protected:
     OsFaultTest()
     {
-        machine = std::make_unique<Machine>(rocketParams());
+        smp = std::make_unique<SmpSystem>(rocketParams(), SmpParams{});
+        machine = &smp->hart(0);
         MonitorConfig mc;
         mc.scheme = IsolationScheme::Hpmp;
-        monitor = std::make_unique<SecureMonitor>(*machine, mc);
+        monitor = std::make_unique<SecureMonitor>(*smp, mc);
     }
 
     ~OsFaultTest() override { FaultInjector::instance().disable(); }
 
-    std::unique_ptr<Machine> machine;
+    std::unique_ptr<SmpSystem> smp;
+    Machine *machine = nullptr; //!< hart 0 of smp
     std::unique_ptr<SecureMonitor> monitor;
 };
 

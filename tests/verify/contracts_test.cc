@@ -28,8 +28,8 @@ struct Harness
 {
     Harness()
         : sys(fixtureParams(0), {.harts = 2}, IsolationScheme::Hpmp),
-          checker(sys.smp, sys.monitor),
-          probe(sys.smp, sys.monitor, checker,
+          checker(sys.monitor),
+          probe(sys.monitor, checker,
                 [this](const IpiEvent &) { return fire; })
     {
         a = sys.addDomain(kRegionA, 64_KiB, GmsLabel::Slow);
