@@ -37,17 +37,20 @@ Kernel::Kernel(SecureMonitor &monitor, DomainId domain, Addr mem_base,
                          GmsLabel::Fast});
         fatal_if(!res.ok, "registering PT-pool GMS failed: %s",
                  res.error.c_str());
+        registrationCycles_ += res.cycles;
         res = monitor_.addGms(
             domain_, Gms{data_base, data_size, Perm::rwx(),
                          GmsLabel::Slow});
         fatal_if(!res.ok, "registering data GMS failed: %s",
                  res.error.c_str());
+        registrationCycles_ += res.cycles;
     } else {
         auto res = monitor_.addGms(
             domain_, Gms{mem_base, mem_size, Perm::rwx(),
                          GmsLabel::Slow});
         fatal_if(!res.ok, "registering domain GMS failed: %s",
                  res.error.c_str());
+        registrationCycles_ += res.cycles;
     }
 
     dataAlloc_ = std::make_unique<PageAllocator>(data_base, data_size);

@@ -106,6 +106,12 @@ class Kernel
     /** Point the MMU at this address space and set privilege. */
     void activate(AddressSpace &as, PrivMode priv);
 
+    /**
+     * Cycles of the monitor calls the constructor made to register
+     * this kernel's memory (one addGms, or two with a PT pool).
+     */
+    uint64_t registrationCycles() const { return registrationCycles_; }
+
     /** Base of the PT pool (for tests), 0 when not configured. */
     Addr ptPoolBase() const { return ptPoolBase_; }
 
@@ -131,6 +137,7 @@ class Kernel
     uint64_t memSize_;
 
     Addr ptPoolBase_ = 0;
+    uint64_t registrationCycles_ = 0;
     std::unique_ptr<PageAllocator> ptAlloc_;   //!< pool allocator
     std::unique_ptr<PageAllocator> dataAlloc_; //!< everything else
 

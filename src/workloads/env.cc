@@ -94,12 +94,11 @@ TeeEnv::createEnclave(uint64_t mem_bytes, uint64_t *create_cycles)
         enclave->initialMeasurement = measure.value;
     }
 
-    if (create_cycles) {
-        // Creation cost: domain bookkeeping + the GMS registrations
-        // (dominated by table writes); modelled by replaying the two
-        // registrations' costs through a scratch query.
-        *create_cycles = 2 * 380; // trap in/out per monitor call
-    }
+    // createDomain is registry bookkeeping, not a monitor transaction,
+    // so it costs nothing; the creation's monitor-call cycles are the
+    // kernel's GMS registrations.
+    if (create_cycles)
+        *create_cycles = enclave->kernel->registrationCycles();
     return enclave;
 }
 

@@ -61,6 +61,33 @@ TEST(TeeEnv, EnclaveLifecycle)
     EXPECT_EQ(env.monitor().currentDomain(), 0u);
 }
 
+TEST(TeeEnv, CreateCyclesAreTheCreationsMonitorCallCycles)
+{
+    // One GMS registration under PMP and PMPT, two (PT pool + data)
+    // under HPMP; each is a committed monitor call that samples its
+    // cycles into monitor.call_cycles.
+    for (const auto &[scheme, calls] :
+         {std::pair{IsolationScheme::Pmp, 1u},
+          std::pair{IsolationScheme::PmpTable, 1u},
+          std::pair{IsolationScheme::Hpmp, 2u}}) {
+        SCOPED_TRACE(toString(scheme));
+        TeeEnv env(cfg(scheme));
+        const Distribution &calls_dist =
+            *env.monitor().stats().getDist("call_cycles");
+        const uint64_t count0 = calls_dist.count();
+        const uint64_t sum0 = calls_dist.sum();
+        uint64_t create_cycles = 0;
+        auto enclave = env.createEnclave(8_MiB, &create_cycles);
+        EXPECT_EQ(calls_dist.count() - count0, calls);
+        EXPECT_EQ(create_cycles, calls_dist.sum() - sum0);
+        EXPECT_EQ(create_cycles, enclave->kernel->registrationCycles());
+        // Every call at least traps into the monitor and back.
+        EXPECT_GE(create_cycles,
+                  calls * env.monitor().config().costs.trapCycles);
+        env.destroyEnclave(std::move(enclave));
+    }
+}
+
 TEST(TeeEnv, MeasuredEnclaveAttestation)
 {
     EnvConfig c = cfg(IsolationScheme::Hpmp);
