@@ -9,15 +9,6 @@ CoreModel::CoreModel(const MachineParams &params)
 {
 }
 
-void
-CoreModel::addStallCycles(uint64_t cycles, bool walk)
-{
-    ++memAccesses_;
-    const uint64_t stall = cycles > l1HitCycles_ ? cycles - l1HitCycles_ : 0;
-    exposedStall_ += stall * (walk ? timing_.walkOverlap
-                                   : timing_.memOverlap);
-}
-
 uint64_t
 CoreModel::cycles() const
 {

@@ -31,21 +31,24 @@ class CoreModel
     void
     addAccess(const AccessOutcome &outcome)
     {
+        addAccess(outcome.cycles, outcome.tlbHit);
+    }
+
+    /** Account one memory access of `cycles`, a TLB hit or a walk. */
+    void
+    addAccess(uint64_t cycles, bool tlb_hit)
+    {
         ++memAccesses_;
         // The L1-hit portion of the access is covered by the base CPI;
         // anything beyond it is stall, scaled by how much of it the
         // core can hide. Walk-induced stalls (TLB miss) are serially
         // dependent and harder to hide than plain data misses.
-        const uint64_t stall = outcome.cycles > l1HitCycles_
-                                   ? outcome.cycles - l1HitCycles_
-                                   : 0;
+        const uint64_t stall = cycles > l1HitCycles_ ? cycles - l1HitCycles_
+                                                     : 0;
         const double overlap =
-            outcome.tlbHit ? timing_.memOverlap : timing_.walkOverlap;
+            tlb_hit ? timing_.memOverlap : timing_.walkOverlap;
         exposedStall_ += stall * overlap;
     }
-
-    /** Account one guest access (virtualized runs). */
-    void addStallCycles(uint64_t cycles, bool walk);
 
     uint64_t instructions() const { return instructions_; }
     uint64_t memAccesses() const { return memAccesses_; }

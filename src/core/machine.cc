@@ -125,10 +125,7 @@ Machine::checkPhys(Addr pa, AccessType type, AccessOutcome &out,
     const unsigned levels =
         check.pmptRefs.empty() ? 0 : check.pmptRefs[0].level + 1;
     for (const PmptRef &ref : check.pmptRefs) {
-        const uint64_t ref_cycles =
-            params_.pmptwStepCycles + hier_->access(ref.pa).cycles;
-        out.cycles += ref_cycles;
-        attr_.record(pmptOrigin(ref.level, levels), ref_cycles);
+        timeRef(ref.pa, false, pmptOrigin(ref.level, levels), attr_, out);
         ++out.pmptRefs;
         // A poisoned pmpte read is an uncorrectable error consumed by
         // the walker itself. The HPMP walk above already filled the
@@ -166,12 +163,64 @@ Machine::physRef(Addr pa, AccessType type, RefOrigin origin,
     }
     if (fault != Fault::None)
         return fault;
-    const uint64_t cycles =
-        hier_->access(pa, type == AccessType::Fetch).cycles;
-    out.cycles += cycles;
-    attr.record(origin, cycles);
+    timeRef(pa, type == AccessType::Fetch, origin, attr, out);
     ++out.refsOf(origin);
     return Fault::None;
+}
+
+void
+ReplayTail::operator()(uint64_t req_cycles, bool tlb_hit)
+{
+    cycles += req_cycles;
+    if (!tlb_hit && walkCycles)
+        walkCycles->sample(req_cycles);
+    if (model)
+        model->addAccess(req_cycles, tlb_hit);
+}
+
+bool
+Machine::splits(size_t n)
+{
+    return n >= kSplitBatchMin &&
+           !Tracer::instance().enabled(TraceFlag::Walk);
+}
+
+Machine::SplitTiming::SplitTiming(Machine &machine, RefAttribution &attr,
+                                  ReplayTail &tail)
+    : machine_(machine)
+{
+    if (!machine_.ring_)
+        machine_.ring_ = std::make_unique<RefRing>();
+    machine_.ring_->reset();
+    helper_ = std::thread([&machine, &attr, &tail] {
+        machine.drainRing(attr, tail);
+    });
+    // Only once the helper runs: if starting it throws, the exception
+    // leaves replayBatch() with the machine still timing inline.
+    machine_.splitRing_ = machine_.ring_.get();
+}
+
+Machine::SplitTiming::~SplitTiming()
+{
+    machine_.splitRing_->close();
+    helper_.join();
+    machine_.splitRing_ = nullptr;
+}
+
+void
+Machine::drainRing(RefAttribution &attr, ReplayTail &tail)
+{
+    uint64_t req_cycles = 0; // the current request's references so far
+    ring_->drain([&](uint64_t slot) {
+        if (RefRing::isEnd(slot)) {
+            tail(req_cycles + RefRing::cyclesOf(slot), RefRing::flagOf(slot));
+            req_cycles = 0;
+        } else {
+            req_cycles += resolveRef(RefRing::lineOf(slot),
+                                     RefRing::flagOf(slot),
+                                     RefRing::originOf(slot), attr);
+        }
+    });
 }
 
 BatchOutcome
@@ -179,12 +228,10 @@ Machine::accessBatch(std::span<const AccessRequest> reqs, CoreModel *model,
                      bool stop_on_fault)
 {
     const BatchOutcome b = replayBatch(
-        reqs, translationOn_ ? &statWalkCycles_ : nullptr, stop_on_fault,
-        [&](const AccessRequest &req) {
+        reqs, attr_, translationOn_ ? &statWalkCycles_ : nullptr, model,
+        stop_on_fault, [this](const AccessRequest &req) {
             AccessOutcome out;
             accessInner(req.va, req.type, out);
-            if (model)
-                model->addAccess(out);
             if (!out.ok())
                 countFault(out.fault);
             return out;

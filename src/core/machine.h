@@ -27,14 +27,17 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <thread>
 
 #include "base/attribution.h"
 #include "base/fault_inject.h"
 #include "base/stats.h"
 #include "core/params.h"
 #include "core/pwc.h"
+#include "core/ref_ring.h"
 #include "core/tlb.h"
 #include "hpmp/hpmp_unit.h"
 #include "hpmp/isolation.h"
@@ -117,14 +120,13 @@ struct BatchOutcome
         return ptRefs + adRefs + nptRefs + gptRefs + pmptRefs + dataRefs;
     }
 
-    /** Add one access. */
+    /** Add one access's counts; its cycles come from the ReplayTail. */
     void
     add(const AccessOutcome &out)
     {
         ++completed;
         ++accesses;
         tlbHits += out.tlbHit;
-        cycles += out.cycles;
         ptRefs += out.ptRefs;
         adRefs += out.adRefs;
         nptRefs += out.nptRefs;
@@ -139,29 +141,22 @@ struct BatchOutcome
     }
 };
 
+class CoreModel;
+
 /**
- * The batch loop of both machines: run each request through `access`
- * (request -> AccessOutcome, by value or by reference; bound, not
- * copied) and sum the outcomes. A TLB miss samples
- * its cycles into `walk_cycles` when that is set; with
- * `stop_on_fault` the batch ends at the first faulting request.
+ * The per-request tail of a batch replay, given a request's total
+ * cycles: add them to the batch's sum, sample them into `walkCycles`
+ * on a TLB miss, and charge the access to `model`; either pointer may
+ * be null. On the split schedule the helper thread runs it.
  */
-template <typename AccessFn>
-[[gnu::always_inline]] inline BatchOutcome
-replayBatch(std::span<const AccessRequest> reqs, Distribution *walk_cycles,
-            bool stop_on_fault, AccessFn &&access)
+struct ReplayTail
 {
-    BatchOutcome b;
-    for (const AccessRequest &req : reqs) {
-        const AccessOutcome &out = access(req);
-        b.add(out);
-        if (!out.tlbHit && walk_cycles)
-            walk_cycles->sample(out.cycles);
-        if (!out.ok() && stop_on_fault)
-            break;
-    }
-    return b;
-}
+    Distribution *walkCycles = nullptr;
+    CoreModel *model = nullptr;
+    uint64_t cycles = 0; //!< the batch's sum so far
+
+    void operator()(uint64_t req_cycles, bool tlb_hit);
+};
 
 /**
  * What differs between the single-stage (host) and the two-stage
@@ -186,8 +181,6 @@ inline constexpr AccessStage kHostStage{2, true};
  *    ras.poison_on_fill site (gap 6).
  */
 inline constexpr AccessStage kGuestStage{0, false};
-
-class CoreModel;
 
 /** One simulated hart plus its memory system. */
 class Machine
@@ -275,6 +268,39 @@ class Machine
                              CoreModel *model = nullptr,
                              bool stop_on_fault = false);
 
+    /**
+     * Shortest batch replayBatch() runs on the split schedule. The
+     * measured hand-off costs about 70 us per batch (helper start,
+     * close and join; perfbench virt on a 4-vCPU VM), and overlapping
+     * the timing saves about 25 ns per virt request, so a split batch
+     * pays from roughly 3000 requests (EXPERIMENTS.md "Decoupled batch
+     * timing"). Tenants' 16-256-request bursts and lmbench's streams
+     * stay inline.
+     */
+    static constexpr size_t kSplitBatchMin = 4096;
+
+    /**
+     * The batch loop of both machines: run each request through
+     * `access` (request -> AccessOutcome, by value or by reference;
+     * bound, not copied), add its counts to the outcome and pass its
+     * cycles to the ReplayTail (`walk_cycles`, `model`); with
+     * `stop_on_fault` the batch ends at the first faulting request.
+     * `attr` is the attribution `access` records into.
+     *
+     * A batch of at least kSplitBatchMin requests, with Walk tracing
+     * off (its lines print a walk's cycles), runs the split schedule:
+     * the caller's thread keeps translation, checks, TLB/PWC/PMPTW
+     * updates, poison and faults, and a helper thread, joined before
+     * this returns, times every physical reference and runs the tail
+     * in request order. Every other batch times each reference inline.
+     * Both schedules give the same numbers (DESIGN.md §5).
+     */
+    template <typename AccessFn>
+    BatchOutcome replayBatch(std::span<const AccessRequest> reqs,
+                             RefAttribution &attr,
+                             Distribution *walk_cycles, CoreModel *model,
+                             bool stop_on_fault, AccessFn &&access);
+
     /** sfence.vma rs1=x0: flush TLB and PWC. */
     void sfenceVma();
 
@@ -343,10 +369,7 @@ class Machine
             if (out.fault != Fault::None)
                 return true;
         }
-        const uint64_t cycles =
-            hier_->access(pa, type == AccessType::Fetch).cycles;
-        out.cycles += cycles;
-        attr.record(RefOrigin::Data, cycles);
+        timeRef(pa, type == AccessType::Fetch, RefOrigin::Data, attr, out);
         out.dataRefs = 1;
         return true;
     }
@@ -439,6 +462,73 @@ class Machine
     Fault consumePoison(Addr pa, RefOrigin origin, AccessOutcome &out,
                         bool fill_site = false);
 
+    /**
+     * Time one physical reference through the hierarchy (L1I for a
+     * fetch): a pmpte reference adds the PMPTW step and is recorded in
+     * this machine's "machine.ref.*", any other in `attr`. Returns the
+     * reference's cycles. The only hierarchy access of both pipelines.
+     */
+    uint64_t
+    resolveRef(Addr pa, bool fetch, RefOrigin origin, RefAttribution &attr)
+    {
+        const bool pmpte = origin >= RefOrigin::PmpteRoot;
+        const uint64_t cycles = (pmpte ? params_.pmptwStepCycles : 0) +
+                                hier_->access(pa, fetch).cycles;
+        (pmpte ? attr_ : attr).record(origin, cycles);
+        return cycles;
+    }
+
+    /**
+     * The timing step of every physical reference: resolved at once
+     * into `out.cycles`, or, on the split schedule, appended to the
+     * ring for the helper to resolve with the batch's attribution.
+     */
+    [[gnu::always_inline]] void
+    timeRef(Addr pa, bool fetch, RefOrigin origin, RefAttribution &attr,
+            AccessOutcome &out)
+    {
+        if (splitRing_)
+            splitRing_->push(RefRing::refSlot(pa, fetch, origin));
+        else
+            out.cycles += resolveRef(pa, fetch, origin, attr);
+    }
+
+    /** End a request: its tail now, or its end slot on the ring. */
+    void
+    finishRequest(const AccessOutcome &out, ReplayTail &tail)
+    {
+        if (splitRing_)
+            splitRing_->push(RefRing::endSlot(out.cycles, out.tlbHit));
+        else
+            tail(out.cycles, out.tlbHit);
+    }
+
+    /**
+     * One split-schedule batch: construction resets the ring, points
+     * timeRef() at it and starts the helper, which resolves each
+     * reference against `attr` and runs `tail` at each request's end;
+     * destruction (also on unwinding) closes the ring and joins.
+     */
+    class SplitTiming
+    {
+      public:
+        SplitTiming(Machine &machine, RefAttribution &attr,
+                    ReplayTail &tail);
+        ~SplitTiming();
+        SplitTiming(const SplitTiming &) = delete;
+        SplitTiming &operator=(const SplitTiming &) = delete;
+
+      private:
+        Machine &machine_;
+        std::thread helper_;
+    };
+
+    /** Whether a batch of `n` requests takes the split schedule. */
+    static bool splits(size_t n);
+
+    /** The helper's body: drain the ring, resolving and finishing. */
+    void drainRing(RefAttribution &attr, ReplayTail &tail);
+
     StatGroup stats_;
     StatGroup tlbStats_;
     StatGroup pwcStats_;
@@ -453,7 +543,37 @@ class Machine
     Counter statMachineChecks_;
     Distribution statWalkCycles_; //!< end-to-end cycles of TLB-miss accesses
     RefAttribution attr_{stats_};
+
+    /** The split schedule's ring, allocated by the first split batch. */
+    std::unique_ptr<RefRing> ring_;
+    /** ring_ while a split batch runs, else null (time inline). */
+    RefRing *splitRing_ = nullptr;
 };
+
+template <typename AccessFn>
+BatchOutcome
+Machine::replayBatch(std::span<const AccessRequest> reqs,
+                     RefAttribution &attr, Distribution *walk_cycles,
+                     CoreModel *model, bool stop_on_fault,
+                     AccessFn &&access)
+{
+    BatchOutcome b;
+    ReplayTail tail{walk_cycles, model};
+    {
+        std::optional<SplitTiming> split;
+        if (splits(reqs.size()))
+            split.emplace(*this, attr, tail);
+        for (const AccessRequest &req : reqs) {
+            const AccessOutcome &out = access(req);
+            b.add(out);
+            finishRequest(out, tail);
+            if (!out.ok() && stop_on_fault)
+                break;
+        }
+    } // joins the helper: `tail` is final
+    b.cycles = tail.cycles;
+    return b;
+}
 
 } // namespace hpmp
 

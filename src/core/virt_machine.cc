@@ -149,24 +149,25 @@ VirtMachine::access(Addr gva, AccessType type)
     // A one-request batch, so both entry points count alike.
     const AccessRequest req{gva, type};
     AccessOutcome out;
-    account(replayBatch({&req, 1}, &statWalkCycles_, false,
-                        [&](const AccessRequest &r) -> const AccessOutcome & {
-                            accessInner(r.va, r.type, out);
-                            return out;
-                        }));
+    account(machine_.replayBatch(
+        {&req, 1}, attr_, &statWalkCycles_, nullptr, false,
+        [&](const AccessRequest &r) -> const AccessOutcome & {
+            accessInner(r.va, r.type, out);
+            return out;
+        }));
     return out;
 }
 
 BatchOutcome
 VirtMachine::accessBatch(std::span<const AccessRequest> reqs)
 {
-    const BatchOutcome b =
-        replayBatch(reqs, &statWalkCycles_, false,
-                    [this](const AccessRequest &req) {
-                        AccessOutcome out;
-                        accessInner(req.va, req.type, out);
-                        return out;
-                    });
+    const BatchOutcome b = machine_.replayBatch(
+        reqs, attr_, &statWalkCycles_, nullptr, false,
+        [this](const AccessRequest &req) {
+            AccessOutcome out;
+            accessInner(req.va, req.type, out);
+            return out;
+        });
     account(b);
     return b;
 }

@@ -28,10 +28,12 @@
 #include "base/fault_inject.h"
 #include "base/hash.h"
 #include "base/rng.h"
+#include "core/core_model.h"
 #include "core/virt_machine.h"
 #include "pmpt/pmp_table.h"
 #include "pt/page_table.h"
 #include "pt/walker.h"
+#include "workloads/virt_env.h"
 
 namespace hpmp
 {
@@ -812,6 +814,213 @@ INSTANTIATE_TEST_SUITE_P(
         name += std::get<1>(tp.param) == Force::Injector ? "_injector"
                                                          : "_poison";
         return paramName(name);
+    });
+
+// ---- split vs inline batch schedule -----------------------------------
+//
+// A batch of at least Machine::kSplitBatchMin requests times its
+// physical references on a helper thread; a single access() times
+// them inline. Replaying the same seeded stream both ways must give
+// the same outcomes, stats, cache/DRAM counters and core-model cycles.
+
+constexpr size_t kSplitLong = 4 * Machine::kSplitBatchMin;
+
+/** Fold one access into a batch outcome, as a batch would. */
+void
+addInline(BatchOutcome &b, const AccessOutcome &out)
+{
+    b.add(out);
+    b.cycles += out.cycles;
+}
+
+/** A stream over `rig`'s pages (some fault, some walk every time). */
+std::vector<AccessRequest>
+hostStream(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    std::vector<AccessRequest> reqs(n);
+    for (AccessRequest &req : reqs)
+        req = {MachineRig::randomVa(rng), randomType(rng)};
+    return reqs;
+}
+
+/** Machine state that either schedule must leave the same. */
+struct MachineState
+{
+    std::vector<BatchOutcome> batches;
+    std::string stats;
+    std::string caches;
+    uint64_t coreCycles = 0;
+    uint64_t coreAccesses = 0;
+};
+
+void
+expectSameState(const MachineState &split, const MachineState &inl)
+{
+    ASSERT_EQ(split.batches.size(), inl.batches.size());
+    for (size_t i = 0; i < split.batches.size(); ++i)
+        EXPECT_EQ(describe(split.batches[i]), describe(inl.batches[i]));
+    EXPECT_EQ(split.stats, inl.stats);
+    EXPECT_EQ(split.caches, inl.caches);
+    EXPECT_EQ(split.coreCycles, inl.coreCycles);
+    EXPECT_EQ(split.coreAccesses, inl.coreAccesses);
+}
+
+/**
+ * Replay `batches` on a fresh host rig, with an sfence.vma between
+ * them, as accessBatch() calls (`split`) or one access() per request.
+ */
+MachineState
+replayHostSchedule(IsolationScheme scheme, unsigned pmptw_entries,
+                   const std::vector<std::vector<AccessRequest>> &batches,
+                   bool split, bool stop_on_fault = false,
+                   Addr poison_pa = 0)
+{
+    MachineRig rig(scheme, pmptw_entries);
+    Machine &m = rig.machine;
+    if (poison_pa)
+        m.mem().poisonLine(poison_pa);
+    CoreModel model(m.params());
+    MachineState state;
+    for (const std::vector<AccessRequest> &reqs : batches) {
+        BatchOutcome b;
+        if (split) {
+            b = m.accessBatch(reqs, &model, stop_on_fault);
+        } else {
+            for (const AccessRequest &req : reqs) {
+                const AccessOutcome out = m.access(req.va, req.type);
+                model.addAccess(out);
+                addInline(b, out);
+                if (!out.ok() && stop_on_fault)
+                    break;
+            }
+        }
+        state.batches.push_back(b);
+        m.sfenceVma();
+    }
+    state.stats = rig.registry.dumpJson();
+    state.caches = describe(m.hier());
+    state.coreCycles = model.cycles();
+    state.coreAccesses = model.memAccesses();
+    return state;
+}
+
+class MachineSplitSchedule
+    : public ::testing::TestWithParam<IsolationScheme>
+{
+};
+
+TEST_P(MachineSplitSchedule, MatchesInlineAccesses)
+{
+    // The second batch is exactly one request past the threshold.
+    const std::vector<std::vector<AccessRequest>> batches = {
+        hostStream(1, kSplitLong),
+        hostStream(2, Machine::kSplitBatchMin + 1)};
+    const MachineState split =
+        replayHostSchedule(GetParam(), 8, batches, true);
+    const MachineState inl =
+        replayHostSchedule(GetParam(), 8, batches, false);
+    expectSameState(split, inl);
+    // The stream walks and faults: the comparison is not vacuous.
+    EXPECT_LT(split.batches[0].tlbHits, split.batches[0].accesses);
+    EXPECT_GT(split.batches[0].faults, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, MachineSplitSchedule,
+    ::testing::Values(IsolationScheme::Pmp, IsolationScheme::PmpTable,
+                      IsolationScheme::Hpmp),
+    [](const ::testing::TestParamInfo<IsolationScheme> &tp) {
+        return paramName(toString(tp.param));
+    });
+
+TEST(MachineSplitSchedule, PoisonedLineMidBatchFaultsAtTheSameRequest)
+{
+    // Loads and stores over hot pages 0..kHot-2 (no fault), then the
+    // one request to page kHot-1, whose line is poisoned, mid-batch.
+    Rng rng(5);
+    std::vector<AccessRequest> reqs(kSplitLong);
+    for (AccessRequest &req : reqs) {
+        req = {kVa + pageAddr(rng.below(kHot - 1)) +
+                   8 * rng.below(kPageSize / 8),
+               rng.chance(0.3) ? AccessType::Store : AccessType::Load};
+    }
+    const size_t poisoned_at = kSplitLong / 2 + 17;
+    reqs[poisoned_at] = {kVa + pageAddr(kHot - 1) + 0x48, AccessType::Load};
+    const Addr poison_pa = kData + pageAddr(kHot - 1) + 0x40;
+
+    for (const bool stop : {true, false}) {
+        SCOPED_TRACE(stop ? "stop_on_fault" : "run through");
+        const MachineState split = replayHostSchedule(
+            IsolationScheme::Hpmp, 8, {reqs}, true, stop, poison_pa);
+        const MachineState inl = replayHostSchedule(
+            IsolationScheme::Hpmp, 8, {reqs}, false, stop, poison_pa);
+        expectSameState(split, inl);
+        const BatchOutcome &b = split.batches[0];
+        EXPECT_EQ(b.completed, stop ? poisoned_at + 1 : kSplitLong);
+        EXPECT_EQ(b.faults, 1u);
+        EXPECT_EQ(b.firstFault, Fault::MachineCheck);
+    }
+}
+
+/** Virt state that either schedule must leave the same. */
+MachineState
+replayVirtSchedule(VirtScheme scheme, bool split)
+{
+    VirtEnv env(CoreKind::Rocket, scheme);
+    const Addr hot = env.mapGuestPages(64);
+    const Addr cold = env.mapGuestPages(2048);
+    VirtMachine &vm = env.vm();
+    StatRegistry registry;
+    vm.registerStats(registry);
+
+    MachineState state;
+    Rng rng(11);
+    for (unsigned batch = 0; batch < 3; ++batch) {
+        std::vector<AccessRequest> reqs(kSplitLong);
+        for (AccessRequest &req : reqs) {
+            const bool excursion = rng.below(8) == 0;
+            req = {(excursion ? cold + pageAddr(rng.below(2048))
+                              : hot + pageAddr(rng.below(64))) +
+                       8 * rng.below(kPageSize / 8),
+                   rng.chance(0.3) ? AccessType::Store : AccessType::Load};
+        }
+        BatchOutcome b;
+        if (split) {
+            b = vm.accessBatch(reqs);
+        } else {
+            for (const AccessRequest &req : reqs)
+                addInline(b, vm.access(req.va, req.type));
+        }
+        state.batches.push_back(b);
+        if (batch == 0)
+            vm.hfenceVvma();
+        else
+            vm.hfenceGvma();
+    }
+    state.stats = registry.dumpJson();
+    state.caches = describe(vm.hier());
+    return state;
+}
+
+class VirtSplitSchedule : public ::testing::TestWithParam<VirtScheme>
+{
+};
+
+TEST_P(VirtSplitSchedule, MatchesInlineAccesses)
+{
+    const MachineState split = replayVirtSchedule(GetParam(), true);
+    const MachineState inl = replayVirtSchedule(GetParam(), false);
+    expectSameState(split, inl);
+    EXPECT_GT(split.batches[0].nptRefs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, VirtSplitSchedule,
+    ::testing::Values(VirtScheme::Pmp, VirtScheme::Pmpt, VirtScheme::Hpmp,
+                      VirtScheme::HpmpGpt),
+    [](const ::testing::TestParamInfo<VirtScheme> &tp) {
+        return paramName(toString(tp.param));
     });
 
 } // namespace

@@ -9,7 +9,9 @@
  * interrupted program counter at each tick into a fixed buffer, and at
  * exit writes the executable mappings plus every sample to
  * `<HOSTPROF_OUT>.<pid>` (default prefix `hostprof`), headed by the
- * process's CPU time. The timer asks for a tick every 250 us; the
+ * process's CPU time. Each mapping records its module's size and
+ * mtime, so a report refuses to resolve samples against a module
+ * rebuilt since. The timer asks for a tick every 250 us; the
  * kernel delivers at most one per timer interrupt, so the real rate
  * may be lower.
  *
@@ -20,6 +22,7 @@
  */
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <time.h>
 #include <ucontext.h>
@@ -87,7 +90,10 @@ hostprofStart()
     setTimer(kIntervalUs);
 }
 
-/** Copy the executable mappings of /proc/self/maps into `out`. */
+/**
+ * Copy the executable mappings of /proc/self/maps into `out`, each
+ * with its module's size and mtime (ns) as they are now.
+ */
 void
 writeMaps(FILE *out)
 {
@@ -101,9 +107,14 @@ writeMaps(FILE *out)
         if (std::sscanf(line, "%lx-%lx %7s %lx %*s %*s %4095s", &start, &end,
                         perms, &offset, path) < 4)
             continue;
-        if (perms[2] == 'x' && path[0] == '/')
-            std::fprintf(out, "map %lx %lx %lx %s\n", start, end, offset,
-                         path);
+        struct stat st;
+        if (perms[2] != 'x' || path[0] != '/' || stat(path, &st) != 0)
+            continue;
+        std::fprintf(out, "map %lx %lx %lx %lld %lld %s\n", start, end,
+                     offset, (long long)st.st_size,
+                     (long long)st.st_mtim.tv_sec * 1000000000LL +
+                         st.st_mtim.tv_nsec,
+                     path);
     }
     std::fclose(maps);
 }

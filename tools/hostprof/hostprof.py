@@ -8,7 +8,10 @@
 `run` starts CMD with libhostprof.so preloaded (the SIGPROF sampler
 in hostprof.cc; build it with `cmake --build build --target hostprof`)
 and reports on the samples CMD's process wrote. `report` reads a
-sample file written earlier.
+sample file written earlier. The sample file records each mapped
+module's size and mtime; when either differs now (the module was
+rebuilt), samples would resolve against the wrong code, so `report`
+names the module and exits 2.
 
 Each sampled program counter is resolved with `addr2line -a -f -i -C`,
 which lists the inline frames innermost first. A sample is charged to
@@ -41,7 +44,7 @@ LAYERS = (
     ("stats/core model", ("src/base/stats.", "src/base/attribution.h",
                           "src/core/core_model.")),
     ("machine pipeline", ("src/core/machine.", "src/core/virt_machine.",
-                          "src/core/smp.")),
+                          "src/core/smp.", "src/core/ref_ring.")),
     ("runner/workload", ("src/workloads/", "perfbench/sim/", "bench/")),
     ("monitor/os", ("src/monitor/", "src/os/", "src/migrate/",
                     "src/verify/")),
@@ -57,19 +60,38 @@ def layer_of(path):
 
 
 def read_samples(path):
-    """({header key: int}, [(start, end, offset, module)], [pc])."""
+    """({header key: int}, [(start, end, offset, module)], [pc],
+    {module: (size, mtime_ns)} as recorded)."""
     with open(path) as f:
         words = f.readline().split()[1:]
         head = {k: int(v) for k, v in zip(words[::2], words[1::2])}
-        maps, pcs = [], []
+        maps, pcs, recorded = [], [], {}
         for line in f:
             if line.startswith("map "):
-                _, start, end, offset, module = line.split(maxsplit=4)
+                _, start, end, offset, size, mtime, module = line.split(
+                    maxsplit=6)
+                module = module.strip()
                 maps.append((int(start, 16), int(end, 16), int(offset, 16),
-                             module.strip()))
+                             module))
+                recorded[module] = (int(size), int(mtime))
             else:
                 pcs.append(int(line, 16))
-    return head, maps, pcs
+    return head, maps, pcs, recorded
+
+
+def stale_modules(recorded):
+    """Modules whose size or mtime differ from the recorded ones."""
+    stale = []
+    for module, (size, mtime) in recorded.items():
+        try:
+            st = os.stat(module)
+        except OSError:
+            stale.append((module, "missing"))
+            continue
+        if (st.st_size, st.st_mtime_ns) != (size, mtime):
+            stale.append((module, f"size {size} -> {st.st_size}, "
+                                  f"mtime_ns {mtime} -> {st.st_mtime_ns}"))
+    return stale
 
 
 def load_segments(module):
@@ -151,7 +173,14 @@ def short(function):
 
 
 def report(path, json_out=None, top=12):
-    head, maps, pcs = read_samples(path)
+    head, maps, pcs, recorded = read_samples(path)
+    stale = stale_modules(recorded)
+    if stale:
+        for module, why in stale:
+            print(f"hostprof: {module} changed since {path} was recorded "
+                  f"({why}); its samples cannot be resolved",
+                  file=sys.stderr)
+        sys.exit(2)
     by_module, unmapped = to_module_addrs(maps, pcs)
     layers = collections.Counter({OTHER: unmapped})
     functions = collections.Counter()
