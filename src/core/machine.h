@@ -504,10 +504,10 @@ class Machine
     }
 
     /**
-     * One split-schedule batch: construction resets the ring, points
-     * timeRef() at it and starts the helper, which resolves each
-     * reference against `attr` and runs `tail` at each request's end;
-     * destruction (also on unwinding) closes the ring and joins.
+     * One split-schedule batch: construction resets the ring, starts
+     * the helper, which resolves each reference against `attr` and
+     * runs `tail` at each request's end, then points timeRef() at the
+     * ring; destruction (also on unwinding) closes the ring and joins.
      */
     class SplitTiming
     {
