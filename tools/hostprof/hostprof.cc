@@ -10,8 +10,9 @@
  * exit writes the executable mappings plus every sample to
  * `<HOSTPROF_OUT>.<pid>` (default prefix `hostprof`), headed by the
  * process's CPU time. Each mapping records its module's size and
- * mtime, so a report refuses to resolve samples against a module
- * rebuilt since. The timer asks for a tick every 250 us; the
+ * mtime as they were when the library loaded, so a report refuses to
+ * resolve samples against a module rebuilt since, even one rebuilt
+ * while the process ran. The timer asks for a tick every 250 us; the
  * kernel delivers at most one per timer interrupt, so the real rate
  * may be lower.
  *
@@ -42,6 +43,8 @@ constexpr size_t kMaxSamples = size_t(1) << 21; //!< 16 MiB of PCs
 uint64_t gPcs[kMaxSamples];
 std::atomic<size_t> gCount{0}; //!< ticks taken, kept or not
 constexpr long kIntervalUs = 250;
+/** The `map` lines, written when the library loads. */
+char gMaps[1 << 16];
 
 uint64_t
 pcOf(const void *context)
@@ -78,21 +81,11 @@ setTimer(long interval_us)
     setitimer(ITIMER_PROF, &timer, nullptr);
 }
 
-__attribute__((constructor)) void
-hostprofStart()
-{
-    struct sigaction action;
-    std::memset(&action, 0, sizeof(action));
-    action.sa_sigaction = onTick;
-    action.sa_flags = SA_SIGINFO | SA_RESTART;
-    sigemptyset(&action.sa_mask);
-    sigaction(SIGPROF, &action, nullptr);
-    setTimer(kIntervalUs);
-}
-
 /**
  * Copy the executable mappings of /proc/self/maps into `out`, each
- * with its module's size and mtime (ns) as they are now.
+ * with its module's size and mtime (ns) as they are now. Run when the
+ * library loads: by exit a module rebuilt in between would show its
+ * new size and mtime, or appear as "(deleted)".
  */
 void
 writeMaps(FILE *out)
@@ -119,6 +112,22 @@ writeMaps(FILE *out)
     std::fclose(maps);
 }
 
+__attribute__((constructor)) void
+hostprofStart()
+{
+    struct sigaction action;
+    std::memset(&action, 0, sizeof(action));
+    action.sa_sigaction = onTick;
+    action.sa_flags = SA_SIGINFO | SA_RESTART;
+    sigemptyset(&action.sa_mask);
+    sigaction(SIGPROF, &action, nullptr);
+    if (FILE *maps = fmemopen(gMaps, sizeof(gMaps) - 1, "w")) {
+        writeMaps(maps);
+        std::fclose(maps);
+    }
+    setTimer(kIntervalUs);
+}
+
 __attribute__((destructor)) void
 hostprofStop()
 {
@@ -142,7 +151,7 @@ hostprofStop()
                  "cpu_ns %lld\n",
                  kIntervalUs, n, ticks - n,
                  (long long)cpu.tv_sec * 1000000000LL + cpu.tv_nsec);
-    writeMaps(out);
+    std::fputs(gMaps, out);
     for (size_t i = 0; i < n; ++i)
         std::fprintf(out, "%lx\n", (unsigned long)gPcs[i]);
     std::fclose(out);
