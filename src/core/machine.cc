@@ -198,6 +198,7 @@ Machine::SplitTiming::SplitTiming(Machine &machine, RefAttribution &attr,
     // Only once the helper runs: if starting it throws, the exception
     // leaves replayBatch() with the machine still timing inline.
     machine_.splitRing_ = machine_.ring_.get();
+    ++machine_.splitBatches_;
 }
 
 Machine::SplitTiming::~SplitTiming()
@@ -210,17 +211,26 @@ Machine::SplitTiming::~SplitTiming()
 void
 Machine::drainRing(RefAttribution &attr, ReplayTail &tail)
 {
+    // The batch's running tail lives on the caller's stack, beside
+    // what the caller writes per request: sum into a copy here and
+    // hand it back once.
+    ReplayTail mine = tail;
     uint64_t req_cycles = 0; // the current request's references so far
     ring_->drain([&](uint64_t slot) {
         if (RefRing::isEnd(slot)) {
-            tail(req_cycles + RefRing::cyclesOf(slot), RefRing::flagOf(slot));
+            mine(req_cycles + RefRing::cyclesOf(slot), RefRing::flagOf(slot));
             req_cycles = 0;
+        } else if (RefRing::isHitData(slot)) {
+            mine(resolveRef(RefRing::lineOf(slot), RefRing::flagOf(slot),
+                            RefOrigin::Data, attr),
+                 true);
         } else {
             req_cycles += resolveRef(RefRing::lineOf(slot),
                                      RefRing::flagOf(slot),
                                      RefRing::originOf(slot), attr);
         }
     });
+    tail = mine;
 }
 
 BatchOutcome

@@ -270,12 +270,12 @@ class Machine
 
     /**
      * Shortest batch replayBatch() runs on the split schedule. The
-     * measured hand-off costs about 70 us per batch (helper start,
-     * close and join; perfbench virt on a 4-vCPU VM), and overlapping
-     * the timing saves about 25 ns per virt request, so a split batch
-     * pays from roughly 3000 requests (EXPERIMENTS.md "Decoupled batch
-     * timing"). Tenants' 16-256-request bursts and lmbench's streams
-     * stay inline.
+     * measured hand-off costs 40-50 us per batch (helper start, the
+     * last drain and join), and overlapping the timing saves about
+     * 30 ns per request, so on the perfbench virt stream a split batch
+     * pays from 1500-2000 requests (4-vCPU x86 VM; EXPERIMENTS.md
+     * "Decoupled batch timing"); 4096 keeps twice that. Tenants'
+     * 16-256-request bursts and lmbench's streams stay inline.
      */
     static constexpr size_t kSplitBatchMin = 4096;
 
@@ -300,6 +300,13 @@ class Machine
                              RefAttribution &attr,
                              Distribution *walk_cycles, CoreModel *model,
                              bool stop_on_fault, AccessFn &&access);
+
+    /**
+     * Batches replayBatch() has run on the split schedule, of this
+     * machine and of a VirtMachine over it (not a statistic: every
+     * simulated number is the same on either schedule).
+     */
+    uint64_t splitBatches() const { return splitBatches_; }
 
     /** sfence.vma rs1=x0: flush TLB and PWC. */
     void sfenceVma();
@@ -488,19 +495,35 @@ class Machine
             AccessOutcome &out)
     {
         if (splitRing_)
-            splitRing_->push(RefRing::refSlot(pa, fetch, origin));
+            splitRing_->push(origin == RefOrigin::Data && endsAtData(out)
+                                 ? RefRing::hitDataSlot(pa, fetch)
+                                 : RefRing::refSlot(pa, fetch, origin));
         else
             out.cycles += resolveRef(pa, fetch, origin, attr);
     }
 
-    /** End a request: its tail now, or its end slot on the ring. */
+    /**
+     * Whether a request's data reference, when it makes one, also ends
+     * it on the ring: a TLB hit that charged itself no cycles makes no
+     * other reference and charges nothing after it.
+     */
+    static bool
+    endsAtData(const AccessOutcome &out)
+    {
+        return out.tlbHit && out.cycles == 0;
+    }
+
+    /**
+     * End a request: its tail now, or its end slot on the ring unless
+     * its data reference already ended it.
+     */
     void
     finishRequest(const AccessOutcome &out, ReplayTail &tail)
     {
-        if (splitRing_)
-            splitRing_->push(RefRing::endSlot(out.cycles, out.tlbHit));
-        else
+        if (!splitRing_)
             tail(out.cycles, out.tlbHit);
+        else if (!(endsAtData(out) && out.dataRefs))
+            splitRing_->push(RefRing::endSlot(out.cycles, out.tlbHit));
     }
 
     /**
@@ -541,13 +564,18 @@ class Machine
     Counter statPageFaults_;
     Counter statAccessFaults_;
     Counter statMachineChecks_;
-    Distribution statWalkCycles_; //!< end-to-end cycles of TLB-miss accesses
+    // A split batch's helper writes the walk-cycle distribution and the
+    // attribution while the caller writes the counters above and reads
+    // splitRing_ below: cache lines of their own, or every write of
+    // either thread pulls the line away from the other.
+    alignas(64) Distribution statWalkCycles_; //!< end-to-end cycles of TLB-miss accesses
     RefAttribution attr_{stats_};
 
     /** The split schedule's ring, allocated by the first split batch. */
-    std::unique_ptr<RefRing> ring_;
+    alignas(64) std::unique_ptr<RefRing> ring_;
     /** ring_ while a split batch runs, else null (time inline). */
     RefRing *splitRing_ = nullptr;
+    uint64_t splitBatches_ = 0; //!< batches run on the split schedule
 };
 
 template <typename AccessFn>

@@ -169,7 +169,9 @@ class VirtMachine
     Counter statPmptRefs_;
     Counter statGTlbHits_;
     Counter statFaults_;
-    Distribution statWalkCycles_; //!< end-to-end cycles of 3D-walk accesses
+    // Written by a split batch's helper: cache lines of their own, as
+    // in Machine.
+    alignas(64) Distribution statWalkCycles_; //!< end-to-end cycles of 3D-walk accesses
     RefAttribution attr_{stats_};
 };
 

@@ -852,6 +852,8 @@ struct MachineState
     std::string caches;
     uint64_t coreCycles = 0;
     uint64_t coreAccesses = 0;
+    /** Batches the machine ran on the split schedule. */
+    uint64_t splitBatches = 0;
 };
 
 void
@@ -902,6 +904,7 @@ replayHostSchedule(IsolationScheme scheme, unsigned pmptw_entries,
     state.caches = describe(m.hier());
     state.coreCycles = model.cycles();
     state.coreAccesses = model.memAccesses();
+    state.splitBatches = m.splitBatches();
     return state;
 }
 
@@ -921,7 +924,10 @@ TEST_P(MachineSplitSchedule, MatchesInlineAccesses)
     const MachineState inl =
         replayHostSchedule(GetParam(), 8, batches, false);
     expectSameState(split, inl);
-    // The stream walks and faults: the comparison is not vacuous.
+    // Both batches took the split schedule, and the stream walks and
+    // faults: the comparison is not vacuous.
+    EXPECT_EQ(split.splitBatches, 2u);
+    EXPECT_EQ(inl.splitBatches, 0u);
     EXPECT_LT(split.batches[0].tlbHits, split.batches[0].accesses);
     EXPECT_GT(split.batches[0].faults, 0u);
 }
@@ -933,6 +939,23 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<IsolationScheme> &tp) {
         return paramName(toString(tp.param));
     });
+
+TEST(MachineSplitSchedule, SplitsFromTheThresholdOn)
+{
+    for (const size_t n : {Machine::kSplitBatchMin - 1,
+                           Machine::kSplitBatchMin,
+                           Machine::kSplitBatchMin + 1}) {
+        SCOPED_TRACE(n);
+        const std::vector<std::vector<AccessRequest>> batches = {
+            hostStream(3, n)};
+        const MachineState split = replayHostSchedule(
+            IsolationScheme::PmpTable, 8, batches, true);
+        const MachineState inl = replayHostSchedule(
+            IsolationScheme::PmpTable, 8, batches, false);
+        expectSameState(split, inl);
+        EXPECT_EQ(split.splitBatches, n >= Machine::kSplitBatchMin);
+    }
+}
 
 TEST(MachineSplitSchedule, PoisonedLineMidBatchFaultsAtTheSameRequest)
 {
@@ -956,6 +979,7 @@ TEST(MachineSplitSchedule, PoisonedLineMidBatchFaultsAtTheSameRequest)
         const MachineState inl = replayHostSchedule(
             IsolationScheme::Hpmp, 8, {reqs}, false, stop, poison_pa);
         expectSameState(split, inl);
+        EXPECT_EQ(split.splitBatches, 1u);
         const BatchOutcome &b = split.batches[0];
         EXPECT_EQ(b.completed, stop ? poisoned_at + 1 : kSplitLong);
         EXPECT_EQ(b.faults, 1u);
@@ -1000,6 +1024,7 @@ replayVirtSchedule(VirtScheme scheme, bool split)
     }
     state.stats = registry.dumpJson();
     state.caches = describe(vm.hier());
+    state.splitBatches = vm.machine().splitBatches();
     return state;
 }
 
@@ -1012,6 +1037,8 @@ TEST_P(VirtSplitSchedule, MatchesInlineAccesses)
     const MachineState split = replayVirtSchedule(GetParam(), true);
     const MachineState inl = replayVirtSchedule(GetParam(), false);
     expectSameState(split, inl);
+    EXPECT_EQ(split.splitBatches, 3u);
+    EXPECT_EQ(inl.splitBatches, 0u);
     EXPECT_GT(split.batches[0].nptRefs, 0u);
 }
 
