@@ -1,5 +1,7 @@
 #include "core/core_model.h"
 
+#include "base/logging.h"
+
 namespace hpmp
 {
 
@@ -12,6 +14,7 @@ CoreModel::CoreModel(const MachineParams &params)
 uint64_t
 CoreModel::cycles() const
 {
+    panic_if(streamed_, "CoreModel::cycles() with a timing stream open");
     const double base =
         (instructions_ + memAccesses_) * timing_.baseCpi;
     return static_cast<uint64_t>(base + exposedStall_);
@@ -20,12 +23,14 @@ CoreModel::cycles() const
 double
 CoreModel::seconds() const
 {
+    panic_if(streamed_, "CoreModel::seconds() with a timing stream open");
     return cycles() / (timing_.freqGHz * 1e9);
 }
 
 void
 CoreModel::reset()
 {
+    panic_if(streamed_, "CoreModel::reset() with a timing stream open");
     instructions_ = 0;
     memAccesses_ = 0;
     exposedStall_ = 0.0;

@@ -53,7 +53,8 @@ class CoreModel
     uint64_t instructions() const { return instructions_; }
     uint64_t memAccesses() const { return memAccesses_; }
 
-    /** Total cycles: base CPI work plus exposed stall cycles. */
+    /** Total cycles: base CPI work plus exposed stall cycles. Not
+     *  while a timing stream charges this model. */
     uint64_t cycles() const;
 
     /** Wall-clock seconds at the core's frequency. */
@@ -62,11 +63,22 @@ class CoreModel
     void reset();
 
   private:
-    CoreTimingParams timing_;
+    friend class Machine::TimingStream;
+
+    // While a Machine::TimingStream charges this model its helper
+    // thread runs addAccess() and the caller's thread runs
+    // addInstructions(): what the helper only reads, what the caller
+    // writes and what the helper writes each sit on a cache line of
+    // their own (DESIGN.md §5).
+    alignas(64) CoreTimingParams timing_;
     unsigned l1HitCycles_;
-    uint64_t instructions_ = 0;
-    uint64_t memAccesses_ = 0;
-    double exposedStall_ = 0.0;
+    /** A timing stream charges this model: set by the caller's thread
+     *  as the stream opens, cleared once its helper is joined. The
+     *  helper never reads it. */
+    bool streamed_ = false;
+    alignas(64) uint64_t instructions_ = 0;
+    alignas(64) uint64_t memAccesses_ = 0;
+    double exposedStall_ = 0.0; //!< summed in request order
 };
 
 } // namespace hpmp

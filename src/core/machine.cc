@@ -65,6 +65,9 @@ Machine::registerStats(StatRegistry &registry)
 void
 Machine::setSatp(Addr root_pa, PagingMode mode)
 {
+    // A stream samples walk cycles by the mode it was opened in.
+    panic_if(splitRing_ && !translationOn_,
+             "translation turned on under a timing stream");
     translationOn_ = true;
     satpRoot_ = root_pa;
     mode_ = mode;
@@ -83,6 +86,7 @@ Machine::sfenceVma()
 void
 Machine::coldReset()
 {
+    panic_if(splitRing_, "coldReset() with a timing stream open");
     sfenceVma();
     hpmp_->flushCache();
     hier_->flushAll();
@@ -179,33 +183,61 @@ ReplayTail::operator()(uint64_t req_cycles, bool tlb_hit)
 }
 
 bool
+Machine::walkTraced()
+{
+    return Tracer::instance().enabled(TraceFlag::Walk);
+}
+
+bool
 Machine::splits(size_t n)
 {
-    return n >= kSplitBatchMin &&
-           !Tracer::instance().enabled(TraceFlag::Walk);
+    return n >= kSplitBatchMin && !walkTraced();
 }
 
-Machine::SplitTiming::SplitTiming(Machine &machine, RefAttribution &attr,
-                                  ReplayTail &tail)
+Machine::TimingStream::TimingStream(Machine &machine, CoreModel &model)
+    : machine_(machine),
+      runTail_{machine.translationOn_ ? &machine.statWalkCycles_ : nullptr,
+               &model}
+{
+    if (!walkTraced())
+        open(machine.attr_, runTail_);
+}
+
+Machine::TimingStream::TimingStream(Machine &machine, RefAttribution &attr,
+                                    ReplayTail &tail, bool split)
     : machine_(machine)
 {
-    if (!machine_.ring_)
-        machine_.ring_ = std::make_unique<RefRing>();
-    machine_.ring_->reset();
-    helper_ = std::thread([&machine, &attr, &tail] {
-        machine.drainRing(attr, tail);
-    });
-    // Only once the helper runs: if starting it throws, the exception
-    // leaves replayBatch() with the machine still timing inline.
-    machine_.splitRing_ = machine_.ring_.get();
-    ++machine_.splitBatches_;
+    if (split)
+        open(attr, tail);
 }
 
-Machine::SplitTiming::~SplitTiming()
+void
+Machine::TimingStream::open(RefAttribution &attr, ReplayTail &tail)
 {
+    Machine &m = machine_;
+    panic_if(m.splitRing_, "a timing stream is already open");
+    if (!m.ring_)
+        m.ring_ = std::make_unique<RefRing>();
+    m.ring_->reset();
+    helper_ = std::thread([&m, &attr, &tail] { m.drainRing(attr, tail); });
+    // Only once the helper runs: if starting it throws, the exception
+    // leaves the machine still timing inline.
+    m.splitRing_ = m.ring_.get();
+    ++m.streamsOpened_;
+    charged_ = tail.model;
+    if (charged_)
+        charged_->streamed_ = true;
+}
+
+Machine::TimingStream::~TimingStream()
+{
+    if (!helper_.joinable())
+        return;
     machine_.splitRing_->close();
     helper_.join();
     machine_.splitRing_ = nullptr;
+    if (charged_)
+        charged_->streamed_ = false;
 }
 
 void

@@ -27,13 +27,13 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 
 #include "base/attribution.h"
 #include "base/fault_inject.h"
+#include "base/logging.h"
 #include "base/stats.h"
 #include "core/params.h"
 #include "core/pwc.h"
@@ -144,10 +144,11 @@ struct BatchOutcome
 class CoreModel;
 
 /**
- * The per-request tail of a batch replay, given a request's total
- * cycles: add them to the batch's sum, sample them into `walkCycles`
- * on a TLB miss, and charge the access to `model`; either pointer may
- * be null. On the split schedule the helper thread runs it.
+ * The per-request tail of a batch replay or a timing stream, given a
+ * request's total cycles: add them to the sum, sample them into
+ * `walkCycles` on a TLB miss, and charge the access to `model`; either
+ * pointer may be null. On the split schedule the helper thread runs
+ * it.
  */
 struct ReplayTail
 {
@@ -202,7 +203,15 @@ class Machine
     const MachineParams &params() const { return params_; }
 
     PhysMem &mem() { return *mem_; }
-    MemoryHierarchy &hier() { return *hier_; }
+
+    /** The cache hierarchy; only the helper touches it while a timing
+     *  stream is open. */
+    MemoryHierarchy &
+    hier()
+    {
+        panic_if(splitRing_, "hier() with a timing stream open");
+        return *hier_;
+    }
     HpmpUnit &hpmp() { return *hpmp_; }
     Tlb &tlb() { return *tlb_; }
 
@@ -229,7 +238,13 @@ class Machine
     unsigned hartId() const { return hartId_; }
 
     /** Disable translation (bare / M-mode style direct physical). */
-    void setBare() { translationOn_ = false; }
+    void
+    setBare()
+    {
+        // A stream samples walk cycles by the mode it was opened in.
+        panic_if(splitRing_, "translation turned off under a timing stream");
+        translationOn_ = false;
+    }
 
     void setPriv(PrivMode priv) { priv_ = priv; }
     PrivMode priv() const { return priv_; }
@@ -239,21 +254,76 @@ class Machine
     Addr satpRoot() const { return satpRoot_; }
     PagingMode pagingMode() const { return mode_; }
 
-    /** Perform one load/store/fetch at virtual address va. */
+    /**
+     * Perform one load/store/fetch at virtual address va, timed
+     * inline: `cycles` is its whole cost. Not with a timing stream
+     * open, whose helper alone knows the cycles (streamAccess()).
+     */
     [[gnu::always_inline]] AccessOutcome
     access(Addr va, AccessType type)
     {
+        panic_if(splitRing_, "access() with a timing stream open");
         AccessOutcome out;
         accessInner(va, type, out);
-        ++statAccesses_;
-        if (!out.tlbHit && translationOn_) {
-            ++statWalks_;
+        countAccess(out);
+        if (!out.tlbHit && translationOn_)
             statWalkCycles_.sample(out.cycles);
-        }
-        statPtRefs_ += out.ptRefs + out.adRefs;
-        statPmptRefs_ += out.pmptRefs;
-        if (out.fault != Fault::None)
-            countFault(out.fault);
+        return out;
+    }
+
+    /**
+     * A run-scoped timing stream (DESIGN.md §5): from construction to
+     * destruction a helper thread times every physical reference of
+     * the machine and runs each request's ReplayTail (`walk_cycles`
+     * and the CoreModel the stream charges), in request order, while
+     * the caller's thread translates and checks. Requests go through
+     * streamAccess(); access(), accessBatch(), hier(), coldReset(),
+     * refAttr() and the charged model's cycles(), seconds() and
+     * reset() panic while it is open. Destruction (also on unwinding)
+     * drains the ring and joins the helper. With Walk tracing on it
+     * opens nothing and the machine keeps timing inline.
+     */
+    class TimingStream
+    {
+      public:
+        TimingStream(Machine &machine, CoreModel &model);
+        ~TimingStream();
+        TimingStream(const TimingStream &) = delete;
+        TimingStream &operator=(const TimingStream &) = delete;
+
+      private:
+        friend class Machine;
+
+        /** replayBatch()'s stream: resolve against `attr`, run `tail`;
+         *  opens only when `split` is set. */
+        TimingStream(Machine &machine, RefAttribution &attr,
+                     ReplayTail &tail, bool split);
+
+        /** Start the helper and point timeRef() at the ring. */
+        void open(RefAttribution &attr, ReplayTail &tail);
+
+        Machine &machine_;
+        ReplayTail runTail_; //!< a run-scoped stream's tail
+        CoreModel *charged_ = nullptr; //!< the model the tail charges
+        std::thread helper_; //!< joinable while the stream is open
+    };
+
+    /** Whether a timing stream is open on this machine. */
+    bool streamOpen() const { return splitRing_; }
+
+    /**
+     * One access on the open timing stream: as access(), but the
+     * stream's helper times it, samples its walk cycles and charges it
+     * to the stream's CoreModel. `cycles` holds only what the caller
+     * charged itself (an L2-TLB penalty, the PMPTW-Cache lookup).
+     */
+    [[gnu::always_inline]] AccessOutcome
+    streamAccess(Addr va, AccessType type)
+    {
+        AccessOutcome out;
+        accessInner(va, type, out);
+        countAccess(out);
+        endOnRing(out);
         return out;
     }
 
@@ -269,13 +339,15 @@ class Machine
                              bool stop_on_fault = false);
 
     /**
-     * Shortest batch replayBatch() runs on the split schedule. The
-     * measured hand-off costs 40-50 us per batch (helper start, the
-     * last drain and join), and overlapping the timing saves about
-     * 30 ns per request, so on the perfbench virt stream a split batch
-     * pays from 1500-2000 requests (4-vCPU x86 VM; EXPERIMENTS.md
-     * "Decoupled batch timing"); 4096 keeps twice that. Tenants'
-     * 16-256-request bursts and lmbench's streams stay inline.
+     * Shortest batch for which replayBatch() opens a timing stream of
+     * its own. The measured hand-off costs 40-50 us per stream (helper
+     * start, the last drain and join), and overlapping the timing
+     * saves about 30 ns per request, so on the perfbench virt stream a
+     * split batch pays from 1500-2000 requests (4-vCPU x86 VM;
+     * EXPERIMENTS.md "Decoupled batch timing"); 4096 keeps twice that.
+     * Tenants' 16-256-request bursts and lmbench's streams stay
+     * inline. GAP, RV8 and Redis runs open one stream for a whole
+     * measured phase of 10^5-10^8 requests instead.
      */
     static constexpr size_t kSplitBatchMin = 4096;
 
@@ -288,12 +360,13 @@ class Machine
      * `attr` is the attribution `access` records into.
      *
      * A batch of at least kSplitBatchMin requests, with Walk tracing
-     * off (its lines print a walk's cycles), runs the split schedule:
-     * the caller's thread keeps translation, checks, TLB/PWC/PMPTW
-     * updates, poison and faults, and a helper thread, joined before
-     * this returns, times every physical reference and runs the tail
+     * off (its lines print a walk's cycles), runs on a TimingStream of
+     * its own, closed before this returns: the caller's thread keeps
+     * translation, checks, TLB/PWC/PMPTW updates, poison and faults,
+     * and the helper times every physical reference and runs the tail
      * in request order. Every other batch times each reference inline.
-     * Both schedules give the same numbers (DESIGN.md §5).
+     * Both schedules give the same numbers (DESIGN.md §5). Panics with
+     * a stream already open: its requests go through streamAccess().
      */
     template <typename AccessFn>
     BatchOutcome replayBatch(std::span<const AccessRequest> reqs,
@@ -302,16 +375,17 @@ class Machine
                              bool stop_on_fault, AccessFn &&access);
 
     /**
-     * Batches replayBatch() has run on the split schedule, of this
-     * machine and of a VirtMachine over it (not a statistic: every
+     * Timing streams opened on this machine, run-scoped or by a batch
+     * of it or of a VirtMachine over it (not a statistic: every
      * simulated number is the same on either schedule).
      */
-    uint64_t splitBatches() const { return splitBatches_; }
+    uint64_t streamsOpened() const { return streamsOpened_; }
 
     /** sfence.vma rs1=x0: flush TLB and PWC. */
     void sfenceVma();
 
-    /** Flush TLB/PWC/PMPTW and all caches; close DRAM rows. */
+    /** Flush TLB/PWC/PMPTW and all caches; close DRAM rows. Not with a
+     *  timing stream open. */
     void coldReset();
 
     /**
@@ -402,8 +476,14 @@ class Machine
     /** Aggregate counters ("machine.*"): accesses, walks, faults... */
     StatGroup &stats() { return stats_; }
 
-    /** Per-origin reference counts/latencies ("machine.ref.*"). */
-    const RefAttribution &refAttr() const { return attr_; }
+    /** Per-origin reference counts/latencies ("machine.ref.*"); the
+     *  helper writes them while a timing stream is open. */
+    const RefAttribution &
+    refAttr() const
+    {
+        panic_if(splitRing_, "refAttr() with a timing stream open");
+        return attr_;
+    }
 
     /**
      * Register every stat group of this machine and its components
@@ -458,6 +538,19 @@ class Machine
     /** Count a faulting access in the machine-level counters. */
     void countFault(Fault fault);
 
+    /** Count one access in the "machine.*" counters, its walk-cycle
+     *  sample aside. */
+    [[gnu::always_inline]] void
+    countAccess(const AccessOutcome &out)
+    {
+        ++statAccesses_;
+        statWalks_ += !out.tlbHit && translationOn_;
+        statPtRefs_ += out.ptRefs + out.adRefs;
+        statPmptRefs_ += out.pmptRefs;
+        if (out.fault != Fault::None)
+            countFault(out.fault);
+    }
+
     /**
      * Consume poison on the 8 bytes at pa, first visiting the
      * ras.poison_on_fill injection site (fires only when armed by
@@ -487,8 +580,9 @@ class Machine
 
     /**
      * The timing step of every physical reference: resolved at once
-     * into `out.cycles`, or, on the split schedule, appended to the
-     * ring for the helper to resolve with the batch's attribution.
+     * into `out.cycles`, or, with a timing stream open, appended to
+     * the ring for the helper to resolve with the stream's
+     * attribution.
      */
     [[gnu::always_inline]] void
     timeRef(Addr pa, bool fetch, RefOrigin origin, RefAttribution &attr,
@@ -513,41 +607,31 @@ class Machine
         return out.tlbHit && out.cycles == 0;
     }
 
-    /**
-     * End a request: its tail now, or its end slot on the ring unless
-     * its data reference already ended it.
-     */
+    /** End a request on the open stream: its end slot on the ring,
+     *  unless its data reference already ended it. */
+    [[gnu::always_inline]] void
+    endOnRing(const AccessOutcome &out)
+    {
+        if (!(endsAtData(out) && out.dataRefs))
+            splitRing_->push(RefRing::endSlot(out.cycles, out.tlbHit));
+    }
+
+    /** End a request: its tail now, or on the open stream. */
     void
     finishRequest(const AccessOutcome &out, ReplayTail &tail)
     {
         if (!splitRing_)
             tail(out.cycles, out.tlbHit);
-        else if (!(endsAtData(out) && out.dataRefs))
-            splitRing_->push(RefRing::endSlot(out.cycles, out.tlbHit));
+        else
+            endOnRing(out);
     }
 
-    /**
-     * One split-schedule batch: construction resets the ring, starts
-     * the helper, which resolves each reference against `attr` and
-     * runs `tail` at each request's end, then points timeRef() at the
-     * ring; destruction (also on unwinding) closes the ring and joins.
-     */
-    class SplitTiming
-    {
-      public:
-        SplitTiming(Machine &machine, RefAttribution &attr,
-                    ReplayTail &tail);
-        ~SplitTiming();
-        SplitTiming(const SplitTiming &) = delete;
-        SplitTiming &operator=(const SplitTiming &) = delete;
-
-      private:
-        Machine &machine_;
-        std::thread helper_;
-    };
-
-    /** Whether a batch of `n` requests takes the split schedule. */
+    /** Whether a batch of `n` requests opens a timing stream. */
     static bool splits(size_t n);
+
+    /** Whether Walk tracing is on, which keeps timing inline: its
+     *  lines print a walk's cycles. */
+    static bool walkTraced();
 
     /** The helper's body: drain the ring, resolving and finishing. */
     void drainRing(RefAttribution &attr, ReplayTail &tail);
@@ -564,18 +648,18 @@ class Machine
     Counter statPageFaults_;
     Counter statAccessFaults_;
     Counter statMachineChecks_;
-    // A split batch's helper writes the walk-cycle distribution and the
-    // attribution while the caller writes the counters above and reads
-    // splitRing_ below: cache lines of their own, or every write of
-    // either thread pulls the line away from the other.
+    // A timing stream's helper writes the walk-cycle distribution and
+    // the attribution while the caller writes the counters above and
+    // reads splitRing_ below: cache lines of their own, or every write
+    // of either thread pulls the line away from the other.
     alignas(64) Distribution statWalkCycles_; //!< end-to-end cycles of TLB-miss accesses
     RefAttribution attr_{stats_};
 
-    /** The split schedule's ring, allocated by the first split batch. */
+    /** The timing streams' ring, allocated by the first stream. */
     alignas(64) std::unique_ptr<RefRing> ring_;
-    /** ring_ while a split batch runs, else null (time inline). */
+    /** ring_ while a timing stream is open, else null (time inline). */
     RefRing *splitRing_ = nullptr;
-    uint64_t splitBatches_ = 0; //!< batches run on the split schedule
+    uint64_t streamsOpened_ = 0; //!< timing streams opened
 };
 
 template <typename AccessFn>
@@ -585,12 +669,11 @@ Machine::replayBatch(std::span<const AccessRequest> reqs,
                      CoreModel *model, bool stop_on_fault,
                      AccessFn &&access)
 {
+    panic_if(splitRing_, "a batch replay with a timing stream open");
     BatchOutcome b;
     ReplayTail tail{walk_cycles, model};
     {
-        std::optional<SplitTiming> split;
-        if (splits(reqs.size()))
-            split.emplace(*this, attr, tail);
+        const TimingStream stream(*this, attr, tail, splits(reqs.size()));
         for (const AccessRequest &req : reqs) {
             const AccessOutcome &out = access(req);
             b.add(out);

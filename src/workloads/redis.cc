@@ -370,9 +370,13 @@ RedisBench::run(const std::string &command, unsigned requests)
         execute(r, command);
     }
     model_->reset();
-    for (unsigned i = 0; i < requests; ++i) {
-        requestOverhead(r);
-        execute(r, command);
+    {
+        // The measured requests are timed on the helper thread.
+        const Machine::TimingStream stream = r.timingStream();
+        for (unsigned i = 0; i < requests; ++i) {
+            requestOverhead(r);
+            execute(r, command);
+        }
     }
     const double seconds = model_->seconds();
     env_.exitToHost();

@@ -21,10 +21,9 @@ Runner::serviceFault(Addr va, AccessType type, Fault fault)
     ++faults_;
     model_.addInstructions(kFaultKernelInstrs);
 
-    const AccessOutcome out = machine_.access(va, type);
+    const AccessOutcome out = chargedAccess(va, type);
     panic_if(!out.ok(), "fault persists at va %#lx: %s", va,
              toString(out.fault));
-    model_.addAccess(out);
 }
 
 uint64_t
@@ -47,6 +46,11 @@ Runner::store64(Addr va, uint64_t value)
 void
 Runner::runBatch(std::span<const AccessRequest> reqs)
 {
+    if (machine_.streamOpen()) {
+        for (const AccessRequest &req : reqs)
+            accessChecked(req.va, req.type);
+        return;
+    }
     if (trace_) {
         for (const AccessRequest &req : reqs)
             trace_->append(req.va, req.type);

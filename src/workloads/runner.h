@@ -54,9 +54,17 @@ class Runner
     /**
      * Timed batched replay: one Machine::accessBatch dispatch per
      * fault-free run of requests, with demand-paging faults serviced
-     * in between exactly as in the per-access path.
+     * in between exactly as in the per-access path. With a timing
+     * stream open, each request goes through the stream in turn.
      */
     void runBatch(std::span<const AccessRequest> reqs);
+
+    /**
+     * Open a timing stream on the machine that charges this runner's
+     * model (Machine::TimingStream): until it is destroyed, a helper
+     * thread times every access. Read or reset the model only after.
+     */
+    Machine::TimingStream timingStream() { return {machine_, model_}; }
 
     CoreModel &model() { return model_; }
     AddressSpace &as() { return *as_; }
@@ -77,10 +85,24 @@ class Runner
     {
         if (trace_)
             trace_->append(va, type);
-        const AccessOutcome out = machine_.access(va, type);
-        model_.addAccess(out); // a fault's cycles were burned too
+        const AccessOutcome out = chargedAccess(va, type);
         if (!out.ok())
             serviceFault(va, type, out.fault);
+    }
+
+    /**
+     * One access charged to the model, a fault's cycles too (they
+     * were burned): ended on the machine's open timing stream, whose
+     * helper charges it, or timed and charged inline.
+     */
+    [[gnu::always_inline]] AccessOutcome
+    chargedAccess(Addr va, AccessType type)
+    {
+        if (machine_.streamOpen())
+            return machine_.streamAccess(va, type);
+        const AccessOutcome out = machine_.access(va, type);
+        model_.addAccess(out);
+        return out;
     }
 
     /**

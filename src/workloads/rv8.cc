@@ -55,35 +55,39 @@ runRv8App(TeeEnv &env, const Rv8App &app, uint64_t sample_accesses)
 
     const double instr_per_access = 1.0 / app.memRatio;
     Addr seq = buf;
-    for (uint64_t i = 0; i < sample_accesses; ++i) {
-        Addr va;
-        switch (app.pattern) {
-          case MemPattern::Sequential:
-            seq += 8;
-            if (seq >= buf + app.workingSet)
-                seq = buf;
-            va = seq;
-            break;
-          case MemPattern::Random:
-            va = buf + alignDown(rng.below(app.workingSet - 8), 8);
-            break;
-          case MemPattern::Mixed:
-          default:
-            if (!rng.chance(app.randomFrac)) {
+    {
+        // The sample's accesses are timed on the helper thread.
+        const Machine::TimingStream stream = r.timingStream();
+        for (uint64_t i = 0; i < sample_accesses; ++i) {
+            Addr va;
+            switch (app.pattern) {
+              case MemPattern::Sequential:
                 seq += 8;
                 if (seq >= buf + app.workingSet)
                     seq = buf;
                 va = seq;
-            } else {
+                break;
+              case MemPattern::Random:
                 va = buf + alignDown(rng.below(app.workingSet - 8), 8);
+                break;
+              case MemPattern::Mixed:
+              default:
+                if (!rng.chance(app.randomFrac)) {
+                    seq += 8;
+                    if (seq >= buf + app.workingSet)
+                        seq = buf;
+                    va = seq;
+                } else {
+                    va = buf + alignDown(rng.below(app.workingSet - 8), 8);
+                }
+                break;
             }
-            break;
+            if (rng.chance(0.3))
+                r.store(va);
+            else
+                r.load(va);
+            r.compute(uint64_t(instr_per_access));
         }
-        if (rng.chance(0.3))
-            r.store(va);
-        else
-            r.load(va);
-        r.compute(uint64_t(instr_per_access));
     }
 
     // Extrapolate: the sample's cycles represent sample_accesses of

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "base/fault_inject.h"
 #include "base/hash.h"
 #include "base/rng.h"
+#include "base/trace.h"
 #include "core/core_model.h"
 #include "core/virt_machine.h"
 #include "pmpt/pmp_table.h"
@@ -816,12 +819,13 @@ INSTANTIATE_TEST_SUITE_P(
         return paramName(name);
     });
 
-// ---- split vs inline batch schedule -----------------------------------
+// ---- split vs inline schedule ----------------------------------------
 //
-// A batch of at least Machine::kSplitBatchMin requests times its
-// physical references on a helper thread; a single access() times
-// them inline. Replaying the same seeded stream both ways must give
-// the same outcomes, stats, cache/DRAM counters and core-model cycles.
+// A batch of at least Machine::kSplitBatchMin requests, and every
+// request on an open Machine::TimingStream, has its physical
+// references timed on a helper thread; a single access() times them
+// inline. Replaying the same seeded stream each way must give the same
+// outcomes, stats, cache/DRAM counters and core-model cycles.
 
 constexpr size_t kSplitLong = 4 * Machine::kSplitBatchMin;
 
@@ -852,8 +856,8 @@ struct MachineState
     std::string caches;
     uint64_t coreCycles = 0;
     uint64_t coreAccesses = 0;
-    /** Batches the machine ran on the split schedule. */
-    uint64_t splitBatches = 0;
+    /** Timing streams the machine opened. */
+    uint64_t streamsOpened = 0;
 };
 
 void
@@ -868,14 +872,24 @@ expectSameState(const MachineState &split, const MachineState &inl)
     EXPECT_EQ(split.coreAccesses, inl.coreAccesses);
 }
 
+/** How a host replay times its requests. */
+enum class Schedule
+{
+    Inline, //!< one access() per request
+    Batch,  //!< one accessBatch() per batch: split from kSplitBatchMin
+    Stream, //!< streamAccess() on one TimingStream over every batch
+};
+
 /**
  * Replay `batches` on a fresh host rig, with an sfence.vma between
- * them, as accessBatch() calls (`split`) or one access() per request.
+ * them, on `schedule`. A streamed request's cycles are known to the
+ * helper only, so Stream batches carry no cycle sum: the core model,
+ * `walk_cycles` and `machine.ref.*` compare them.
  */
 MachineState
 replayHostSchedule(IsolationScheme scheme, unsigned pmptw_entries,
                    const std::vector<std::vector<AccessRequest>> &batches,
-                   bool split, bool stop_on_fault = false,
+                   Schedule schedule, bool stop_on_fault = false,
                    Addr poison_pa = 0)
 {
     MachineRig rig(scheme, pmptw_entries);
@@ -884,27 +898,38 @@ replayHostSchedule(IsolationScheme scheme, unsigned pmptw_entries,
         m.mem().poisonLine(poison_pa);
     CoreModel model(m.params());
     MachineState state;
-    for (const std::vector<AccessRequest> &reqs : batches) {
-        BatchOutcome b;
-        if (split) {
-            b = m.accessBatch(reqs, &model, stop_on_fault);
-        } else {
-            for (const AccessRequest &req : reqs) {
-                const AccessOutcome out = m.access(req.va, req.type);
-                model.addAccess(out);
-                addInline(b, out);
-                if (!out.ok() && stop_on_fault)
-                    break;
+    {
+        std::optional<Machine::TimingStream> stream;
+        if (schedule == Schedule::Stream)
+            stream.emplace(m, model);
+        for (const std::vector<AccessRequest> &reqs : batches) {
+            BatchOutcome b;
+            if (schedule == Schedule::Batch) {
+                b = m.accessBatch(reqs, &model, stop_on_fault);
+            } else {
+                for (const AccessRequest &req : reqs) {
+                    AccessOutcome out;
+                    if (stream) {
+                        out = m.streamAccess(req.va, req.type);
+                        b.add(out);
+                    } else {
+                        out = m.access(req.va, req.type);
+                        model.addAccess(out);
+                        addInline(b, out);
+                    }
+                    if (!out.ok() && stop_on_fault)
+                        break;
+                }
             }
+            state.batches.push_back(b);
+            m.sfenceVma();
         }
-        state.batches.push_back(b);
-        m.sfenceVma();
     }
     state.stats = rig.registry.dumpJson();
     state.caches = describe(m.hier());
     state.coreCycles = model.cycles();
     state.coreAccesses = model.memAccesses();
-    state.splitBatches = m.splitBatches();
+    state.streamsOpened = m.streamsOpened();
     return state;
 }
 
@@ -920,14 +945,14 @@ TEST_P(MachineSplitSchedule, MatchesInlineAccesses)
         hostStream(1, kSplitLong),
         hostStream(2, Machine::kSplitBatchMin + 1)};
     const MachineState split =
-        replayHostSchedule(GetParam(), 8, batches, true);
+        replayHostSchedule(GetParam(), 8, batches, Schedule::Batch);
     const MachineState inl =
-        replayHostSchedule(GetParam(), 8, batches, false);
+        replayHostSchedule(GetParam(), 8, batches, Schedule::Inline);
     expectSameState(split, inl);
     // Both batches took the split schedule, and the stream walks and
     // faults: the comparison is not vacuous.
-    EXPECT_EQ(split.splitBatches, 2u);
-    EXPECT_EQ(inl.splitBatches, 0u);
+    EXPECT_EQ(split.streamsOpened, 2u);
+    EXPECT_EQ(inl.streamsOpened, 0u);
     EXPECT_LT(split.batches[0].tlbHits, split.batches[0].accesses);
     EXPECT_GT(split.batches[0].faults, 0u);
 }
@@ -949,42 +974,196 @@ TEST(MachineSplitSchedule, SplitsFromTheThresholdOn)
         const std::vector<std::vector<AccessRequest>> batches = {
             hostStream(3, n)};
         const MachineState split = replayHostSchedule(
-            IsolationScheme::PmpTable, 8, batches, true);
+            IsolationScheme::PmpTable, 8, batches, Schedule::Batch);
         const MachineState inl = replayHostSchedule(
-            IsolationScheme::PmpTable, 8, batches, false);
+            IsolationScheme::PmpTable, 8, batches, Schedule::Inline);
         expectSameState(split, inl);
-        EXPECT_EQ(split.splitBatches, n >= Machine::kSplitBatchMin);
+        EXPECT_EQ(split.streamsOpened, n >= Machine::kSplitBatchMin);
     }
 }
 
+/** Loads and stores over hot pages 0..kHot-2 (no fault), then the
+ *  one request to page kHot-1, whose line is poisoned, mid-stream. */
+struct PoisonedStream
+{
+    static constexpr size_t kAt = kSplitLong / 2 + 17;
+    static constexpr Addr kPa = kData + pageAddr(kHot - 1) + 0x40;
+    std::vector<AccessRequest> reqs;
+
+    PoisonedStream()
+        : reqs(kSplitLong)
+    {
+        Rng rng(5);
+        for (AccessRequest &req : reqs) {
+            req = {kVa + pageAddr(rng.below(kHot - 1)) +
+                       8 * rng.below(kPageSize / 8),
+                   rng.chance(0.3) ? AccessType::Store : AccessType::Load};
+        }
+        reqs[kAt] = {kVa + pageAddr(kHot - 1) + 0x48, AccessType::Load};
+    }
+};
+
 TEST(MachineSplitSchedule, PoisonedLineMidBatchFaultsAtTheSameRequest)
 {
-    // Loads and stores over hot pages 0..kHot-2 (no fault), then the
-    // one request to page kHot-1, whose line is poisoned, mid-batch.
-    Rng rng(5);
-    std::vector<AccessRequest> reqs(kSplitLong);
-    for (AccessRequest &req : reqs) {
-        req = {kVa + pageAddr(rng.below(kHot - 1)) +
-                   8 * rng.below(kPageSize / 8),
-               rng.chance(0.3) ? AccessType::Store : AccessType::Load};
-    }
-    const size_t poisoned_at = kSplitLong / 2 + 17;
-    reqs[poisoned_at] = {kVa + pageAddr(kHot - 1) + 0x48, AccessType::Load};
-    const Addr poison_pa = kData + pageAddr(kHot - 1) + 0x40;
-
+    const PoisonedStream poisoned;
     for (const bool stop : {true, false}) {
         SCOPED_TRACE(stop ? "stop_on_fault" : "run through");
-        const MachineState split = replayHostSchedule(
-            IsolationScheme::Hpmp, 8, {reqs}, true, stop, poison_pa);
-        const MachineState inl = replayHostSchedule(
-            IsolationScheme::Hpmp, 8, {reqs}, false, stop, poison_pa);
+        const MachineState split =
+            replayHostSchedule(IsolationScheme::Hpmp, 8, {poisoned.reqs},
+                               Schedule::Batch, stop, PoisonedStream::kPa);
+        const MachineState inl =
+            replayHostSchedule(IsolationScheme::Hpmp, 8, {poisoned.reqs},
+                               Schedule::Inline, stop, PoisonedStream::kPa);
         expectSameState(split, inl);
-        EXPECT_EQ(split.splitBatches, 1u);
+        EXPECT_EQ(split.streamsOpened, 1u);
         const BatchOutcome &b = split.batches[0];
-        EXPECT_EQ(b.completed, stop ? poisoned_at + 1 : kSplitLong);
+        EXPECT_EQ(b.completed,
+                  stop ? PoisonedStream::kAt + 1 : kSplitLong);
         EXPECT_EQ(b.faults, 1u);
         EXPECT_EQ(b.firstFault, Fault::MachineCheck);
     }
+}
+
+/** expectSameState() for a Stream replay, whose batches sum no
+ *  cycles. */
+void
+expectSameStreamState(const MachineState &stream, MachineState inl)
+{
+    for (BatchOutcome &b : inl.batches)
+        b.cycles = 0;
+    expectSameState(stream, inl);
+}
+
+class MachineTimingStream
+    : public ::testing::TestWithParam<IsolationScheme>
+{
+};
+
+TEST_P(MachineTimingStream, MatchesInlineAccesses)
+{
+    // One stream over both batches and the sfence.vma between them;
+    // the second batch is shorter than kSplitBatchMin.
+    const std::vector<std::vector<AccessRequest>> batches = {
+        hostStream(1, kSplitLong), hostStream(2, 1000)};
+    const MachineState stream =
+        replayHostSchedule(GetParam(), 8, batches, Schedule::Stream);
+    const MachineState inl =
+        replayHostSchedule(GetParam(), 8, batches, Schedule::Inline);
+    expectSameStreamState(stream, inl);
+    EXPECT_EQ(stream.streamsOpened, 1u);
+    EXPECT_LT(stream.batches[0].tlbHits, stream.batches[0].accesses);
+    EXPECT_GT(stream.batches[0].faults, 0u);
+    EXPECT_GT(stream.batches[0].pmptRefs + stream.batches[0].ptRefs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, MachineTimingStream,
+    ::testing::Values(IsolationScheme::Pmp, IsolationScheme::PmpTable,
+                      IsolationScheme::Hpmp),
+    [](const ::testing::TestParamInfo<IsolationScheme> &tp) {
+        return paramName(toString(tp.param));
+    });
+
+TEST(MachineTimingStream, PoisonedLineMidStreamFaultsAtTheSameRequest)
+{
+    const PoisonedStream poisoned;
+    for (const bool stop : {true, false}) {
+        SCOPED_TRACE(stop ? "stop at the fault" : "run through");
+        const MachineState stream =
+            replayHostSchedule(IsolationScheme::Hpmp, 8, {poisoned.reqs},
+                               Schedule::Stream, stop, PoisonedStream::kPa);
+        const MachineState inl =
+            replayHostSchedule(IsolationScheme::Hpmp, 8, {poisoned.reqs},
+                               Schedule::Inline, stop, PoisonedStream::kPa);
+        expectSameStreamState(stream, inl);
+        const BatchOutcome &b = stream.batches[0];
+        EXPECT_EQ(b.completed,
+                  stop ? PoisonedStream::kAt + 1 : kSplitLong);
+        EXPECT_EQ(b.faults, 1u);
+        EXPECT_EQ(b.firstFault, Fault::MachineCheck);
+    }
+}
+
+TEST(MachineTimingStream, WalkTracingKeepsTheInlineSchedule)
+{
+    Tracer &tracer = Tracer::instance();
+    tracer.enable(TraceFlag::Walk);
+    if (!tracer.enabled(TraceFlag::Walk))
+        GTEST_SKIP() << "tracing compiled out";
+    tracer.setOutput(nullptr); // silence the walk lines
+
+    MachineRig rig(IsolationScheme::Hpmp, 8);
+    CoreModel model(rig.machine.params());
+    {
+        const Machine::TimingStream stream(rig.machine, model);
+        EXPECT_FALSE(rig.machine.streamOpen());
+        const AccessOutcome out = rig.machine.access(kVa, AccessType::Load);
+        EXPECT_FALSE(out.tlbHit);
+        EXPECT_GT(out.cycles, 0u);
+    }
+    EXPECT_EQ(rig.machine.streamsOpened(), 0u);
+    tracer.disable(TraceFlag::Walk);
+    tracer.setOutput(stderr);
+}
+
+/** Run `fn` on `rig`'s machine and `model` with a stream open. */
+template <typename Fn>
+void
+withStream(MachineRig &rig, CoreModel &model, Fn &&fn)
+{
+    const Machine::TimingStream stream(rig.machine, model);
+    fn(rig.machine, model);
+}
+
+TEST(MachineTimingStreamDeathTest, TimingReadsPanicWhileOpen)
+{
+    // Each statement forks before the stream's helper starts.
+    MachineRig rig(IsolationScheme::Hpmp, 8);
+    CoreModel model(rig.machine.params());
+    const AccessRequest req{kVa, AccessType::Load};
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &) {
+                                m.access(kVa, AccessType::Load);
+                            }),
+                 "access\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [&](Machine &m, CoreModel &) {
+                                m.accessBatch({&req, 1});
+                            }),
+                 "batch replay with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &) { m.hier(); }),
+                 "hier\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &) { m.coldReset(); }),
+                 "coldReset\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &) { m.refAttr(); }),
+                 "refAttr\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &, CoreModel &c) { c.cycles(); }),
+                 "cycles\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &, CoreModel &c) { c.seconds(); }),
+                 "seconds\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &, CoreModel &c) { c.reset(); }),
+                 "reset\\(\\) with a timing stream open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &c) {
+                                const Machine::TimingStream again(m, c);
+                            }),
+                 "a timing stream is already open");
+    EXPECT_DEATH(withStream(rig, model,
+                            [](Machine &m, CoreModel &) { m.setBare(); }),
+                 "translation turned off under a timing stream");
+    // Closed again, every read works.
+    withStream(rig, model, [](Machine &m, CoreModel &) {
+        m.streamAccess(kVa, AccessType::Load);
+    });
+    EXPECT_EQ(model.memAccesses(), 1u);
+    EXPECT_GT(model.cycles(), 0u);
+    EXPECT_EQ(rig.machine.refAttr().count(RefOrigin::Data), 1u);
 }
 
 /** Virt state that either schedule must leave the same. */
@@ -1024,7 +1203,7 @@ replayVirtSchedule(VirtScheme scheme, bool split)
     }
     state.stats = registry.dumpJson();
     state.caches = describe(vm.hier());
-    state.splitBatches = vm.machine().splitBatches();
+    state.streamsOpened = vm.machine().streamsOpened();
     return state;
 }
 
@@ -1037,8 +1216,8 @@ TEST_P(VirtSplitSchedule, MatchesInlineAccesses)
     const MachineState split = replayVirtSchedule(GetParam(), true);
     const MachineState inl = replayVirtSchedule(GetParam(), false);
     expectSameState(split, inl);
-    EXPECT_EQ(split.splitBatches, 3u);
-    EXPECT_EQ(inl.splitBatches, 0u);
+    EXPECT_EQ(split.streamsOpened, 3u);
+    EXPECT_EQ(inl.streamsOpened, 0u);
     EXPECT_GT(split.batches[0].nptRefs, 0u);
 }
 

@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "base/hash.h"
+#include "base/rng.h"
 #include "workloads/env.h"
 #include "workloads/gap.h"
 #include "workloads/lmbench.h"
@@ -272,6 +275,172 @@ TEST(Gap, KernelsRunOnKronGraph)
     for (const auto &kernel : gapKernels())
         EXPECT_GT(suite.run(kernel), 0.0) << kernel;
 }
+
+TEST(Gap, KernelSecondsPinnedAtScale12)
+{
+    // Each kernel's modelled seconds, recorded from the inline
+    // schedule before GapSuite::run timed its kernels on a timing
+    // stream: both schedules give the same bits.
+    struct Pin
+    {
+        IsolationScheme scheme;
+        double seconds[6]; //!< gapKernels() order, run in that order
+    };
+    const Pin pins[] = {
+        {IsolationScheme::Pmp,
+         {0x1.682fea287d4cbp-10, 0x1.8286ad83b14ffp-12,
+          0x1.305bce9910eedp-11, 0x1.ec6c3e308116p-12,
+          0x1.cfd86fee248b5p-11, 0x1.4bb9c566af951p-8}},
+        {IsolationScheme::PmpTable,
+         {0x1.6905b938ac801p-10, 0x1.854a460e1b0f9p-12,
+          0x1.31f68365b6cf4p-11, 0x1.ef7e38d13e06ep-12,
+          0x1.d1378d017d251p-11, 0x1.4bcbc19b269dbp-8}},
+        {IsolationScheme::Hpmp,
+         {0x1.68c9ff234769p-10, 0x1.84a5fdbc3f1c3p-12,
+          0x1.31a8214f639e1p-11, 0x1.eeac4e2fc16c5p-12,
+          0x1.d0e524205f8acp-11, 0x1.4bc2a124d3491p-8}},
+    };
+    const std::vector<std::string> kernels = gapKernels();
+    ASSERT_EQ(kernels.size(), 6u);
+    for (const Pin &pin : pins) {
+        TeeEnv env(cfg(pin.scheme));
+        GapSuite suite(env, /*scale=*/12, /*degree=*/8);
+        const uint64_t streams = env.machine().streamsOpened();
+        for (size_t k = 0; k < kernels.size(); ++k) {
+            EXPECT_EQ(suite.run(kernels[k]), pin.seconds[k])
+                << toString(pin.scheme) << " " << kernels[k];
+        }
+        // Every kernel ran on a stream of its own.
+        EXPECT_EQ(env.machine().streamsOpened(), streams + kernels.size());
+    }
+}
+
+// ---- Runner on a timing stream vs inline ----------------------------
+
+/** What a Runner replay leaves behind, for byte-exact comparison. */
+struct RunnerState
+{
+    uint64_t cycles = 0;
+    double seconds = 0.0;
+    uint64_t faults = 0;
+    uint64_t checksum = 0; //!< the load64 values
+    std::string stats;     //!< "machine.*": ref.*, walk_cycles, TLB...
+    std::string caches;
+    std::vector<AccessRequest> trace;
+    uint64_t streams = 0;
+};
+
+/**
+ * A seeded stream through one Runner on a fresh environment: loads,
+ * stores, load64/store64 and compute over a populated region and a
+ * demand-paged one (the first touch of each page faults, mid-stream),
+ * with streamRead/streamWrite batches in between, all recorded by
+ * setTrace. With `stream`, a timing stream is open for all of it.
+ */
+RunnerState
+runSeededStream(IsolationScheme scheme, bool stream)
+{
+    EnvConfig c = cfg(scheme);
+    c.pmptwEntries = 8;
+    TeeEnv env(c);
+    auto as = env.hostKernel().createAddressSpace();
+    env.hostKernel().activate(*as, PrivMode::User);
+    CoreModel model = env.makeCoreModel();
+    Runner runner(env.hostKernel(), *as, model);
+    Trace trace;
+    runner.setTrace(&trace);
+    constexpr uint64_t kHotPages = 64;
+    constexpr uint64_t kLazyPages = 768;
+    const Addr hot = as->mmap(kHotPages * kPageSize, Perm::rw());
+    const Addr lazy =
+        as->mmap(kLazyPages * kPageSize, Perm::rw(), true, false);
+
+    RunnerState state;
+    Rng rng(42);
+    {
+        std::optional<Machine::TimingStream> open;
+        if (stream)
+            open.emplace(env.machine(), model);
+        for (unsigned i = 0; i < 30000; ++i) {
+            const bool is_hot = rng.below(100) < 75;
+            const Addr va =
+                is_hot ? hot + 8 * rng.below(kHotPages * kPageSize / 8)
+                       : lazy + 8 * rng.below(kLazyPages * kPageSize / 8);
+            switch (rng.below(4)) {
+              case 0:
+                runner.store(va);
+                break;
+              case 1:
+                runner.store64(va, i);
+                break;
+              case 2:
+                state.checksum += runner.load64(va);
+                break;
+              default:
+                runner.load(va);
+                break;
+            }
+            runner.compute(rng.below(16));
+            if (i % 7000 == 6999) {
+                const Addr at = lazy + pageAddr(rng.below(kLazyPages - 4));
+                runner.streamRead(at, 3 * kPageSize + 200);
+                runner.streamWrite(hot + 64, 5000);
+            }
+        }
+    }
+    StatRegistry registry;
+    env.machine().registerStats(registry);
+    state.cycles = model.cycles();
+    state.seconds = model.seconds();
+    state.faults = runner.faultsServiced();
+    state.stats = registry.dumpJson();
+    MemoryHierarchy &hier = env.machine().hier();
+    for (Cache *cache : {&hier.l1i(), &hier.l1d(), &hier.l2(), &hier.llc()})
+        state.caches += std::to_string(cache->hits()) + "/" +
+                        std::to_string(cache->misses()) + " ";
+    state.caches += std::to_string(hier.dram().rowHits()) + "/" +
+                    std::to_string(hier.dram().rowMisses());
+    state.trace = trace.records();
+    state.streams = env.machine().streamsOpened();
+    return state;
+}
+
+class RunnerTimingStream : public ::testing::TestWithParam<IsolationScheme>
+{
+};
+
+TEST_P(RunnerTimingStream, MatchesInlineRun)
+{
+    const RunnerState streamed = runSeededStream(GetParam(), true);
+    const RunnerState inl = runSeededStream(GetParam(), false);
+    EXPECT_EQ(streamed.cycles, inl.cycles);
+    EXPECT_EQ(std::bit_cast<uint64_t>(streamed.seconds),
+              std::bit_cast<uint64_t>(inl.seconds));
+    EXPECT_EQ(streamed.faults, inl.faults);
+    EXPECT_EQ(streamed.checksum, inl.checksum);
+    EXPECT_EQ(streamed.stats, inl.stats);
+    EXPECT_EQ(streamed.caches, inl.caches);
+    ASSERT_EQ(streamed.trace.size(), inl.trace.size());
+    for (size_t i = 0; i < inl.trace.size(); ++i) {
+        ASSERT_EQ(streamed.trace[i].va, inl.trace[i].va) << i;
+        ASSERT_EQ(streamed.trace[i].type, inl.trace[i].type) << i;
+    }
+    // The stream really opened (and the inline run's batches, all
+    // shorter than kSplitBatchMin, opened none), and demand paging
+    // faulted mid-stream, also inside the streamed batches.
+    EXPECT_EQ(streamed.streams, 1u);
+    EXPECT_EQ(inl.streams, 0u);
+    EXPECT_GT(streamed.faults, 100u);
+    EXPECT_GT(streamed.trace.size(), 30000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, RunnerTimingStream,
+    ::testing::Values(IsolationScheme::Pmp, IsolationScheme::PmpTable,
+                      IsolationScheme::Hpmp),
+    [](const ::testing::TestParamInfo<IsolationScheme> &tp) {
+        return std::string(toString(tp.param));
+    });
 
 /** FNV-1a over the offsets (u64) chained over the neighbours (u32). */
 uint64_t
