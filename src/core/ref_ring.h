@@ -1,6 +1,6 @@
 /**
  * @file
- * The hand-off of a batch replay's split schedule (DESIGN.md §5).
+ * The hand-off of a timing stream's split schedule (DESIGN.md §5).
  *
  * On the split schedule the caller's thread translates and checks
  * every request and a helper thread times the physical references it
@@ -10,8 +10,8 @@
  * itself, and the TLB-hit flag). A TLB hit that charged itself nothing
  * makes one reference, its data reference, and ends there, so that
  * slot carries the end too and the request takes one slot, not two.
- * The ring is fixed-size and reused by every split batch of its
- * machine, so its footprint does not grow with batch length; a full
+ * The ring is fixed-size and reused by every timing stream of its
+ * machine, so its footprint does not grow with stream length; a full
  * ring makes the producer wait.
  *
  * One producer (the caller) and one consumer (the helper). The
@@ -86,7 +86,7 @@ class RefRing
 
     // ---- producer ---------------------------------------------------
 
-    /** Empty the ring for a new batch, before its consumer starts. */
+    /** Empty the ring for a new stream, before its consumer starts. */
     void
     reset()
     {
