@@ -9,7 +9,7 @@
 
 #include "base/fault_inject.h"
 #include "base/frame_alloc.h"
-#include "base/rng.h"
+#include "base/hash.h"
 #include "base/stats.h"
 #include "core/smp.h"
 #include "core/virt_machine.h"
@@ -25,7 +25,7 @@
 #include "verify/contracts.h"
 #include "verify/migrate_chaos.h"
 
-namespace hpmp
+namespace hpmp::verify
 {
 
 namespace
@@ -69,9 +69,9 @@ constexpr unsigned kChaosPmptwEntries = 8;
  * a V=1 RWX=0 PTE is a pointer, so they draw execute-only instead.
  */
 Perm
-randomPerm(Rng &rng, bool leaf = false)
+randomPerm(Choices &choices, bool leaf = false)
 {
-    switch (rng.below(5)) {
+    switch (choices.pick(DecisionKind::Op, 5, "perm")) {
       case 0: return Perm::rw();
       case 1: return Perm::ro();
       case 2: return Perm::rx();
@@ -81,13 +81,13 @@ randomPerm(Rng &rng, bool leaf = false)
 }
 
 uint64_t
-randomNapotSize(Rng &rng)
+randomNapotSize(Choices &choices)
 {
     // 4 KiB .. 4 MiB, biased small so many regions fit one window.
     static constexpr uint64_t sizes[] = {
         4_KiB, 4_KiB, 8_KiB, 16_KiB, 64_KiB, 256_KiB, 1_MiB, 4_MiB,
     };
-    return sizes[rng.below(std::size(sizes))];
+    return sizes[choices.pick(DecisionKind::Op, std::size(sizes), "size")];
 }
 
 /**
@@ -133,9 +133,6 @@ struct HartGuest
     unsigned currentNptIndex() const { return usingB ? 1 : 0; }
 };
 
-using verify::Breach;
-using verify::PoisonClass;
-
 MonitorResult
 asResult(const MonitorValue<RasOutcome> &outcome)
 {
@@ -146,14 +143,15 @@ asResult(const MonitorValue<RasOutcome> &outcome)
 /**
  * One campaign: the system with its layer and the op generator; the
  * checks are the shared contracts (verify/contracts.h). Every random
- * draw comes from rng_ in a fixed order (the nested-call probe draws
- * from it too), so a campaign is a pure function of its config.
+ * draw comes from choices_ in a fixed order (the nested-call probe
+ * draws from it too), so a campaign is a pure function of its config
+ * and its draws.
  */
 class Campaign
 {
   public:
     /** Not copyable (as its fixture is): the SmpSystem holds &probe_. */
-    explicit Campaign(const ChaosConfig &config);
+    Campaign(const CampaignConfig &config, Choices &choices);
     ChaosStats run();
 
   private:
@@ -166,7 +164,16 @@ class Campaign
     void registerStats(StatRegistry &registry, bool with_bus);
 
     // ---- helpers over the current population -----------------------
-    void fail(const std::string &why);
+    void fail(const Breach &breach);
+    uint64_t stateKey() const;
+    unsigned pick(uint64_t n, const char *what)
+    {
+        return choices_.pick(DecisionKind::Op, n, what);
+    }
+    bool chance(double p, const char *what)
+    {
+        return choices_.chance(DecisionKind::Op, p, what);
+    }
     std::vector<DomainId> live() const { return monitor_.domainIds(); }
     DomainId pickDomain(bool allow_bogus);
     Addr pickGmsBase(DomainId id);
@@ -200,10 +207,10 @@ class Campaign
     void patrol();
     void collectStats();
 
-    const ChaosConfig &config_;
+    const CampaignConfig &config_;
     ChaosStats stats_;
-    Rng rng_;
-    verify::SystemFixture sys_;
+    Choices &choices_;
+    SystemFixture sys_;
     SmpSystem &smp_ = sys_.smp;
     SecureMonitor &monitor_ = sys_.monitor;
     FaultInjector &injector_ = FaultInjector::instance();
@@ -216,7 +223,7 @@ class Campaign
     std::vector<std::vector<std::pair<Addr, uint64_t>>> mapped_;
 
     StaleChecker checker_;
-    verify::IpiProbe probe_;
+    IpiProbe probe_;
     std::vector<Addr> watchPas_;
     std::vector<HartGuest> guests_;
 
@@ -226,7 +233,7 @@ class Campaign
     DmaEngine dma0_, dma1_;
 
     std::unique_ptr<Scrubber> scrub_;
-    verify::ContainmentAudit ras_;
+    ContainmentAudit ras_;
     // Fleet campaigns: every destroyed tenant's id is remembered so
     // stale-handle probes can keep asserting the recycling contract —
     // a retired DomainId stays a typed denial forever, even after its
@@ -244,11 +251,11 @@ class Campaign
     std::vector<uint64_t> pre_;
 };
 
-Campaign::Campaign(const ChaosConfig &config)
+Campaign::Campaign(const CampaignConfig &config, Choices &choices)
     : config_(config),
-      rng_(config.seed),
+      choices_(choices),
       // The interleaving derives from both the seed and the hart count.
-      sys_(verify::fixtureParams(kChaosPmptwEntries),
+      sys_(fixtureParams(kChaosPmptwEntries),
            {.harts = config.harts,
             .schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts},
            config.scheme),
@@ -258,7 +265,8 @@ Campaign::Campaign(const ChaosConfig &config)
       // 12 % of the Posted/Delivered steps.
       probe_(monitor_, checker_,
              [this](const IpiEvent &) {
-                 return !stats_.failed && rng_.chance(0.12);
+                 return !stats_.failed &&
+                        choices_.chance(DecisionKind::Inject, 0.12, "nested");
              }),
       iopmp_(smp_.mem(), 2),
       dmaBus_(2),
@@ -269,6 +277,8 @@ Campaign::Campaign(const ChaosConfig &config)
       pre_(config.harts, 0)
 {
     stats_.harts = config.harts;
+    if (config.mutateSkipFenceNth != 0)
+        monitor_.testSkipFenceNth(config.mutateSkipFenceNth);
     if (is(ChaosLayer::Os))
         setupOs();
     setupWatches();
@@ -473,24 +483,37 @@ Campaign::registerStats(StatRegistry &registry, bool with_bus)
 
 /** Record the first failure; later ones are consequences of it. */
 void
-Campaign::fail(const std::string &why)
+Campaign::fail(const Breach &breach)
 {
     if (stats_.failed)
         return;
     std::ostringstream os;
     os << "seed " << config_.seed << " harts " << config_.harts << " op #"
-       << index_ << " (" << opName_ << "): " << why;
+       << index_ << " (" << opName_ << "): " << breach.what;
     stats_.failed = true;
     stats_.failure = os.str();
+    stats_.counterexample.violated = true;
+    stats_.counterexample.violation = {breach.kind, stats_.failure, index_,
+                                       stateKey()};
+}
+
+/** The state a violation is stamped with: monitor and every hart. */
+uint64_t
+Campaign::stateKey() const
+{
+    uint64_t key = monitor_.stateDigest();
+    for (unsigned h = 0; h < config_.harts; ++h)
+        key = fnvFold(key, monitor_.hartStateDigest(h));
+    return key;
 }
 
 DomainId
 Campaign::pickDomain(bool allow_bogus)
 {
-    if (allow_bogus && rng_.chance(0.08))
+    if (allow_bogus && chance(0.08, "bogus"))
         return kBogusDomain;
     const auto ids = live();
-    return ids[rng_.below(ids.size())];
+    return ids[pick(ids.size(), "domain")];
 }
 
 Addr
@@ -499,32 +522,32 @@ Campaign::pickGmsBase(DomainId id)
     if (!monitor_.domainExists(id))
         return windowOf(id);
     const auto &list = monitor_.gmsOf(id);
-    if (list.empty() || rng_.chance(0.1)) {
+    if (list.empty() || chance(0.1, "stray")) {
         // A base that (usually) names no GMS.
-        return windowOf(id) + rng_.below(16) * kPageSize;
+        return windowOf(id) + pick(16, "page") * kPageSize;
     }
-    return list[rng_.below(list.size())].base;
+    return list[pick(list.size(), "gms")].base;
 }
 
 Gms
 Campaign::randomGms(DomainId id)
 {
     Gms gms;
-    gms.size = randomNapotSize(rng_);
+    gms.size = randomNapotSize(choices_);
     const Addr window = windowOf(id);
-    gms.base = window + rng_.below(kWindowSize / gms.size) * gms.size;
-    gms.perm = randomPerm(rng_);
-    gms.label = rng_.chance(0.7) ? GmsLabel::Fast : GmsLabel::Slow;
+    gms.base = window + pick(kWindowSize / gms.size, "slot") * gms.size;
+    gms.perm = randomPerm(choices_);
+    gms.label = chance(0.7, "fast") ? GmsLabel::Fast : GmsLabel::Slow;
     // A taste of hostile input: misaligned bases, zero sizes and
     // regions reaching into the monitor-private area. All must be
     // rejected with a typed error and zero state change.
-    if (rng_.chance(0.05))
+    if (chance(0.05, "misalign"))
         gms.base += 0x100;
-    if (rng_.chance(0.03))
+    if (chance(0.03, "zero_size"))
         gms.size = 0;
-    if (rng_.chance(0.04))
+    if (chance(0.04, "in_monitor"))
         gms.base = monitor_.config().monitorBase +
-                   rng_.below(monitor_.config().monitorSize / kPageSize) *
+                   pick(monitor_.config().monitorSize / kPageSize, "page") *
                        kPageSize;
     return gms;
 }
@@ -548,7 +571,7 @@ void
 Campaign::snapshotDigests()
 {
     if (digestChecked_)
-        verify::rollbackDigests(monitor_, pre_);
+        rollbackDigests(monitor_, pre_);
 }
 
 /**
@@ -575,11 +598,11 @@ Campaign::pickPoisonPage(DomainId id)
         return 0;
     const auto &list = monitor_.gmsOf(id);
     for (unsigned attempt = 0; attempt < 8 && !list.empty(); ++attempt) {
-        const Gms &gms = list[rng_.below(list.size())];
+        const Gms &gms = list[pick(list.size(), "gms")];
         if (gms.shared || gms.size < kPageSize)
             continue;
         const Addr page =
-            gms.base + rng_.below(gms.size / kPageSize) * kPageSize;
+            gms.base + pick(gms.size / kPageSize, "page") * kPageSize;
         if (isWatchPage(page) || monitor_.pageQuarantined(page))
             continue;
         return page;
@@ -614,7 +637,7 @@ Campaign::report(PoisonClass cls, Addr pa, DomainId victim, Addr table_root)
     const auto outcome = monitor_.handleMachineCheck(pa);
     if (const Breach b = ras_.after(outcome)) {
         ++stats_.rasBlastViolations;
-        fail(b.what);
+        fail(b);
     }
     return outcome;
 }
@@ -629,7 +652,7 @@ Campaign::report(PoisonClass cls, Addr pa, DomainId victim, Addr table_root)
 MonitorResult
 Campaign::runOp()
 {
-    const unsigned roll = unsigned(rng_.below(100));
+    const unsigned roll = pick(100, "op");
     if (roll < 80)
         return lifecycleOp(roll);
     if (roll < 88) {
@@ -686,34 +709,34 @@ Campaign::lifecycleOp(unsigned roll)
         opName_ = "setLabel";
         const DomainId id = pickDomain(true);
         return monitor_.setLabel(id, pickGmsBase(id),
-                                 rng_.chance(0.5) ? GmsLabel::Fast
-                                                  : GmsLabel::Slow);
+                                 chance(0.5, "fast") ? GmsLabel::Fast
+                                                     : GmsLabel::Slow);
     }
     if (roll < 47) {
         opName_ = "setPerm";
         const DomainId id = pickDomain(true);
-        return monitor_.setPerm(id, pickGmsBase(id), randomPerm(rng_));
+        return monitor_.setPerm(id, pickGmsBase(id), randomPerm(choices_));
     }
     if (roll < 52) {
         opName_ = "shareGms";
         const DomainId owner = pickDomain(false);
         const DomainId peer = pickDomain(true);
         return monitor_.shareGms(owner, pickGmsBase(owner), peer,
-                                 randomPerm(rng_));
+                                 randomPerm(choices_));
     }
     if (roll < 60) {
         opName_ = "hintHotRegion";
         const DomainId id = pickDomain(true);
         Addr base = pickGmsBase(id);
-        uint64_t size = randomNapotSize(rng_);
+        uint64_t size = randomNapotSize(choices_);
         if (monitor_.domainExists(id) && !monitor_.gmsOf(id).empty() &&
-            rng_.chance(0.8)) {
+            chance(0.8, "subrange")) {
             // A NAPOT subrange of an existing GMS (usually valid).
             const auto &list = monitor_.gmsOf(id);
-            const Gms &gms = list[rng_.below(list.size())];
-            size = std::max<uint64_t>(gms.size >> rng_.below(3), kPageSize);
+            const Gms &gms = list[pick(list.size(), "gms")];
+            size = std::max<uint64_t>(gms.size >> pick(3, "shift"), kPageSize);
             if (isPowerOf2(gms.size) && size <= gms.size)
-                base = gms.base + rng_.below(gms.size / size) * size;
+                base = gms.base + pick(gms.size / size, "slot") * size;
         }
         return monitor_.hintHotRegion(id, base, size);
     }
@@ -723,12 +746,12 @@ Campaign::lifecycleOp(unsigned roll)
     }
     opName_ = "attest";
     const DomainId id = pickDomain(false);
-    const uint64_t nonce = rng_.next();
+    const uint64_t nonce = choices_.data(0);
     const auto report = monitor_.attestDomain(id, nonce);
     if (!report.ok)
         return MonitorResult::fail(report.code, report.error);
     if (!monitor_.attestor().verify(report.value, nonce))
-        fail("attestation report failed verification");
+        fail({"attest_verify", "attestation report failed verification"});
     return {};
 }
 
@@ -738,11 +761,11 @@ Campaign::osOp()
     ++stats_.osOps;
     AddressSpace &as = *spaces_[initiator_];
     auto &regions = mapped_[initiator_];
-    switch (rng_.below(4)) {
+    switch (pick(4, "os_op")) {
       case 0: {
         opName_ = "os.mmap";
-        const uint64_t len = (1 + rng_.below(8)) * kPageSize;
-        const auto va = as.tryMmap(len, Perm::rw(), true, rng_.chance(0.7));
+        const uint64_t len = (1 + pick(8, "pages")) * kPageSize;
+        const auto va = as.tryMmap(len, Perm::rw(), true, chance(0.7, "eager"));
         if (va)
             regions.push_back({*va, len});
         return {};
@@ -750,7 +773,7 @@ Campaign::osOp()
       case 1: {
         opName_ = "os.munmap";
         if (!regions.empty()) {
-            const size_t idx = rng_.below(regions.size());
+            const size_t idx = pick(regions.size(), "region");
             as.munmap(regions[idx].first, regions[idx].second);
             // munmap fences through the canonical machine; fence the
             // hart that actually ran it too.
@@ -766,11 +789,11 @@ Campaign::osOp()
             result = monitor_.switchTo(kernelDomain_[initiator_]);
         if (!result.ok || regions.empty())
             return result;
-        const auto &[base, len] = regions[rng_.below(regions.size())];
+        const auto &[base, len] = regions[pick(regions.size(), "region")];
         for (unsigned t = 0; t < 4; ++t) {
-            const Addr va = base + rng_.below(len / kPageSize) * kPageSize;
+            const Addr va = base + pick(len / kPageSize, "page") * kPageSize;
             const AccessType type =
-                rng_.chance(0.5) ? AccessType::Load : AccessType::Store;
+                chance(0.5, "load") ? AccessType::Load : AccessType::Store;
             Machine &m = smp_.hart(initiator_);
             const auto out = m.access(va, type);
             if (out.fault == pageFaultFor(type) && as.handleFault(va, type))
@@ -800,14 +823,14 @@ Campaign::virtOp()
     ++stats_.virtOps;
     VirtMachine &vm = smp_.virtHart(initiator_);
     HartGuest &hg = guests_[initiator_];
-    switch (rng_.below(4)) {
+    switch (pick(4, "virt_op")) {
       case 0: {
         opName_ = "virt.touch";
         for (unsigned t = 0; t < 4; ++t) {
             const Addr gva =
-                kChaosGuestVaBase + rng_.below(kGuestPages) * kPageSize;
-            vm.access(gva, rng_.chance(0.5) ? AccessType::Load
-                                            : AccessType::Store);
+                kChaosGuestVaBase + pick(kGuestPages, "page") * kPageSize;
+            vm.access(gva, chance(0.5, "load") ? AccessType::Load
+                                               : AccessType::Store);
         }
         break;
       }
@@ -827,8 +850,8 @@ Campaign::virtOp()
       }
       case 2: {
         opName_ = "virt.gpt_remap";
-        const unsigned p = unsigned(rng_.below(kGuestPages));
-        const Perm np = randomPerm(rng_, true);
+        const unsigned p = pick(kGuestPages, "page");
+        const Perm np = randomPerm(choices_, true);
         const Addr gva = kChaosGuestVaBase + p * kPageSize;
         // Page 1 keeps U clear so its fetch watch stays live.
         rewriteLeaf(smp_.mem(), *hg.gpt, gva, hg.dataBase + p * kPageSize,
@@ -840,8 +863,8 @@ Campaign::virtOp()
       }
       default: {
         opName_ = "virt.npt_remap";
-        const unsigned p = unsigned(rng_.below(kGuestPages));
-        const Perm np = randomPerm(rng_, true);
+        const unsigned p = pick(kGuestPages, "page");
+        const Perm np = randomPerm(choices_, true);
         const Addr gpa = hg.dataBase + p * kPageSize;
         rewriteLeaf(smp_.mem(), hg.currentNpt(), gpa, gpa, np);
         hg.nptPerm[hg.currentNptIndex()][p] = np;
@@ -857,7 +880,7 @@ MonitorResult
 Campaign::fleetOp()
 {
     ++stats_.fleetOps;
-    switch (rng_.below(4)) {
+    switch (pick(4, "fleet_op")) {
       case 0: {
         // Coalesced epoch: a batch of switches from rotating harts
         // defers into one shared shootdown window; the flush runs the
@@ -866,9 +889,10 @@ Campaign::fleetOp()
         opName_ = "fleet.epoch";
         ++stats_.fleetEpochs;
         monitor_.beginCoalescedWindow();
-        const unsigned batch = 2 + unsigned(rng_.below(4));
+        const unsigned batch = 2 + pick(4, "batch");
         for (unsigned b = 0; b < batch; ++b) {
-            smp_.setCurrentHart(unsigned(rng_.below(config_.harts)));
+            smp_.setCurrentHart(
+                choices_.pick(DecisionKind::Sched, config_.harts, ""));
             const MonitorResult r = monitor_.switchTo(pickDomain(true));
             if (!r.ok && r.code == MonitorError::InjectedFault)
                 ++stats_.injectedFaults;
@@ -883,16 +907,17 @@ Campaign::fleetOp()
         opName_ = "fleet.stale";
         if (retired_.empty())
             return {};
-        const DomainId old = retired_[rng_.below(retired_.size())];
+        const DomainId old = retired_[pick(retired_.size(), "retired")];
         const MonitorResult r = monitor_.switchTo(old);
         if (r.ok) {
-            fail("retired domain id " + std::to_string(old) +
-                 " was honoured");
+            fail({"stale_handle", "retired domain id " + std::to_string(old) +
+                                      " was honoured"});
         } else if (r.code != MonitorError::StaleHandle &&
                    r.code != MonitorError::NoSuchDomain &&
                    r.code != MonitorError::InjectedFault) {
-            fail(std::string("retired id denied with the wrong error: ") +
-                 toString(r.code));
+            fail({"stale_handle",
+                  std::string("retired id denied with the wrong error: ") +
+                      toString(r.code)});
         } else if (r.code != MonitorError::InjectedFault) {
             ++stats_.fleetStaleProbes;
         }
@@ -927,7 +952,7 @@ Campaign::rasOp()
         "ras.scrub", "ras.monitor", "ras.suspended",
     };
     ++stats_.rasOps;
-    const unsigned sub = unsigned(rng_.below(6));
+    const unsigned sub = pick(6, "ras_op");
     opName_ = kNames[sub];
     // A degraded host takes no new poison; the patrol keeps reporting.
     if (monitor_.rasFatal())
@@ -956,7 +981,7 @@ Campaign::rasData()
     const Addr page = pickPoisonPage(victim);
     if (!page)
         return {};
-    const Addr line = page + rng_.below(64) * 64;
+    const Addr line = page + pick(64, "line") * 64;
     smp_.mem().poisonLine(line);
     ++stats_.rasPoisons;
     Perm perm;
@@ -964,7 +989,7 @@ Campaign::rasData()
         if (gms.base <= page && page < gms.base + gms.size)
             perm = gms.perm;
     }
-    if (perm.allows(AccessType::Load) && rng_.chance(0.6)) {
+    if (perm.allows(AccessType::Load) && chance(0.6, "consume")) {
         // Read it back the way a core would: switch to the owner and
         // load — the fill must fail closed with a typed machine check,
         // never a panic.
@@ -975,8 +1000,8 @@ Campaign::rasData()
         const auto out = smp_.hart(initiator_).access(line, AccessType::Load);
         if (out.fault == Fault::MachineCheck)
             ++stats_.rasMachineChecks;
-        if (const Breach b = verify::ContainmentAudit::consumption(out, line)) {
-            fail(b.what);
+        if (const Breach b = ContainmentAudit::consumption(out, line)) {
+            fail(b);
             return {};
         }
     }
@@ -996,9 +1021,9 @@ Campaign::rasPmpte()
     if (!table || table->tablePages().empty())
         return {};
     const auto &frames = table->tablePages();
-    const Addr frame = frames[rng_.below(frames.size())];
+    const Addr frame = frames[pick(frames.size(), "frame")];
     const Addr root = table->rootPa();
-    smp_.mem().poisonLine(frame + rng_.below(64) * 64);
+    smp_.mem().poisonLine(frame + pick(64, "line") * 64);
     ++stats_.rasPoisons;
     // A typed heal failure (injected fault) must have restored the
     // poisoned table bit-identically — the rollback audits verify
@@ -1012,10 +1037,10 @@ Campaign::rasPmpte()
     }
     // Re-attest: the rebuilt table must produce the same verifiable
     // report a fresh enrolment would.
-    const uint64_t nonce = rng_.next();
+    const uint64_t nonce = choices_.data(0);
     const auto attest = monitor_.attestDomain(victim, nonce);
     if (const Breach b = ras_.healAttestation(nullptr, attest, nonce))
-        fail(b.what);
+        fail(b);
     return {};
 }
 
@@ -1023,11 +1048,11 @@ Campaign::rasPmpte()
 MonitorResult
 Campaign::rasFree()
 {
-    const Addr page = windowOf(DomainId(rng_.below(kWindows))) +
-                      rng_.below(kWindowSize / kPageSize) * kPageSize;
+    const Addr page = windowOf(pick(kWindows, "window")) +
+                      pick(kWindowSize / kPageSize, "page") * kPageSize;
     if (ownerOf(page) || isWatchPage(page) || monitor_.pageQuarantined(page))
         return {};
-    smp_.mem().poisonLine(page + rng_.below(64) * 64);
+    smp_.mem().poisonLine(page + pick(64, "line") * 64);
     ++stats_.rasPoisons;
     return asResult(report(PoisonClass::Free, page, 0));
 }
@@ -1039,8 +1064,9 @@ Campaign::rasFree()
 MonitorResult
 Campaign::rasScrub()
 {
-    if (rng_.chance(0.5))
-        injector_.armNth("ras.poison_scrub", 1 + rng_.below(64));
+    if (choices_.chance(DecisionKind::Fault, 0.5, "ras.poison_scrub"))
+        injector_.armNth("ras.poison_scrub",
+                         1 + choices_.pick(DecisionKind::Fault, 64, "nth"));
     for (unsigned b = 0; b < 4; ++b) {
         const auto hit = scrub_->step();
         if (!hit)
@@ -1062,13 +1088,13 @@ Campaign::rasScrub()
 MonitorResult
 Campaign::rasMonitor()
 {
-    if (index_ < config_.ops * 3 / 4 || !rng_.chance(0.1))
+    if (index_ < config_.ops * 3 / 4 || !chance(0.1, "monitor_poison"))
         return {};
     const MonitorConfig &mcfg = monitor_.config();
     Addr page = 0;
     for (unsigned attempt = 0; attempt < 8 && !page; ++attempt) {
         const Addr cand = mcfg.monitorBase +
-                          rng_.below(mcfg.monitorSize / kPageSize) * kPageSize;
+                          pick(mcfg.monitorSize / kPageSize, "page") * kPageSize;
         bool table_frame = false;
         for (DomainId id : live()) {
             const PmpTable *t = monitor_.tablePeek(id);
@@ -1088,8 +1114,8 @@ Campaign::rasMonitor()
     // Degrade, not crash: the registry is intact and every mutating
     // call is now a typed denial.
     const MonitorResult denied = monitor_.switchTo(pickDomain(false));
-    if (const Breach b = verify::ContainmentAudit::degradedCall(denied))
-        fail(b.what);
+    if (const Breach b = ContainmentAudit::degradedCall(denied))
+        fail(b);
     return {};
 }
 
@@ -1123,12 +1149,12 @@ Campaign::dmaOp()
 {
     opName_ = "dma";
     ++stats_.dmaOps;
-    const unsigned master = unsigned(rng_.below(2));
+    const unsigned master = pick(2, "master");
     const Addr window = windowOf(master);
-    const Addr src = window + rng_.below(64) * kPageSize;
-    const Addr dst = window + kWindowSize / 2 + rng_.below(64) * kPageSize;
+    const Addr src = window + pick(64, "page") * kPageSize;
+    const Addr dst = window + kWindowSize / 2 + pick(64, "page") * kPageSize;
     DmaEngine &dma = master == 0 ? dma0_ : dma1_;
-    const auto xfer = dma.transfer(src, dst, 256 + rng_.below(4) * 256);
+    const auto xfer = dma.transfer(src, dst, 256 + pick(4, "len") * 256);
     if (xfer.busWaitCycles != 0) {
         ++stats_.dmaBusWaits;
         stats_.dmaBusWaitCycles += xfer.busWaitCycles;
@@ -1144,7 +1170,7 @@ Campaign::dmaOp()
         if (!outcome.ok)
             result = MonitorResult::fail(outcome.code, outcome.error);
     }
-    if (rng_.chance(0.25))
+    if (chance(0.25, "flush"))
         iopmp_.flushCaches();
     return result;
 }
@@ -1203,13 +1229,13 @@ Campaign::audit(const MonitorResult &result)
     if (convergence)
         ++stats_.convergenceChecks;
     ++stats_.invariantChecks;
-    if (const Breach b = verify::auditOp(
+    if (const Breach b = auditOp(
             monitor_, checker_, probe_,
             {.result = &result,
              .pre = digestChecked_ ? &pre_ : nullptr,
              .convergence = convergence,
              .where = opName_})) {
-        fail(b.what);
+        fail(b);
         return false;
     }
     return true;
@@ -1231,10 +1257,10 @@ Campaign::patrol()
     const auto outcome =
         report(PoisonClass::Scrubbed, *hit, ownerOf(*hit).value_or(0));
     if (!outcome.ok && outcome.code != MonitorError::RasFatal)
-        fail("patrol report failed: " + outcome.error);
+        fail({"patrol_report", "patrol report failed: " + outcome.error});
     // A nested call that leaked during the patrol fails here.
     if (probe_.breach())
-        fail(probe_.breach().what);
+        fail(probe_.breach());
 }
 
 ChaosStats
@@ -1246,16 +1272,17 @@ Campaign::run()
         // Every op initiates from a random hart: the monitor must
         // program the canonical unit and converge everyone else no
         // matter who trapped in.
-        initiator_ = unsigned(rng_.below(config_.harts));
+        initiator_ = choices_.pick(DecisionKind::Sched, config_.harts, "");
         smp_.setCurrentHart(initiator_);
 
         // Arm a fault for this op with the configured probability: the
         // Nth upcoming site hit, whatever site that turns out to be.
-        const bool armed = rng_.chance(config_.faultProb);
+        const bool armed =
+            choices_.chance(DecisionKind::Fault, config_.faultProb, "arm");
         digestChecked_ = armed || index_ % 8 == 0;
         snapshotDigests();
         if (armed)
-            injector_.armAnyNth(1 + rng_.below(8));
+            injector_.armAnyNth(1 + choices_.pick(DecisionKind::Fault, 8, "nth"));
 
         const MonitorResult result = runOp();
         injector_.clearPlans(); // disarm anything that did not fire
@@ -1304,7 +1331,7 @@ Campaign::collectStats()
         // anything else means containment escalated past its class.
         if (const Breach b = ras_.finish(); b && !stats_.failed) {
             ++stats_.rasBlastViolations;
-            fail(b.what);
+            fail(b);
         }
     }
 
@@ -1322,11 +1349,25 @@ Campaign::collectStats()
 } // namespace
 
 ChaosStats
-runChaos(const ChaosConfig &config)
+runChaos(const CampaignConfig &config, Choices &choices)
 {
     if (config.layer == ChaosLayer::Migrate)
-        return verify::runTwoHostCampaign(config);
-    return Campaign(config).run();
+        return runTwoHostCampaign(config, choices);
+    return Campaign(config, choices).run();
 }
 
-} // namespace hpmp
+ChaosStats
+runChaos(const CampaignConfig &config)
+{
+    SeededChoices choices(config.seed);
+    ChaosStats stats = runChaos(config, choices);
+    if (stats.failed) {
+        CampaignConfig header = config;
+        header.script = "chaos";
+        stats.counterexample.decisions = std::move(choices.made);
+        stats.counterexample.configLines = header.configLines();
+    }
+    return stats;
+}
+
+} // namespace hpmp::verify

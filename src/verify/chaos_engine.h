@@ -22,8 +22,11 @@
  *
  * and every success that degraded (Hpmp fast-GMS demotion) says so.
  *
- * Everything is derived from one 64-bit seed, so any failure the CI
- * chaos job finds is replayed exactly with `chaos_fuzz --seed N`.
+ * Every random draw goes through verify::Choices. runChaos(config)
+ * draws from a SeededChoices keyed by config.seed and turns a failure
+ * into a counterexample trace in the model checker's format;
+ * ModelChecker::replay re-runs it bit-exactly, and minimize shrinks
+ * it, through runPath's "chaos" script.
  */
 
 #ifndef HPMP_VERIFY_CHAOS_ENGINE_H
@@ -32,105 +35,11 @@
 #include <cstdint>
 #include <string>
 
-#include "hpmp/isolation.h"
+#include "verify/decision.h"
+#include "verify/harness.h"
 
-namespace hpmp
+namespace hpmp::verify
 {
-
-/**
- * The extra op family a campaign adds to the base mix (domain
- * lifecycle, DMA, audits). One layer per campaign: each layer takes
- * sole charge of something the others would disturb — the harts'
- * page tables, their guests, the domain population, or a second host.
- */
-enum class ChaosLayer
-{
-    None,
-    /**
-     * A per-hart kernel (own domain, contiguous PT pool) with an
-     * address space per hart: random mmap/munmap/touch/demand-fault
-     * traffic and satp rewrites. Exercises the os.page_alloc /
-     * os.pt_pool_miss fault sites under the same injection plans as
-     * the monitor calls.
-     */
-    Os,
-    /**
-     * A VirtMachine guest on every hart. Guests run their own GPT/NPT
-     * pairs, switch hgatp between nested tables, remap GPT/NPT leaves,
-     * and route every vsatp/hgatp write through the hfence shootdown;
-     * the stale checker's two-stage oracle audits each protocol step.
-     */
-    Virt,
-    /**
-     * Fleet serving: coalesced epochs (several domain switches from
-     * rotating harts batched into one shootdown window), tenant churn
-     * with retired-id tracking, stale-handle probes (every retired
-     * DomainId must stay a typed denial after its slot is recycled),
-     * and same-domain re-switches exercising the empty-diff shootdown
-     * elision.
-     */
-    Fleet,
-    /**
-     * Memory poison across the blast-radius classes — a victim
-     * enclave's data pages, pmpte frames of a live PMP Table,
-     * free/host frames, and (rarely, late in the campaign) the
-     * monitor-private region — detected through real consumers (hart
-     * accesses, DMA beats, a background patrol scrubber) and routed
-     * into SecureMonitor::handleMachineCheck. After every containment
-     * the campaign audits the blast-radius contract: only the owning
-     * domain dies, self-heals leave the measurement bit-identical and
-     * the domain grantable, free-frame poison touches nobody, and
-     * monitor poison degrades exactly the whole host (every mutating
-     * call a typed RasFatal denial, reads still up).
-     */
-    Ras,
-    /**
-     * Two hosts — two SmpSystems with their own monitors — that
-     * ping-pong domains through the live-migration engine
-     * (src/migrate/) while faults hit the protocol's named sites.
-     * Aborts must leave the source digest bit-identical and the domain
-     * grantable; commits leave the domain on exactly one host with its
-     * memory intact; the cross-system oracle must see no dual-grant
-     * window (verify/migrate_chaos.h).
-     */
-    Migrate,
-};
-
-/** One fuzz campaign's parameters. */
-struct ChaosConfig
-{
-    uint64_t seed = 1;
-    unsigned ops = 1000;
-    IsolationScheme scheme = IsolationScheme::Hpmp;
-    /** Probability that an op runs with a fault armed at a random site. */
-    double faultProb = 0.25;
-    /**
-     * Harts in the system. Every op initiates from a random hart, so
-     * with more than one hart the IPI shootdowns (fault injection in
-     * delivery/ack), the per-hart rollback digests and the
-     * convergence checks all have siblings to work on.
-     */
-    unsigned harts = 1;
-    ChaosLayer layer = ChaosLayer::None;
-    /**
-     * When set, receives the campaign's full stats-registry JSON
-     * (monitor + machine observability counters) captured just before
-     * the campaign's machine is torn down.
-     */
-    std::string *statsJsonOut = nullptr;
-    /**
-     * When set, receives a windowed time-series of the same registry
-     * (StatSampler::dumpJson): every counter snapshotted each
-     * statsSeriesInterval simulated cycles of monitor work, so a
-     * campaign's telemetry can be plotted over time instead of only
-     * summed at the end. The campaign clock is the monitor's
-     * call_cycles distribution sum (both monitors' sums added for
-     * --migrate), which advances exactly with the simulated work.
-     */
-    std::string *statsSeriesOut = nullptr;
-    /** Simulated cycles between stats-series samples. */
-    uint64_t statsSeriesInterval = 10000;
-};
 
 /** Campaign outcome and coverage counters. */
 struct ChaosStats
@@ -200,14 +109,23 @@ struct ChaosStats
 
     bool failed = false;   //!< an invariant or rollback check tripped
     std::string failure;   //!< description, mentions op index + seed
+    /**
+     * The first violation (kind, description, op, state digest); from
+     * runChaos(config), also the draws made and the config header: a
+     * counterexample ModelChecker::replay re-runs bit-exactly.
+     */
+    DecisionTrace counterexample;
 };
 
 /**
- * Run one campaign of any layer. Deterministic in config.seed and
- * config.harts (the interleaving derives from both).
+ * Run one campaign of any layer with seeded draws. Deterministic in
+ * config.seed and config.harts (the interleaving derives from both).
  */
-ChaosStats runChaos(const ChaosConfig &config);
+ChaosStats runChaos(const CampaignConfig &config);
 
-} // namespace hpmp
+/** Run one campaign with every draw taken from `choices`. */
+ChaosStats runChaos(const CampaignConfig &config, Choices &choices);
+
+} // namespace hpmp::verify
 
 #endif // HPMP_VERIFY_CHAOS_ENGINE_H

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "base/logging.h"
+
 namespace hpmp::verify
 {
 
@@ -17,6 +19,7 @@ toString(DecisionKind kind)
       case DecisionKind::Sched: return "sched";
       case DecisionKind::Fault: return "fault";
       case DecisionKind::Inject: return "inject";
+      case DecisionKind::Op: return "op";
     }
     return "?";
 }
@@ -27,8 +30,8 @@ namespace
 bool
 kindFromString(const std::string &s, DecisionKind &out)
 {
-    for (const DecisionKind kind :
-         {DecisionKind::Sched, DecisionKind::Fault, DecisionKind::Inject}) {
+    for (const DecisionKind kind : {DecisionKind::Sched, DecisionKind::Fault,
+                                    DecisionKind::Inject, DecisionKind::Op}) {
         if (s == toString(kind)) {
             out = kind;
             return true;
@@ -70,6 +73,73 @@ parseUnsigned(const std::string &text, uint64_t &out)
     errno = 0;
     out = std::strtoull(text.c_str(), &end, 0);
     return errno == 0 && *end == '\0';
+}
+
+bool
+parseProbability(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    const double p = std::strtod(text.c_str(), &end);
+    // NaN fails both comparisons.
+    if (text.empty() || *end != '\0' || !(p >= 0.0 && p <= 1.0))
+        return false;
+    out = p;
+    return true;
+}
+
+unsigned
+SeededChoices::pick(DecisionKind kind, uint64_t n, const std::string &label)
+{
+    const unsigned alt = unsigned(rng_.below(n));
+    if (n > 1)
+        made.push_back({kind, alt, unsigned(n), alt, label});
+    return alt;
+}
+
+bool
+SeededChoices::chance(DecisionKind kind, double p, const std::string &label)
+{
+    const bool taken = rng_.chance(p);
+    made.push_back({kind, taken, 2, taken, label});
+    return taken;
+}
+
+unsigned
+PathController::pick(DecisionKind kind, uint64_t n, const std::string &label)
+{
+    panic_if(n == 0 || n > UINT32_MAX, "decision point with %llu alternatives",
+             (unsigned long long)n);
+    if (n > 1 && depthLimit != 0 && made.size() >= depthLimit)
+        truncated = true;
+    if (n == 1 || truncated)
+        return 0;
+    Decision d{kind, 0, unsigned(n), 0, label};
+    if (!pastPrefix() && !divergence) {
+        const Decision &f = (*forced)[made.size()];
+        if (f.kind != kind || f.numAlts != n || f.altIndex >= n) {
+            divergence = true;
+            divergenceWhy = "decision #" + std::to_string(made.size()) +
+                            ": trace has " + toString(f.kind) + " " +
+                            std::to_string(f.altIndex) + "/" +
+                            std::to_string(f.numAlts) + ", run offers " +
+                            toString(kind) + " ?/" + std::to_string(n);
+        } else {
+            d.altIndex = d.value = f.altIndex;
+        }
+    }
+    made.push_back(d);
+    return d.altIndex;
+}
+
+unsigned
+PathController::choose(DecisionKind kind, const std::vector<unsigned> &alts,
+                       const std::string &label)
+{
+    const size_t recorded = made.size();
+    const unsigned alt = alts[pick(kind, alts.size(), label)];
+    if (made.size() != recorded)
+        made.back().value = alt;
+    return alt;
 }
 
 std::string

@@ -76,7 +76,7 @@ struct ReplayReport
 class ModelChecker
 {
   public:
-    explicit ModelChecker(ModelConfig config) : config_(std::move(config))
+    explicit ModelChecker(CampaignConfig config) : config_(std::move(config))
     {}
 
     /**
@@ -108,14 +108,11 @@ class ModelChecker
     ReplayReport replayWithChromeDump(const DecisionTrace &trace,
                                       const std::string &jsonPath);
 
-    const ModelConfig &config() const { return config_; }
-    /** Runs spent inside minimize() (for stats reporting). */
-    uint64_t minimizeRuns() const { return minimizeRuns_; }
 
   private:
     DecisionTrace makeTrace(const RunOutcome &outcome) const;
 
-    ModelConfig config_;
+    CampaignConfig config_;
     uint64_t minimizeRuns_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "migrate/migration.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
+#include "verify/chaos_engine.h"
 #include "verify/contracts.h"
 
 namespace hpmp::verify
@@ -45,76 +47,15 @@ napotPages(unsigned pages)
     return p;
 }
 
-// ---- the decision tap shared by all three nondeterminism sources --
-
-struct PathController
-{
-    const std::vector<Decision> *forced = nullptr;
-    std::vector<Decision> made;
-    unsigned depthLimit = 0;
-    unsigned faultBudget = 0;
-    unsigned injectBudget = 0;
-    unsigned faultsFired = 0;
-    unsigned injectsDone = 0;
-    bool truncated = false;
-    bool divergence = false;
-    std::string divergenceWhy;
-
-    bool pastPrefix() const
-    {
-        return !forced || made.size() >= forced->size();
-    }
-
-    /**
-     * Record one branch point and return the alternative to take:
-     * the forced prefix's choice while replaying, the default
-     * (alts[0]) beyond it. Single-alternative points are not
-     * decisions and are not recorded.
-     */
-    unsigned
-    choose(DecisionKind kind, const std::vector<unsigned> &alts,
-           const std::string &label)
-    {
-        panic_if(alts.empty(), "decision point with no alternatives");
-        if (alts.size() == 1 || truncated)
-            return alts[0];
-        if (depthLimit != 0 && made.size() >= depthLimit) {
-            truncated = true;
-            return alts[0];
-        }
-        Decision d;
-        d.kind = kind;
-        d.numAlts = unsigned(alts.size());
-        d.label = label;
-        if (!pastPrefix() && !divergence) {
-            const Decision &f = (*forced)[made.size()];
-            if (f.kind != kind || f.numAlts != d.numAlts ||
-                f.altIndex >= d.numAlts) {
-                divergence = true;
-                divergenceWhy =
-                    "decision #" + std::to_string(made.size()) +
-                    ": trace has " + std::string(toString(f.kind)) +
-                    " " + std::to_string(f.altIndex) + "/" +
-                    std::to_string(f.numAlts) + ", run offers " +
-                    std::string(toString(kind)) + " ?/" +
-                    std::to_string(d.numAlts);
-            } else {
-                d.altIndex = f.altIndex;
-            }
-        }
-        d.value = alts[d.altIndex];
-        made.push_back(d);
-        return d.value;
-    }
-};
-
-const std::vector<unsigned> kBinaryAlts{0, 1};
-
 constexpr std::pair<const char *, IsolationScheme> kSchemeNames[] = {
     {"hpmp", IsolationScheme::Hpmp},
     {"pmpt", IsolationScheme::PmpTable},
     {"pmp", IsolationScheme::Pmp},
 };
+
+/** Config names of the chaos layers, indexed by ChaosLayer. */
+constexpr const char *kLayerNames[] = {"none", "os",  "virt",
+                                       "fleet", "ras", "migrate"};
 
 /** Record the path's violation, stamped with the state key at detection. */
 void
@@ -123,7 +64,6 @@ recordViolation(RunOutcome &out, const std::string &kind,
 {
     out.violated = true;
     out.violation = {kind, what, op, key};
-    out.finalDigest = key;
 }
 
 /**
@@ -148,7 +88,7 @@ finishPath(PathController &ctl, RunOutcome &out, bool count_decisions)
 /**
  * One path's decision state with the fault-branch tap installed. The
  * controller replays `forced`; while the fault budget lasts, every
- * hit of a branchable site (ModelConfig::effectiveSites) is a binary
+ * hit of a branchable site (CampaignConfig::effectiveSites) is a binary
  * Fault decision. The injector is process-global, so destruction
  * disables it: a path never leaks its controller.
  */
@@ -158,7 +98,7 @@ struct FaultBranching
     std::set<std::string> sites;
     bool firedThisOp = false; //!< set by the tap; the scenario clears it
 
-    FaultBranching(const ModelConfig &cfg,
+    FaultBranching(const CampaignConfig &cfg,
                    const std::vector<Decision> *forced,
                    unsigned inject_budget)
     {
@@ -175,7 +115,7 @@ struct FaultBranching
                 return false;
             if (sites.find(site) == sites.end())
                 return false;
-            if (ctl.choose(DecisionKind::Fault, kBinaryAlts, site) != 1)
+            if (ctl.pick(DecisionKind::Fault, 2, site) != 1)
                 return false;
             ++ctl.faultsFired;
             firedThisOp = true;
@@ -218,7 +158,7 @@ struct ScriptOp
 };
 
 std::vector<std::vector<ScriptOp>>
-buildCoreScript(const ModelConfig &cfg)
+buildCoreScript(const CampaignConfig &cfg)
 {
     const uint64_t gmsBytes = napotPages(cfg.pages) * kPageSize;
     const Addr pageA = regionOf(1);
@@ -280,7 +220,7 @@ buildCoreScript(const ModelConfig &cfg)
 } // namespace
 
 std::vector<std::string>
-ModelConfig::effectiveSites() const
+CampaignConfig::effectiveSites() const
 {
     if (!faultSites.empty())
         return faultSites;
@@ -301,32 +241,42 @@ ModelConfig::effectiveSites() const
 }
 
 std::vector<std::string>
-ModelConfig::configLines() const
+CampaignConfig::configLines() const
 {
-    std::vector<std::string> lines;
-    lines.push_back("harts=" + std::to_string(harts));
-    lines.push_back("domains=" + std::to_string(domains));
-    lines.push_back("pages=" + std::to_string(pages));
+    std::string schemeLine;
     for (const auto &[name, value] : kSchemeNames) {
         if (value == scheme)
-            lines.push_back(std::string("scheme=") + name);
+            schemeLine = std::string("scheme=") + name;
     }
-    lines.push_back("script=" + script);
-    lines.push_back("depth=" + std::to_string(depthLimit));
-    lines.push_back("fault_branch=" + std::to_string(faultBranch ? 1 : 0));
-    lines.push_back("max_faults=" + std::to_string(maxFaults));
-    lines.push_back("max_injects=" + std::to_string(maxInjects));
+    const std::string mutateLine =
+        "mutate_skip_fence=" + std::to_string(mutateSkipFenceNth);
+    if (script == "chaos") {
+        char prob[32];
+        std::snprintf(prob, sizeof(prob), "%.17g", faultProb);
+        return {"harts=" + std::to_string(harts), schemeLine, "script=chaos",
+                "seed=" + std::to_string(seed), "ops=" + std::to_string(ops),
+                std::string("fault_prob=") + prob,
+                std::string("layer=") + kLayerNames[unsigned(layer)],
+                mutateLine};
+    }
     std::string sites;
     for (const std::string &site : effectiveSites())
         sites += (sites.empty() ? "" : ",") + site;
-    lines.push_back("sites=" + sites);
-    lines.push_back("mutate_skip_fence=" +
-                    std::to_string(mutateSkipFenceNth));
-    return lines;
+    return {"harts=" + std::to_string(harts),
+            "domains=" + std::to_string(domains),
+            "pages=" + std::to_string(pages),
+            schemeLine,
+            "script=" + script,
+            "depth=" + std::to_string(depthLimit),
+            "fault_branch=" + std::to_string(faultBranch ? 1 : 0),
+            "max_faults=" + std::to_string(maxFaults),
+            "max_injects=" + std::to_string(maxInjects),
+            "sites=" + sites,
+            mutateLine};
 }
 
 bool
-ModelConfig::applyConfigLine(const std::string &line, std::string &error)
+CampaignConfig::applyConfigLine(const std::string &line, std::string &error)
 {
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
@@ -345,13 +295,14 @@ ModelConfig::applyConfigLine(const std::string &line, std::string &error)
         out = std::remove_reference_t<decltype(out)>(v);
         return true;
     };
-    static constexpr std::pair<const char *, unsigned ModelConfig::*>
-        kCounts[] = {{"harts", &ModelConfig::harts},
-                     {"domains", &ModelConfig::domains},
-                     {"pages", &ModelConfig::pages},
-                     {"depth", &ModelConfig::depthLimit},
-                     {"max_faults", &ModelConfig::maxFaults},
-                     {"max_injects", &ModelConfig::maxInjects}};
+    static constexpr std::pair<const char *, unsigned CampaignConfig::*>
+        kCounts[] = {{"harts", &CampaignConfig::harts},
+                     {"domains", &CampaignConfig::domains},
+                     {"pages", &CampaignConfig::pages},
+                     {"depth", &CampaignConfig::depthLimit},
+                     {"max_faults", &CampaignConfig::maxFaults},
+                     {"max_injects", &CampaignConfig::maxInjects},
+                     {"ops", &CampaignConfig::ops}};
     for (const auto &[name, field] : kCounts) {
         if (key == name)
             return toU(this->*field, UINT32_MAX);
@@ -360,22 +311,36 @@ ModelConfig::applyConfigLine(const std::string &line, std::string &error)
         return toU(faultBranch, 1);
     if (key == "mutate_skip_fence")
         return toU(mutateSkipFenceNth, UINT64_MAX);
-    if (key == "script") {
-        if (val != "core" && val != "migrate" && val != "ras") {
-            error = "unknown script '" + val + "'";
-            return false;
-        }
+    if (key == "seed")
+        return toU(seed, UINT64_MAX);
+    if (key == "stats_interval")
+        return toU(statsSeriesInterval, UINT64_MAX);
+    if (key == "fault_prob") {
+        if (parseProbability(val, faultProb))
+            return true;
+        error = "bad value for fault_prob: '" + val + "' (not in [0, 1])";
+        return false;
+    }
+    static const std::set<std::string> kScripts{"core", "migrate", "ras",
+                                                "chaos"};
+    if (key == "script" && kScripts.count(val)) {
         script = val;
         return true;
     }
-    if (key == "scheme") {
-        for (const auto &[name, value] : kSchemeNames) {
-            if (val == name) {
-                scheme = value;
-                return true;
-            }
+    for (const auto &[name, value] : kSchemeNames) {
+        if (key == "scheme" && val == name) {
+            scheme = value;
+            return true;
         }
-        error = "unknown scheme '" + val + "'";
+    }
+    for (unsigned i = 0; i < std::size(kLayerNames); ++i) {
+        if (key == "layer" && val == kLayerNames[i]) {
+            layer = ChaosLayer(i);
+            return true;
+        }
+    }
+    if (key == "script" || key == "scheme" || key == "layer") {
+        error = "unknown " + key + " '" + val + "'";
         return false;
     }
     if (key == "sites") {
@@ -400,7 +365,7 @@ namespace
  * on explicit-state dedup (nullptr during replay/minimization).
  */
 RunOutcome
-runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
+runCorePath(const CampaignConfig &cfg, const std::vector<Decision> *forced,
             StateSet *visited)
 {
     RunOutcome out;
@@ -442,7 +407,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         }
         const std::string label = std::string(toString(event.phase)) +
                                   "@h" + std::to_string(event.dstHart);
-        if (ctl.choose(DecisionKind::Inject, kBinaryAlts, label) != 1)
+        if (ctl.pick(DecisionKind::Inject, 2, label) != 1)
             return false;
         ++ctl.injectsDone;
         return true;
@@ -496,7 +461,6 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
         const unsigned hart = smp.pickHart();
         const ScriptOp &op = script[hart][pc[hart]++];
         ++opIndex;
-        ++out.opsExecuted;
         smp.setCurrentHart(hart);
         branching.firedThisOp = false;
 
@@ -562,8 +526,6 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
     }
 
     finishPath(ctl, out, false);
-    if (!out.violated)
-        out.finalDigest = stateKey();
     smp.setInterleaveHook(nullptr);
     smp.setSchedHook(nullptr);
     return out;
@@ -576,7 +538,7 @@ runCorePath(const ModelConfig &cfg, const std::vector<Decision> *forced,
  * digest-exact abort restore, and commit/stranded grant placement.
  */
 RunOutcome
-runMigratePath(const ModelConfig &cfg,
+runMigratePath(const CampaignConfig &cfg,
                const std::vector<Decision> *forced)
 {
     RunOutcome out;
@@ -607,17 +569,12 @@ runMigratePath(const ModelConfig &cfg,
     PathController &ctl = branching.ctl;
 
     const MigrateResult res = engine.migrate(d, /*nonce=*/1);
-    ++out.opsExecuted;
-
-    if (const Breach b = judgeMigration(res, src, d, dst, oracle))
-        recordViolation(out, b.kind, b.what, 0, 0);
-
+    if (const Breach b = judgeMigration(res, src, d, dst, oracle)) {
+        recordViolation(out, b.kind, b.what, 0,
+                        fnvFold(fnvFold(src.stateDigest(), dst.stateDigest()),
+                                ctl.faultsFired));
+    }
     finishPath(ctl, out, true);
-    uint64_t key =
-        fnvFold(src.stateDigest(), dst.stateDigest());
-    out.finalDigest = fnvFold(key, ctl.faultsFired);
-    if (out.violated)
-        out.violation.stateDigest = out.finalDigest;
     return out;
 }
 
@@ -633,7 +590,7 @@ runMigratePath(const ModelConfig &cfg,
  * rollback of failed containments, and quarantine idempotency.
  */
 RunOutcome
-runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
+runRasPath(const CampaignConfig &cfg, const std::vector<Decision> *forced)
 {
     RunOutcome out;
 
@@ -781,7 +738,6 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
             PoisonClass::Monitor};
         audit.before(kPlacement[cls], target, victim ? dom[victim] : 0,
                      cls == 1 ? monitor.tablePeek(dom[victim])->rootPa() : 0);
-        ++out.opsExecuted;
         const MonitorValue<RasOutcome> mcv =
             monitor.handleMachineCheck(target);
         // A fresh containment gets its class's follow-up probe.
@@ -808,40 +764,68 @@ runRasPath(const ModelConfig &cfg, const std::vector<Decision> *forced)
         violate(audit.finish());
 
     finishPath(ctl, out, true);
-    if (!out.violated)
-        out.finalDigest = stateKey();
+    return out;
+}
+
+/**
+ * Execute one forced path of a chaos campaign: every draw the seeded
+ * engine would take from its Rng comes from the forced prefix instead,
+ * and defaults beyond it.
+ */
+RunOutcome
+runChaosPath(const CampaignConfig &cfg, const std::vector<Decision> *forced)
+{
+    PathController ctl;
+    ctl.forced = forced;
+    const ChaosStats stats = runChaos(cfg, ctl);
+    RunOutcome out;
+    out.violated = stats.failed;
+    out.violation = stats.counterexample.violation;
+    finishPath(ctl, out, true);
     return out;
 }
 
 } // namespace
 
 bool
-ModelConfig::validate(std::string &error) const
+CampaignConfig::validate(std::string &error) const
 {
+    const bool chaos = script == "chaos";
+    // These layers exist only with sibling harts to fence.
+    const bool siblings = layer == ChaosLayer::Os ||
+                          layer == ChaosLayer::Virt ||
+                          layer == ChaosLayer::Fleet;
     if (script == "core" && (harts < 2 || domains < 1)) {
         error = "the core script needs harts >= 2 and domains >= 1 (got "
                 "harts=" + std::to_string(harts) +
                 " domains=" + std::to_string(domains) + ")";
-        return false;
-    }
-    if (script == "ras" && domains < 1) {
+    } else if (script == "ras" && domains < 1) {
         error = "the ras script needs domains >= 1 (got domains=0)";
-        return false;
+    } else if (!chaos && layer != ChaosLayer::None) {
+        error = "a campaign layer needs a chaos campaign (--seed/--seeds)";
+    } else if (chaos && (ops < 1 || harts < (siblings ? 2 : 1))) {
+        error = std::string("a chaos campaign needs ops >= 1 and harts >= ") +
+                (siblings ? "2 under the " : "1 under the ") +
+                kLayerNames[unsigned(layer)] + " layer";
+    } else {
+        return true;
     }
-    return true;
+    return false;
 }
 
 RunOutcome
-runPath(const ModelConfig &cfg, const std::vector<Decision> *forced,
+runPath(const CampaignConfig &cfg, const std::vector<Decision> *forced,
         StateSet *visited)
 {
     std::string error;
-    panic_if(!cfg.validate(error), "invalid model config: %s",
+    panic_if(!cfg.validate(error), "invalid campaign config: %s",
              error.c_str());
     if (cfg.script == "migrate")
         return runMigratePath(cfg, forced);
     if (cfg.script == "ras")
         return runRasPath(cfg, forced);
+    if (cfg.script == "chaos")
+        return runChaosPath(cfg, forced);
     return runCorePath(cfg, forced, visited);
 }
 

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "base/fault_inject.h"
+#include "base/hash.h"
 #include "base/logging.h"
-#include "base/rng.h"
 #include "base/stats.h"
 #include "core/smp.h"
 #include "mem/phys_mem.h"
@@ -41,11 +41,10 @@ struct Slot
 } // namespace
 
 ChaosStats
-runTwoHostCampaign(const ChaosConfig &config)
+runTwoHostCampaign(const CampaignConfig &config, Choices &choices)
 {
     ChaosStats stats;
     stats.harts = config.harts;
-    Rng rng(config.seed);
 
     // Two hosts. Distinct scheduler seeds: the interleavings are
     // independent machines, not mirrored ones.
@@ -61,6 +60,8 @@ runTwoHostCampaign(const ChaosConfig &config)
     SystemFixture hostB(fixtureParams(8), spb, config.scheme);
     SecureMonitor &monA = hostA.monitor;
     SecureMonitor &monB = hostB.monitor;
+    if (config.mutateSkipFenceNth != 0)
+        monA.testSkipFenceNth(config.mutateSkipFenceNth);
 
     MigrateConfig ec;
     // Trace tracks: host A = 0, host B = 1, whichever direction a
@@ -103,13 +104,18 @@ runTwoHostCampaign(const ChaosConfig &config)
     injector.enable(config.seed);
 
     const char *op_name = "?";
-    auto fail = [&](unsigned index, const std::string &why) {
-        if (!stats.failed) {
-            stats.failed = true;
-            stats.failure = "seed " + std::to_string(config.seed) +
-                            " op #" + std::to_string(index) + " (" +
-                            op_name + "): " + why;
-        }
+    // The first failure, stamped with both hosts' state.
+    auto fail = [&](unsigned index, const Breach &b) {
+        if (stats.failed)
+            return;
+        stats.failed = true;
+        stats.failure = "seed " + std::to_string(config.seed) + " op #" +
+                        std::to_string(index) + " (" + op_name + "): " +
+                        b.what;
+        stats.counterexample.violated = true;
+        stats.counterexample.violation = {
+            b.kind, stats.failure, index,
+            fnvFold(monA.stateDigest(), monB.stateDigest())};
     };
 
     // Windowed telemetry across both hosts, clocked by the sum of
@@ -139,17 +145,17 @@ runTwoHostCampaign(const ChaosConfig &config)
         if (sampler)
             sampler->advanceTo(campaign_cycles());
         ++stats.ops;
-        if (rng.chance(config.faultProb)) {
+        if (choices.chance(DecisionKind::Fault, config.faultProb, "arm")) {
             ++stats.injectedFaults;
-            injector.armAnyNth(1 + rng.below(24));
+            injector.armAnyNth(1 + choices.pick(DecisionKind::Fault, 24, "nth"));
         }
 
-        const unsigned si = unsigned(rng.below(kSlots));
+        const unsigned si = choices.pick(DecisionKind::Op, kSlots, "slot");
         Slot &slot = slots[si];
         SecureMonitor &here = slot.onDest ? monB : monA;
         SecureMonitor &there = slot.onDest ? monA : monB;
 
-        if (rng.below(100) < 25) {
+        if (choices.pick(DecisionKind::Op, 100, "op") < 25) {
             // Lifecycle noise on the tenant's current host: switches
             // in and out keep register layouts churning between
             // migrations (typed failures are expected under faults).
@@ -164,7 +170,7 @@ runTwoHostCampaign(const ChaosConfig &config)
         }
         op_name = "migrate";
         MigrationEngine &eng = slot.onDest ? engBack : engFwd;
-        const uint64_t nonce = rng.below(1ull << 62) + 1;
+        const uint64_t nonce = choices.data(1ull << 62) + 1;
         const MigrateResult res = eng.migrate(slot.id, nonce);
         ++stats.migrations;
         stats.migrateRetries += res.retries;
@@ -179,8 +185,8 @@ runTwoHostCampaign(const ChaosConfig &config)
             ++stats.migrateStaleProbes;
             if (probe.ok || (probe.code != MonitorError::NoSuchDomain &&
                              probe.code != MonitorError::StaleHandle)) {
-                fail(i, "retired source id was not denied after "
-                        "migration commit");
+                fail(i, {"stale_handle", "retired source id was not denied "
+                                         "after migration commit"});
             }
         } else {
             ++stats.failedOps;
@@ -196,12 +202,13 @@ runTwoHostCampaign(const ChaosConfig &config)
                 res, here, slot.id, there,
                 slot.onDest ? oracleBack : oracleFwd,
                 res.ok ? &slot.image : nullptr)) {
-            fail(i, b.what);
+            fail(i, b);
         }
         // Operator recovery of a stranded domain: resume the staged copy.
         if (res.stranded && there.domainMigrating(res.destId) &&
             !there.resumeDomain(res.destId).ok) {
-            fail(i, "stranded-domain recovery resume failed");
+            fail(i, {"stranded_resume",
+                     "stranded-domain recovery resume failed"});
         }
         if (res.ok || res.stranded) {
             slot.id = res.destId;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The two-host migration campaign behind runChaos for
- * ChaosLayer::Migrate (chaos_fuzz --migrate).
+ * ChaosLayer::Migrate (model_check --migrate).
  *
  * Two hosts, one migration engine per direction, and a seeded stream
  * of domain ping-pong migrations with faults armed at random sites —
@@ -30,7 +30,8 @@ namespace hpmp::verify
 {
 
 /** runChaos for ChaosLayer::Migrate; call runChaos instead. */
-ChaosStats runTwoHostCampaign(const ChaosConfig &config);
+ChaosStats runTwoHostCampaign(const CampaignConfig &config,
+                              Choices &choices);
 
 } // namespace hpmp::verify
 

@@ -4,14 +4,14 @@
  * lifecycle operations with fault injection armed, the isolation
  * invariants checked after every op and rollback proven by state
  * digest. Any failure here prints a seed that replays exactly via
- * `chaos_fuzz --seed <N>`.
+ * `model_check --seed <N>`.
  */
 
 #include <gtest/gtest.h>
 
 #include "verify/chaos_engine.h"
 
-namespace hpmp
+namespace hpmp::verify
 {
 namespace
 {
@@ -19,10 +19,11 @@ namespace
 ChaosStats
 runSeed(uint64_t seed, unsigned ops, IsolationScheme scheme)
 {
-    ChaosConfig config;
+    CampaignConfig config;
     config.seed = seed;
     config.ops = ops;
     config.scheme = scheme;
+    config.harts = 1;
     const ChaosStats stats = runChaos(config);
     EXPECT_FALSE(stats.failed) << stats.failure;
     EXPECT_EQ(stats.ops, ops);
@@ -79,9 +80,10 @@ TEST(ChaosFuzz, PmpTableCampaigns)
 
 TEST(ChaosFuzz, DeterministicPerSeed)
 {
-    ChaosConfig config;
+    CampaignConfig config;
     config.seed = 99;
     config.ops = 300;
+    config.harts = 1;
     const ChaosStats a = runChaos(config);
     const ChaosStats b = runChaos(config);
     ASSERT_FALSE(a.failed) << a.failure;
@@ -94,4 +96,4 @@ TEST(ChaosFuzz, DeterministicPerSeed)
 }
 
 } // namespace
-} // namespace hpmp
+} // namespace hpmp::verify

@@ -265,12 +265,12 @@ TEST(FleetChaosMatrix, ZeroPostAckStaleAcrossSeedsAndHarts)
     uint64_t epochs = 0, windows = 0, stale_probes = 0, churns = 0;
     for (const unsigned harts : {4u, 8u}) {
         for (uint64_t seed = 1; seed <= 8; ++seed) {
-            ChaosConfig config;
+            verify::CampaignConfig config;
             config.seed = seed;
             config.ops = 250;
             config.harts = harts;
-            config.layer = ChaosLayer::Fleet;
-            const ChaosStats stats = runChaos(config);
+            config.layer = verify::ChaosLayer::Fleet;
+            const verify::ChaosStats stats = verify::runChaos(config);
             EXPECT_FALSE(stats.failed)
                 << "seed " << seed << " harts " << harts << ": "
                 << stats.failure;

@@ -470,13 +470,13 @@ TEST(MigrateChaosTest, MatrixHasZeroDualGrantWindowsAndCleanAborts)
     uint64_t commits = 0, aborts = 0, checks = 0, digests = 0;
     for (const unsigned harts : {4u, 8u}) {
         for (uint64_t seed = 1; seed <= 8; ++seed) {
-            ChaosConfig config;
+            verify::CampaignConfig config;
             config.seed = seed;
             config.ops = 40;
             config.faultProb = 0.3;
             config.harts = harts;
-            config.layer = ChaosLayer::Migrate;
-            const ChaosStats stats = runChaos(config);
+            config.layer = verify::ChaosLayer::Migrate;
+            const verify::ChaosStats stats = verify::runChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             EXPECT_EQ(stats.dualGrantViolations, 0u)
                 << "seed " << seed << " harts " << harts;

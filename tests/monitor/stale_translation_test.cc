@@ -127,13 +127,13 @@ TEST(StaleMatrix, ChaosCampaignsHaveNoPostAckStaleGrants)
           IsolationScheme::Hpmp}) {
         for (const unsigned harts : {4u, 8u}) {
             for (uint64_t seed = 1; seed <= 8; ++seed) {
-                ChaosConfig config;
+                verify::CampaignConfig config;
                 config.seed = seed;
                 config.ops = 40;
                 config.scheme = scheme;
                 config.harts = harts;
                 config.faultProb = 0.25;
-                const ChaosStats stats = runChaos(config);
+                const verify::ChaosStats stats = verify::runChaos(config);
                 ASSERT_FALSE(stats.failed)
                     << "scheme=" << toString(scheme)
                     << " harts=" << harts << " seed=" << seed << ": "
@@ -151,13 +151,13 @@ TEST(StaleMatrix, OsLayerCampaignDrivesPagedWatches)
     // addresses, reaching the TLB-inlined-permission flavour of the
     // bug class. Still zero post-ack violations.
     for (uint64_t seed = 1; seed <= 2; ++seed) {
-        ChaosConfig config;
+        verify::CampaignConfig config;
         config.seed = seed;
         config.ops = 60;
         config.scheme = IsolationScheme::Hpmp;
         config.harts = 4;
-        config.layer = ChaosLayer::Os;
-        const ChaosStats stats = runChaos(config);
+        config.layer = verify::ChaosLayer::Os;
+        const verify::ChaosStats stats = verify::runChaos(config);
         ASSERT_FALSE(stats.failed) << "seed " << seed << ": "
                                    << stats.failure;
         EXPECT_GT(stats.osOps, 0u);

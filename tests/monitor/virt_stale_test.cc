@@ -328,13 +328,13 @@ TEST_F(VirtStaleTest, VirtChaosMatrixHasZeroPostAckStaleGrants)
     uint64_t shootdowns = 0, probes = 0, virt_ops = 0;
     for (const unsigned harts : {4u, 8u}) {
         for (uint64_t seed = 1; seed <= 8; ++seed) {
-            ChaosConfig config;
+            verify::CampaignConfig config;
             config.seed = seed;
             config.ops = 120;
             config.faultProb = 0.25;
             config.harts = harts;
-            config.layer = ChaosLayer::Virt;
-            const ChaosStats stats = runChaos(config);
+            config.layer = verify::ChaosLayer::Virt;
+            const verify::ChaosStats stats = verify::runChaos(config);
             EXPECT_FALSE(stats.failed) << stats.failure;
             shootdowns += stats.hfenceShootdowns;
             probes += stats.virtStaleProbes;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "verify/chaos_engine.h"
 #include "verify/decision.h"
 #include "verify/enumerator.h"
 #include "verify/harness.h"
@@ -20,12 +21,12 @@ namespace hpmp::verify
 namespace
 {
 
-ModelConfig
+CampaignConfig
 smallConfig()
 {
     // Interleaving-only (no fault or inject branching): small enough
     // to enumerate in milliseconds, still multi-path.
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.faultBranch = false;
     cfg.maxInjects = 0;
     return cfg;
@@ -49,7 +50,7 @@ TEST(ModelCheckTest, FullDefaultConfigurationIsClean)
 {
     // The headline guarantee: fault branching and nested-call probes
     // on, the whole tree enumerated, zero violations.
-    ModelChecker checker(ModelConfig{});
+    ModelChecker checker(CampaignConfig{});
     const CheckResult result = checker.run();
     EXPECT_TRUE(result.exhaustive);
     EXPECT_EQ(result.stats.violations, 0u);
@@ -70,7 +71,7 @@ TEST(ModelCheckTest, EnumerationIsDeterministic)
 
 TEST(ModelCheckTest, DepthBoundTruncatesInsteadOfLying)
 {
-    ModelConfig cfg = smallConfig();
+    CampaignConfig cfg = smallConfig();
     cfg.depthLimit = 2;
     ModelChecker checker(cfg);
     const CheckResult result = checker.run();
@@ -83,7 +84,7 @@ TEST(ModelCheckTest, SkippedFenceMutationIsCaught)
     // Sabotage the second shootdown (the setPerm revoke): the sibling
     // hart keeps its pre-revoke HPMP state past the ack. The checker
     // must find a violation, and its counterexample must replay.
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.mutateSkipFenceNth = 2;
     ModelChecker checker(cfg);
     const CheckResult result = checker.run(/*maxViolations=*/1);
@@ -106,7 +107,7 @@ TEST(ModelCheckTest, EveryMutationPlacementIsCaught)
     // exposes it — the checker's coverage does not depend on the
     // default schedule happening to hit the sabotaged shootdown.
     for (uint64_t nth = 1; nth <= 3; ++nth) {
-        ModelConfig cfg;
+        CampaignConfig cfg;
         cfg.mutateSkipFenceNth = nth;
         ModelChecker checker(cfg);
         const CheckResult result = checker.run(1);
@@ -116,7 +117,7 @@ TEST(ModelCheckTest, EveryMutationPlacementIsCaught)
 
 TEST(ModelCheckTest, CounterexampleRoundTripsThroughText)
 {
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.mutateSkipFenceNth = 2;
     ModelChecker checker(cfg);
     const CheckResult result = checker.run(1);
@@ -140,7 +141,7 @@ TEST(ModelCheckTest, CounterexampleRoundTripsThroughText)
 
     // The parsed config header reconstructs the checker that can
     // replay the parsed decisions — the full artifact round trip.
-    ModelConfig cfg2;
+    CampaignConfig cfg2;
     for (const std::string &line : parsed.configLines)
         ASSERT_TRUE(cfg2.applyConfigLine(line, err)) << err;
     EXPECT_EQ(cfg2.mutateSkipFenceNth, 2u);
@@ -150,9 +151,71 @@ TEST(ModelCheckTest, CounterexampleRoundTripsThroughText)
     EXPECT_TRUE(rep.bitExact) << rep.detail;
 }
 
+TEST(ModelCheckTest, ChaosCounterexampleReplaysAndMinimizes)
+{
+    // A seeded chaos campaign with the skipped-fence bug fails; its
+    // draws become a counterexample that the model checker replays,
+    // from the trace's own text, bit-exactly.
+    CampaignConfig cfg;
+    cfg.harts = 2;
+    cfg.ops = 40;
+    cfg.mutateSkipFenceNth = 2;
+    const ChaosStats stats = runChaos(cfg);
+    ASSERT_TRUE(stats.failed);
+    const DecisionTrace &ce = stats.counterexample;
+    ASSERT_TRUE(ce.violated);
+    EXPECT_FALSE(ce.violation.kind.empty());
+    EXPECT_NE(ce.violation.stateDigest, 0u);
+    EXPECT_FALSE(ce.decisions.empty());
+
+    DecisionTrace parsed;
+    std::string err;
+    ASSERT_TRUE(parseTrace(serializeTrace(ce), parsed, err)) << err;
+    CampaignConfig back;
+    for (const std::string &line : parsed.configLines)
+        ASSERT_TRUE(back.applyConfigLine(line, err)) << err;
+    EXPECT_EQ(back.script, "chaos");
+    EXPECT_EQ(back.mutateSkipFenceNth, 2u);
+    ModelChecker checker(back);
+    const ReplayReport rep = checker.replay(parsed);
+    EXPECT_TRUE(rep.reproduced) << rep.detail;
+    EXPECT_TRUE(rep.bitExact) << rep.detail;
+    EXPECT_EQ(rep.outcome.violation.kind, ce.violation.kind);
+    EXPECT_EQ(rep.outcome.violation.stateDigest, ce.violation.stateDigest);
+
+    const DecisionTrace min = checker.minimize(parsed);
+    EXPECT_LE(min.decisions.size(), ce.decisions.size());
+    EXPECT_EQ(min.violation.kind, ce.violation.kind);
+    const ReplayReport minRep = checker.replay(min);
+    EXPECT_TRUE(minRep.reproduced) << minRep.detail;
+    EXPECT_TRUE(minRep.bitExact) << minRep.detail;
+}
+
+TEST(ModelCheckTest, ChaosConfigLinesRoundTrip)
+{
+    CampaignConfig cfg;
+    cfg.script = "chaos";
+    cfg.harts = 4;
+    cfg.seed = 0xfeedULL;
+    cfg.ops = 250;
+    cfg.faultProb = 0.1;
+    cfg.layer = ChaosLayer::Fleet;
+    CampaignConfig back;
+    std::string err;
+    for (const std::string &line : cfg.configLines())
+        ASSERT_TRUE(back.applyConfigLine(line, err)) << err;
+    EXPECT_EQ(back.configLines(), cfg.configLines());
+    EXPECT_EQ(back.faultProb, 0.1);
+    EXPECT_EQ(back.layer, ChaosLayer::Fleet);
+    EXPECT_TRUE(back.validate(err)) << err;
+    back.harts = 1; // fleet windows need sibling harts
+    EXPECT_FALSE(back.validate(err));
+    EXPECT_FALSE(back.applyConfigLine("layer=bogus", err));
+}
+
 TEST(ModelCheckTest, MinimizedTraceHasNoTrailingDefaults)
 {
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.mutateSkipFenceNth = 2;
     ModelChecker checker(cfg);
     const CheckResult result = checker.run(1);
@@ -165,7 +228,7 @@ TEST(ModelCheckTest, MinimizedTraceHasNoTrailingDefaults)
 
 TEST(ModelCheckTest, MigrateScenarioIsCleanUnderFaultBranching)
 {
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.script = "migrate";
     ModelChecker checker(cfg);
     const CheckResult result = checker.run();
@@ -181,7 +244,7 @@ TEST(ModelCheckTest, CountedScriptCountsEveryPathsTransitions)
     // past its forced prefix as transitions. Recount them with a plain
     // DFS over runPath(): the forced paths' new decisions count too,
     // not only the unforced root path's.
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.script = "ras";
     const CheckResult result = ModelChecker(cfg).run();
     ASSERT_TRUE(result.exhaustive);
@@ -210,7 +273,7 @@ TEST(ModelCheckTest, CountedScriptCountsEveryPathsTransitions)
 
 TEST(ModelCheckTest, ConfigLinesRoundTrip)
 {
-    ModelConfig cfg;
+    CampaignConfig cfg;
     cfg.harts = 3;
     cfg.domains = 1;
     cfg.script = "migrate";
@@ -218,7 +281,7 @@ TEST(ModelCheckTest, ConfigLinesRoundTrip)
     cfg.faultSites = {"migrate.frame_drop", "migrate.ack_lost"};
     cfg.mutateSkipFenceNth = 7;
 
-    ModelConfig back;
+    CampaignConfig back;
     std::string err;
     for (const std::string &line : cfg.configLines())
         ASSERT_TRUE(back.applyConfigLine(line, err)) << err;
@@ -245,7 +308,7 @@ TEST(ModelCheckTest, ParserRejectsMalformedTraces)
 
 TEST(ModelCheckTest, ConfigLinesRejectJunkValues)
 {
-    ModelConfig cfg;
+    CampaignConfig cfg;
     std::string err;
     // Non-numeric values, trailing junk, signs and overflow are errors
     // that leave the field untouched — never a silent 0.
@@ -253,7 +316,9 @@ TEST(ModelCheckTest, ConfigLinesRejectJunkValues)
          {"harts=abc", "harts=2x", "harts=", "harts=-1", "harts= 2",
           "domains=1.5", "pages=0x", "depth=99999999999",
           "max_faults=two", "max_injects=1;", "fault_branch=2",
-          "fault_branch=yes", "mutate_skip_fence=7q"}) {
+          "fault_branch=yes", "mutate_skip_fence=7q", "seed=x",
+          "ops=1.5", "fault_prob=abc", "fault_prob=7", "fault_prob=-0.1",
+          "fault_prob=nan", "fault_prob=", "stats_interval=5k"}) {
         EXPECT_FALSE(cfg.applyConfigLine(line, err)) << line;
         EXPECT_NE(err.find("bad value"), std::string::npos) << err;
     }
@@ -269,7 +334,7 @@ TEST(ModelCheckTest, ConfigLinesRejectJunkValues)
 TEST(ModelCheckTest, ValidateRejectsUnrunnableScenarios)
 {
     std::string err;
-    ModelConfig cfg;
+    CampaignConfig cfg;
     EXPECT_TRUE(cfg.validate(err)) << err;
     cfg.harts = 1;
     EXPECT_FALSE(cfg.validate(err));
@@ -309,7 +374,7 @@ TEST(ModelCheckTest, ParserRejectsJunkNumbers)
     // A counterexample whose config header was edited to junk parses
     // as text, but its config line is refused when applied.
     ASSERT_TRUE(parseTrace("config harts=abc\n", out, err)) << err;
-    ModelConfig cfg;
+    CampaignConfig cfg;
     EXPECT_FALSE(cfg.applyConfigLine(out.configLines.at(0), err));
 }
 
