@@ -15,6 +15,7 @@
 #include "core/virt_machine.h"
 #include "hpmp/iopmp.h"
 #include "mem/scrubber.h"
+#include "migrate/migration.h"
 #include "monitor/invariants.h"
 #include "monitor/secure_monitor.h"
 #include "monitor/stale_checker.h"
@@ -23,7 +24,6 @@
 #include "pt/page_table.h"
 #include "pt/pte.h"
 #include "verify/contracts.h"
-#include "verify/migrate_chaos.h"
 
 namespace hpmp::verify
 {
@@ -133,6 +133,27 @@ struct HartGuest
     unsigned currentNptIndex() const { return usingB ? 1 : 0; }
 };
 
+/** A monitor's simulated call cycles: the campaign clock. */
+uint64_t
+callCycles(SecureMonitor &monitor)
+{
+    const Distribution *d = monitor.stats().getDist("call_cycles");
+    return d ? d->sum() : 0;
+}
+
+/** Record the first failure; later ones are consequences of it. */
+void
+failCampaign(ChaosStats &stats, const std::string &where, const Breach &b,
+             unsigned op, uint64_t key)
+{
+    if (stats.failed)
+        return;
+    stats.failed = true;
+    stats.failure = where + b.what;
+    stats.counterexample.violated = true;
+    stats.counterexample.violation = {b.kind, stats.failure, op, key};
+}
+
 MonitorResult
 asResult(const MonitorValue<RasOutcome> &outcome)
 {
@@ -178,7 +199,6 @@ class Campaign
     DomainId pickDomain(bool allow_bogus);
     Addr pickGmsBase(DomainId id);
     Gms randomGms(DomainId id);
-    uint64_t campaignCycles();
     void snapshotDigests();
     bool isWatchPage(Addr page) const;
     Addr pickPoisonPage(DomainId id);
@@ -322,7 +342,7 @@ Campaign::Campaign(const CampaignConfig &config, Choices &choices)
     injector_.enable(config.seed);
 
     // Windowed telemetry over the full SMP registry, clocked by the
-    // monitor's simulated call_cycles sum (see ChaosConfig).
+    // monitor's simulated call_cycles sum (see CampaignConfig).
     if (config.statsSeriesOut) {
         registerStats(seriesRegistry_, true);
         sampler_ = std::make_unique<StatSampler>(seriesRegistry_,
@@ -481,20 +501,14 @@ Campaign::registerStats(StatRegistry &registry, bool with_bus)
 
 // ---- helpers --------------------------------------------------------
 
-/** Record the first failure; later ones are consequences of it. */
+/** Record the first failure, stamped with the state key. */
 void
 Campaign::fail(const Breach &breach)
 {
-    if (stats_.failed)
-        return;
-    std::ostringstream os;
-    os << "seed " << config_.seed << " harts " << config_.harts << " op #"
-       << index_ << " (" << opName_ << "): " << breach.what;
-    stats_.failed = true;
-    stats_.failure = os.str();
-    stats_.counterexample.violated = true;
-    stats_.counterexample.violation = {breach.kind, stats_.failure, index_,
-                                       stateKey()};
+    std::ostringstream where;
+    where << "seed " << config_.seed << " harts " << config_.harts
+          << " op #" << index_ << " (" << opName_ << "): ";
+    failCampaign(stats_, where.str(), breach, index_, stateKey());
 }
 
 /** The state a violation is stamped with: monitor and every hart. */
@@ -550,14 +564,6 @@ Campaign::randomGms(DomainId id)
                    pick(monitor_.config().monitorSize / kPageSize, "page") *
                        kPageSize;
     return gms;
-}
-
-/** The campaign clock: simulated monitor work, not host time. */
-uint64_t
-Campaign::campaignCycles()
-{
-    const Distribution *d = monitor_.stats().getDist("call_cycles");
-    return d ? d->sum() : 0;
 }
 
 /**
@@ -1268,7 +1274,7 @@ Campaign::run()
 {
     for (; index_ < config_.ops && !stats_.failed; ++index_) {
         if (sampler_)
-            sampler_->advanceTo(campaignCycles());
+            sampler_->advanceTo(callCycles(monitor_));
         // Every op initiates from a random hart: the monitor must
         // program the canonical unit and converge everyone else no
         // matter who trapped in.
@@ -1336,7 +1342,7 @@ Campaign::collectStats()
     }
 
     if (sampler_) {
-        sampler_->sample(campaignCycles());
+        sampler_->sample(callCycles(monitor_));
         *config_.statsSeriesOut = sampler_->dumpJson();
     }
     if (config_.statsJsonOut) {
@@ -1345,6 +1351,211 @@ Campaign::collectStats()
         *config_.statsJsonOut = registry.dumpJson();
     }
 }
+
+// ---- the two-host migration campaign --------------------------------
+// Tenant slot i lives in chaos window i on both hosts, so identity
+// placement always lands in a free window on the other side.
+constexpr unsigned kSlots = 4;
+constexpr uint64_t kPatternBytes = 128;
+
+/** One migratable tenant: its current host, id and memory pattern. */
+struct Slot
+{
+    DomainId id = 0;
+    bool onDest = false; //!< currently lives on host B
+    MemoryImage image;   //!< first region's pattern, checked on commit
+};
+
+/**
+ * The two-host migration campaign (ChaosLayer::Migrate): a seeded
+ * stream of domain ping-pong migrations between two hosts with faults
+ * armed at random sites, the migrate.* protocol sites included. Every
+ * migration is judged by judgeMigration (verify/contracts.h).
+ */
+ChaosStats
+runTwoHostCampaign(const CampaignConfig &config, Choices &choices)
+{
+    ChaosStats stats;
+    stats.harts = config.harts;
+
+    // Two hosts. Distinct scheduler seeds: the interleavings are
+    // independent machines, not mirrored ones.
+    SmpParams spa;
+    spa.harts = config.harts;
+    spa.schedSeed = config.seed * 0x9E3779B97F4A7C15ULL + config.harts;
+    SmpParams spb = spa;
+    spb.schedSeed += 0x517cc1b727220a95ULL;
+    // PMPTW-Cache on: cached leaf pmptes must stay coherent across
+    // suspend/revoke/rollback on the source and activation on the
+    // destination, and the oracle's probes audit the cached view.
+    SystemFixture hostA(fixtureParams(8), spa, config.scheme);
+    SystemFixture hostB(fixtureParams(8), spb, config.scheme);
+    SecureMonitor &monA = hostA.monitor;
+    SecureMonitor &monB = hostB.monitor;
+    if (config.mutateSkipFenceNth != 0)
+        monA.testSkipFenceNth(config.mutateSkipFenceNth);
+
+    MigrateConfig ec;
+    // Trace tracks: host A = 0, host B = 1, whichever direction a
+    // migration runs — a failing-seed dump shows both hosts' spans on
+    // consistent timelines.
+    MigrateConfig ecBack = ec;
+    ecBack.sourceSystemId = 1;
+    ecBack.destSystemId = 0;
+    CrossSystemOracle oracleFwd(monA, monB);
+    CrossSystemOracle oracleBack(monB, monA);
+    MigrationEngine engFwd(monA, monB, ec, "migrate");
+    MigrationEngine engBack(monB, monA, ecBack, "migrate_back");
+    engFwd.setOracle(&oracleFwd);
+    engBack.setOracle(&oracleBack);
+
+    // ---- population: kSlots tenants on host A ----------------------
+    std::vector<Slot> slots(kSlots);
+    for (unsigned i = 0; i < kSlots; ++i) {
+        Slot &slot = slots[i];
+        slot.image.base = kWindowBase + i * kWindowSize;
+        slot.id = hostA.addDomain(slot.image.base, 2_MiB,
+                                  i == 0 ? GmsLabel::Fast : GmsLabel::Slow);
+        if (i == 0) {
+            // A second region on one tenant: multi-region checkpoints
+            // travel through the same stream.
+            Gms extra;
+            extra.base = slot.image.base + 32_MiB;
+            extra.size = 1_MiB;
+            extra.perm = Perm::ro();
+            panic_if(!monA.addGms(slot.id, extra).ok,
+                     "chaos setup addGms (extra)");
+        }
+        for (uint64_t j = 0; j < kPatternBytes; ++j)
+            slot.image.bytes.push_back(uint8_t(0xA0 + 7 * i + j));
+        hostA.smp.mem().writeBytes(slot.image.base,
+                                   slot.image.bytes.data(), kPatternBytes);
+    }
+
+    FaultInjector &injector = FaultInjector::instance();
+    injector.enable(config.seed);
+
+    const char *op_name = "?";
+    // The first failure, stamped with both hosts' state.
+    auto fail = [&](unsigned index, const Breach &b) {
+        failCampaign(stats,
+                     "seed " + std::to_string(config.seed) + " op #" +
+                         std::to_string(index) + " (" + op_name + "): ",
+                     b, index, fnvFold(monA.stateDigest(), monB.stateDigest()));
+    };
+
+    // Windowed telemetry across both hosts, clocked by the sum of
+    // both monitors' simulated call cycles (work on either host
+    // advances the campaign clock).
+    StatRegistry seriesRegistry;
+    std::unique_ptr<StatSampler> sampler;
+    auto register_stats = [&](StatRegistry &registry) {
+        monA.registerStats(registry);
+        hostA.smp.registerStats(registry);
+        engFwd.registerStats(registry);
+        engBack.registerStats(registry);
+        oracleFwd.registerStats(registry);
+    };
+    if (config.statsSeriesOut) {
+        register_stats(seriesRegistry);
+        sampler = std::make_unique<StatSampler>(seriesRegistry,
+                                                config.statsSeriesInterval);
+    }
+
+    for (unsigned i = 0; i < config.ops && !stats.failed; ++i) {
+        if (sampler)
+            sampler->advanceTo(callCycles(monA) + callCycles(monB));
+        ++stats.ops;
+        if (choices.chance(DecisionKind::Fault, config.faultProb, "arm")) {
+            ++stats.injectedFaults;
+            injector.armAnyNth(1 + choices.pick(DecisionKind::Fault, 24, "nth"));
+        }
+
+        const unsigned si = choices.pick(DecisionKind::Op, kSlots, "slot");
+        Slot &slot = slots[si];
+        SecureMonitor &here = slot.onDest ? monB : monA;
+        SecureMonitor &there = slot.onDest ? monA : monB;
+
+        if (choices.pick(DecisionKind::Op, 100, "op") < 25) {
+            // Lifecycle noise on the tenant's current host: switches
+            // in and out keep register layouts churning between
+            // migrations (typed failures are expected under faults).
+            op_name = "noise-switch";
+            if (here.switchTo(slot.id).ok)
+                ++stats.okOps;
+            else
+                ++stats.failedOps;
+            (void)here.switchTo(0);
+            injector.clearPlans();
+            continue;
+        }
+        op_name = "migrate";
+        MigrationEngine &eng = slot.onDest ? engBack : engFwd;
+        const uint64_t nonce = choices.data(1ull << 62) + 1;
+        const MigrateResult res = eng.migrate(slot.id, nonce);
+        ++stats.migrations;
+        stats.migrateRetries += res.retries;
+        stats.migrateBytes += res.bytes;
+        FaultInjector::SuspendGuard guard;
+        if (res.ok) {
+            ++stats.migrateCommits;
+            ++stats.okOps;
+            // The retired source id must stay a typed denial —
+            // including once the slot index is recycled.
+            const MonitorResult probe = here.switchTo(slot.id);
+            ++stats.migrateStaleProbes;
+            if (probe.ok || (probe.code != MonitorError::NoSuchDomain &&
+                             probe.code != MonitorError::StaleHandle)) {
+                fail(i, {"stale_handle", "retired source id was not denied "
+                                         "after migration commit"});
+            }
+        } else {
+            ++stats.failedOps;
+            if (res.stranded) {
+                ++stats.migrateStranded;
+            } else {
+                ++stats.migrateAborts;
+                ++stats.migrateDigestChecks;
+                ++stats.rollbackChecks;
+            }
+        }
+        if (const Breach b = judgeMigration(
+                res, here, slot.id, there,
+                slot.onDest ? oracleBack : oracleFwd,
+                res.ok ? &slot.image : nullptr)) {
+            fail(i, b);
+        }
+        // Operator recovery of a stranded domain: resume the staged copy.
+        if (res.stranded && there.domainMigrating(res.destId) &&
+            !there.resumeDomain(res.destId).ok) {
+            fail(i, {"stranded_resume",
+                     "stranded-domain recovery resume failed"});
+        }
+        if (res.ok || res.stranded) {
+            slot.id = res.destId;
+            slot.onDest = !slot.onDest;
+        }
+        injector.clearPlans();
+    }
+
+    injector.disable();
+
+    stats.dualGrantChecks = oracleFwd.checks() + oracleBack.checks();
+    stats.dualGrantViolations =
+        oracleFwd.violations() + oracleBack.violations();
+
+    if (sampler) {
+        sampler->sample(callCycles(monA) + callCycles(monB));
+        *config.statsSeriesOut = sampler->dumpJson();
+    }
+    if (config.statsJsonOut) {
+        StatRegistry registry;
+        register_stats(registry);
+        *config.statsJsonOut = registry.dumpJson();
+    }
+    return stats;
+}
+
 
 } // namespace
 

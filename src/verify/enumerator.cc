@@ -1,6 +1,7 @@
 #include "verify/enumerator.h"
 
 #include <cstdio>
+#include <fstream>
 #include <utility>
 
 #include "base/logging.h"
@@ -171,19 +172,12 @@ ModelChecker::replayWithChromeDump(const DecisionTrace &trace,
 
     ReplayReport report = replay(trace);
 
-    if (!tracer.ring().writeChromeJson(jsonPath)) {
-        // Tracing-off builds stub writeChromeJson out; still leave a
-        // well-formed (empty) chrome://tracing file behind.
-        const std::string json = tracer.ring().dumpChromeJson();
-        std::FILE *f = std::fopen(jsonPath.c_str(), "w");
-        if (f) {
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-        } else if (report.detail.empty()) {
-            report.detail = "chrome trace dump failed";
-        } else {
-            report.detail += "; chrome trace dump failed";
-        }
+    // The ring's JSON is well-formed (empty) in tracing-off builds too.
+    std::ofstream out(jsonPath);
+    out << tracer.ring().dumpChromeJson();
+    if (!out) {
+        report.detail += std::string(report.detail.empty() ? "" : "; ") +
+                         "chrome trace dump failed";
     }
     tracer.disable(TraceFlag::Monitor);
     tracer.disable(TraceFlag::Fault);

@@ -102,7 +102,7 @@ enum class ChaosLayer
      * Aborts must leave the source digest bit-identical and the domain
      * grantable; commits leave the domain on exactly one host with its
      * memory intact; the cross-system oracle must see no dual-grant
-     * window (verify/migrate_chaos.h).
+     * window (verify/contracts.h judgeMigration).
      */
     Migrate,
 };

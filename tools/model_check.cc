@@ -233,11 +233,10 @@ bool
 writeFile(const std::string &path, const std::string &text,
           std::ios::openmode mode = std::ios::out)
 {
-    std::ofstream out(path, mode);
-    out << text;
-    if (!out)
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return bool(out);
+    if (std::ofstream(path, mode) << text)
+        return true;
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
 }
 
 /**
@@ -317,15 +316,11 @@ checkMode(const Options &opt)
         opt.maxPaths);
     const CheckStats &s = result.stats;
     const std::pair<const char *, uint64_t> rows[] = {
-        {"paths", s.paths},
-        {"states", s.states},
-        {"transitions", s.transitions},
-        {"violations", s.violations},
-        {"truncated_paths", s.truncatedPaths},
-        {"dedup_stops", s.dedupStops},
+        {"paths", s.paths}, {"states", s.states},
+        {"transitions", s.transitions}, {"violations", s.violations},
+        {"truncated_paths", s.truncatedPaths}, {"dedup_stops", s.dedupStops},
         {"sleep_merged", s.sleepMergedAlts},
-        {"minimize_runs", s.minimizeRuns},
-    };
+        {"minimize_runs", s.minimizeRuns}};
     for (const auto &[name, value] : rows)
         std::printf("%-17s%llu\n", name, (unsigned long long)value);
     std::printf("exhaustive       %s\n", result.exhaustive ? "yes" : "no");
@@ -354,26 +349,25 @@ printCampaign(const ChaosStats &s, IsolationScheme scheme, uint64_t seed,
                 s.failedOps, s.injectedFaults, s.degradedOps,
                 s.rollbackChecks, s.failed ? "FAIL" : "PASS");
     printCounters({{"harts", s.harts}, {"shootdowns", s.ipiShootdowns},
-                   {"ipi-lost", s.ipiLost},
-                   {"lock-contended", s.lockContended},
+                   {"ipi-lost", s.ipiLost}, {"lock-contended", s.lockContended},
                    {"stale-probes", s.staleProbes},
                    {"pre-ack-stale", s.preAckStaleHits},
                    {"convergence-checks", s.convergenceChecks},
                    {"os-ops", s.osOps}, {"dma-ops", s.dmaOps}});
-    if (layer == ChaosLayer::Fleet) {
+    if (layer == ChaosLayer::Fleet)
         printCounters({{"fleet-ops", s.fleetOps}, {"epochs", s.fleetEpochs},
                        {"churns", s.fleetChurns},
                        {"stale-probes", s.fleetStaleProbes},
                        {"coalesced-windows", s.coalescedWindows},
                        {"post-ack-violations", s.postAckViolations}});
-    } else if (layer == ChaosLayer::Virt) {
+    if (layer == ChaosLayer::Virt)
         printCounters({{"virt-ops", s.virtOps},
                        {"hfence-shootdowns", s.hfenceShootdowns},
                        {"virt-stale-probes", s.virtStaleProbes},
                        {"virt-pre-ack-stale", s.virtPreAckStaleHits},
                        {"stale-exec-grants", s.staleExecGrants},
                        {"stale-rw-grants", s.staleRwGrants}});
-    } else if (layer == ChaosLayer::Ras) {
+    if (layer == ChaosLayer::Ras)
         printCounters({{"ras-ops", s.rasOps}, {"poisons", s.rasPoisons},
                        {"machine-checks", s.rasMachineChecks},
                        {"reports", s.rasReports},
@@ -383,16 +377,14 @@ printCampaign(const ChaosStats &s, IsolationScheme scheme, uint64_t seed,
                        {"scrub-scanned", s.scrubPagesScanned},
                        {"scrub-detections", s.scrubDetections},
                        {"blast-violations", s.rasBlastViolations}});
-    } else if (layer == ChaosLayer::Migrate) {
+    if (layer == ChaosLayer::Migrate)
         printCounters({{"migrations", s.migrations},
                        {"commits", s.migrateCommits},
                        {"aborts", s.migrateAborts},
                        {"stranded", s.migrateStranded},
-                       {"retries", s.migrateRetries},
-                       {"bytes", s.migrateBytes},
+                       {"retries", s.migrateRetries}, {"bytes", s.migrateBytes},
                        {"dual-grant-checks", s.dualGrantChecks},
                        {"dual-grant-violations", s.dualGrantViolations}});
-    }
 }
 
 /**
@@ -443,6 +435,9 @@ chaosMode(const Options &opt)
                 std::printf("FAILING SEED: %lu\n", (unsigned long)seed);
                 std::printf("  %s\n", stats.failure.c_str());
                 writeSiteCoverage(opt);
+                // The raw trace first: minimizing re-runs the campaign
+                // per trial, which takes long for a late failure.
+                writeFile(opt.ceOut, serializeTrace(stats.counterexample));
                 // Replay through the counterexample's own header, as a
                 // later --replay of the file does.
                 CampaignConfig cfg;
