@@ -10,17 +10,6 @@
 namespace hpmp::verify
 {
 
-DecisionTrace
-ModelChecker::makeTrace(const RunOutcome &outcome) const
-{
-    DecisionTrace trace;
-    trace.decisions = outcome.decisions;
-    trace.violated = outcome.violated;
-    trace.violation = outcome.violation;
-    trace.configLines = config_.configLines();
-    return trace;
-}
-
 CheckResult
 ModelChecker::run(unsigned maxViolations, uint64_t maxPaths)
 {
@@ -46,7 +35,8 @@ ModelChecker::run(unsigned maxViolations, uint64_t maxPaths)
 
         if (out.violated) {
             ++result.stats.violations;
-            DecisionTrace ce = minimize(makeTrace(out));
+            DecisionTrace ce = minimize({out.decisions, true, out.violation,
+                                         config_.configLines()});
             result.counterexamples.push_back(std::move(ce));
             if (maxViolations != 0 &&
                 result.stats.violations >= maxViolations) {

@@ -108,10 +108,7 @@ class ModelChecker
     ReplayReport replayWithChromeDump(const DecisionTrace &trace,
                                       const std::string &jsonPath);
 
-
   private:
-    DecisionTrace makeTrace(const RunOutcome &outcome) const;
-
     CampaignConfig config_;
     uint64_t minimizeRuns_ = 0;
 };

@@ -76,7 +76,6 @@ struct Options
      *  line; CI unions these files across campaigns and asserts the
      *  union covers the full --list-fault-sites registry. */
     std::string siteCoverageOut;
-    bool quiet = false;
     bool configFlag = false; //!< some flag set a config key
 };
 
@@ -111,7 +110,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--harts N] [--scheme pmp|pmpt|hpmp|all]\n"
         "    [--mutate-skip-fence N] [--ce-out FILE] [--trace-out FILE]\n"
-        "    [--replay FILE] [--quiet] [--list-fault-sites]\n"
+        "    [--replay FILE] [--list-fault-sites]\n"
         "  model check: [--domains N] [--pages N] [--depth N]\n"
         "    [--script core|migrate|ras] [--max-faults N] [--max-injects N]\n"
         "    [--no-fault-branch] [--sites a,b,...] [--max-violations N]\n"
@@ -197,8 +196,6 @@ parseArgs(int argc, char **argv, Options &opt, std::string &err)
                 err = "bad seed list '" + text + "' for " + arg;
             }
             opt.config.script = "chaos";
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
         } else if (arg == "--list-fault-sites") {
             // The curated FAULT_POINT registry, one site per line — CI
             // diffs this against the union of --site-coverage-out
@@ -305,12 +302,10 @@ int
 checkMode(const Options &opt)
 {
     ModelChecker checker(opt.config);
-    if (!opt.quiet) {
-        std::printf("# model_check");
-        for (const std::string &line : opt.config.configLines())
-            std::printf(" %s", line.c_str());
-        std::printf("\n");
-    }
+    std::printf("# model_check");
+    for (const std::string &line : opt.config.configLines())
+        std::printf(" %s", line.c_str());
+    std::printf("\n");
     const CheckResult result = checker.run(
         unsigned(std::min<uint64_t>(opt.maxViolations, UINT32_MAX)),
         opt.maxPaths);
