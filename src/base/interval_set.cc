@@ -11,29 +11,33 @@ IntervalSet::insert(Addr base, uint64_t size)
 {
     if (size == 0)
         return true;
-    if (overlaps(base, size))
+    const Addr end = base + size;
+
+    // One search: the successor, and before it the predecessor.
+    const Tree::iterator next = intervals_.lower_bound(base);
+    if (next != intervals_.end() && next->first < end)
         return false;
-
-    Addr new_base = base;
-    uint64_t new_size = size;
-
-    // Coalesce with the predecessor if it ends exactly at base.
-    auto it = intervals_.lower_bound(base);
-    if (it != intervals_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second == base) {
-            new_base = prev->first;
-            new_size += prev->second;
-            intervals_.erase(prev);
+    const bool join_next = next != intervals_.end() && next->first == end;
+    if (next != intervals_.begin()) {
+        const Tree::iterator prev = std::prev(next);
+        const Addr prev_end = prev->first + prev->second;
+        if (prev_end > base)
+            return false;
+        if (prev_end == base) {
+            // Grow the predecessor in place: its key stays, so the
+            // tree neither rebalances nor recounts.
+            prev->second += size + (join_next ? next->second : 0);
+            if (join_next)
+                intervals_.erase(next);
+            return true;
         }
     }
-    // Coalesce with the successor if it begins exactly at the end.
-    it = intervals_.lower_bound(new_base + new_size);
-    if (it != intervals_.end() && it->first == new_base + new_size) {
-        new_size += it->second;
-        intervals_.erase(it);
+    uint64_t new_size = size;
+    if (join_next) {
+        new_size += next->second;
+        intervals_.erase(next);
     }
-    intervals_[new_base] = new_size;
+    intervals_.insert({base, new_size});
     return true;
 }
 
@@ -42,23 +46,40 @@ IntervalSet::erase(Addr base, uint64_t size)
 {
     if (size == 0)
         return true;
-    if (!contains(base, size))
+    Tree::iterator it = intervals_.upper_bound(base);
+    if (it == intervals_.begin())
         return false;
-
-    auto it = intervals_.upper_bound(base);
-    panic_if(it == intervals_.begin(), "contains() lied about coverage");
     --it;
-    const Addr ival_base = it->first;
-    const uint64_t ival_size = it->second;
-    intervals_.erase(it);
-
-    if (ival_base < base)
-        intervals_[ival_base] = base - ival_base;
-    const Addr end = base + size;
-    const Addr ival_end = ival_base + ival_size;
-    if (end < ival_end)
-        intervals_[end] = ival_end - end;
+    if (base + size > it->first + it->second)
+        return false;
+    cut(it, base, size);
     return true;
+}
+
+void
+IntervalSet::cut(Tree::iterator it, Addr base, uint64_t size)
+{
+    const Addr end = base + size;
+    const Addr ival_end = it->first + it->second;
+    panic_if(base < it->first || end > ival_end,
+             "cut [%#lx, %#lx) outside [%#lx, %#lx)", base, end, it->first,
+             ival_end);
+    // A left remainder keeps its node with the size changed in place
+    // (same key: no rebalancing, order statistics stay valid).
+    if (it->first < base)
+        it->second = base - it->first;
+    else
+        intervals_.erase(it);
+    if (end < ival_end)
+        intervals_.insert({end, ival_end - end});
+}
+
+IntervalSet::Tree::iterator
+IntervalSet::nthNode(size_t k)
+{
+    panic_if(k >= intervals_.size(), "nth(%zu) of %zu intervals", k,
+             intervals_.size());
+    return intervals_.find_by_order(k);
 }
 
 bool

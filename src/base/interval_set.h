@@ -26,6 +26,8 @@ namespace hpmp
  * Disjoint interval set with coalescing insert and splitting erase.
  * Intervals live in an order-statistic red-black tree, so point
  * queries, updates and nth() are all O(log n) in the interval count.
+ * An update searches the tree once: a remainder or a grown neighbour
+ * that keeps its base keeps its node, resized in place.
  */
 class IntervalSet
 {
@@ -42,6 +44,23 @@ class IntervalSet
      * @return false if the range is not fully covered.
      */
     bool erase(Addr base, uint64_t size);
+
+    /**
+     * Remove `size` bytes from the k-th interval in address order, at
+     * the offset `pick(interval_size)` returns, with one tree search:
+     * erase(nth(k).first + offset, size) without the second lookup.
+     * Requires k < intervalCount() and the range inside the interval.
+     * @return the base of the removed range.
+     */
+    template <typename Pick>
+    Addr
+    eraseInNth(size_t k, uint64_t size, Pick &&pick)
+    {
+        const Tree::iterator it = nthNode(k);
+        const Addr base = it->first + pick(it->second);
+        cut(it, base, size);
+        return base;
+    }
 
     /** True iff [base, base+size) is fully contained in one interval. */
     bool contains(Addr base, uint64_t size) const;
@@ -79,6 +98,15 @@ class IntervalSet
     using Tree = __gnu_pbds::tree<
         Addr, uint64_t, std::less<Addr>, __gnu_pbds::rb_tree_tag,
         __gnu_pbds::tree_order_statistics_node_update>;
+
+    /** The k-th interval's node; panics unless k < intervalCount(). */
+    Tree::iterator nthNode(size_t k);
+
+    /**
+     * Remove [base, base+size), which must lie inside the interval at
+     * `it`, with at most one tree insert and no search.
+     */
+    void cut(Tree::iterator it, Addr base, uint64_t size);
 
     Tree intervals_;
 };

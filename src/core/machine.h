@@ -345,9 +345,12 @@ class Machine
      * saves about 30 ns per request, so on the perfbench virt stream a
      * split batch pays from 1500-2000 requests (4-vCPU x86 VM;
      * EXPERIMENTS.md "Decoupled batch timing"); 4096 keeps twice that.
-     * Tenants' 16-256-request bursts and lmbench's streams stay
-     * inline. GAP, RV8 and Redis runs open one stream for a whole
-     * measured phase of 10^5-10^8 requests instead.
+     * Tenants' 16-256-request bursts stay inline. GAP, RV8 and Redis
+     * runs open one stream for a whole measured phase of 10^5-10^8
+     * requests instead. LMBench runs open one per phase, the warm-up
+     * call (3 requests for null) and the measured loop (up to about
+     * 26k requests for pipe): a perfbench round of 72 such streams and
+     * 0.33 M requests pays their hand-offs and still gains overall.
      */
     static constexpr size_t kSplitBatchMin = 4096;
 

@@ -31,12 +31,10 @@ PageAllocator::alloc(unsigned npages, uint64_t align)
         const size_t count = free_.intervalCount();
         if (count == 0)
             return std::nullopt;
-        const auto [ival_base, ival_size] = free_.nth(rng_.below(count));
-        const Addr pick =
-            ival_base + pageAddr(rng_.below(ival_size / kPageSize));
-        const bool ok = free_.erase(pick, kPageSize);
-        panic_if(!ok, "scatter pick %#lx is not free", pick);
-        return pick;
+        return free_.eraseInNth(
+            rng_.below(count), kPageSize, [this](uint64_t ival_size) {
+                return pageAddr(rng_.below(ival_size / kPageSize));
+            });
     }
 
     const auto fit = free_.findFit(bytes, align);

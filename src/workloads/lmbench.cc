@@ -278,14 +278,22 @@ LmbenchSuite::run(const std::string &name, unsigned iters)
         else fatal("unknown syscall model '%s'", name.c_str());
     };
 
-    // Warm up once, then measure.
-    dispatch(r);
+    // Warm up once, then measure; the helper thread times the
+    // accesses of each phase, whose stream closes before the model is
+    // reset or read.
+    {
+        const Machine::TimingStream stream = r.timingStream();
+        dispatch(r);
+    }
     model.reset();
     const unsigned effective = name.rfind("fork", 0) == 0
                                    ? std::max(1u, iters / 20)
                                    : iters;
-    for (unsigned i = 0; i < effective; ++i)
-        dispatch(r);
+    {
+        const Machine::TimingStream stream = r.timingStream();
+        for (unsigned i = 0; i < effective; ++i)
+            dispatch(r);
+    }
     return model.seconds() * 1e6 / effective;
 }
 

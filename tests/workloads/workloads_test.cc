@@ -254,6 +254,52 @@ TEST(Lmbench, AllSyscallsRun)
     }
 }
 
+TEST(Lmbench, OpCostsPinned)
+{
+    // Each op's modelled microseconds on BOOM, recorded from the
+    // inline schedule before LmbenchSuite::run timed its phases on
+    // timing streams: both schedules give the same bits.
+    struct Pin
+    {
+        IsolationScheme scheme;
+        double us[12]; //!< syscalls, then extended ops, run in that order
+    };
+    const Pin pins[] = {
+        {IsolationScheme::Pmp,
+         {0x1.229db22d0e56p-2, 0x1.543b645a1cacp+0, 0x1.9a96872b020c5p-1,
+          0x1.0b74395810625p+2, 0x1.9d46a7ef9db23p-1, 0x1.debe978d4fdf5p+2,
+          0x1.cf1cbc6a7ef9ep+3, 0x1.c1070a3d70a3ep+6, 0x1.0effae147ae14p+7,
+          0x1.9293f7ced9168p+0, 0x1.6d1810624dd2fp+0, 0x1.04fe560418937p+2}},
+        {IsolationScheme::PmpTable,
+         {0x1.c2a7ef9db22dp-2, 0x1.dc90624dd2f1ap+0, 0x1.18170a3d70a3dp+0,
+          0x1.57d72b020c49bp+2, 0x1.034e560418937p+0, 0x1.284db22d0e561p+3,
+          0x1.1f6828f5c28f6p+4, 0x1.0b3cf5c28f5c2p+7, 0x1.3b910a3d70a3ep+7,
+          0x1.dbe24dd2f1aap+0, 0x1.740a3d70a3d71p+0, 0x1.4b5c49ba5e354p+2}},
+        {IsolationScheme::Hpmp,
+         {0x1.ac22d0e560418p-2, 0x1.cd051eb851eb8p+0, 0x1.079ba5e353f7dp+0,
+          0x1.419353f7ced91p+2, 0x1.da5a1cac08313p-1, 0x1.0f6d0e560418ap+3,
+          0x1.05edfbe76c8b4p+4, 0x1.ec3828f5c28f6p+6, 0x1.26ddeb851eb85p+7,
+          0x1.b57b645a1cacp+0, 0x1.715f3b645a1cbp+0, 0x1.2b2624dd2f1aap+2}},
+    };
+    std::vector<std::string> ops = lmbenchSyscalls();
+    for (const std::string &op : lmbenchExtendedSyscalls())
+        ops.push_back(op);
+    ASSERT_EQ(ops.size(), 12u);
+    for (const Pin &pin : pins) {
+        TeeEnv env(cfg(pin.scheme, CoreKind::Boom));
+        LmbenchSuite suite(env);
+        for (size_t k = 0; k < ops.size(); ++k) {
+            const uint64_t streams = env.machine().streamsOpened();
+            const double us = suite.run(ops[k], 40);
+            EXPECT_EQ(us, pin.us[k])
+                << toString(pin.scheme) << " " << ops[k];
+            // The warm-up and the measured loop each ran on a stream.
+            EXPECT_EQ(env.machine().streamsOpened(), streams + 2)
+                << toString(pin.scheme) << " " << ops[k];
+        }
+    }
+}
+
 TEST(Rv8, AppRunsAndSchemesOrder)
 {
     const Rv8App app{"norx-mini", 50000000ULL, 0.34, 2_MiB,
