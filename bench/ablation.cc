@@ -26,18 +26,10 @@ tableDepth()
     banner("Ablation 1: PMP Table depth (cold load, Rocket, Sv39)");
     row({"levels", "coverage", "refs", "cycles"});
     for (const unsigned levels : {2u, 3u}) {
-        MachineParams params = rocketParams();
-        Machine machine(params);
-        PageTable pt(machine.mem(), bumpAllocator(256_MiB),
-                     PagingMode::Sv39);
-        pt.map(0x40000000, 4_GiB, Perm::rw(), true);
-        PmpTable table(machine.mem(), bumpAllocator(64_MiB), levels);
-        table.setPerm(256_MiB, 16_MiB, Perm::rw());
-        table.setPerm(4_GiB, 64_MiB, Perm::rwx());
-        machine.hpmp().programTable(0, 0, 16_GiB, table.rootPa(),
-                                    levels);
-        machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-        machine.setPriv(PrivMode::User);
+        MicroEnv env(rocketParams(), IsolationScheme::PmpTable,
+                     PagingMode::Sv39, levels);
+        env.pt().map(0x40000000, MicroEnv::kDataBase, Perm::rw(), true);
+        Machine &machine = env.machine();
         machine.coldReset();
         const auto out = machine.access(0x40000000, AccessType::Load);
         row({std::to_string(levels),

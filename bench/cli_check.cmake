@@ -1,5 +1,5 @@
 # Exit-code check for one command line of a driver (bench_paper,
-# model_check) that must fail.
+# model_check, hpmp_sim) that must fail.
 #
 #   cmake -DBIN=<driver> -DARGS="<arg;arg...>" -DEXPECT=<code> \
 #         -P cli_check.cmake

@@ -2,17 +2,14 @@
  * @file
  * Shared helpers for the paper figures run by bench_paper: fixed-width
  * table printing in the style of the paper's tables/figures, the one
- * JSON writer, the PMP/PMPT/HPMP environment triple, and a
- * microbenchmark fixture that builds a Machine + page table + HPMP
- * state for one isolation scheme with controlled placement of PT
- * pages (contiguous pool) and data pages.
+ * JSON writer, the PMP/PMPT/HPMP environment triple, and the page-touch
+ * microbenchmark of Figs. 15/16 on MicroEnv.
  */
 
 #ifndef HPMP_BENCH_COMMON_H
 #define HPMP_BENCH_COMMON_H
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +18,8 @@
 #include "base/stats.h"
 #include "core/machine.h"
 #include "hpmp/isolation.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
 #include "workloads/env.h"
+#include "workloads/micro_env.h"
 
 namespace hpmp::bench
 {
@@ -151,122 +147,6 @@ struct SchemeEnvs
     }
 
     TeeEnv pmp, pmpt, hpmp;
-};
-
-/**
- * Microbenchmark fixture: one machine with `npages` test pages mapped
- * at consecutive (or strided) virtual addresses. PT pages live in a
- * contiguous pool; the HPMP registers are programmed per scheme the
- * way the secure monitor would.
- */
-class MicroEnv
-{
-  public:
-    static constexpr Addr kPtPool = 256_MiB;
-    static constexpr uint64_t kPtPoolSize = 16_MiB;
-    static constexpr Addr kDataBase = 4_GiB;
-    static constexpr uint64_t kDataSize = 4_GiB;
-    /**
-     * VA base with non-trivial VPN[2]/VPN[1] and data placement deep
-     * inside the protected region: radix-structure *roots* otherwise
-     * all sit at slot 0 of their pages and collapse into one L1 set,
-     * which thrashes in a way real (spread-out) workloads do not.
-     */
-    static constexpr Addr kVaBase = 0x2A5A000000;
-    static constexpr Addr kFirstDataPa = kDataBase + 417_MiB;
-
-    MicroEnv(const MachineParams &params, IsolationScheme scheme,
-             bool dirty_pages = true)
-        : machine_(std::make_unique<Machine>(params)),
-          scheme_(scheme)
-    {
-        pt_ = std::make_unique<PageTable>(machine_->mem(),
-                                          bumpAllocator(kPtPool),
-                                          PagingMode::Sv39);
-        program(dirty_pages);
-        machine_->setSatp(pt_->rootPa(), PagingMode::Sv39);
-        machine_->setPriv(PrivMode::User);
-    }
-
-    /**
-     * Map npages at a VA stride (in pages) with a PA stride; returns
-     * the VA base. Pages are created accessed; dirty per `dirty`.
-     */
-    Addr
-    mapPages(unsigned npages, uint64_t va_stride_pages = 1,
-             uint64_t pa_stride_pages = 1, bool dirty = true)
-    {
-        const Addr base = nextVa_;
-        for (unsigned i = 0; i < npages; ++i) {
-            const Addr va = base + pageAddr(i * va_stride_pages);
-            const Addr pa = nextPa_;
-            nextPa_ += pageAddr(pa_stride_pages);
-            const bool ok =
-                pt_->map(va, pa, Perm::rw(), true, 0, true, dirty);
-            if (!ok)
-                fatal("MicroEnv map collision at %#lx", va);
-        }
-        nextVa_ = base + pageAddr(npages * va_stride_pages + 8);
-        machine_->sfenceVma();
-        return base;
-    }
-
-    Machine &machine() { return *machine_; }
-    PageTable &pt() { return *pt_; }
-    IsolationScheme scheme() const { return scheme_; }
-
-    /** Clear the D bit of the leaf PTE for va (cache state untouched). */
-    void
-    cleanDirtyBit(Addr va)
-    {
-        auto slot = pt_->leafPteAddr(va);
-        if (!slot)
-            return;
-        Pte pte{machine_->mem().read64(*slot)};
-        pte.setD(false);
-        machine_->mem().write64(*slot, pte.raw);
-    }
-
-  private:
-    void
-    program(bool /*dirty_pages*/)
-    {
-        HpmpUnit &unit = machine_->hpmp();
-        switch (scheme_) {
-          case IsolationScheme::None:
-            unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::Pmp:
-            unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-            unit.programSegment(1, kDataBase, kDataSize, Perm::rwx());
-            break;
-          case IsolationScheme::PmpTable:
-            makeTable();
-            unit.programTable(0, 0, 16_GiB, table_->rootPa());
-            break;
-          case IsolationScheme::Hpmp:
-            unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-            makeTable();
-            unit.programTable(1, 0, 16_GiB, table_->rootPa());
-            break;
-        }
-    }
-
-    void
-    makeTable()
-    {
-        table_ = std::make_unique<PmpTable>(machine_->mem(),
-                                            bumpAllocator(64_MiB), 2);
-        table_->setPerm(kPtPool, kPtPoolSize, Perm::rw());
-        table_->setPerm(kDataBase, kDataSize, Perm::rwx());
-    }
-
-    std::unique_ptr<Machine> machine_;
-    IsolationScheme scheme_;
-    std::unique_ptr<PageTable> pt_;
-    std::unique_ptr<PmpTable> table_;
-    Addr nextVa_ = kVaBase;
-    Addr nextPa_ = kFirstDataPa;
 };
 
 /**

@@ -17,36 +17,9 @@ unsigned
 coldRefs(const MachineParams &params, IsolationScheme scheme,
          PagingMode mode, Json &captures, const std::string &label)
 {
-    Machine machine(params);
-    PageTable pt(machine.mem(), bumpAllocator(MicroEnv::kPtPool), mode);
-    pt.map(MicroEnv::kVaBase, MicroEnv::kDataBase, Perm::rw(), true);
-
-    PmpTable table(machine.mem(), bumpAllocator(64_MiB), 2);
-    table.setPerm(MicroEnv::kPtPool, MicroEnv::kPtPoolSize, Perm::rw());
-    table.setPerm(MicroEnv::kDataBase, 64_MiB, Perm::rwx());
-
-    HpmpUnit &unit = machine.hpmp();
-    switch (scheme) {
-      case IsolationScheme::None:
-        unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::Pmp:
-        unit.programSegment(0, MicroEnv::kPtPool, MicroEnv::kPtPoolSize,
-                            Perm::rw());
-        unit.programSegment(1, MicroEnv::kDataBase, 4_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::PmpTable:
-        unit.programTable(0, 0, 16_GiB, table.rootPa());
-        break;
-      case IsolationScheme::Hpmp:
-        unit.programSegment(0, MicroEnv::kPtPool, MicroEnv::kPtPoolSize,
-                            Perm::rw());
-        unit.programTable(1, 0, 16_GiB, table.rootPa());
-        break;
-    }
-
-    machine.setSatp(pt.rootPa(), mode);
-    machine.setPriv(PrivMode::User);
+    MicroEnv env(params, scheme, mode);
+    env.pt().map(MicroEnv::kVaBase, MicroEnv::kDataBase, Perm::rw(), true);
+    Machine &machine = env.machine();
     machine.coldReset();
     const AccessOutcome out =
         machine.access(MicroEnv::kVaBase, AccessType::Load);

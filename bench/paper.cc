@@ -22,13 +22,12 @@
  * 1 when an output file cannot be written.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "base/parse.h"
 #include "bench/common.h"
 
 namespace hpmp::bench
@@ -146,12 +145,8 @@ main(int argc, char **argv)
         } else if (arg.rfind("--stats-series=", 0) == 0) {
             series_path = value("--stats-series=");
         } else if (arg.rfind("--stats-interval=", 0) == 0) {
-            const std::string cycles = value("--stats-interval=");
-            char *end = nullptr;
-            errno = 0;
-            report.seriesInterval = std::strtoull(cycles.c_str(), &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(cycles[0])) ||
-                *end != '\0' || errno == ERANGE)
+            if (!hpmp::parseUnsigned(value("--stats-interval="),
+                                     report.seriesInterval))
                 usage("not a number: " + arg);
         } else if (arg.rfind("-", 0) == 0) {
             usage("unknown flag " + arg);

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <memory>
 
+#include "base/parse.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "bench/common.h"
@@ -508,7 +509,10 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "--stats-series=", 15) == 0) {
             series.path = argv[i] + 15;
         } else if (std::strncmp(argv[i], "--stats-interval=", 17) == 0) {
-            series.interval = std::strtoull(argv[i] + 17, nullptr, 0);
+            if (!hpmp::parseUnsigned(argv[i] + 17, series.interval)) {
+                std::fprintf(stderr, "not a number: %s\n", argv[i]);
+                return 1;
+            }
         } else {
             consume = false;
         }

@@ -1,13 +1,12 @@
 #include "verify/decision.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "base/logging.h"
+#include "base/parse.h"
 
 namespace hpmp::verify
 {
@@ -63,17 +62,6 @@ oneLine(const std::string &s)
 }
 
 } // namespace
-
-bool
-parseUnsigned(const std::string &text, uint64_t &out)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(text.c_str(), &end, 0);
-    return errno == 0 && *end == '\0';
-}
 
 bool
 parseProbability(const std::string &text, double &out)

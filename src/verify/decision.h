@@ -92,12 +92,6 @@ std::string serializeTrace(const DecisionTrace &trace);
 bool parseTrace(const std::string &text, DecisionTrace &out,
                 std::string &error);
 
-/**
- * Parse a whole unsigned number — decimal, or hex with a 0x prefix.
- * @return false on an empty string, a sign, overflow or trailing junk.
- */
-bool parseUnsigned(const std::string &text, uint64_t &out);
-
 /** Parse a whole probability in [0, 1]. @return false on junk, NaN or
  *  a value outside the interval. */
 bool parseProbability(const std::string &text, double &out);

@@ -14,6 +14,7 @@
 #include "base/fault_inject.h"
 #include "base/hash.h"
 #include "base/logging.h"
+#include "base/parse.h"
 #include "core/smp.h"
 #include "migrate/migration.h"
 #include "monitor/secure_monitor.h"

@@ -13,7 +13,8 @@
  *
  * The guest-physical layout is identity-mapped (gpa == spa) so guest
  * tables can be built directly in simulated memory, while every
- * access still performs the real three-dimensional walk.
+ * access still performs the real three-dimensional walk. This is the
+ * guest-side counterpart of MicroEnv (workloads/micro_env.h).
  */
 
 #ifndef HPMP_WORKLOADS_VIRT_ENV_H
@@ -41,6 +42,9 @@ class VirtEnv
 
     VirtMachine &vm() { return *vm_; }
     VirtScheme scheme() const { return scheme_; }
+    /** The Sv39x4 nested and Sv39 guest tables, for custom mappings. */
+    PageTable &npt() { return *npt_; }
+    PageTable &gpt() { return *gpt_; }
 
     /**
      * Map `npages` guest pages starting at guestVaBase() and return

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the RNG, stats registry and access vocabulary.
+ * Tests for the RNG, stats registry, access vocabulary and number
+ * parser.
  */
 
 #include <gtest/gtest.h>
 
 #include "base/access.h"
+#include "base/parse.h"
 #include "base/rng.h"
 #include "base/stats.h"
 
@@ -95,6 +97,17 @@ TEST(Access, FaultMapping)
               Fault::GuestLoadPageFault);
     EXPECT_STREQ(toString(Fault::LoadAccessFault), "load-access-fault");
     EXPECT_STREQ(toString(AccessType::Fetch), "fetch");
+}
+
+TEST(Parse, WholeUnsignedNumbersOnly)
+{
+    uint64_t v = 0;
+    EXPECT_TRUE(parseUnsigned("0x10", v));
+    EXPECT_EQ(v, 16u);
+    EXPECT_TRUE(parseUnsigned("18446744073709551615", v));
+    for (const char *junk : {"", "abc", "12x", "-1", " 1", "+1",
+                             "18446744073709551616"})
+        EXPECT_FALSE(parseUnsigned(junk, v)) << junk;
 }
 
 } // namespace

@@ -12,21 +12,13 @@
 #include <gtest/gtest.h>
 
 #include "base/attribution.h"
-#include "base/frame_alloc.h"
-#include "core/machine.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
+#include "workloads/micro_env.h"
 #include "workloads/virt_env.h"
 
 namespace hpmp
 {
 namespace
 {
-
-constexpr Addr kPtPool = 256_MiB;
-constexpr uint64_t kPtPoolSize = 16_MiB;
-constexpr Addr kDataBase = 4_GiB;
-constexpr Addr kVaBase = 0x2A5A000000;
 
 /** Per-category totals folded out of a RefAttribution. */
 struct RefCounts
@@ -73,38 +65,13 @@ struct ColdLoad
 ColdLoad
 coldLoad(IsolationScheme scheme, PagingMode mode)
 {
-    Machine machine(rocketParams());
-    PageTable pt(machine.mem(), bumpAllocator(kPtPool), mode);
-    pt.map(kVaBase, kDataBase, Perm::rw(), true);
-
-    PmpTable table(machine.mem(), bumpAllocator(64_MiB), 2);
-    table.setPerm(kPtPool, kPtPoolSize, Perm::rw());
-    table.setPerm(kDataBase, 64_MiB, Perm::rwx());
-
-    HpmpUnit &unit = machine.hpmp();
-    switch (scheme) {
-      case IsolationScheme::None:
-        unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::Pmp:
-        unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-        unit.programSegment(1, kDataBase, 4_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::PmpTable:
-        unit.programTable(0, 0, 16_GiB, table.rootPa());
-        break;
-      case IsolationScheme::Hpmp:
-        unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-        unit.programTable(1, 0, 16_GiB, table.rootPa());
-        break;
-    }
-
-    machine.setSatp(pt.rootPa(), mode);
-    machine.setPriv(PrivMode::User);
+    MicroEnv env(rocketParams(), scheme, mode);
+    env.pt().map(MicroEnv::kVaBase, MicroEnv::kDataBase, Perm::rw(), true);
+    Machine &machine = env.machine();
     machine.coldReset();
 
     ColdLoad result;
-    result.out = machine.access(kVaBase, AccessType::Load);
+    result.out = machine.access(MicroEnv::kVaBase, AccessType::Load);
     result.attr = fold(machine.refAttr());
     return result;
 }
@@ -235,15 +202,11 @@ TEST(Attribution, LatencyDistributionsCoverEveryReference)
 {
     // Each origin's cycle histogram samples once per counted ref, so
     // Fig. 10-style latency breakdowns read from the same registry.
-    Machine machine(rocketParams());
-    PageTable pt(machine.mem(), bumpAllocator(kPtPool),
-                 PagingMode::Sv39);
-    pt.map(kVaBase, kDataBase, Perm::rw(), true);
-    machine.hpmp().programSegment(0, 0, 16_GiB, Perm::rwx());
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
+    MicroEnv env(rocketParams(), IsolationScheme::None);
+    env.pt().map(MicroEnv::kVaBase, MicroEnv::kDataBase, Perm::rw(), true);
+    Machine &machine = env.machine();
     machine.coldReset();
-    ASSERT_TRUE(machine.access(kVaBase, AccessType::Load).ok());
+    ASSERT_TRUE(machine.access(MicroEnv::kVaBase, AccessType::Load).ok());
 
     const RefAttribution &attr = machine.refAttr();
     for (unsigned i = 0; i < unsigned(RefOrigin::NumOrigins); ++i) {

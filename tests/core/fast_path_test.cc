@@ -33,9 +33,8 @@
 #include "base/trace.h"
 #include "core/core_model.h"
 #include "core/virt_machine.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
 #include "pt/walker.h"
+#include "workloads/micro_env.h"
 #include "workloads/virt_env.h"
 
 namespace hpmp
@@ -150,9 +149,9 @@ class ForceGuard
 
 // ---- single-stage ---------------------------------------------------
 
-constexpr Addr kPtPool = 256_MiB;
-constexpr Addr kData = 4_GiB;
-constexpr Addr kDenied = kData + 64_MiB; //!< outside every grant
+constexpr Addr kData = MicroEnv::kDataBase;
+/** Just past the data region: outside every grant. */
+constexpr Addr kDenied = MicroEnv::kDataBase + MicroEnv::kDataSize;
 constexpr Addr kVa = 0x40000000;
 constexpr Addr kSuperVa = 0x40400000;    //!< one 2 MiB leaf
 constexpr Addr kSuperPa = kData + 32_MiB;
@@ -160,8 +159,8 @@ constexpr Addr kSuperPa = kData + 32_MiB;
 struct MachineRig
 {
     MachineRig(IsolationScheme scheme, unsigned pmptw_entries)
-        : machine(params(pmptw_entries)),
-          pt(machine.mem(), bumpAllocator(kPtPool), PagingMode::Sv39)
+        : env(params(pmptw_entries), scheme), machine(env.machine()),
+          pt(env.pt())
     {
         for (unsigned i = 0; i < kHot; ++i)
             pt.map(kVa + pageAddr(i), kData + pageAddr(i), Perm::rw(), true);
@@ -169,29 +168,6 @@ struct MachineRig
         pt.map(supVa(), kData + pageAddr(kHot + 1), Perm::rwx(), false);
         pt.map(deniedVa(), kDenied, Perm::rw(), true);
         pt.map(kSuperVa, kSuperPa, Perm::rwx(), true, 1);
-
-        HpmpUnit &unit = machine.hpmp();
-        if (scheme != IsolationScheme::Pmp) {
-            table = std::make_unique<PmpTable>(
-                machine.mem(), bumpAllocator(64_MiB), 2);
-            table->setPerm(kPtPool, 16_MiB, Perm::rw());
-            table->setPerm(kData, 64_MiB, Perm::rwx());
-        }
-        switch (scheme) {
-          case IsolationScheme::Pmp:
-            unit.programSegment(0, kPtPool, 16_MiB, Perm::rw());
-            unit.programSegment(1, kData, 64_MiB, Perm::rwx());
-            break;
-          case IsolationScheme::Hpmp:
-            unit.programSegment(0, kPtPool, 16_MiB, Perm::rw());
-            unit.programTable(1, 0, 16_GiB, table->rootPa());
-            break;
-          default:
-            unit.programTable(0, 0, 16_GiB, table->rootPa());
-            break;
-        }
-        machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-        machine.setPriv(PrivMode::User);
         machine.registerStats(registry);
     }
 
@@ -224,9 +200,9 @@ struct MachineRig
         return kSuperVa + rng.below(2_MiB / 8) * 8;
     }
 
-    Machine machine;
-    PageTable pt;
-    std::unique_ptr<PmpTable> table;
+    MicroEnv env;
+    Machine &machine;
+    PageTable &pt;
     StatRegistry registry;
 };
 
@@ -376,9 +352,9 @@ struct GoldenDigest
 };
 
 /**
- * Recorded before AccessOutcome was filled in place; an
- * intended change to simulated output re-records them (the failure
- * message prints each new digest).
+ * Pinned op-log digests: an intended change to simulated output or to
+ * a rig's layout re-records them (the failure message prints each new
+ * digest).
  */
 TEST(MachineFastPathGolden, OpLogDigestsMatchRecorded)
 {
@@ -386,15 +362,15 @@ TEST(MachineFastPathGolden, OpLogDigestsMatchRecorded)
         {IsolationScheme::Pmp, 0, 1, 0x2b308fe3db584e15ULL},
         {IsolationScheme::Pmp, 0, 2, 0x3c441f6d56d42e3cULL},
         {IsolationScheme::Pmp, 0, 3, 0xe0d2758a3e191e6eULL},
-        {IsolationScheme::PmpTable, 0, 1, 0xf87a0b7330842918ULL},
-        {IsolationScheme::PmpTable, 0, 2, 0x1c0c011ef6058606ULL},
-        {IsolationScheme::PmpTable, 0, 3, 0xf3c31087a2d9a0a2ULL},
-        {IsolationScheme::Hpmp, 0, 1, 0xec7dcdc9793641f7ULL},
-        {IsolationScheme::Hpmp, 0, 2, 0x7e37dc4e8fbb702cULL},
-        {IsolationScheme::Hpmp, 0, 3, 0x9e8ffa08b033bca8ULL},
-        {IsolationScheme::Hpmp, 8, 1, 0xed4ee84207733250ULL},
-        {IsolationScheme::Hpmp, 8, 2, 0xcef88df269f976e1ULL},
-        {IsolationScheme::Hpmp, 8, 3, 0x37392bd1e3142b96ULL},
+        {IsolationScheme::PmpTable, 0, 1, 0x022f6a1651b8bba5ULL},
+        {IsolationScheme::PmpTable, 0, 2, 0x67edc487e12f6118ULL},
+        {IsolationScheme::PmpTable, 0, 3, 0x81e71d3476001a3bULL},
+        {IsolationScheme::Hpmp, 0, 1, 0x779684c1a8728f02ULL},
+        {IsolationScheme::Hpmp, 0, 2, 0x9ee67bafb2cd092fULL},
+        {IsolationScheme::Hpmp, 0, 3, 0xeb33826f00c329ecULL},
+        {IsolationScheme::Hpmp, 8, 1, 0x6f73f7ca77fca5f5ULL},
+        {IsolationScheme::Hpmp, 8, 2, 0x9c0b38270d5493c4ULL},
+        {IsolationScheme::Hpmp, 8, 3, 0xb62a2a6f56230b4eULL},
     };
     for (const GoldenDigest &c : cases) {
         const Replay replay =
@@ -519,9 +495,7 @@ TEST(MachineWalkPoison, PoisonedPmpteReportsRootOrLeaf)
 
 // ---- two-stage ------------------------------------------------------
 
-constexpr Addr kNptPool = 128_MiB;
-constexpr Addr kGptPool = 160_MiB;
-constexpr Addr kGuestData = 1_GiB;
+constexpr Addr kGuestData = VirtEnv::kDataBase;
 constexpr Addr kGuestDenied = 3_GiB;  //!< no grant covers it
 constexpr Addr kGva = 0x40000000;
 constexpr Addr kGSuperVa = 0x40400000; //!< 2 MiB in both stages
@@ -530,15 +504,21 @@ constexpr Addr kGSplitVa = 0x40600000; //!< 2 MiB guest, 4 KiB nested
 constexpr Addr kGSplitGpa = kGuestData + 34_MiB;
 constexpr unsigned kSplitPages = 16;   //!< nested-mapped part of it
 
+/** The VirtEnv method that programs `scheme` (PMP, PMPT or HPMP). */
+VirtScheme
+virtScheme(IsolationScheme scheme)
+{
+    return scheme == IsolationScheme::Pmp    ? VirtScheme::Pmp
+           : scheme == IsolationScheme::Hpmp ? VirtScheme::Hpmp
+                                             : VirtScheme::Pmpt;
+}
+
 struct VirtRig
 {
     explicit VirtRig(IsolationScheme scheme)
-        : vm(rocketParams()),
-          npt(vm.mem(), bumpAllocator(kNptPool), PagingMode::Sv39, 2),
-          gpt(vm.mem(), bumpAllocator(kGptPool), PagingMode::Sv39)
+        : env(CoreKind::Rocket, virtScheme(scheme)), vm(env.vm()),
+          npt(env.npt()), gpt(env.gpt())
     {
-        for (Addr gpa = kGptPool; gpa < kGptPool + 1_MiB; gpa += kPageSize)
-            npt.map(gpa, gpa, Perm::rw(), true);
         auto map4k = [&](Addr gva, Addr gpa, Perm vs, bool user, Perm g) {
             gpt.map(gva, gpa, vs, user);
             npt.map(gpa, gpa, g, true);
@@ -561,32 +541,6 @@ struct VirtRig
             npt.map(kGSplitGpa + pageAddr(i), kGSplitGpa + pageAddr(i),
                     Perm::rwx(), true);
         }
-
-        HpmpUnit &unit = vm.hpmp();
-        unit.programSegment(0, 0, 128_MiB, Perm::none());
-        if (scheme != IsolationScheme::Pmp) {
-            table = std::make_unique<PmpTable>(vm.mem(),
-                                               bumpAllocator(64_MiB), 2);
-            table->setPerm(kNptPool, 32_MiB, Perm::rw());
-            table->setPerm(kGptPool, 32_MiB, Perm::rw());
-            table->setPerm(kGuestData, 1_GiB, Perm::rwx());
-        }
-        switch (scheme) {
-          case IsolationScheme::Pmp:
-            unit.programSegment(1, kNptPool, 32_MiB, Perm::rw());
-            unit.programSegment(2, kGptPool, 32_MiB, Perm::rw());
-            unit.programSegment(3, kGuestData, 1_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::Hpmp:
-            unit.programSegment(1, kNptPool, 32_MiB, Perm::rw());
-            unit.programTable(2, 0, 16_GiB, table->rootPa());
-            break;
-          default:
-            unit.programTable(1, 0, 16_GiB, table->rootPa());
-            break;
-        }
-        vm.setHgatp(npt.rootPa());
-        vm.setVsatp(gpt.rootPa());
         vm.setGuestPriv(PrivMode::User);
         vm.registerStats(registry);
     }
@@ -616,10 +570,10 @@ struct VirtRig
         return kGSplitVa + pageAddr(rng.below(kSplitPages)) + off;
     }
 
-    VirtMachine vm;
-    PageTable npt;
-    PageTable gpt;
-    std::unique_ptr<PmpTable> table;
+    VirtEnv env;
+    VirtMachine &vm;
+    PageTable &npt;
+    PageTable &gpt;
     StatRegistry registry;
 };
 
@@ -687,15 +641,15 @@ TEST_P(VirtFastPath, FullPathReplaysByteIdentical)
 TEST(VirtFastPathGolden, OpLogDigestsMatchRecorded)
 {
     const GoldenDigest cases[] = {
-        {IsolationScheme::Pmp, 0, 1, 0xcc407e0bc38611a2ULL},
-        {IsolationScheme::Pmp, 0, 2, 0x5fb6f14fc3267118ULL},
-        {IsolationScheme::Pmp, 0, 3, 0xc2cb82e4f45403fbULL},
-        {IsolationScheme::PmpTable, 0, 1, 0x29321a1390ead024ULL},
-        {IsolationScheme::PmpTable, 0, 2, 0x3462be32531a7d4aULL},
-        {IsolationScheme::PmpTable, 0, 3, 0xd80379b3eb954265ULL},
-        {IsolationScheme::Hpmp, 0, 1, 0xf3a65a2381b181a2ULL},
-        {IsolationScheme::Hpmp, 0, 2, 0x845b8ffdcdb6e0bcULL},
-        {IsolationScheme::Hpmp, 0, 3, 0x4c44603574f08fbaULL},
+        {IsolationScheme::Pmp, 0, 1, 0xabcd54555adb9031ULL},
+        {IsolationScheme::Pmp, 0, 2, 0x0dea338cc5e46826ULL},
+        {IsolationScheme::Pmp, 0, 3, 0xda9f7334dc83e4b6ULL},
+        {IsolationScheme::PmpTable, 0, 1, 0x284fbfb0518e189bULL},
+        {IsolationScheme::PmpTable, 0, 2, 0xdc7969f1b55e626aULL},
+        {IsolationScheme::PmpTable, 0, 3, 0xc13db307caeaa539ULL},
+        {IsolationScheme::Hpmp, 0, 1, 0x6d023115a370ce18ULL},
+        {IsolationScheme::Hpmp, 0, 2, 0x95054fd50389f3b5ULL},
+        {IsolationScheme::Hpmp, 0, 3, 0xee8ba1adf40df244ULL},
     };
     for (const GoldenDigest &c : cases) {
         const Replay replay = replayVirt(c.scheme, Force::None, c.seed);

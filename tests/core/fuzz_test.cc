@@ -20,6 +20,7 @@
 #include "core/machine.h"
 #include "pmpt/pmp_table.h"
 #include "pt/page_table.h"
+#include "workloads/micro_env.h"
 
 namespace hpmp
 {
@@ -86,10 +87,9 @@ TEST(FuzzProtection, CheckPhysMatchesRegionOracle)
 
 TEST(FuzzTranslation, AccessMatchesMappingOracle)
 {
-    Machine machine(rocketParams());
-    machine.hpmp().programSegment(0, 0, 16_GiB, Perm::rwx());
-    PageTable pt(machine.mem(), bumpAllocator(256_MiB),
-                 PagingMode::Sv39);
+    MicroEnv env(rocketParams(), IsolationScheme::None);
+    Machine &machine = env.machine();
+    PageTable &pt = env.pt();
 
     std::map<uint64_t, std::pair<Addr, Perm>> oracle; // vpn -> (pa, perm)
     Rng rng(0x7e57);
@@ -100,8 +100,6 @@ TEST(FuzzTranslation, AccessMatchesMappingOracle)
         if (pt.map(va, pa, perm, true))
             oracle[pageNumber(va)] = {pa, perm};
     }
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
 
     for (int trial = 0; trial < 4000; ++trial) {
         Addr va;
@@ -134,15 +132,9 @@ TEST(FuzzCounts, PmptRefsAreTwicePerCheckedRef)
     MachineParams params = rocketParams();
     params.pwcEntries = 0;   // no PWC: every PT level is referenced
     params.pmptwEntries = 0; // no PMPTW cache
-    Machine machine(params);
-
-    PmpTable table(machine.mem(), bumpAllocator(64_MiB), 2);
-    table.setPerm(256_MiB, 16_MiB, Perm::rw());
-    table.setPerm(4_GiB, 256_MiB, Perm::rwx());
-    machine.hpmp().programTable(0, 0, 16_GiB, table.rootPa());
-
-    PageTable pt(machine.mem(), bumpAllocator(256_MiB),
-                 PagingMode::Sv39);
+    MicroEnv env(params, IsolationScheme::PmpTable);
+    Machine &machine = env.machine();
+    PageTable &pt = env.pt();
     Rng rng(0xc0ffee);
     std::vector<Addr> vas;
     for (int i = 0; i < 64; ++i) {
@@ -151,8 +143,6 @@ TEST(FuzzCounts, PmptRefsAreTwicePerCheckedRef)
         if (pt.map(va, pa, Perm::rw(), true))
             vas.push_back(va);
     }
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
 
     for (const Addr va : vas) {
         machine.sfenceVma();
@@ -168,17 +158,14 @@ TEST(FuzzTlb, HitsAndWalksAgreeOnTranslation)
     // Repeated access to the same VA must produce identical faults
     // and (via functional readback) identical bytes whether served by
     // the TLB or a fresh walk.
-    Machine machine(rocketParams());
-    machine.hpmp().programSegment(0, 0, 16_GiB, Perm::rwx());
-    PageTable pt(machine.mem(), bumpAllocator(256_MiB),
-                 PagingMode::Sv39);
+    MicroEnv env(rocketParams(), IsolationScheme::None);
+    Machine &machine = env.machine();
+    PageTable &pt = env.pt();
     Rng rng(0xbee);
     for (int i = 0; i < 50; ++i) {
         pt.map(pageAddr(0x40000 + i), 4_GiB + pageAddr(i * 7 % 64),
                Perm::rw(), true);
     }
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
 
     for (int trial = 0; trial < 1000; ++trial) {
         const Addr va = pageAddr(0x40000 + rng.below(50)) +

@@ -9,62 +9,27 @@
 
 #include <gtest/gtest.h>
 
-#include "core/machine.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
+#include "workloads/micro_env.h"
 
 namespace hpmp
 {
 namespace
 {
 
-constexpr Addr kPtPool = 256_MiB;
-constexpr Addr kData = 4_GiB;
+constexpr Addr kData = MicroEnv::kDataBase;
 constexpr Addr kVa = 0x40000000;
 
-struct Rig
+/** A MicroEnv with kVa mapped to kData, caches cold. */
+struct Rig : MicroEnv
 {
     explicit Rig(MachineParams params, IsolationScheme scheme,
                  PagingMode mode = PagingMode::Sv39,
                  unsigned pmpt_levels = 2)
-        : machine(params),
-          pt(machine.mem(), bumpAllocator(kPtPool), mode)
+        : MicroEnv(params, scheme, mode, pmpt_levels)
     {
-        pt.map(kVa, kData, Perm::rw(), true);
-        if (scheme == IsolationScheme::PmpTable ||
-            scheme == IsolationScheme::Hpmp) {
-            table = std::make_unique<PmpTable>(
-                machine.mem(), bumpAllocator(64_MiB), pmpt_levels);
-            table->setPerm(kPtPool, 16_MiB, Perm::rw());
-            table->setPerm(kData, 64_MiB, Perm::rwx());
-        }
-        HpmpUnit &unit = machine.hpmp();
-        switch (scheme) {
-          case IsolationScheme::None:
-            unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::Pmp:
-            unit.programSegment(0, kPtPool, 16_MiB, Perm::rw());
-            unit.programSegment(1, kData, 4_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::PmpTable:
-            unit.programTable(0, 0, 16_GiB, table->rootPa(),
-                              pmpt_levels);
-            break;
-          case IsolationScheme::Hpmp:
-            unit.programSegment(0, kPtPool, 16_MiB, Perm::rw());
-            unit.programTable(1, 0, 16_GiB, table->rootPa(),
-                              pmpt_levels);
-            break;
-        }
-        machine.setSatp(pt.rootPa(), mode);
-        machine.setPriv(PrivMode::User);
-        machine.coldReset();
+        pt().map(kVa, kData, Perm::rw(), true);
+        machine().coldReset();
     }
-
-    Machine machine;
-    PageTable pt;
-    std::unique_ptr<PmpTable> table;
 };
 
 /** Paging-mode sweep: refs = levels+1 base, x3 under PMPT, +2 HPMP. */
@@ -80,9 +45,9 @@ TEST_P(ModeSweep, ExtraDimensionGrowsWithDepth)
     Rig pmpt(rocketParams(), IsolationScheme::PmpTable, GetParam());
     Rig hpmp(rocketParams(), IsolationScheme::Hpmp, GetParam());
 
-    const auto out_pmp = pmp.machine.access(kVa, AccessType::Load);
-    const auto out_pmpt = pmpt.machine.access(kVa, AccessType::Load);
-    const auto out_hpmp = hpmp.machine.access(kVa, AccessType::Load);
+    const auto out_pmp = pmp.machine().access(kVa, AccessType::Load);
+    const auto out_pmpt = pmpt.machine().access(kVa, AccessType::Load);
+    const auto out_hpmp = hpmp.machine().access(kVa, AccessType::Load);
     ASSERT_TRUE(out_pmp.ok());
     ASSERT_TRUE(out_pmpt.ok());
     ASSERT_TRUE(out_hpmp.ok());
@@ -106,7 +71,7 @@ TEST(MachineMore, ThreeLevelPmpTableAddsThreeRefsPerCheck)
 {
     Rig rig(rocketParams(), IsolationScheme::PmpTable, PagingMode::Sv39,
             /*pmpt_levels=*/3);
-    const auto out = rig.machine.access(kVa, AccessType::Load);
+    const auto out = rig.machine().access(kVa, AccessType::Load);
     ASSERT_TRUE(out.ok());
     // 4 checked refs x 3 pmpt levels.
     EXPECT_EQ(out.pmptRefs, 12u);
@@ -136,14 +101,14 @@ TEST(MachineMore, Epmp64Entries)
 TEST(MachineMore, SuperpageLeafFillsOneTlbEntry)
 {
     Rig rig(rocketParams(), IsolationScheme::Hpmp);
-    rig.pt.map(0x80000000, kData + 4_MiB, Perm::rw(), true,
+    rig.pt().map(0x80000000, kData + 4_MiB, Perm::rw(), true,
                /*level=*/1);
-    rig.machine.sfenceVma();
+    rig.machine().sfenceVma();
 
-    ASSERT_TRUE(rig.machine.access(0x80000000, AccessType::Load).ok());
+    ASSERT_TRUE(rig.machine().access(0x80000000, AccessType::Load).ok());
     // A different 4 KiB page of the same 2 MiB superpage: TLB hit.
     const auto out =
-        rig.machine.access(0x80000000 + 0x123000, AccessType::Load);
+        rig.machine().access(0x80000000 + 0x123000, AccessType::Load);
     ASSERT_TRUE(out.ok());
     EXPECT_TRUE(out.tlbHit);
     EXPECT_EQ(out.totalRefs(), 1u);
@@ -152,20 +117,19 @@ TEST(MachineMore, SuperpageLeafFillsOneTlbEntry)
 TEST(MachineMore, FetchGoesThroughICache)
 {
     Rig rig(rocketParams(), IsolationScheme::Pmp);
-    rig.pt.map(kVa + 2_MiB, kData + 2_MiB, Perm::rx(), true);
-    rig.machine.sfenceVma();
+    rig.pt().map(kVa + 2_MiB, kData + 2_MiB, Perm::rx(), true);
+    rig.machine().sfenceVma();
 
-    const auto out = rig.machine.access(kVa + 2_MiB, AccessType::Fetch);
+    const auto out = rig.machine().access(kVa + 2_MiB, AccessType::Fetch);
     ASSERT_TRUE(out.ok());
-    EXPECT_TRUE(rig.machine.hier().l1i().probe(kData + 2_MiB));
-    EXPECT_FALSE(rig.machine.hier().l1d().probe(kData + 2_MiB));
+    EXPECT_TRUE(rig.machine().hier().l1i().probe(kData + 2_MiB));
+    EXPECT_FALSE(rig.machine().hier().l1d().probe(kData + 2_MiB));
 }
 
 TEST(MachineMore, BareModeStillChecked)
 {
-    MachineParams params = rocketParams();
-    Machine machine(params);
-    machine.hpmp().programSegment(0, 4_GiB, 1_GiB, Perm::rw());
+    MicroEnv env(rocketParams(), IsolationScheme::Pmp);
+    Machine &machine = env.machine();
     machine.setBare();
     machine.setPriv(PrivMode::Supervisor);
 
@@ -180,12 +144,12 @@ TEST(MachineMore, PmptwCacheRemovesRepeatWalkRefs)
     params.pmptwEntries = 8;
     Rig rig(params, IsolationScheme::PmpTable);
 
-    const auto first = rig.machine.access(kVa, AccessType::Load);
+    const auto first = rig.machine().access(kVa, AccessType::Load);
     ASSERT_TRUE(first.ok());
     EXPECT_GT(first.pmptRefs, 0u);
 
-    rig.machine.sfenceVma(); // TLB gone, PMPTW-cache survives
-    const auto second = rig.machine.access(kVa, AccessType::Load);
+    rig.machine().sfenceVma(); // TLB gone, PMPTW-cache survives
+    const auto second = rig.machine().access(kVa, AccessType::Load);
     ASSERT_TRUE(second.ok());
     EXPECT_EQ(second.pmptRefs, 0u); // all checks served by the cache
 }
@@ -201,9 +165,9 @@ TEST(MachineMore, LatencyOrderingPropertyAcrossSchemes)
             Rig hpmp(machineParams(core), IsolationScheme::Hpmp, mode);
             Rig pmpt(machineParams(core), IsolationScheme::PmpTable,
                      mode);
-            const auto a = pmp.machine.access(kVa, AccessType::Load);
-            const auto b = hpmp.machine.access(kVa, AccessType::Load);
-            const auto c = pmpt.machine.access(kVa, AccessType::Load);
+            const auto a = pmp.machine().access(kVa, AccessType::Load);
+            const auto b = hpmp.machine().access(kVa, AccessType::Load);
+            const auto c = pmpt.machine().access(kVa, AccessType::Load);
             EXPECT_LE(a.cycles, b.cycles);
             EXPECT_LE(b.cycles, c.cycles);
         }
@@ -213,13 +177,13 @@ TEST(MachineMore, LatencyOrderingPropertyAcrossSchemes)
 TEST(MachineMore, StoreToReadOnlyPageFaultsWithoutSideEffects)
 {
     Rig rig(rocketParams(), IsolationScheme::Hpmp);
-    rig.pt.map(kVa + 2_MiB, kData + 2_MiB, Perm::ro(), true);
-    rig.machine.sfenceVma();
+    rig.pt().map(kVa + 2_MiB, kData + 2_MiB, Perm::ro(), true);
+    rig.machine().sfenceVma();
 
-    const auto out = rig.machine.access(kVa + 2_MiB, AccessType::Store);
+    const auto out = rig.machine().access(kVa + 2_MiB, AccessType::Store);
     EXPECT_EQ(out.fault, Fault::StorePageFault);
     // The failed access must not install a TLB entry.
-    const auto retry = rig.machine.access(kVa + 2_MiB, AccessType::Load);
+    const auto retry = rig.machine().access(kVa + 2_MiB, AccessType::Load);
     ASSERT_TRUE(retry.ok());
     EXPECT_FALSE(retry.tlbHit);
 }
@@ -229,11 +193,11 @@ TEST(MachineMore, TlbInliningBlocksEscalation)
     // A TLB entry filled by a load must not let a store slip past the
     // physical write protection.
     Rig rig(rocketParams(), IsolationScheme::PmpTable);
-    rig.table->setPerm(kData, 64_KiB, Perm::ro());
-    rig.machine.coldReset();
+    rig.table()->setPerm(kData, 64_KiB, Perm::ro());
+    rig.machine().coldReset();
 
-    ASSERT_TRUE(rig.machine.access(kVa, AccessType::Load).ok());
-    const auto store = rig.machine.access(kVa, AccessType::Store);
+    ASSERT_TRUE(rig.machine().access(kVa, AccessType::Load).ok());
+    const auto store = rig.machine().access(kVa, AccessType::Store);
     EXPECT_EQ(store.fault, Fault::StoreAccessFault);
 }
 

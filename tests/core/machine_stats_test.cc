@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/machine.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
+#include "workloads/micro_env.h"
 
 namespace hpmp
 {
@@ -17,17 +15,10 @@ namespace
 
 TEST(MachineStats, CountersTrackOutcomes)
 {
-    Machine machine(rocketParams());
-    PmpTable table(machine.mem(), bumpAllocator(64_MiB), 2);
-    table.setPerm(256_MiB, 16_MiB, Perm::rw());
-    table.setPerm(4_GiB, 64_MiB, Perm::rwx());
-    machine.hpmp().programTable(0, 0, 16_GiB, table.rootPa());
-
-    PageTable pt(machine.mem(), bumpAllocator(256_MiB),
-                 PagingMode::Sv39);
-    pt.map(0x40000000, 4_GiB, Perm::rw(), true);
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
+    MicroEnv env(rocketParams(), IsolationScheme::PmpTable);
+    Machine &machine = env.machine();
+    PageTable &pt = env.pt();
+    pt.map(0x40000000, MicroEnv::kDataBase, Perm::rw(), true);
     machine.coldReset();
 
     StatGroup &stats = machine.stats();
@@ -46,7 +37,7 @@ TEST(MachineStats, CountersTrackOutcomes)
     // A page fault and an access fault.
     (void)machine.access(0x50000000, AccessType::Load);
     EXPECT_EQ(stats.get("page_faults"), 1u);
-    pt.map(0x60000000, 8_GiB, Perm::rw(), true); // outside the table
+    pt.map(0x60000000, 8_GiB, Perm::rw(), true); // past the data region
     machine.sfenceVma();
     (void)machine.access(0x60000000, AccessType::Load);
     EXPECT_EQ(stats.get("access_faults"), 1u);

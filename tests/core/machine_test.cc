@@ -8,19 +8,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/machine.h"
-#include "hpmp/isolation.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
+#include "workloads/micro_env.h"
 
 namespace hpmp
 {
 namespace
 {
 
-constexpr Addr kPtPool = 256_MiB;       // contiguous PT-page region
-constexpr uint64_t kPtPoolSize = 16_MiB;
-constexpr Addr kDataBase = 1_GiB;
+constexpr Addr kDataBase = MicroEnv::kDataBase;
 constexpr Addr kVa = 0x40000000;
 
 /** Fixture building one mapped page under a selectable scheme. */
@@ -30,55 +25,16 @@ class MachineRefTest : public ::testing::TestWithParam<IsolationScheme>
     void
     SetUp() override
     {
-        machine = std::make_unique<Machine>(rocketParams());
-        pt = std::make_unique<PageTable>(machine->mem(),
-                                         bumpAllocator(kPtPool),
-                                         PagingMode::Sv39);
+        env = std::make_unique<MicroEnv>(rocketParams(), GetParam());
+        machine = &env->machine();
+        pt = &env->pt();
         pt->map(kVa, kDataBase, Perm::rw(), true);
-        program(GetParam());
-        machine->setSatp(pt->rootPa(), PagingMode::Sv39);
-        machine->setPriv(PrivMode::User);
         machine->coldReset();
     }
 
-    void
-    program(IsolationScheme scheme)
-    {
-        HpmpUnit &unit = machine->hpmp();
-        switch (scheme) {
-          case IsolationScheme::None:
-            // No entries: run in M-mode conceptually; here we just
-            // allow everything through one big segment.
-            unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::Pmp:
-            unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-            unit.programSegment(1, kDataBase, 1_GiB, Perm::rwx());
-            break;
-          case IsolationScheme::PmpTable:
-            makeTable();
-            unit.programTable(0, 0, 16_GiB, table->rootPa());
-            break;
-          case IsolationScheme::Hpmp:
-            unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-            makeTable();
-            unit.programTable(1, 0, 16_GiB, table->rootPa());
-            break;
-        }
-    }
-
-    void
-    makeTable()
-    {
-        table = std::make_unique<PmpTable>(machine->mem(),
-                                           bumpAllocator(64_MiB), 2);
-        table->setPerm(kPtPool, kPtPoolSize, Perm::rw());
-        table->setPerm(kDataBase, 1_GiB, Perm::rwx());
-    }
-
-    std::unique_ptr<Machine> machine;
-    std::unique_ptr<PageTable> pt;
-    std::unique_ptr<PmpTable> table;
+    std::unique_ptr<MicroEnv> env;
+    Machine *machine = nullptr;
+    PageTable *pt = nullptr;
 };
 
 TEST_P(MachineRefTest, ColdLoadReferenceCounts)
@@ -188,12 +144,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MachineLatency, ColdSlowerThanWarm)
 {
-    Machine machine(rocketParams());
-    PageTable pt(machine.mem(), bumpAllocator(kPtPool), PagingMode::Sv39);
-    pt.map(kVa, kDataBase, Perm::rw(), true);
-    machine.hpmp().programSegment(0, 0, 16_GiB, Perm::rwx());
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
+    MicroEnv env(rocketParams(), IsolationScheme::None);
+    env.pt().map(kVa, kDataBase, Perm::rw(), true);
+    Machine &machine = env.machine();
     machine.coldReset();
 
     const auto cold = machine.access(kVa, AccessType::Load);
@@ -205,15 +158,11 @@ TEST(MachineLatency, ColdSlowerThanWarm)
 
 TEST(MachineFaults, PhysicalDenialIsAccessFault)
 {
-    Machine machine(rocketParams());
-    PageTable pt(machine.mem(), bumpAllocator(kPtPool), PagingMode::Sv39);
-    pt.map(kVa, kDataBase, Perm::rw(), true);
-    // PT pool readable, but the data page is not covered at all.
-    machine.hpmp().programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
+    // PT pool readable, but the data page is outside every segment.
+    MicroEnv env(rocketParams(), IsolationScheme::Pmp);
+    env.pt().map(kVa, 2_GiB, Perm::rw(), true);
 
-    const auto out = machine.access(kVa, AccessType::Load);
+    const auto out = env.machine().access(kVa, AccessType::Load);
     EXPECT_EQ(out.fault, Fault::LoadAccessFault);
 }
 

@@ -13,25 +13,28 @@
  *   hpmp_sim --trace app.trace --scheme pmpt --pmptw-cache 8
  *
  * Without --trace a built-in demo pattern (sequential + random mix)
- * is used.
+ * is used. The machine is MicroEnv's (workloads/micro_env.h). Exit 0
+ * on success, 1 on a run error (unreadable trace, unwritable output,
+ * tracing compiled out), 2 on a usage error (message and usage on
+ * stderr, nothing on stdout).
  */
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
 
-#include "base/frame_alloc.h"
+#include "base/parse.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "base/trace.h"
 #include "core/core_model.h"
-#include "pmpt/pmp_table.h"
-#include "pt/page_table.h"
+#include "workloads/micro_env.h"
 #include "workloads/trace.h"
 
 using namespace hpmp;
@@ -55,9 +58,9 @@ struct Options
 };
 
 void
-usage(const char *argv0)
+usage(const char *argv0, std::FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "usage: %s [options]\n"
         "  --trace FILE       address trace (L|S|F <hex-va> lines)\n"
         "  --core rocket|boom machine model (default rocket)\n"
@@ -71,97 +74,82 @@ usage(const char *argv0)
         "                     write a windowed stats time-series: every\n"
         "                     counter snapshotted each --stats-interval\n"
         "                     simulated cycles during the replay\n"
-        "  --stats-interval N cycles per series window (default 100000)\n"
+        "  --stats-interval N cycles per series window, at least 1\n"
+        "                     (default 100000)\n"
         "  --debug FLAGS      enable debug tracing (Walk,Hpmp,Pmpt,\n"
         "                     Monitor,Fault,Tlb or All)\n"
         "  --trace-out FILE   write the trace-event ring as\n"
-        "                     chrome://tracing JSON\n",
+        "                     chrome://tracing JSON\n"
+        "exit: 0 ok, 1 run error (trace, output file), 2 usage error\n",
         argv0);
 }
 
+/** Parse the command line into `opts`; false (with `err`) on misuse. */
 bool
-parse(int argc, char **argv, Options &opts)
+parse(int argc, char **argv, Options &opts, std::string &err)
 {
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc && err.empty(); ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
+        auto value = [&]() -> std::string {
+            if (i + 1 < argc)
+                return argv[++i];
+            err = arg + " needs a value";
+            return "";
+        };
+        auto number = [&](uint64_t min, uint64_t max) -> uint64_t {
+            const std::string text = value();
+            uint64_t v = 0;
+            if (err.empty() &&
+                (!parseUnsigned(text, v) || v < min || v > max))
+                err = "bad number '" + text + "' for " + arg;
+            return v;
         };
         if (arg == "--trace") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.tracePath = v;
+            opts.tracePath = value();
         } else if (arg == "--core") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "rocket") == 0)
+            const std::string v = value();
+            if (v == "rocket")
                 opts.core = CoreKind::Rocket;
-            else if (std::strcmp(v, "boom") == 0)
+            else if (v == "boom")
                 opts.core = CoreKind::Boom;
-            else
-                return false;
+            else if (err.empty())
+                err = "unknown core '" + v + "'";
         } else if (arg == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return false;
-            if (std::strcmp(v, "pmp") == 0)
+            const std::string v = value();
+            if (v == "pmp")
                 opts.scheme = IsolationScheme::Pmp;
-            else if (std::strcmp(v, "pmpt") == 0)
+            else if (v == "pmpt")
                 opts.scheme = IsolationScheme::PmpTable;
-            else if (std::strcmp(v, "hpmp") == 0)
+            else if (v == "hpmp")
                 opts.scheme = IsolationScheme::Hpmp;
-            else if (std::strcmp(v, "none") == 0)
+            else if (v == "none")
                 opts.scheme = IsolationScheme::None;
-            else
-                return false;
+            else if (err.empty())
+                err = "unknown scheme '" + v + "'";
         } else if (arg == "--pwc") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.pwcEntries = unsigned(std::strtoul(v, nullptr, 0));
+            opts.pwcEntries = unsigned(number(0, UINT_MAX));
         } else if (arg == "--pmptw-cache") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.pmptwEntries = unsigned(std::strtoul(v, nullptr, 0));
+            opts.pmptwEntries = unsigned(number(0, UINT_MAX));
         } else if (arg == "--stats") {
             opts.dumpStats = true;
         } else if (arg == "--stats-json") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.statsJson = v;
+            opts.statsJson = value();
         } else if (arg == "--stats-series") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.statsSeries = v;
+            opts.statsSeries = value();
         } else if (arg == "--stats-interval") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.statsInterval = std::strtoull(v, nullptr, 0);
+            opts.statsInterval = number(1, UINT64_MAX);
         } else if (arg == "--debug") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.debugFlags = v;
+            opts.debugFlags = value();
         } else if (arg == "--trace-out") {
-            const char *v = next();
-            if (!v)
-                return false;
-            opts.traceOut = v;
+            opts.traceOut = value();
         } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
+            usage(argv[0], stdout);
             std::exit(0);
         } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return false;
+            err = "unknown option '" + arg + "'";
         }
     }
-    return true;
+    return err.empty();
 }
 
 Trace
@@ -191,9 +179,11 @@ int
 main(int argc, char **argv)
 {
     Options opts;
-    if (!parse(argc, argv, opts)) {
-        usage(argv[0]);
-        return 1;
+    std::string err;
+    if (!parse(argc, argv, opts, err)) {
+        std::fprintf(stderr, "hpmp_sim: %s\n", err.c_str());
+        usage(argv[0], stderr);
+        return 2;
     }
 
     if (!opts.debugFlags.empty() || !opts.traceOut.empty()) {
@@ -202,9 +192,10 @@ main(int argc, char **argv)
         const std::string &flags =
             opts.debugFlags.empty() ? "All" : opts.debugFlags;
         if (!Tracer::instance().enableByName(flags)) {
-            std::fprintf(stderr, "unknown debug flag in '%s'\n",
+            std::fprintf(stderr, "hpmp_sim: unknown debug flag in '%s'\n",
                          flags.c_str());
-            return 1;
+            usage(argv[0], stderr);
+            return 2;
         }
 #else
         std::fprintf(stderr, "tracing was compiled out "
@@ -229,51 +220,22 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Build the machine and map every page the trace touches to
-    // sequential frames in the protected data region.
+    // Map every page the trace touches, rwx, to sequential frames in
+    // the protected data region.
     MachineParams params = machineParams(opts.core);
     params.pwcEntries = opts.pwcEntries;
     params.pmptwEntries = opts.pmptwEntries;
-    Machine machine(params);
-
-    constexpr Addr kPtPool = 256_MiB;
-    constexpr uint64_t kPtPoolSize = 16_MiB;
-    constexpr Addr kDataBase = 4_GiB;
-    PageTable pt(machine.mem(), bumpAllocator(kPtPool),
-                 PagingMode::Sv39);
+    MicroEnv env(params, opts.scheme);
+    Machine &machine = env.machine();
 
     std::set<uint64_t> vpns;
     for (const TraceRecord &rec : trace.records())
         vpns.insert(pageNumber(rec.va));
-    Addr next_pa = kDataBase + 417_MiB; // spread structure placement
+    Addr next_pa = MicroEnv::kFirstDataPa;
     for (const uint64_t vpn : vpns) {
-        pt.map(pageAddr(vpn), next_pa, Perm::rwx(), true);
+        env.pt().map(pageAddr(vpn), next_pa, Perm::rwx(), true);
         next_pa += kPageSize;
     }
-
-    PmpTable table(machine.mem(), bumpAllocator(64_MiB), 2);
-    table.setPerm(kPtPool, kPtPoolSize, Perm::rw());
-    table.setPerm(kDataBase, 4_GiB, Perm::rwx());
-    HpmpUnit &unit = machine.hpmp();
-    switch (opts.scheme) {
-      case IsolationScheme::None:
-        unit.programSegment(0, 0, 16_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::Pmp:
-        unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-        unit.programSegment(1, kDataBase, 4_GiB, Perm::rwx());
-        break;
-      case IsolationScheme::PmpTable:
-        unit.programTable(0, 0, 16_GiB, table.rootPa());
-        break;
-      case IsolationScheme::Hpmp:
-        unit.programSegment(0, kPtPool, kPtPoolSize, Perm::rw());
-        unit.programTable(1, 0, 16_GiB, table.rootPa());
-        break;
-    }
-
-    machine.setSatp(pt.rootPa(), PagingMode::Sv39);
-    machine.setPriv(PrivMode::User);
     machine.coldReset();
 
     CoreModel model(params);

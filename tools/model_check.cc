@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "base/fault_inject.h"
+#include "base/parse.h"
 #include "verify/chaos_engine.h"
 #include "verify/enumerator.h"
 
